@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -148,6 +149,7 @@ TxId Ledger::submit(TxPayload payload) {
                         {"payload", payload_name(tx.payload)},
                         {"status", "dropped"}});
       }
+      queue_tx_retirement({tx.submitted_at, id.value});
       transactions_.emplace(id.value, std::move(tx));
       return id;  // never scheduled for application
     }
@@ -184,6 +186,7 @@ TxId Ledger::submit(TxPayload payload) {
                     {"visible_at", tx.visible_at},
                     {"confirm_at", tx.confirmed_at}});
   }
+  queue_tx_retirement({tx.confirmed_at, id.value});
   transactions_.emplace(id.value, std::move(tx));
 
   queue_->schedule_at(transactions_.at(id.value).confirmed_at, [this, id] {
@@ -305,7 +308,7 @@ CompactionReport Ledger::compact(Hours watermark) {
   }
   CompactionReport report;
   report.watermark = watermark;
-  report.supply_before = total_supply();
+  if (auditor_ != nullptr) report.supply_before = total_supply();
 
   // Everything mempool-visible by now must reach the secret index before
   // its transaction record can go away.
@@ -326,40 +329,49 @@ CompactionReport Ledger::compact(Hours watermark) {
     report.log_truncated = cut;
   }
 
-  // Settled contracts behind the watermark; locked ones always survive
-  // (their amounts are live supply and their refund path must stay valid).
-  for (auto it = htlcs_.begin(); it != htlcs_.end();) {
-    const HtlcContract& contract = it->second;
-    if (contract.state != HtlcState::kLocked &&
-        contract.settled_at <= watermark) {
-      it = htlcs_.erase(it);
-      ++report.htlcs_retired;
-    } else {
-      ++it;
-    }
+  // Settled contracts behind the watermark: settlement times follow the
+  // clock, so they are a prefix of the FIFO.  Locked contracts are not in
+  // it (their amounts are live supply and their refund path must stay
+  // valid).
+  while (htlc_retire_head_ < htlc_retirements_.size() &&
+         htlc_retirements_[htlc_retire_head_].at <= watermark) {
+    htlcs_.erase(htlc_retirements_[htlc_retire_head_++].id);
+    ++report.htlcs_retired;
+  }
+  // Drop the consumed prefix once it is at least half the FIFO, so each
+  // entry is moved O(1) times amortized.
+  if (htlc_retire_head_ * 2 >= htlc_retirements_.size()) {
+    htlc_retirements_.erase(
+        htlc_retirements_.begin(),
+        htlc_retirements_.begin() +
+            static_cast<std::ptrdiff_t>(htlc_retire_head_));
+    htlc_retire_head_ = 0;
   }
 
   // Transactions whose lifecycle completed by the watermark: applied ones
   // (confirmed or failed -- their balance effects are in accounts_) and
-  // dropped ones (never scheduled at all).  Pending transactions have
-  // confirmed_at > watermark by construction (their apply event has not
-  // fired yet and the watermark is strictly in the past).
-  for (auto it = transactions_.begin(); it != transactions_.end();) {
-    const Transaction& tx = it->second;
-    const bool done = tx.status == TxStatus::kDropped
-                          ? tx.submitted_at <= watermark
-                          : tx.status != TxStatus::kPending &&
-                                tx.confirmed_at <= watermark;
-    if (done) {
-      secret_index_.erase(it->first);
-      it = transactions_.erase(it);
-      ++report.transactions_retired;
-    } else {
-      ++it;
+  // dropped ones (never scheduled at all).  A transaction still pending
+  // here could only be one whose apply event the clock skipped past
+  // (EventQueue::advance_to); it keeps its record and its heap entry.
+  std::vector<Retirement> still_pending;
+  while (!tx_retirements_.empty() &&
+         tx_retirements_.front().at <= watermark) {
+    std::pop_heap(tx_retirements_.begin(), tx_retirements_.end(),
+                  RetiresLater{});
+    const Retirement next = tx_retirements_.back();
+    tx_retirements_.pop_back();
+    const auto it = transactions_.find(next.id);
+    if (it->second.status == TxStatus::kPending) {
+      still_pending.push_back(next);
+      continue;
     }
+    secret_index_.erase(next.id);
+    transactions_.erase(it);
+    ++report.transactions_retired;
   }
+  for (const Retirement& r : still_pending) queue_tx_retirement(r);
 
-  report.supply_after = total_supply();
+  if (auditor_ != nullptr) report.supply_after = total_supply();
   if (trace_ != nullptr) {
     trace_->record(queue_->now(), obs::TraceKind::kCompaction,
                    {{"chain", to_string(params_.id)},
@@ -426,6 +438,18 @@ void Ledger::apply(Transaction& tx) {
 void Ledger::fail(Transaction& tx, std::string reason) {
   tx.status = TxStatus::kFailed;
   tx.failure_reason = std::move(reason);
+}
+
+void Ledger::queue_tx_retirement(Retirement entry) {
+  tx_retirements_.push_back(entry);
+  std::push_heap(tx_retirements_.begin(), tx_retirements_.end(),
+                 RetiresLater{});
+}
+
+void Ledger::settle(HtlcContract& contract, HtlcState state) {
+  contract.state = state;
+  contract.settled_at = queue_->now();
+  htlc_retirements_.push_back({contract.settled_at, contract.id.value});
 }
 
 void Ledger::apply_transfer(Transaction& tx, const TransferPayload& p) {
@@ -506,9 +530,8 @@ void Ledger::apply_claim(Transaction& tx, const ClaimHtlcPayload& p) {
   if (account == accounts_.end()) {
     return fail(tx, "claim: unknown beneficiary account");
   }
-  contract.state = HtlcState::kClaimed;
+  settle(contract, HtlcState::kClaimed);
   contract.revealed_secret = p.secret;
-  contract.settled_at = queue_->now();
   account->second += contract.amount;
   if (trace_ != nullptr) {
     trace_->record(queue_->now(), obs::TraceKind::kHtlcClaimed,
@@ -541,8 +564,7 @@ void Ledger::apply_refund(Transaction& tx, const RefundHtlcPayload& p) {
   if (account == accounts_.end()) {
     return fail(tx, "refund: unknown beneficiary account");
   }
-  contract.state = HtlcState::kRefunded;
-  contract.settled_at = queue_->now();
+  settle(contract, HtlcState::kRefunded);
   account->second += contract.amount;
   if (trace_ != nullptr) {
     trace_->record(queue_->now(), obs::TraceKind::kHtlcRefunded,
@@ -572,8 +594,7 @@ void Ledger::apply_cancel(Transaction& tx, const CancelHtlcPayload& p) {
   if (sender == accounts_.end()) {
     return fail(tx, "cancel: unknown sender account");
   }
-  contract.state = HtlcState::kCancelled;
-  contract.settled_at = queue_->now();
+  settle(contract, HtlcState::kCancelled);
   sender->second += contract.amount;
   if (trace_ != nullptr) {
     trace_->record(queue_->now(), obs::TraceKind::kHtlcCancelled,

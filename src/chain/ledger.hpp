@@ -19,7 +19,9 @@
 // -- settled HTLCs, applied/dropped transactions (their balance effects
 // already live in the account map, so the fold is conservation-neutral by
 // construction) -- and truncates the confirmed prefix of the log behind
-// confirmation_log_offset().  retire_account() additionally folds a
+// confirmation_log_offset().  A sweep costs O(records retired * log n), not
+// O(records live): it pops retirement queues filled at submission and
+// settlement (see compact()).  retire_account() additionally folds a
 // finished session's balance into one retained aggregate that
 // total_supply() still counts.  The InvariantAuditor audits every sweep.
 #pragma once
@@ -74,7 +76,9 @@ struct CompactionReport {
   std::size_t htlcs_retired = 0;
   std::size_t log_truncated = 0;
   /// total_supply() before/after the sweep; equal unless retirement broke
-  /// conservation (the auditor's on_compaction check).
+  /// conservation (the auditor's on_compaction check).  Computed only when
+  /// an InvariantAuditor is attached -- their only consumer -- and left
+  /// zero otherwise, since each sum walks every account.
   Amount supply_before;
   Amount supply_after;
 };
@@ -143,8 +147,8 @@ class Ledger {
     return vault_deposits_;
   }
 
-  /// All contracts ever created, keyed by HtlcId.value (read-only; used by
-  /// the InvariantAuditor and tests).
+  /// Every contract created and not yet retired by compact(), keyed by
+  /// HtlcId.value (read-only; used by the InvariantAuditor and tests).
   [[nodiscard]] const std::map<std::uint64_t, HtlcContract>& htlcs()
       const noexcept {
     return htlcs_;
@@ -174,7 +178,9 @@ class Ledger {
   /// Conservation invariant: sum of account balances + funds locked in open
   /// HTLCs + vault pool + retired balances.  Constant across the life of
   /// the simulation (total minted supply); asserted by tests after every
-  /// event and across every compaction sweep.
+  /// event and across every compaction sweep.  A full recomputation on
+  /// every call, O(accounts + contracts): a running total would make the
+  /// conservation checks built on it vacuous.
   [[nodiscard]] Amount total_supply() const;
 
   /// Epoch-based retirement: drops every record whose lifecycle completed
@@ -187,6 +193,13 @@ class Ledger {
   /// balance effects already live in the account map and locked funds are
   /// never touched.  Notifies the auditor (on_compaction) and records a
   /// kCompaction trace event when sinks are attached.
+  ///
+  /// Cost: O((records retired + log entries truncated) * log n), plus two
+  /// total_supply() sums when an auditor is attached.  Records still live
+  /// are never visited: transactions wait in a min-heap keyed by retire
+  /// time (submission for a dropped one, confirmation otherwise -- a heap
+  /// because jitter and faults make confirmation times non-monotone in
+  /// id), settled HTLCs in a FIFO (settlement follows the clock).
   CompactionReport compact(Hours watermark);
 
   /// Folds `address`'s balance into a retained aggregate (still counted by
@@ -233,6 +246,17 @@ class Ledger {
       return a.tx > b.tx;
     }
   };
+  /// A record's place in a retirement queue: the time its lifecycle
+  /// completes (or will) and its id.
+  struct Retirement {
+    Hours at = 0.0;
+    std::uint64_t id = 0;
+  };
+  struct RetiresLater {
+    bool operator()(const Retirement& a, const Retirement& b) const noexcept {
+      return a.at > b.at;
+    }
+  };
 
   void apply(Transaction& tx);
   void apply_transfer(Transaction& tx, const TransferPayload& p);
@@ -243,6 +267,10 @@ class Ledger {
   void apply_deposit(Transaction& tx, const DepositCollateralPayload& p);
   void apply_release(Transaction& tx, const ReleaseCollateralPayload& p);
   void fail(Transaction& tx, std::string reason);
+  void queue_tx_retirement(Retirement entry);
+  /// Moves a locked contract to its final state at now() and queues it for
+  /// retirement.
+  void settle(HtlcContract& contract, HtlcState state);
   void schedule_auto_refund(HtlcId id, Hours expiry);
   void try_auto_refund(HtlcId id, int attempt);
   /// Moves every pending secret with visible_at <= now into the index.
@@ -268,6 +296,13 @@ class Ledger {
   // still in transactions_ whose visible_at has passed, ascending by tx id.
   mutable std::vector<PendingSecret> pending_secrets_;
   mutable std::map<std::uint64_t, ObservedSecret> secret_index_;
+  // Retirement queues behind compact(): a RetiresLater min-heap of every
+  // transaction record, and a FIFO of settled HTLCs whose consumed prefix
+  // ends at htlc_retire_head_.  Vectors, so constructing a Ledger (many
+  // short-lived ones per protocol Monte-Carlo run) allocates nothing.
+  std::vector<Retirement> tx_retirements_;
+  std::vector<Retirement> htlc_retirements_;
+  std::size_t htlc_retire_head_ = 0;
   std::uint64_t next_tx_ = 1;
   std::uint64_t next_htlc_ = 1;
 };

@@ -5,14 +5,17 @@
 // population-run equivalence with compaction/sharding on vs off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "chain/auditor.hpp"
 #include "chain/block.hpp"
 #include "chain/event_queue.hpp"
+#include "chain/faults.hpp"
 #include "chain/ledger.hpp"
 #include "crypto/secret.hpp"
 #include "market/population/population_sim.hpp"
@@ -115,6 +118,10 @@ struct LedgerFixture {
 
 TEST(LedgerCompaction, RetiresSettledRecordsAndConservesSupply) {
   LedgerFixture fx;
+  // The sweep sums supply only for an attached auditor, so attach one to
+  // make the report's before/after fields two real sums.
+  chain::InvariantAuditor auditor;
+  auditor.attach(fx.ledger);
   const chain::Amount supply = fx.ledger.total_supply();
   const auto [deploy, claim] = fx.deploy_and_claim(/*expiry=*/20.0);
   fx.queue.run_until(10.0);
@@ -124,8 +131,10 @@ TEST(LedgerCompaction, RetiresSettledRecordsAndConservesSupply) {
   EXPECT_EQ(report.transactions_retired, 2u);
   EXPECT_EQ(report.htlcs_retired, 1u);
   EXPECT_EQ(report.log_truncated, 2u);
+  EXPECT_EQ(report.supply_before, supply);
   EXPECT_EQ(report.supply_before, report.supply_after);
   EXPECT_EQ(fx.ledger.total_supply(), supply);
+  EXPECT_TRUE(auditor.ok());
 
   // Records are gone, counters remember them.
   EXPECT_EQ(fx.ledger.find_transaction(deploy), nullptr);
@@ -174,6 +183,24 @@ TEST(LedgerCompaction, WatermarkMustBeStrictlyInThePast) {
   EXPECT_THROW(fx.ledger.compact(6.0), std::invalid_argument);
   EXPECT_THROW(fx.ledger.compact(std::nan("")), std::invalid_argument);
   EXPECT_NO_THROW(fx.ledger.compact(4.9));
+}
+
+TEST(LedgerCompaction, PendingTransactionSurvivesASkippedClock) {
+  LedgerFixture fx;
+  const chain::TxId transfer = fx.ledger.submit(chain::TransferPayload{
+      {"alice"}, {"bob"}, chain::Amount::from_tokens(1.0)});
+  // Jump the clock past the confirmation without firing it: the record's
+  // retire time is behind the watermark, but it is still pending.
+  fx.queue.advance_to(10.0);
+  EXPECT_EQ(fx.ledger.compact(9.0).transactions_retired, 0u);
+  ASSERT_NE(fx.ledger.find_transaction(transfer), nullptr);
+
+  fx.queue.run();  // the apply event still finds its record
+  EXPECT_EQ(fx.ledger.transaction(transfer).status,
+            chain::TxStatus::kConfirmed);
+  fx.queue.advance_to(11.0);
+  EXPECT_EQ(fx.ledger.compact(10.5).transactions_retired, 1u);
+  EXPECT_EQ(fx.ledger.find_transaction(transfer), nullptr);
 }
 
 TEST(LedgerCompaction, RetireAccountFoldsBalanceIntoSupply) {
@@ -295,6 +322,173 @@ TEST(SecretIndex, CompactionDropsRetiredClaims) {
   // The claim's record is gone, so the index (like the old rescan of the
   // remaining transactions) no longer reports its secret.
   EXPECT_TRUE(fx.ledger.visible_secrets().empty());
+}
+
+/// A compaction sweep must retire exactly the records the full-scan
+/// predicate selects, also when jitter, extra delays and a halt make
+/// confirmation times non-monotone in transaction id.
+TEST(LedgerCompaction, RetiredSetMatchesFullScanUnderJitterAndFaults) {
+  chain::EventQueue queue;
+  math::Xoshiro256 jitter_rng{0x71773};
+  chain::Ledger ledger({chain::ChainId::kChainB, /*tau=*/2.0, /*eps=*/0.5,
+                        /*jitter=*/1.5},
+                       queue, &jitter_rng);
+  chain::FaultModel model;
+  model.drop_prob = 0.15;
+  model.extra_delay_prob = 0.3;
+  model.extra_delay_max = 4.0;
+  model.halts = {{20.0, 24.0}};
+  chain::FaultInjector faults(model, /*seed=*/0xFA17);
+  ledger.set_fault_injector(&faults);
+  const chain::Address alice{"alice"}, bob{"bob"};
+  ledger.create_account(alice, chain::Amount::from_tokens(1e6));
+  ledger.create_account(bob, chain::Amount::from_tokens(1e6));
+
+  math::Xoshiro256 rng{0xD21E};
+  struct Lock {
+    chain::HtlcId id;
+    crypto::Secret secret;
+    chain::HtlcKind kind;
+  };
+  std::vector<Lock> locks;
+  const auto submit_step = [&] {
+    const double roll = math::uniform01(rng);
+    if (roll < 0.35 || locks.empty()) {
+      const crypto::Secret secret = crypto::Secret::generate(rng);
+      const chain::HtlcKind kind = math::uniform01(rng) < 0.3
+                                       ? chain::HtlcKind::kInverse
+                                       : chain::HtlcKind::kStandard;
+      const chain::TxId deploy = ledger.submit(chain::DeployHtlcPayload{
+          alice, bob, chain::Amount::from_tokens(1.0), secret.commitment(),
+          queue.now() + 4.0 + 6.0 * math::uniform01(rng), kind});
+      locks.push_back({ledger.pending_contract_of(deploy), secret, kind});
+      return;
+    }
+    const Lock& lock = locks[static_cast<std::size_t>(
+        math::uniform01(rng) * static_cast<double>(locks.size()))];
+    if (roll < 0.75) {
+      // Mostly the right preimage; sometimes a wrong one (the claim fails
+      // but its preimage still reaches the secret index).
+      const crypto::Secret secret = math::uniform01(rng) < 0.8
+                                        ? lock.secret
+                                        : crypto::Secret::generate(rng);
+      ledger.submit(chain::ClaimHtlcPayload{lock.id, secret, bob});
+    } else if (roll < 0.85) {
+      ledger.submit(chain::CancelHtlcPayload{lock.id, alice});
+    } else {
+      ledger.submit(chain::TransferPayload{alice, bob,
+                                           chain::Amount::from_tokens(0.5)});
+    }
+  };
+
+  std::size_t sweeps = 0, txs_retired = 0, htlcs_retired = 0;
+  std::size_t inversions = 0, kept_pending = 0, kept_locked = 0;
+  const auto compact_and_check = [&](double watermark) {
+    SCOPED_TRACE(::testing::Message() << "watermark=" << watermark);
+    // Reference: the full-scan predicate over every id ever assigned (ids
+    // are dense from 1), evaluated before the sweep.
+    std::set<std::uint64_t> txs_expected, txs_must_survive;
+    double latest_confirm = 0.0;
+    for (std::uint64_t id = 1; id <= ledger.transaction_count(); ++id) {
+      const chain::Transaction* tx = ledger.find_transaction({id});
+      if (tx == nullptr) continue;
+      const bool done = tx->status == chain::TxStatus::kDropped
+                            ? tx->submitted_at <= watermark
+                            : tx->status != chain::TxStatus::kPending &&
+                                  tx->confirmed_at <= watermark;
+      if (!done) txs_expected.insert(id);
+      // Confirmation order out of id order: a FIFO by id would not do.
+      if (tx->status != chain::TxStatus::kDropped) {
+        if (tx->confirmed_at < latest_confirm) ++inversions;
+        latest_confirm = std::max(latest_confirm, tx->confirmed_at);
+      }
+      if (tx->status == chain::TxStatus::kPending) txs_must_survive.insert(id);
+    }
+    std::set<std::uint64_t> htlcs_expected, htlcs_must_survive;
+    for (const auto& [id, contract] : ledger.htlcs()) {
+      const bool locked = contract.state == chain::HtlcState::kLocked;
+      if (locked || contract.settled_at > watermark) htlcs_expected.insert(id);
+      if (locked) htlcs_must_survive.insert(id);
+    }
+    kept_pending += txs_must_survive.size();
+    kept_locked += htlcs_must_survive.size();
+
+    const chain::CompactionReport report = ledger.compact(watermark);
+    ++sweeps;
+    txs_retired += report.transactions_retired;
+    htlcs_retired += report.htlcs_retired;
+
+    std::set<std::uint64_t> txs_left;
+    for (std::uint64_t id = 1; id <= ledger.transaction_count(); ++id) {
+      if (ledger.find_transaction({id}) != nullptr) txs_left.insert(id);
+    }
+    std::set<std::uint64_t> htlcs_left;
+    for (const auto& [id, contract] : ledger.htlcs()) htlcs_left.insert(id);
+    EXPECT_EQ(txs_left, txs_expected);
+    EXPECT_EQ(htlcs_left, htlcs_expected);
+    for (const std::uint64_t id : txs_must_survive) {
+      EXPECT_EQ(txs_left.count(id), 1u) << "pending tx " << id;
+    }
+    for (const std::uint64_t id : htlcs_must_survive) {
+      EXPECT_EQ(htlcs_left.count(id), 1u) << "locked htlc " << id;
+    }
+
+    std::vector<chain::TxId> all_ids;
+    for (std::uint64_t id = 1; id <= ledger.transaction_count(); ++id) {
+      all_ids.push_back({id});
+    }
+    const auto expected = rescan_secrets(ledger, all_ids, queue.now());
+    const auto got = ledger.visible_secrets();
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].secret.bytes(), expected[i].secret.bytes());
+      EXPECT_EQ(got[i].contract.value, expected[i].contract.value);
+      EXPECT_EQ(got[i].visible_since, expected[i].visible_since);
+    }
+  };
+
+  // Sweeps land before, inside and after the halt; one watermark repeats
+  // and one moves backwards.
+  const std::vector<std::pair<double, double>> sweeps_at = {
+      {12.0, 9.5},  {18.0, 16.0}, {22.0, 21.0}, {22.5, 21.0},
+      {26.0, 23.5}, {30.0, 17.0}, {41.0, 38.5}, {70.0, 69.0}};
+  std::size_t next_sweep = 0;
+  for (int step = 1; step <= 280; ++step) {
+    const double t = 0.25 * step;
+    queue.run_until(t);
+    if (t <= 45.0) {
+      submit_step();
+      if (step % 3 == 0) submit_step();
+    }
+    while (next_sweep < sweeps_at.size() && sweeps_at[next_sweep].first == t) {
+      compact_and_check(sweeps_at[next_sweep].second);
+      ++next_sweep;
+    }
+    if (t == 33.0) {
+      // A watermark exactly on a settlement time (also the confirmation
+      // time of the settling transaction): both records must retire.
+      std::vector<double> settled;
+      for (const auto& [id, contract] : ledger.htlcs()) {
+        if (contract.state != chain::HtlcState::kLocked &&
+            contract.settled_at < t) {
+          settled.push_back(contract.settled_at);
+        }
+      }
+      ASSERT_FALSE(settled.empty());
+      std::sort(settled.begin(), settled.end());
+      compact_and_check(settled[settled.size() / 2]);
+    }
+  }
+  ASSERT_EQ(next_sweep, sweeps_at.size());
+  // The scenario exercised every retirement path.
+  EXPECT_GT(faults.dropped(), 0u);
+  EXPECT_GT(faults.delayed(), 0u);
+  EXPECT_GT(txs_retired, 0u);
+  EXPECT_GT(htlcs_retired, 0u);
+  EXPECT_GT(inversions, 0u);
+  EXPECT_GT(kept_pending, 0u);
+  EXPECT_GT(kept_locked, 0u);
+  EXPECT_EQ(sweeps, sweeps_at.size() + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -499,6 +693,12 @@ TEST(PopulationEquivalence, AggressiveRetirementUnderFeePressure) {
   EXPECT_GT(churned.result.sessions_retired, 0u);
   EXPECT_GT(churned.result.accounts_retired, 0u);
   EXPECT_GT(churned.result.log_truncated, 0u);
+  // The retired set itself, pinned: a sweep that selected different
+  // records would keep every behavioral field above but move these.
+  EXPECT_EQ(churned.result.txs_retired, 87u);
+  EXPECT_EQ(churned.result.htlcs_retired, 33u);
+  EXPECT_EQ(churned.result.log_truncated, 87u);
+  EXPECT_EQ(churned.result.accounts_retired, 1360u);
 
   // Same churn under parallel workers: eviction drops, merge-expired
   // intents and retirement sweeps must still replay bit-identically.
