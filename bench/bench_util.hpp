@@ -12,7 +12,8 @@
 // plus the binary's total runtime.  exit_code() appends TIME lines after
 // the CHECK lines (so the data blocks above stay byte-comparable across
 // runs) and writes BENCH_<slug>.json into the current directory with the
-// same numbers for machine consumption.  See docs/PERF.md for the format.
+// same numbers for machine consumption, stamped with the host that
+// produced them.  See docs/PERF.md for the format.
 #pragma once
 
 #include <sys/stat.h>
@@ -22,9 +23,18 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include "math/simd.hpp"
+
+// Set by bench/CMakeLists.txt from the active build configuration.
+#ifndef SWAPGAME_BUILD_TYPE
+#define SWAPGAME_BUILD_TYPE "unknown"
+#endif
 
 namespace swapgame::bench {
 
@@ -79,6 +89,43 @@ inline std::size_t mc_scale() {
 inline std::size_t scaled(std::size_t n, std::size_t floor_n = 64) {
   const std::size_t s = n / mc_scale();
   return s > floor_n ? s : floor_n;
+}
+
+/// The machine and build a bench ran on.  Every BENCH_<slug>.json carries
+/// it as its "host" object, so a timing metric is never read without the
+/// CPU, core count, compiler, build type and SIMD level behind it.
+struct HostStamp {
+  std::string cpu;
+  unsigned nproc = 0;
+  std::string compiler;
+  std::string build_type;
+  std::string simd;
+};
+
+inline HostStamp host_stamp() {
+  HostStamp host;
+  host.cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    if (colon != std::string::npos && start != std::string::npos) {
+      host.cpu = line.substr(start);
+    }
+    break;
+  }
+  host.nproc = std::thread::hardware_concurrency();
+#if defined(__clang__)
+  host.compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  host.compiler = std::string("gcc ") + __VERSION__;
+#else
+  host.compiler = "unknown";
+#endif
+  host.build_type = SWAPGAME_BUILD_TYPE;
+  host.simd = math::simd::to_string(math::simd::active_level());
+  return host;
 }
 
 /// Tracks claim failures for the process exit code and wall-clock timing
@@ -246,6 +293,14 @@ class Report {
       std::fprintf(f, "{\n  \"artifact\": \"%s\",\n",
                    json_escape(artifact_).c_str());
       std::fprintf(f, "  \"failures\": %d,\n", failures_);
+      const HostStamp host = host_stamp();
+      std::fprintf(f,
+                   "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
+                   "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+                   "\"simd\": \"%s\"},\n",
+                   json_escape(host.cpu).c_str(), host.nproc,
+                   json_escape(host.compiler).c_str(),
+                   json_escape(host.build_type).c_str(), host.simd.c_str());
       std::fprintf(f, "  \"metrics\": {");
       for (std::size_t i = 0; i < metrics_.size(); ++i) {
         std::fprintf(f, "%s\n    \"%s\": %.6f", i == 0 ? "" : ",",

@@ -9,8 +9,8 @@
 // markets (capacity eviction + strategic re-bidding), with the token-b
 // price made ENDOGENOUS by executed swap flow.  Measured:
 //   * headline throughput: >= 10^7 sessions end to end under ledger
-//     compaction + sharded event queues, run TWICE -- once on the serial
-//     workers=1 reference engine and once on 8 parallel worker shards
+//     compaction, run TWICE -- once on the serial workers=1 reference
+//     engine and once on 8 parallel worker shards
 //     (docs/MARKET.md "parallel intra-run execution") -- asserting
 //     bit-identical results and a byte-identical trace, with sessions/sec,
 //     parallel speedup and peak RSS reported as machine-dependent
@@ -18,10 +18,10 @@
 //     conservative committed baselines, excluded from the CI stdout
 //     determinism diffs);
 //   * a retirement + parallelism equivalence panel at fixed workload: the
-//     SAME config across {compaction off/on} x {1/8 queue shards} x
-//     {1/4 workers} must produce bit-identical results and byte-identical
-//     traces -- retirement and the worker count are pure memory/wall-clock
-//     knobs, never behavioral ones;
+//     SAME config across {compaction off/on} x {1/4 workers} must produce
+//     bit-identical results and byte-identical traces -- retirement and
+//     the worker count are pure memory/wall-clock knobs, never behavioral
+//     ones;
 //   * a fee-regime ladder at fixed workload: shrinking block capacity
 //     degrades completion and stretches p99 latency while evictions and
 //     re-bids engage -- the Mazumdar-style settlement-pressure effect
@@ -216,7 +216,6 @@ int main() {
   headline.compaction.enabled = true;
   headline.compaction.horizon = 4.0;
   headline.compaction.interval = 1024;
-  headline.shards = 8;
   engine::RunSpec serial_spec = population_spec(headline, "x16:headline:w1");
   // Export the protocol timeline of every 997th session
   // (TRACE_x16_population.jsonl; see docs/OBSERVABILITY.md).
@@ -317,28 +316,26 @@ int main() {
                    games < 500.0 + static_cast<double>(h.sessions) / 10.0);
 
   // ---- Block 2: retirement + worker equivalence (FIXED size). ------------
-  // The contract of docs/MARKET.md "state retirement & sharding" and
+  // The contract of docs/MARKET.md "state retirement" and
   // "parallel intra-run execution": the same 6000-session workload across
-  // compaction off/on, 1 vs 8 queue shards and 1 vs 4 worker shards must
-  // agree bit-for-bit on every non-retirement value AND byte-for-byte on
-  // the trace.  An aggressive horizon/interval maximizes the retirement
+  // compaction off/on and 1 vs 4 worker shards must agree bit-for-bit on
+  // every non-retirement value AND byte-for-byte on the trace.  An aggressive horizon/interval maximizes the retirement
   // churn under test.
   report.csv_begin("retirement_equivalence",
                    "variant,sessions_retired,txs_retired,peak_live_sessions,"
                    "completed,final_price");
 
-  const std::vector<const char*> equiv_names = {"off", "on-k1", "on-k8",
-                                                "off-w4", "on-k8-w4"};
+  const std::vector<const char*> equiv_names = {"off", "on", "off-w4",
+                                                "on-w4"};
   std::vector<engine::RunSpec> equiv_specs;
-  for (int variant = 0; variant < 5; ++variant) {
+  for (int variant = 0; variant < 4; ++variant) {
     market::PopulationConfig config = base_config(6000);
-    if (variant == 1 || variant == 2 || variant == 4) {
+    if (variant % 2 == 1) {
       config.compaction.enabled = true;
       config.compaction.horizon = 2.0;
       config.compaction.interval = 64;
-      config.shards = variant == 1 ? 1 : 8;
     }
-    if (variant >= 3) config.workers = 4;
+    if (variant >= 2) config.workers = 4;
     engine::RunSpec spec = population_spec(
         config, std::string("x16:equiv:") + equiv_names[variant]);
     spec.mc.config.trace_stride = 101;
@@ -364,14 +361,13 @@ int main() {
   }
   report.metric("population_equivalence_ok",
                 equiv_values && equiv_traces ? 1.0 : 0.0);
-  report.claim("compaction, queue shards and workers are bit-identical",
+  report.claim("compaction and workers are bit-identical",
                equiv_values);
   report.claim("retirement + workers leave the trace byte-identical",
                equiv_traces);
   report.claim("the equivalence panel actually retires state",
                equiv_results[1].at("sessions_retired") > 0.0 &&
-                   equiv_results[2].at("compactions") > 0.0 &&
-                   equiv_results[4].at("compactions") > 0.0);
+                   equiv_results[3].at("compactions") > 0.0);
 
   // ---- Block 3: fee-regime ladder (FIXED size -> the gated metrics). -----
   // Same 6000-session workload under shrinking block capacity.  These

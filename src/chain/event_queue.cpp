@@ -16,17 +16,6 @@ void EventQueue::set_metrics(obs::MetricsRegistry* metrics) {
       metrics == nullptr ? nullptr : &metrics->counter("queue.events_processed");
 }
 
-void EventQueue::set_shards(std::size_t count) {
-  if (count == 0) {
-    throw std::invalid_argument("EventQueue::set_shards: count must be >= 1");
-  }
-  if (pending_ != 0) {
-    throw std::logic_error(
-        "EventQueue::set_shards: queue must be empty when resharded");
-  }
-  shards_.assign(count, {});
-}
-
 void EventQueue::schedule_at(Hours when, Callback cb) {
   if (!std::isfinite(when)) {
     throw std::invalid_argument("EventQueue::schedule_at: non-finite time");
@@ -38,14 +27,8 @@ void EventQueue::schedule_at(Hours when, Callback cb) {
     throw std::invalid_argument("EventQueue::schedule_at: empty callback");
   }
   if (scheduled_counter_ != nullptr) scheduled_counter_->inc();
-  // The sequence number is GLOBAL: shard routing (seq % K) only picks the
-  // heap the event waits in, never its place in the (when, seq) order, so
-  // every shard count replays the identical execution.
-  const std::uint64_t seq = next_seq_++;
-  std::vector<Event>& heap = shards_[seq % shards_.size()];
-  heap.push_back(Event{when, seq, std::move(cb)});
-  std::push_heap(heap.begin(), heap.end(), Later{});
-  ++pending_;
+  heap_.push_back(Event{when, next_seq_++, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::schedule_in(Hours delay, Callback cb) {
@@ -55,31 +38,13 @@ void EventQueue::schedule_in(Hours delay, Callback cb) {
   schedule_at(now_ + delay, std::move(cb));
 }
 
-std::size_t EventQueue::min_shard() const noexcept {
-  std::size_t best = shards_.size();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].empty()) continue;
-    if (best == shards_.size()) {
-      best = i;
-      continue;
-    }
-    const Event& a = shards_[i].front();
-    const Event& b = shards_[best].front();
-    if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) best = i;
-  }
-  return best;
-}
-
 bool EventQueue::step() {
-  if (pending_ == 0) return false;
-  // pop_heap moves the earliest event of the winning shard to its back;
-  // take it out before running the callback so the callback may schedule
-  // new events (into any shard).
-  std::vector<Event>& heap = shards_[min_shard()];
-  std::pop_heap(heap.begin(), heap.end(), Later{});
-  Event ev = std::move(heap.back());
-  heap.pop_back();
-  --pending_;
+  if (heap_.empty()) return false;
+  // pop_heap moves the earliest event to the back; take it out before
+  // running the callback so the callback may schedule new events.
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
   now_ = ev.when;
   if (processed_counter_ != nullptr) processed_counter_->inc();
   ev.cb();
@@ -97,7 +62,7 @@ std::size_t EventQueue::drain_before(Hours until) {
     throw std::invalid_argument("EventQueue::drain_before: non-finite time");
   }
   std::size_t processed = 0;
-  while (pending_ != 0 && shards_[min_shard()].front().when < until) {
+  while (!heap_.empty() && heap_.front().when < until) {
     step();
     ++processed;
   }
@@ -109,7 +74,7 @@ std::size_t EventQueue::run_until(Hours until) {
     throw std::invalid_argument("EventQueue::run_until: time is in the past");
   }
   std::size_t processed = 0;
-  while (pending_ != 0 && shards_[min_shard()].front().when <= until) {
+  while (!heap_.empty() && heap_.front().when <= until) {
     step();
     ++processed;
   }

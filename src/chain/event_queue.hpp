@@ -5,16 +5,6 @@
 // epochs and oracle settlements are all callbacks scheduled at absolute
 // simulation times (hours).  Events at equal times fire in scheduling order
 // (FIFO tie-break), which makes simulations fully deterministic.
-//
-// Sharded mode (set_shards): the queue can split its storage across K
-// per-shard binary heaps.  Sequence numbers stay GLOBAL -- an event is
-// stamped with next_seq_ at scheduling time and routed to shard seq % K --
-// and step() pops the minimum (when, seq) across the K shard heads, so the
-// execution order is bit-identical to the single-heap queue at every K.
-// What sharding buys is depth: population-scale runs keep 10^5+ pending
-// events resident, and K smaller heaps mean shallower sift paths and
-// better cache locality on the push/pop hot path, while the O(K) head
-// merge stays trivial for the small K (2..64) that matters.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +28,6 @@ class EventQueue {
 
   /// Current simulation time (hours since t0).
   [[nodiscard]] Hours now() const noexcept { return now_; }
-
-  /// Splits event storage across `count` per-shard heaps (see file
-  /// comment).  Execution order is unchanged at every count -- sequence
-  /// numbers are global -- so this is purely a storage/locality knob.
-  /// Only callable while the queue is empty; throws std::logic_error
-  /// otherwise and std::invalid_argument for count == 0.
-  void set_shards(std::size_t count);
-  [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
 
   /// Schedules `cb` at absolute time `when`.  Scheduling in the past (before
   /// now()) throws std::invalid_argument; scheduling exactly at now() is
@@ -78,14 +60,14 @@ class EventQueue {
   /// time-gated operations (Ledger::compact) run against their clocks.
   void advance_to(Hours t) noexcept { if (t > now_) now_ = t; }
 
-  [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
-  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Time of the earliest pending event, or +infinity when empty (the
   /// parallel population engine uses this to skip event-free epochs).
   [[nodiscard]] Hours next_time() const noexcept {
-    if (pending_ == 0) return std::numeric_limits<Hours>::infinity();
-    return shards_[min_shard()].front().when;
+    if (heap_.empty()) return std::numeric_limits<Hours>::infinity();
+    return heap_.front().when;
   }
 
   /// Optional metrics sink (nullptr = disabled, the default): counts
@@ -109,19 +91,12 @@ class EventQueue {
     }
   };
 
-  /// Index of the shard whose head is the globally earliest (when, seq)
-  /// event; shards_ must be non-empty overall.
-  [[nodiscard]] std::size_t min_shard() const noexcept;
-
-  // Explicit binary heaps (std::push_heap/std::pop_heap over vectors, same
+  // Explicit binary heap (std::push_heap/std::pop_heap over a vector, same
   // (when, seq) ordering a priority_queue<Event, ..., Later> had): pop_heap
   // moves the earliest event to the back, where step() can move from it
   // legally -- priority_queue::top() only offers a const reference, and
-  // moving through a const_cast on it is formally UB.  One heap per shard;
-  // the default single shard reproduces the classic queue exactly.
-  std::vector<std::vector<Event>> shards_ =
-      std::vector<std::vector<Event>>(1);
-  std::size_t pending_ = 0;
+  // moving through a const_cast on it is formally UB.
+  std::vector<Event> heap_;
   Hours now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   obs::Counter* scheduled_counter_ = nullptr;

@@ -338,11 +338,16 @@ void BatchEngine::finish_cell(BatchState& state, std::size_t index,
   }
 
   std::vector<std::size_t> now_ready;
+  // Read under the lock: once the last cell completes, run_batch may return
+  // and destroy `state` as soon as state.m is released.  A non-empty
+  // now_ready means the batch is unfinished, so `state` outlives the submit.
+  bool parallel = false;
   {
     std::lock_guard<std::mutex> lock(state.m);
     state.results[index] = std::move(result);
     ++state.completed;
-    if (state.parallel) {
+    parallel = state.parallel;
+    if (parallel) {
       for (const std::size_t d : state.dependents[index]) {
         if (--state.remaining[d] == 0) now_ready.push_back(d);
       }
@@ -351,7 +356,7 @@ void BatchEngine::finish_cell(BatchState& state, std::size_t index,
       }
     }
   }
-  if (state.parallel && !now_ready.empty()) {
+  if (parallel && !now_ready.empty()) {
     std::vector<std::function<void()>> tasks;
     tasks.reserve(now_ready.size());
     for (const std::size_t d : now_ready) {

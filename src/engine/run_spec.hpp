@@ -55,7 +55,7 @@ namespace swapgame::engine {
 /// canonical form.
 /// v3: the market_sim cell kind and its population.* block in the
 /// canonical form.
-/// v4: population.shards / population.compaction.* lines (ledger
+/// v4: the shards and compaction.* lines of the population block (ledger
 /// retirement + sharded event queues) and the retirement counters in
 /// market_sim results; Neumaier-compensated MarketStats accumulation
 /// re-keys lockup sums at the ulp level.
@@ -65,7 +65,10 @@ namespace swapgame::engine {
 /// every market_sim result changes relative to v4 regardless of the
 /// worker count -- results remain bit-identical across workers/shards
 /// WITHIN v5.
-inline constexpr int kRunSpecSchemaVersion = 5;
+/// v6: the population block's `shards` line is gone (event-queue storage
+/// shards were deleted).  Only the canonical form changes -- the shard
+/// count never affected execution order -- so no result differs from v5.
+inline constexpr int kRunSpecSchemaVersion = 6;
 
 /// What computation a cell performs.
 enum class CellKind : std::uint8_t {

@@ -187,7 +187,6 @@ void visit_spec_fields(RunSpec& spec, V& v) {
   v.num("population.rebid_factor", pop.rebid_factor);
   v.num("population.max_fee", pop.max_fee);
   v.u64("population.seed", pop.seed);
-  v.u64("population.shards", pop.shards);
   v.u64("population.workers", pop.workers);
   v.b01("population.compaction.enabled", pop.compaction.enabled);
   v.num("population.compaction.horizon", pop.compaction.horizon);

@@ -87,9 +87,6 @@ void PopulationConfig::validate() const {
   if (!(max_fee >= base_fee)) {
     throw std::invalid_argument("PopulationConfig: max_fee must be >= base_fee");
   }
-  if (shards == 0 || shards > 4096) {
-    throw std::invalid_argument("PopulationConfig: shards must be in [1, 4096]");
-  }
   if (workers == 0 || workers > 256) {
     throw std::invalid_argument("PopulationConfig: workers must be in [1, 256]");
   }
@@ -139,7 +136,6 @@ PopulationSim::PopulationSim(PopulationConfig config)
     : config_(std::move(config)) {
   if (config_.types.empty()) config_.types = PopulationConfig::default_types();
   config_.validate();
-  queue_.set_shards(config_.shards);
   chain::ChainParams params_a;
   params_a.id = chain::ChainId::kChainA;
   params_a.confirmation_time = config_.tau_a;
@@ -151,7 +147,6 @@ PopulationSim::PopulationSim(PopulationConfig config)
   shards_.reserve(config_.workers);
   for (std::uint64_t w = 0; w < config_.workers; ++w) {
     auto sh = std::make_unique<Shard>();
-    sh->queue.set_shards(config_.shards);
     sh->ledger_a = std::make_unique<chain::Ledger>(params_a, sh->queue);
     sh->ledger_b = std::make_unique<chain::Ledger>(params_b, sh->queue);
     shards_.push_back(std::move(sh));

@@ -123,9 +123,9 @@ struct PopulationConfig {
   /// Trader archetypes (defaults to three alpha/r mixes when empty).
   std::vector<TraderType> types;
 
-  // State retirement & sharding (docs/MARKET.md).  Pure memory/locality
-  // knobs: results and trace are bit-identical at every setting -- the
-  // equivalence tests and the CI byte-diffs hold the sim to that.
+  // State retirement (docs/MARKET.md).  Pure memory knobs: results and
+  // trace are bit-identical at every setting -- the equivalence tests and
+  // the CI byte-diffs hold the sim to that.
   struct Compaction {
     bool enabled = false;
     /// Ledger watermark distance: each sweep retires records whose
@@ -137,9 +137,6 @@ struct PopulationConfig {
     std::uint64_t interval = 2048;
   };
   Compaction compaction{};
-  /// Event-queue storage shards (chain::EventQueue::set_shards), applied
-  /// to the global queue and each worker queue; 1 = classic heap.
-  std::uint64_t shards = 1;
   /// Intra-run worker shards (docs/MARKET.md).  Sessions are pinned to
   /// shard index % workers and their per-epoch event drains fan out on a
   /// thread pool of workers-1 helpers plus the caller.  Results and trace

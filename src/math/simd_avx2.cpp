@@ -13,9 +13,7 @@ namespace swapgame::math::simd {
 extern const KernelTable kAvx2Table;
 const KernelTable kAvx2Table = {
     &fill_uniform01_t<PackAvx2>,
-    // The quantile graph is latency-bound; three interleaved sub-packs
-    // (PackRepeat) keep the FP ports busy.  Per-lane bits are unchanged.
-    &normal_quantile_transform_t<PackRepeat<PackAvx2, 3>>,
+    &normal_quantile_transform_t<PackAvx2>,
     &zkernel_eval_t<PackAvx2>,
     &welford_block_t<PackAvx2>,
 };

@@ -12,8 +12,7 @@ namespace swapgame::math::simd {
 extern const KernelTable kAvx512Table;
 const KernelTable kAvx512Table = {
     &fill_uniform01_t<PackAvx512>,
-    // Latency-bound graph: interleave four sub-packs (see simd_avx2.cpp).
-    &normal_quantile_transform_t<PackRepeat<PackAvx512, 4>>,
+    &normal_quantile_transform_t<PackAvx512>,
     &zkernel_eval_t<PackAvx512>,
     &welford_block_t<PackAvx512>,
 };

@@ -268,165 +268,4 @@ struct PackAvx512 {
 
 #endif  // __AVX512F__ && __AVX512DQ__
 
-/// K sub-packs of P advanced in lockstep: a Pack of width K * P::kWidth
-/// whose every operation is P's operation applied per sub-pack, so the
-/// per-lane rounding sequence -- and therefore the bitwise determinism
-/// contract -- is exactly that of P.  Purely a scheduling device: the
-/// quantile graph is one long dependency chain (~300 cycles), and a plain
-/// pack-at-a-time loop leaves the out-of-order window holding barely one
-/// iteration.  Interleaving K independent chains at adjacent instructions
-/// keeps the FP ports busy without touching the graph.
-template <class P, std::size_t K>
-struct PackRepeat {
-  static constexpr std::size_t kWidth = K * P::kWidth;
-  struct F {
-    typename P::F v[K];
-  };
-  struct I {
-    typename P::I v[K];
-  };
-  struct M {
-    typename P::M v[K];
-  };
-
-#define SWAPGAME_PACK_LIFT_FF(R, name)                  \
-  static R name(R a, R b) noexcept {                    \
-    R r;                                                \
-    for (std::size_t k = 0; k < K; ++k) {               \
-      r.v[k] = P::name(a.v[k], b.v[k]);                 \
-    }                                                   \
-    return r;                                           \
-  }
-#define SWAPGAME_PACK_LIFT_F(R, name)                   \
-  static R name(R a) noexcept {                         \
-    R r;                                                \
-    for (std::size_t k = 0; k < K; ++k) {               \
-      r.v[k] = P::name(a.v[k]);                         \
-    }                                                   \
-    return r;                                           \
-  }
-
-  static F fbroad(double x) noexcept {
-    F r;
-    for (std::size_t k = 0; k < K; ++k) r.v[k] = P::fbroad(x);
-    return r;
-  }
-  static I ibroad(std::uint64_t x) noexcept {
-    I r;
-    for (std::size_t k = 0; k < K; ++k) r.v[k] = P::ibroad(x);
-    return r;
-  }
-  static F fload(const double* p) noexcept {
-    F r;
-    for (std::size_t k = 0; k < K; ++k) r.v[k] = P::fload(p + k * P::kWidth);
-    return r;
-  }
-  static void fstore(double* p, F x) noexcept {
-    for (std::size_t k = 0; k < K; ++k) P::fstore(p + k * P::kWidth, x.v[k]);
-  }
-  static I iload(const std::uint64_t* p) noexcept {
-    I r;
-    for (std::size_t k = 0; k < K; ++k) r.v[k] = P::iload(p + k * P::kWidth);
-    return r;
-  }
-  static void istore(std::uint64_t* p, I x) noexcept {
-    for (std::size_t k = 0; k < K; ++k) P::istore(p + k * P::kWidth, x.v[k]);
-  }
-
-  SWAPGAME_PACK_LIFT_FF(F, fadd)
-  SWAPGAME_PACK_LIFT_FF(F, fsub)
-  SWAPGAME_PACK_LIFT_FF(F, fmul)
-  SWAPGAME_PACK_LIFT_FF(F, fdiv)
-  SWAPGAME_PACK_LIFT_F(F, fsqrt)
-  SWAPGAME_PACK_LIFT_FF(F, fmin)
-  SWAPGAME_PACK_LIFT_FF(F, fmax)
-  SWAPGAME_PACK_LIFT_F(F, fneg)
-  SWAPGAME_PACK_LIFT_F(F, fabs_)
-
-#define SWAPGAME_PACK_LIFT_CMP(name)                    \
-  static M name(F a, F b) noexcept {                    \
-    M r;                                                \
-    for (std::size_t k = 0; k < K; ++k) {               \
-      r.v[k] = P::name(a.v[k], b.v[k]);                 \
-    }                                                   \
-    return r;                                           \
-  }
-  SWAPGAME_PACK_LIFT_CMP(flt)
-  SWAPGAME_PACK_LIFT_CMP(fle)
-  SWAPGAME_PACK_LIFT_CMP(fgt)
-  SWAPGAME_PACK_LIFT_CMP(fge)
-  SWAPGAME_PACK_LIFT_CMP(feq)
-#undef SWAPGAME_PACK_LIFT_CMP
-
-  static F fblend(M m, F a, F b) noexcept {
-    F r;
-    for (std::size_t k = 0; k < K; ++k) {
-      r.v[k] = P::fblend(m.v[k], a.v[k], b.v[k]);
-    }
-    return r;
-  }
-
-  static M mfalse() noexcept {
-    M r;
-    for (std::size_t k = 0; k < K; ++k) r.v[k] = P::mfalse();
-    return r;
-  }
-  SWAPGAME_PACK_LIFT_FF(M, mand)
-  SWAPGAME_PACK_LIFT_FF(M, mor)
-  static unsigned mbits(M m) noexcept {
-    unsigned bits = 0;
-    for (std::size_t k = 0; k < K; ++k) {
-      bits |= P::mbits(m.v[k]) << (k * P::kWidth);
-    }
-    return bits;
-  }
-
-  static I f2i(F a) noexcept {
-    I r;
-    for (std::size_t k = 0; k < K; ++k) r.v[k] = P::f2i(a.v[k]);
-    return r;
-  }
-  static F i2f(I a) noexcept {
-    F r;
-    for (std::size_t k = 0; k < K; ++k) r.v[k] = P::i2f(a.v[k]);
-    return r;
-  }
-
-  SWAPGAME_PACK_LIFT_FF(I, iadd)
-  SWAPGAME_PACK_LIFT_FF(I, isub)
-  SWAPGAME_PACK_LIFT_FF(I, iand)
-  SWAPGAME_PACK_LIFT_FF(I, ior)
-  SWAPGAME_PACK_LIFT_FF(I, ixor)
-  template <int S>
-  static I ishl(I a) noexcept {
-    I r;
-    for (std::size_t k = 0; k < K; ++k) {
-      r.v[k] = P::template ishl<S>(a.v[k]);
-    }
-    return r;
-  }
-  template <int S>
-  static I ishr(I a) noexcept {
-    I r;
-    for (std::size_t k = 0; k < K; ++k) {
-      r.v[k] = P::template ishr<S>(a.v[k]);
-    }
-    return r;
-  }
-  SWAPGAME_PACK_LIFT_F(I, sext32)
-  static F u53_to_f64(I a) noexcept {
-    F r;
-    for (std::size_t k = 0; k < K; ++k) r.v[k] = P::u53_to_f64(a.v[k]);
-    return r;
-  }
-  static F small_i64_to_f64(I a) noexcept {
-    F r;
-    for (std::size_t k = 0; k < K; ++k) r.v[k] = P::small_i64_to_f64(a.v[k]);
-    return r;
-  }
-
-#undef SWAPGAME_PACK_LIFT_FF
-#undef SWAPGAME_PACK_LIFT_F
-};
-
 }  // namespace swapgame::math::simd

@@ -6,8 +6,8 @@
 // deterministic writers in trace.hpp (format_json_number /
 // append_json_escaped).  This header is the matching single READER: one
 // grammar, one error surface, shared by the result-cache parser, the spec
-// codec and both ends of the service protocol, so there is no second
-// ad-hoc parser to drift.
+// codec, MetricsRegistry::parse_snapshot and both ends of the service
+// protocol, so there is no second ad-hoc parser to drift.
 //
 // Scope: standard JSON values (object, array, string, number, true/false/
 // null) with two repo conventions layered on top by callers, not here:

@@ -1,9 +1,9 @@
 #include "metrics.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
+#include "json.hpp"
 #include "trace.hpp"  // format_json_number / append_json_escaped
 
 namespace swapgame::obs {
@@ -129,167 +129,63 @@ std::string MetricsRegistry::to_json(const Snapshot& snapshot) {
 
 namespace {
 
-/// Minimal cursor-based parser for the exact shape to_json() emits (plus
-/// arbitrary whitespace).  Not a general JSON parser.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
+[[noreturn]] void malformed(const std::string& what) {
+  throw std::invalid_argument("parse_snapshot: " + what);
+}
 
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      throw std::invalid_argument(
-          std::string("parse_snapshot: expected '") + c + "' at offset " +
-          std::to_string(pos_));
-    }
-    ++pos_;
-  }
+const json::Value& member(const json::Value& object, std::string_view key) {
+  const json::Value* value = object.find(key);
+  if (value == nullptr) malformed("missing \"" + std::string(key) + "\"");
+  return *value;
+}
 
-  [[nodiscard]] bool peek_is(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  [[nodiscard]] bool consume_if(char c) {
-    if (!peek_is(c)) return false;
-    ++pos_;
-    return true;
-  }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        if (esc == 'u') {
-          if (pos_ + 4 > text_.size()) {
-            throw std::invalid_argument("parse_snapshot: truncated \\u escape");
-          }
-          const std::string hex = text_.substr(pos_, 4);
-          pos_ += 4;
-          out.push_back(
-              static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16)));
-          continue;
-        }
-        c = esc;  // the escaper only emits \", backslash and \u00xx
+MetricsRegistry::Snapshot::Histogram parse_histogram(const json::Value& v) {
+  MetricsRegistry::Snapshot::Histogram h;
+  for (const auto& [key, field] : v.as_object()) {
+    if (key == "lo" || key == "hi") {
+      if (!json::number_or_marker(field, key == "lo" ? &h.lo : &h.hi)) {
+        malformed("\"" + key + "\" is not a number");
       }
-      out.push_back(c);
-    }
-    expect('"');
-    return out;
-  }
-
-  [[nodiscard]] double parse_double() {
-    skip_ws();
-    // Non-finite numbers were serialized as quoted strings.
-    if (peek_is('"')) {
-      const std::string s = parse_string();
-      if (s == "nan") return std::nan("");
-      if (s == "inf") return HUGE_VAL;
-      if (s == "-inf") return -HUGE_VAL;
-      throw std::invalid_argument("parse_snapshot: bad quoted number: " + s);
-    }
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) {
-      throw std::invalid_argument("parse_snapshot: expected a number");
-    }
-    pos_ += static_cast<std::size_t>(end - begin);
-    return value;
-  }
-
-  [[nodiscard]] std::uint64_t parse_u64() {
-    skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(begin, &end, 10);
-    if (end == begin) {
-      throw std::invalid_argument("parse_snapshot: expected an integer");
-    }
-    pos_ += static_cast<std::size_t>(end - begin);
-    return value;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
+    } else if (key == "underflow") {
+      h.underflow = field.as_u64();
+    } else if (key == "overflow") {
+      h.overflow = field.as_u64();
+    } else if (key == "counts") {
+      for (const json::Value& count : field.as_array()) {
+        h.counts.push_back(count.as_u64());
+      }
+    } else {
+      malformed("unknown key: " + key);
     }
   }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return h;
+}
 
 }  // namespace
 
 MetricsRegistry::Snapshot MetricsRegistry::parse_snapshot(
-    const std::string& json) {
-  JsonCursor cur(json);
+    const std::string& text) {
+  json::Value root;
+  const Status status = json::parse(text, root);
+  if (!status.is_ok()) malformed(status.message());
   Snapshot snap;
-  cur.expect('{');
-
-  if (cur.parse_string() != "counters") {
-    throw std::invalid_argument("parse_snapshot: expected \"counters\"");
+  try {
+    if (root.as_object().size() != 2) {
+      malformed("expected exactly \"counters\" and \"histograms\"");
+    }
+    for (const auto& [name, value] : member(root, "counters").as_object()) {
+      snap.counters[name] = value.as_u64();
+    }
+    for (const auto& [name, value] : member(root, "histograms").as_object()) {
+      snap.histograms[name] = parse_histogram(value);
+    }
+  } catch (const std::invalid_argument&) {
+    throw;
+  } catch (const std::logic_error& e) {
+    // json::Value accessors throw logic_error on a wrong kind or a
+    // non-u64 literal (negative, fractional, out of range).
+    malformed(e.what());
   }
-  cur.expect(':');
-  cur.expect('{');
-  if (!cur.consume_if('}')) {
-    do {
-      std::string name = cur.parse_string();
-      cur.expect(':');
-      snap.counters[std::move(name)] = cur.parse_u64();
-    } while (cur.consume_if(','));
-    cur.expect('}');
-  }
-  cur.expect(',');
-
-  if (cur.parse_string() != "histograms") {
-    throw std::invalid_argument("parse_snapshot: expected \"histograms\"");
-  }
-  cur.expect(':');
-  cur.expect('{');
-  if (!cur.consume_if('}')) {
-    do {
-      std::string name = cur.parse_string();
-      cur.expect(':');
-      cur.expect('{');
-      Snapshot::Histogram h;
-      do {
-        const std::string key = cur.parse_string();
-        cur.expect(':');
-        if (key == "lo") {
-          h.lo = cur.parse_double();
-        } else if (key == "hi") {
-          h.hi = cur.parse_double();
-        } else if (key == "underflow") {
-          h.underflow = cur.parse_u64();
-        } else if (key == "overflow") {
-          h.overflow = cur.parse_u64();
-        } else if (key == "counts") {
-          cur.expect('[');
-          if (!cur.consume_if(']')) {
-            do {
-              h.counts.push_back(cur.parse_u64());
-            } while (cur.consume_if(','));
-            cur.expect(']');
-          }
-        } else {
-          throw std::invalid_argument("parse_snapshot: unknown key: " + key);
-        }
-      } while (cur.consume_if(','));
-      cur.expect('}');
-      snap.histograms[std::move(name)] = std::move(h);
-    } while (cur.consume_if(','));
-    cur.expect('}');
-  }
-  cur.expect('}');
   return snap;
 }
 

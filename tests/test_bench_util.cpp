@@ -1,8 +1,9 @@
-// Tests for the bench output-path helper (bench/bench_util.hpp):
+// Tests for the bench output helpers (bench/bench_util.hpp):
 // SWAPGAME_BENCH_DIR redirection must create nested directories on
 // demand, tolerate trailing slashes and absolute paths, and fall back to
 // the current directory -- never crash or scatter files -- when the
-// requested directory cannot be used.
+// requested directory cannot be used; and every BENCH_<slug>.json must
+// carry the host stamp.
 #include "bench/bench_util.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+
+#include "obs/json.hpp"
 
 namespace swapgame::bench {
 namespace {
@@ -114,6 +118,29 @@ TEST_F(BenchOutPath, FallsBackToCwdWhenTheTargetIsAFile) {
   std::ofstream(blocker) << "x";
   const ScopedBenchDir env(blocker.c_str());
   EXPECT_EQ(out_path("BENCH_x.json"), "BENCH_x.json");
+}
+
+TEST_F(BenchOutPath, BenchJsonCarriesTheHostStamp) {
+  const ScopedBenchDir env(dir_.c_str());
+  {
+    Report report("Stamp -- host stamp test", "writes BENCH_stamp.json");
+    report.claim("trivially true", true);
+    EXPECT_EQ(report.exit_code(), 0);
+  }
+  std::ifstream in(dir_ + "/BENCH_stamp.json");
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  obs::json::Value doc;
+  ASSERT_TRUE(obs::json::parse(text, doc).is_ok()) << text;
+  const obs::json::Value* host = doc.find("host");
+  ASSERT_NE(host, nullptr) << text;
+  const HostStamp expected = host_stamp();
+  EXPECT_EQ(host->find("cpu")->as_string(), expected.cpu);
+  EXPECT_EQ(host->find("nproc")->as_u64(), expected.nproc);
+  EXPECT_EQ(host->find("compiler")->as_string(), expected.compiler);
+  EXPECT_EQ(host->find("build_type")->as_string(), expected.build_type);
+  EXPECT_EQ(host->find("simd")->as_string(), expected.simd);
+  EXPECT_FALSE(expected.simd.empty());
 }
 
 TEST(BenchScaling, ScaledFloorsAndDivides) {

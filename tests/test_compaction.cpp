@@ -1,8 +1,7 @@
-// Tests for the bounded-memory retirement layer (PR 8): sharded event
-// queues (execution order bit-identical at every shard count), Ledger
-// compaction (conservation across the fold, audited), the incremental
+// Tests for the bounded-memory retirement layer: Ledger compaction
+// (conservation across the fold, audited), the incremental
 // visible_secrets index, Neumaier-compensated accumulation, and
-// population-run equivalence with compaction/sharding on vs off.
+// population-run equivalence with compaction on vs off and 1 vs K workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,60 +24,6 @@
 
 namespace swapgame {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Sharded event queue
-// ---------------------------------------------------------------------------
-
-TEST(ShardedEventQueue, ValidatesShardChanges) {
-  chain::EventQueue q;
-  EXPECT_THROW(q.set_shards(0), std::invalid_argument);
-  q.schedule_at(1.0, [] {});
-  EXPECT_THROW(q.set_shards(4), std::logic_error);
-  q.run();
-  q.set_shards(4);  // empty again: allowed
-  EXPECT_EQ(q.shards(), 4u);
-}
-
-/// Runs the same workload -- staggered times, heavy ties, callbacks that
-/// schedule more events -- and records the firing order.
-std::vector<int> run_workload(std::size_t shards) {
-  chain::EventQueue q;
-  q.set_shards(shards);
-  std::vector<int> order;
-  for (int i = 0; i < 40; ++i) {
-    const double when = static_cast<double>((i * 7) % 10);
-    q.schedule_at(when, [&q, &order, i] {
-      order.push_back(i);
-      if (i % 3 == 0) {
-        q.schedule_in(0.5, [&order, i] { order.push_back(1000 + i); });
-        q.schedule_in(0.0, [&order, i] { order.push_back(2000 + i); });
-      }
-    });
-  }
-  q.run();
-  return order;
-}
-
-TEST(ShardedEventQueue, ExecutionOrderIsIdenticalAtEveryShardCount) {
-  const std::vector<int> reference = run_workload(1);
-  ASSERT_FALSE(reference.empty());
-  for (const std::size_t shards : {2u, 3u, 4u, 7u, 16u}) {
-    EXPECT_EQ(run_workload(shards), reference) << "shards=" << shards;
-  }
-}
-
-TEST(ShardedEventQueue, PendingCountsAcrossShards) {
-  chain::EventQueue q;
-  q.set_shards(3);
-  EXPECT_TRUE(q.empty());
-  for (int i = 0; i < 5; ++i) q.schedule_at(1.0 + i, [] {});
-  EXPECT_EQ(q.pending(), 5u);
-  EXPECT_EQ(q.run_until(3.0), 3u);
-  EXPECT_EQ(q.pending(), 2u);
-  q.run();
-  EXPECT_TRUE(q.empty());
-}
 
 // ---------------------------------------------------------------------------
 // Ledger compaction
@@ -556,7 +501,7 @@ TEST(NeumaierSum, MatchesLongDoubleReferenceAtAMillionSamples) {
 }
 
 // ---------------------------------------------------------------------------
-// Population equivalence: compaction on/off, shards 1/K
+// Population equivalence: compaction on/off, workers 1/K
 // ---------------------------------------------------------------------------
 
 market::PopulationConfig equivalence_config(std::uint64_t sessions = 400) {
@@ -624,12 +569,12 @@ void expect_equivalent(const market::PopulationResult& a,
   EXPECT_EQ(a.end_time, b.end_time);
 }
 
-TEST(PopulationEquivalence, CompactionWorkersAndShardsAreBitIdentical) {
-  // Full equivalence panel over {compaction off/on} x {workers 1/K} x
-  // {event-queue shards 1/K}: every cell must produce bit-identical
-  // results AND a byte-identical trace.  This is the determinism contract
-  // of the parallel intra-run engine (docs/MARKET.md) -- the worker count
-  // and both storage knobs are wall-clock/memory levers only.
+TEST(PopulationEquivalence, CompactionAndWorkersAreBitIdentical) {
+  // Full equivalence panel over {compaction off/on} x {workers 1/K}: every
+  // cell must produce bit-identical results AND a byte-identical trace.
+  // This is the determinism contract of the parallel intra-run engine
+  // (docs/MARKET.md) -- the worker count and compaction are
+  // wall-clock/memory levers only.
   const TracedRun baseline = run_traced(equivalence_config());
   EXPECT_EQ(baseline.result.compactions, 0u);
   EXPECT_EQ(baseline.result.peak_live_sessions, baseline.result.sessions);
@@ -637,29 +582,25 @@ TEST(PopulationEquivalence, CompactionWorkersAndShardsAreBitIdentical) {
   bool saw_compaction = false;
   for (const bool compaction : {false, true}) {
     for (const std::uint64_t workers : {1u, 4u}) {
-      for (const std::uint64_t shards : {1u, 5u}) {
-        if (!compaction && workers == 1 && shards == 1) continue;
-        market::PopulationConfig config = equivalence_config();
-        config.compaction.enabled = compaction;
-        config.compaction.horizon = 2.0;
-        config.compaction.interval = 16;
-        config.workers = workers;
-        config.shards = shards;
-        const TracedRun cell = run_traced(std::move(config));
-        SCOPED_TRACE(::testing::Message()
-                     << "compaction=" << compaction << " workers=" << workers
-                     << " shards=" << shards);
-        expect_equivalent(baseline.result, cell.result);
-        // TRACE byte-identity, not just equal aggregates.
-        EXPECT_EQ(baseline.trace, cell.trace);
-        if (compaction) {
-          // And the compaction actually happened.
-          EXPECT_GT(cell.result.compactions, 0u);
-          EXPECT_GT(cell.result.sessions_retired, 0u);
-          EXPECT_GT(cell.result.txs_retired, 0u);
-          EXPECT_LT(cell.result.peak_live_sessions, cell.result.sessions);
-          saw_compaction = true;
-        }
+      if (!compaction && workers == 1) continue;
+      market::PopulationConfig config = equivalence_config();
+      config.compaction.enabled = compaction;
+      config.compaction.horizon = 2.0;
+      config.compaction.interval = 16;
+      config.workers = workers;
+      const TracedRun cell = run_traced(std::move(config));
+      SCOPED_TRACE(::testing::Message() << "compaction=" << compaction
+                                        << " workers=" << workers);
+      expect_equivalent(baseline.result, cell.result);
+      // TRACE byte-identity, not just equal aggregates.
+      EXPECT_EQ(baseline.trace, cell.trace);
+      if (compaction) {
+        // And the compaction actually happened.
+        EXPECT_GT(cell.result.compactions, 0u);
+        EXPECT_GT(cell.result.sessions_retired, 0u);
+        EXPECT_GT(cell.result.txs_retired, 0u);
+        EXPECT_LT(cell.result.peak_live_sessions, cell.result.sessions);
+        saw_compaction = true;
       }
     }
   }
@@ -711,9 +652,6 @@ TEST(PopulationEquivalence, AggressiveRetirementUnderFeePressure) {
 
 TEST(PopulationEquivalence, ValidatesRetirementKnobs) {
   market::PopulationConfig config = equivalence_config();
-  config.shards = 0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config = equivalence_config();
   config.workers = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = equivalence_config();

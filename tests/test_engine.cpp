@@ -316,6 +316,30 @@ TEST(BatchEngineDeterminism, SerialAndPooledBatchesBitIdentical) {
   EXPECT_FALSE(a[2].trace.empty());
 }
 
+TEST(BatchEngineDeterminism, ManySmallPooledBatchesOutliveTheirCells) {
+  // Regression for a lifetime race: the last cell of a pooled batch read
+  // the batch state after run_batch could already have returned and
+  // destroyed it.  Many tiny batches of independent cells -- after the
+  // first, all memory-cache hits that finish in microseconds -- make the
+  // last completion race the return as often as possible (run under TSan
+  // in CI).
+  std::vector<RunSpec> specs;
+  for (int i = 0; i < 4; ++i) {
+    specs.push_back(mc_spec(1.8 + 0.1 * i, 700 + i, 8));
+  }
+  EngineConfig serial;
+  serial.threads = 1;
+  const std::string expected = serialize(BatchEngine(serial).run_batch(specs));
+
+  EngineConfig pooled;
+  pooled.threads = 4;
+  BatchEngine engine(pooled);
+  for (int round = 0; round < 400; ++round) {
+    ASSERT_EQ(serialize(engine.run_batch(specs)), expected) << round;
+  }
+  EXPECT_EQ(engine.stats().cells_run, specs.size());
+}
+
 TEST_F(EngineFiles, KillAndResumeIsBitIdentical) {
   std::vector<RunSpec> specs;
   for (int i = 0; i < 5; ++i) {

@@ -141,5 +141,40 @@ TEST(EventQueue, HeapChurnPreservesGlobalWhenSeqOrder) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
+TEST(EventQueue, HeavyTiesAndReschedulingFireInExplicitOrder) {
+  // Event i fires at (7i) mod 10, so every time 0..9 holds four initial
+  // events.  Each initial event with i % 3 == 0 schedules 2000 + i at now()
+  // and 1000 + i at now() + 0.5.  The events added at now() are scheduled
+  // after every initial event, so they fire after that time's initial
+  // events, in the order they were scheduled.
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 40; ++i) {
+    const double when = static_cast<double>((i * 7) % 10);
+    q.schedule_at(when, [&q, &order, i] {
+      order.push_back(i);
+      if (i % 3 == 0) {
+        q.schedule_in(0.5, [&order, i] { order.push_back(1000 + i); });
+        q.schedule_in(0.0, [&order, i] { order.push_back(2000 + i); });
+      }
+    });
+  }
+  EXPECT_EQ(q.run(), 68u);
+  const std::vector<int> expected = {
+      0,  10, 20, 30, 2000, 2030, 1000, 1030,  // t = 0, 0.5
+      3,  13, 23, 33, 2003, 2033, 1003, 1033,  // t = 1, 1.5
+      6,  16, 26, 36, 2006, 2036, 1006, 1036,  // t = 2, 2.5
+      9,  19, 29, 39, 2009, 2039, 1009, 1039,  // t = 3, 3.5
+      2,  12, 22, 32, 2012, 1012,              // t = 4, 4.5
+      5,  15, 25, 35, 2015, 1015,              // t = 5, 5.5
+      8,  18, 28, 38, 2018, 1018,              // t = 6, 6.5
+      1,  11, 21, 31, 2021, 1021,              // t = 7, 7.5
+      4,  14, 24, 34, 2024, 1024,              // t = 8, 8.5
+      7,  17, 27, 37, 2027, 1027,              // t = 9, 9.5
+  };
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(q.now(), 9.5);
+}
+
 }  // namespace
 }  // namespace swapgame::chain

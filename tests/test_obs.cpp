@@ -202,6 +202,9 @@ TEST(Metrics, JsonRoundTripReproducesTheSnapshot) {
   obs::MetricsRegistry registry;
   registry.counter("swap.runs").inc(42);
   registry.counter("swap.outcome.success").inc(17);
+  // Above 2^53: must round-trip exactly, not through a double.
+  registry.counter("swap.u64_max")
+      .inc(std::numeric_limits<std::uint64_t>::max());
   obs::HistogramMetric& h = registry.histogram("swap.utility", -4.0, 12.0, 8);
   h.observe(-10.0);
   h.observe(0.0);
@@ -231,6 +234,14 @@ TEST(Metrics, ParseRejectsMalformedJson) {
   EXPECT_THROW((void)obs::MetricsRegistry::parse_snapshot("{\"counters\":"),
                std::invalid_argument);
   EXPECT_THROW((void)obs::MetricsRegistry::parse_snapshot("[]"),
+               std::invalid_argument);
+  // A negative counter must not wrap to 2^64 - 1.
+  EXPECT_THROW((void)obs::MetricsRegistry::parse_snapshot(
+                   "{\"counters\":{\"a\":-1},\"histograms\":{}}"),
+               std::invalid_argument);
+  // Nothing may follow the closing brace.
+  EXPECT_THROW((void)obs::MetricsRegistry::parse_snapshot(
+                   "{\"counters\":{},\"histograms\":{}} junk"),
                std::invalid_argument);
 }
 

@@ -226,8 +226,11 @@ TEST(Service, WireProtocolErrorSurface) {
 
   // A cell with a stale RunSpec schema -> the codec's code survives to
   // the wire as unsupported_version, not a generic failure.
+  const std::string current =
+      "\"v\":" +
+      std::to_string(swapgame::engine::kRunSpecSchemaVersion);
   std::string stale = spec_json;
-  stale.replace(stale.find("\"v\":5"), 5, "\"v\":4");
+  stale.replace(stale.find(current), current.size(), "\"v\":4");
   ASSERT_OK(socket.write_line("{\"proto\":1,\"op\":\"submit\",\"id\":4," +
                               std::string("\"cells\":[") + stale + "]}"));
   expect_status_event(socket, "rejected", StatusCode::kUnsupportedVersion);

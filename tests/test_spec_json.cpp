@@ -48,8 +48,9 @@ void expect_round_trip(const RunSpec& spec) {
   EXPECT_EQ(reparsed.label, spec.label);
 }
 
-/// The golden spec pair whose canonical hashes were captured from the
-/// pre-refactor (hand-written) canonical_string implementation.
+/// The golden spec pair whose canonical hashes are pinned below (first
+/// captured from the hand-written canonical_string implementation,
+/// recaptured at each schema bump since).
 RunSpec golden_market_spec() {
   RunSpec b;
   b.kind = CellKind::kMarketSim;
@@ -75,10 +76,10 @@ TEST(SpecJson, GoldenCanonicalHashesPinned) {
   // any INTENTIONAL canonical change; never let it drift silently.
   EXPECT_EQ(
       RunSpec{}.hash(),
-      "b1c2672fb6a15df82df76b67a566e30ce8f8bcdcd85f9d6a8e625407c7a406e4");
+      "45fb1d09cc0be403200a57884b91b8a569ee880ebca63bceb2175f2d8508799c");
   EXPECT_EQ(
       golden_market_spec().hash(),
-      "d93a9728de3d2ab11a44b36850d8b4fe24c2d8823fd1dd470c53bdfe6d81930b");
+      "c2a6ceecf140e806ab94795f20c2184c2a0871487ae143de3c9f41d77ed5b9fe");
 }
 
 TEST(SpecJson, RoundTripsEveryCellKind) {
@@ -194,7 +195,7 @@ TEST(SpecJson, RejectsStaleAndFutureSchemaVersions) {
   const std::string needle =
       "\"v\":" +
       std::to_string(swapgame::engine::kRunSpecSchemaVersion);
-  for (const char* version : {"\"v\":4", "\"v\":6", "\"v\":999"}) {
+  for (const char* version : {"\"v\":5", "\"v\":7", "\"v\":999"}) {
     std::string stale = json;
     stale.replace(stale.find(needle), needle.size(), version);
     const Status status = RunSpec::from_json(stale, &out);
@@ -295,18 +296,20 @@ TEST(ResultEntry, StructuredErrorCodes) {
   const std::string good = ok_result.to_entry(std::string(64, 'b'));
 
   // Stale schema: a distinct, retry-after-upgrade code.
+  const std::string current =
+      "{\"v\":" + std::to_string(swapgame::engine::kRunSpecSchemaVersion);
   std::string stale = good;
-  stale.replace(stale.find("{\"v\":5"), 6, "{\"v\":4");
+  stale.replace(stale.find(current), current.size(), "{\"v\":5");
   EXPECT_EQ(parse(stale).code(), StatusCode::kUnsupportedVersion);
 
   // Anything structurally wrong is cache corruption.
   std::string extra = good;
   extra.insert(extra.size() - 1, ",\"extra\":1");
   EXPECT_EQ(parse(extra).code(), StatusCode::kCacheCorrupt);
-  EXPECT_EQ(parse("{\"v\":5,\"hash\":\"x\"}").code(),
+  EXPECT_EQ(parse(current + ",\"hash\":\"x\"}").code(),
             StatusCode::kCacheCorrupt);
-  EXPECT_EQ(parse("{\"v\":5,\"hash\":\"x\",\"samples\":1,\"rounds\":0,"
-                  "\"values\":[[1,2]],\"trace\":\"\"}")
+  EXPECT_EQ(parse(current + ",\"hash\":\"x\",\"samples\":1,\"rounds\":0,"
+                            "\"values\":[[1,2]],\"trace\":\"\"}")
                 .code(),
             StatusCode::kCacheCorrupt);
 

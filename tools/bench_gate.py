@@ -31,6 +31,11 @@ mc_validation_max_abs_err) are reported informationally.  Wall-clock
 TIME telemetry is never gated.  After the per-metric lines, a
 measured-vs-baseline ratio summary table recaps every gated comparison.
 
+Each compared bench first prints the "host" stamp (CPU, nproc, compiler,
+build type, SIMD level) of its baseline and of the fresh run, so a
+machine-dependent comparison across different hosts is visible in the
+log.  The stamps never change pass/fail.
+
 Peak-memory gate: --time-v <file> parses the "Maximum resident set size
 (kbytes)" line of a `/usr/bin/time -v` stderr capture and fails when it
 exceeds --max-rss-mb.  CI wraps the full-scale 10^6-session x16 run this
@@ -125,14 +130,19 @@ def check_time_v(path: pathlib.Path, max_rss_mb: float) -> int:
     return 0 if ok else 1
 
 
-def load_metrics(path: pathlib.Path) -> dict:
+def load_bench(path: pathlib.Path) -> tuple:
+    """Returns (metrics, host stamp text) of one BENCH_*.json."""
     with open(path) as fh:
         doc = json.load(fh)
-    metrics = doc.get("metrics", {})
     if doc.get("failures", 0):
         raise SystemExit(f"{path}: bench reported {doc['failures']} failed "
                          "claim(s); fix those before gating perf")
-    return metrics
+    host = doc.get("host")
+    stamp = ("no host stamp" if host is None else
+             f"cpu=\"{host.get('cpu')}\" nproc={host.get('nproc')} "
+             f"compiler=\"{host.get('compiler')}\" "
+             f"build_type={host.get('build_type')} simd={host.get('simd')}")
+    return doc.get("metrics", {}), stamp
 
 
 def main() -> int:
@@ -172,7 +182,7 @@ def main() -> int:
     summary_rows = []
     for base_path in baselines:
         fresh_path = args.fresh / base_path.name
-        base = load_metrics(base_path)
+        base, base_host = load_bench(base_path)
         gated_names = [k for k in base if is_gated(k)]
         if not gated_names:
             continue  # bench exports no efficiency metrics; nothing to gate
@@ -180,7 +190,9 @@ def main() -> int:
             # The smoke job runs a subset of benches; only gate what ran.
             print(f"skip {base_path.name}: no fresh run in {args.fresh}")
             continue
-        fresh = load_metrics(fresh_path)
+        fresh, fresh_host = load_bench(fresh_path)
+        print(f"host {base_path.name}: baseline {base_host}")
+        print(f"host {base_path.name}: fresh    {fresh_host}")
         for name in sorted(base):
             if name not in fresh:
                 print(f"FAIL {base_path.name}: metric '{name}' disappeared")
