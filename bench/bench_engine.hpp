@@ -1,18 +1,18 @@
 // BatchEngine wiring for the bench binaries (docs/ENGINE.md).
 //
 // A migrated bench builds its cells as engine::RunSpec values and runs
-// them through one bench-wide BatchEngine.  Two environment variables
-// opt in to persistence (both unset by default, so a plain bench run is
+// them through one bench-wide BatchEngine.  One environment variable
+// opts in to persistence (unset by default, so a plain bench run is
 // self-contained and leaves nothing behind):
 //
-//   SWAPGAME_CACHE_DIR       on-disk result cache root; each bench uses
-//                            the subdirectory <root>/<slug> so benches
-//                            never collide.  A second run in the same
-//                            root serves its cells from the cache --
-//                            byte-identical output, ~no MC work (the CI
-//                            cache-correctness job asserts both).
-//   SWAPGAME_CHECKPOINT_DIR  checkpoint manifests (<root>/<slug>.jsonl);
-//                            a killed bench rerun resumes from it.
+//   SWAPGAME_CACHE_DIR  on-disk result cache root; each bench uses the
+//                       subdirectory <root>/<slug> so benches never
+//                       collide.  A second run in the same root serves
+//                       its cells from the cache -- byte-identical output,
+//                       ~no MC work -- and a killed run rerun there
+//                       resumes: only the cells it never finished are
+//                       evaluated (the CI cache-correctness job asserts
+//                       all three).
 //
 // report_engine_metrics() lands the engine counters in BENCH_<slug>.json.
 // These engine_* metrics are intentionally cache-dependent (that is their
@@ -30,17 +30,12 @@
 namespace swapgame::bench {
 
 /// Engine configuration for the bench named `slug`: shared pool (honors
-/// SWAPGAME_THREADS), disk cache / checkpoint only when the env vars
-/// above are set.
+/// SWAPGAME_THREADS), disk cache only when SWAPGAME_CACHE_DIR is set.
 inline engine::EngineConfig engine_config_from_env(const std::string& slug) {
   engine::EngineConfig config;
   if (const char* dir = std::getenv("SWAPGAME_CACHE_DIR");
       dir != nullptr && dir[0] != '\0') {
     config.cache_dir = std::string(dir) + "/" + slug;
-  }
-  if (const char* dir = std::getenv("SWAPGAME_CHECKPOINT_DIR");
-      dir != nullptr && dir[0] != '\0') {
-    config.checkpoint_path = std::string(dir) + "/" + slug + ".jsonl";
   }
   return config;
 }

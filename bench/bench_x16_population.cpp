@@ -30,7 +30,7 @@
 //     served by a few hundred BasicGame solves.
 //
 // The panel and ladder run as kMarketSim cells on the BatchEngine:
-// RunSpec-hashed, cacheable, checkpointable, and bit-identical across
+// RunSpec-hashed, cacheable, and bit-identical across
 // thread counts (the perf-smoke CI job diffs threads=1 vs threads=8
 // stdout).  The headline pair runs through engine::evaluate_cell
 // DIRECTLY, so the speedup wall-clock can never be voided by a cache hit.

@@ -1,6 +1,7 @@
 #include "batch_engine.hpp"
 
 #include <condition_variable>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -52,10 +53,6 @@ const char* to_string(CellSource source) noexcept {
       return "memory";
     case CellSource::kDisk:
       return "disk";
-    case CellSource::kCheckpoint:
-      return "checkpoint";
-    case CellSource::kSkipped:
-      return "skipped";
   }
   return "?";
 }
@@ -77,8 +74,7 @@ struct BatchEngine::BatchState {
 
 BatchEngine::BatchEngine(EngineConfig config)
     : config_(std::move(config)),
-      cache_(config_.memory_capacity, config_.cache_dir),
-      checkpoint_(config_.checkpoint_path) {
+      cache_(config_.memory_capacity, config_.cache_dir) {
   if (config_.threads == 1) {
     // Serial mode: no pool at all.
   } else if (config_.threads == 0) {
@@ -87,11 +83,6 @@ BatchEngine::BatchEngine(EngineConfig config)
   } else {
     private_pool_ = std::make_unique<sweep::ThreadPool>(config_.threads);
     pool_base_ = private_pool_->stats();
-  }
-  if (checkpoint_.enabled()) {
-    std::uint64_t rejected = 0;
-    manifest_ = checkpoint_.load(&rejected);
-    stats_.entries_rejected += rejected;
   }
 }
 
@@ -102,61 +93,39 @@ RunResult BatchEngine::run(const RunSpec& spec) {
 }
 
 RunResult BatchEngine::run(const RunSpec& spec, CellSource* source) {
-  const std::string hash = spec.hash();
-
-  // 1. Checkpoint manifest.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.cells_total;
-    const auto it = manifest_.find(hash);
-    if (it != manifest_.end()) {
-      ++stats_.cells_resumed;
-      stats_.mc_samples_cached += it->second.samples;
-      if (source != nullptr) *source = CellSource::kCheckpoint;
-      return it->second;
-    }
   }
+  CellSource ignored = CellSource::kEvaluated;
+  return resolve(spec, spec.hash(), source != nullptr ? *source : ignored);
+}
 
-  // 2. Result cache (memory LRU, then disk).
+RunResult BatchEngine::resolve(const RunSpec& spec, const std::string& hash,
+                               CellSource& source) {
   bool from_disk = false;
   if (std::optional<RunResult> cached = cache_.get(hash, &from_disk)) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       stats_.mc_samples_cached += cached->samples;
     }
-    if (source != nullptr) {
-      *source = from_disk ? CellSource::kDisk : CellSource::kMemory;
-    }
+    source = from_disk ? CellSource::kDisk : CellSource::kMemory;
     return std::move(*cached);
   }
 
-  // 3. Evaluate, honoring the max_cells budget.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (config_.max_cells != 0 && stats_.cells_run >= config_.max_cells) {
-      ++stats_.cells_skipped;
-      if (source != nullptr) *source = CellSource::kSkipped;
-      RunResult skipped;
-      skipped.complete = false;
-      return skipped;
-    }
     ++stats_.cells_run;
   }
+  source = CellSource::kEvaluated;
   RunResult result = evaluate_cell(spec);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.mc_samples_run += result.samples;
-  }
-  cache_.put(hash, result);
-  if (checkpoint_.enabled()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    manifest_[hash] = result;
-    ++pending_checkpoint_;
-    if (pending_checkpoint_ >= config_.checkpoint_every) {
-      flush_checkpoint_locked();
+  if (result.complete) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stats_.mc_samples_run += result.samples;
     }
+    cache_.put(hash, result);
   }
-  if (source != nullptr) *source = CellSource::kEvaluated;
   return result;
 }
 
@@ -221,10 +190,9 @@ std::vector<RunResult> BatchEngine::run_batch(
     state.done_cv.wait(lock, [&state, n] { return state.completed == n; });
   }
 
-  // Final checkpoint + metrics publication for this batch.
+  // Metrics publication for this batch.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    flush_checkpoint_locked();
     if (shared_pool_ != nullptr || private_pool_ != nullptr) {
       const sweep::ThreadPool::Stats now = pool()->stats();
       stats_.pool_tasks = now.executed - pool_base_.executed;
@@ -244,11 +212,8 @@ std::vector<RunResult> BatchEngine::run_batch(
     set_counter("engine.cells_run", s.cells_run);
     set_counter("engine.cache.memory_hits", s.memory_hits);
     set_counter("engine.cache.disk_hits", s.disk_hits);
-    set_counter("engine.cells_resumed", s.cells_resumed);
-    set_counter("engine.cells_skipped", s.cells_skipped);
     set_counter("engine.mc.samples_run", s.mc_samples_run);
     set_counter("engine.mc.samples_cached", s.mc_samples_cached);
-    set_counter("engine.checkpoint.writes", s.checkpoint_writes);
     set_counter("engine.entries_rejected", s.entries_rejected);
     set_counter("engine.pool.tasks", s.pool_tasks);
     reg.histogram("engine.pool.queue_depth", 0.0, 4096.0, 64)
@@ -260,55 +225,10 @@ std::vector<RunResult> BatchEngine::run_batch(
 }
 
 void BatchEngine::process_cell(BatchState& state, std::size_t index) {
-  const RunSpec& spec = (*state.nodes)[index].spec;
-  const std::string& hash = state.hashes[index];
-
-  // 1. Checkpoint manifest (cells a previous run of this batch finished).
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const auto it = manifest_.find(hash);
-    if (it != manifest_.end()) {
-      ++stats_.cells_resumed;
-      stats_.mc_samples_cached += it->second.samples;
-      RunResult result = it->second;
-      lock.unlock();
-      finish_cell(state, index, std::move(result));
-      return;
-    }
-  }
-
-  // 2. Result cache (memory LRU, then disk).
-  if (std::optional<RunResult> cached = cache_.get(hash)) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.mc_samples_cached += cached->samples;
-    }
-    finish_cell(state, index, std::move(*cached));
-    return;
-  }
-
-  // 3. Evaluate (reserving budget first so concurrent cells never
-  // overshoot max_cells).
-  bool within_budget = true;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (config_.max_cells != 0 && stats_.cells_run >= config_.max_cells) {
-      within_budget = false;
-      ++stats_.cells_skipped;
-    } else {
-      ++stats_.cells_run;
-    }
-  }
-  if (!within_budget) {
-    RunResult skipped;
-    skipped.complete = false;
-    finish_cell(state, index, std::move(skipped));
-    return;
-  }
-
   RunResult result;
+  CellSource source = CellSource::kEvaluated;
   try {
-    result = evaluate_cell(spec);
+    result = resolve((*state.nodes)[index].spec, state.hashes[index], source);
   } catch (...) {
     {
       std::lock_guard<std::mutex> lock(state.m);
@@ -316,27 +236,11 @@ void BatchEngine::process_cell(BatchState& state, std::size_t index) {
     }
     result.complete = false;
   }
-  if (result.complete) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.mc_samples_run += result.samples;
-    }
-    cache_.put(hash, result);
-  }
   finish_cell(state, index, std::move(result));
 }
 
 void BatchEngine::finish_cell(BatchState& state, std::size_t index,
                               RunResult result) {
-  if (result.complete && checkpoint_.enabled()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    manifest_[state.hashes[index]] = result;
-    ++pending_checkpoint_;
-    if (pending_checkpoint_ >= config_.checkpoint_every) {
-      flush_checkpoint_locked();
-    }
-  }
-
   std::vector<std::size_t> now_ready;
   // Read under the lock: once the last cell completes, run_batch may return
   // and destroy `state` as soon as state.m is released.  A non-empty
@@ -366,24 +270,12 @@ void BatchEngine::finish_cell(BatchState& state, std::size_t index,
   }
 }
 
-void BatchEngine::flush_checkpoint_locked() {
-  if (!checkpoint_.enabled() || pending_checkpoint_ == 0) return;
-  // Snapshot under the stats lock, write under the IO lock.  Writers can
-  // briefly reorder, but each write is a complete manifest superset of
-  // some consistent state, and the batch-final flush runs single-threaded.
-  const std::map<std::string, RunResult> snapshot = manifest_;
-  pending_checkpoint_ = 0;
-  ++stats_.checkpoint_writes;
-  std::lock_guard<std::mutex> io_lock(io_mutex_);
-  (void)checkpoint_.write(snapshot);
-}
-
 EngineStats BatchEngine::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   EngineStats s = stats_;
   s.memory_hits = cache_.memory_hits();
   s.disk_hits = cache_.disk_hits();
-  s.entries_rejected = stats_.entries_rejected + cache_.disk_rejected();
+  s.entries_rejected = cache_.disk_rejected();
   return s;
 }
 

@@ -1,5 +1,5 @@
 // BatchEngine: executes a DAG of RunSpecs on a sweep::ThreadPool with a
-// content-addressed result cache and resumable checkpoints.
+// content-addressed result cache.
 //
 // One cell = one pool task (the MC engines inside a cell run serially;
 // parallelism comes from independent cells, which is work-stealing
@@ -7,22 +7,22 @@
 // cell regardless of size).  Results are returned in input order and are
 // bit-identical at any thread count, warm or cold cache, interrupted or
 // not -- every cell is a pure function of its canonical spec
-// (run_spec.hpp), so caching and resumption substitute stored bits for
-// recomputed bits, never different ones.
+// (run_spec.hpp), so caching substitutes stored bits for recomputed bits,
+// never different ones.
 //
-// Lookup order per cell: checkpoint manifest (cells completed by a
-// previous, possibly killed, run of the same batch) -> result cache
-// (in-memory LRU, then on-disk store) -> evaluate.  See docs/ENGINE.md.
+// Lookup order per cell: in-memory LRU -> on-disk store -> evaluate (and
+// store).  The disk tier publishes each entry atomically as its cell
+// completes, so a killed batch rerun over the same cache directory
+// resumes: finished cells are disk hits, only the rest are evaluated.
+// See docs/ENGINE.md.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "checkpoint.hpp"
 #include "obs/metrics.hpp"
 #include "result_cache.hpp"
 #include "run_spec.hpp"
@@ -40,17 +40,6 @@ struct EngineConfig {
   /// On-disk cache directory ("" disables; benches wire SWAPGAME_CACHE_DIR
   /// here -- see bench/bench_engine.hpp).
   std::string cache_dir;
-  /// Checkpoint manifest path ("" disables checkpointing).
-  std::string checkpoint_path;
-  /// Rewrite the manifest after this many newly completed cells (and
-  /// always once at the end of a batch).
-  std::size_t checkpoint_every = 16;
-  /// Evaluation budget: stop EVALUATING after this many cells (0 = no
-  /// limit).  Cache/checkpoint hits are free.  Cells past the budget come
-  /// back with RunResult::complete == false; re-running the same batch
-  /// without the budget finishes the remainder from the checkpoint --
-  /// which is exactly how the kill-and-resume test interrupts a batch.
-  std::size_t max_cells = 0;
   /// Optional metrics sink; the engine increments engine.* counters as it
   /// runs and records per-batch pool queue depth.
   obs::MetricsRegistry* metrics = nullptr;
@@ -62,18 +51,15 @@ struct EngineStats {
   std::uint64_t cells_run = 0;       ///< cells actually evaluated
   std::uint64_t memory_hits = 0;     ///< served from the in-memory LRU
   std::uint64_t disk_hits = 0;       ///< served from the on-disk cache
-  std::uint64_t cells_resumed = 0;   ///< served from a checkpoint manifest
-  std::uint64_t cells_skipped = 0;   ///< unevaluated (max_cells budget)
   std::uint64_t mc_samples_run = 0;  ///< MC samples inside evaluated cells
   std::uint64_t mc_samples_cached = 0;  ///< MC samples served from storage
-  std::uint64_t checkpoint_writes = 0;  ///< manifest rewrites
   std::uint64_t entries_rejected = 0;   ///< stale/corrupt entries ignored
   /// Pool telemetry for this engine's batches (0 in serial mode).
   std::uint64_t pool_tasks = 0;
   std::uint64_t pool_max_queue_depth = 0;
 
   [[nodiscard]] std::uint64_t cache_hits() const noexcept {
-    return memory_hits + disk_hits + cells_resumed;
+    return memory_hits + disk_hits;
   }
 };
 
@@ -88,16 +74,13 @@ struct BatchNode {
 /// Where one cell's result came from (per-cell provenance; the daemon
 /// streams this to clients so warm-vs-cold runs are observable).
 enum class CellSource : std::uint8_t {
-  kEvaluated,   ///< computed fresh by evaluate_cell
-  kMemory,      ///< served from the in-memory LRU
-  kDisk,        ///< served from the on-disk cache
-  kCheckpoint,  ///< served from a checkpoint manifest
-  kSkipped,     ///< unevaluated (max_cells budget exhausted)
+  kEvaluated,  ///< computed fresh by evaluate_cell
+  kMemory,     ///< served from the in-memory LRU
+  kDisk,       ///< served from the on-disk cache
 };
 [[nodiscard]] const char* to_string(CellSource source) noexcept;
 [[nodiscard]] constexpr bool is_cached(CellSource source) noexcept {
-  return source == CellSource::kMemory || source == CellSource::kDisk ||
-         source == CellSource::kCheckpoint;
+  return source != CellSource::kEvaluated;
 }
 
 class BatchEngine {
@@ -108,16 +91,16 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  /// Evaluates one cell through the cache/checkpoint tiers.
+  /// Evaluates one cell through the cache tiers.
   [[nodiscard]] RunResult run(const RunSpec& spec);
 
-  /// Single-cell path with provenance reporting: same tier order as the
-  /// batch path (checkpoint manifest -> memory LRU -> disk -> evaluate),
-  /// `*source` says which tier answered.  Unlike run(spec) this never
-  /// routes through run_batch -- it is the direct, thread-safe call an
-  /// external scheduler (the swapgamed dispatcher) issues from its own
-  /// pool workers; evaluation errors propagate as exceptions to the
-  /// caller and metrics publication is left to the owner.
+  /// Single-cell path with provenance reporting: same tier walk as the
+  /// batch path (memory LRU -> disk -> evaluate), `*source` says which
+  /// tier answered.  Unlike run(spec) this never routes through
+  /// run_batch -- it is the direct, thread-safe call an external
+  /// scheduler (the swapgamed dispatcher) issues from its own pool
+  /// workers; evaluation errors propagate as exceptions to the caller
+  /// and metrics publication is left to the owner.
   [[nodiscard]] RunResult run(const RunSpec& spec, CellSource* source);
 
   /// Executes independent cells (no ordering constraints).
@@ -134,26 +117,25 @@ class BatchEngine {
  private:
   struct BatchState;
 
+  /// The one tier walk: memory/disk lookup, else evaluate and store a
+  /// complete result.  Evaluation errors propagate to the caller.
+  [[nodiscard]] RunResult resolve(const RunSpec& spec,
+                                  const std::string& hash,
+                                  CellSource& source);
   void process_cell(BatchState& state, std::size_t index);
   void finish_cell(BatchState& state, std::size_t index, RunResult result);
-  void flush_checkpoint_locked();
   [[nodiscard]] sweep::ThreadPool* pool() const noexcept {
     return private_pool_ ? private_pool_.get() : shared_pool_;
   }
 
   EngineConfig config_;
   ResultCache cache_;
-  CheckpointFile checkpoint_;
-  /// Completed-cell manifest contents (resumed + newly completed).
-  std::map<std::string, RunResult> manifest_;
   std::unique_ptr<sweep::ThreadPool> private_pool_;
   sweep::ThreadPool* shared_pool_ = nullptr;
   sweep::ThreadPool::Stats pool_base_{};
 
-  mutable std::mutex mutex_;  ///< guards stats_ + manifest_
-  std::mutex io_mutex_;       ///< serializes manifest writes
+  mutable std::mutex mutex_;  ///< guards stats_
   EngineStats stats_;
-  std::size_t pending_checkpoint_ = 0;  ///< completions since last flush
 };
 
 }  // namespace swapgame::engine

@@ -81,13 +81,19 @@ void ResultCache::put(const std::string& hash, const RunResult& result) {
       fs::path(disk_dir_) /
       (hash + ".tmp." + std::to_string(::getpid()) + "." +
        std::to_string(tmp_counter.fetch_add(1)));
+  bool written = false;
   {
     std::ofstream out(tmp_path, std::ios::trunc);
-    if (!out) return;  // unwritable cache dir: degrade to no disk tier
-    out << result.to_entry(hash) << '\n';
-    if (!out.flush()) return;
+    if (out) {
+      out << result.to_entry(hash) << '\n';
+      written = static_cast<bool>(out.flush());
+    }
   }
-  fs::rename(tmp_path, final_path, ec);
+  std::error_code rename_ec;
+  if (written) fs::rename(tmp_path, final_path, rename_ec);
+  // Any failure (unwritable dir, short write, a final name held by a
+  // directory) degrades to no disk entry and leaves no temp file behind.
+  if (!written || rename_ec) fs::remove(tmp_path, ec);
 }
 
 std::uint64_t ResultCache::memory_hits() const {

@@ -7,7 +7,10 @@
 // hash that does not match the filename, or a malformed line -- a stale or
 // corrupt cache degrades to misses, never to wrong results.  Writes go
 // through a temp file + rename so concurrent processes sharing a cache
-// directory only ever observe complete entries.
+// directory only ever observe complete entries, and an entry is on disk
+// the moment its put() returns -- which is what lets a killed batch rerun
+// over the same directory resume where it stopped.  A failed write
+// removes its temp file.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 // RunSpec: the canonical, hashable description of ONE evaluation cell.
 //
-// A cell is the unit of work the BatchEngine schedules, caches and
-// checkpoints: a (parameters, grid coordinates, evaluator kind, sample
+// A cell is the unit of work the BatchEngine schedules and caches: a (parameters, grid coordinates, evaluator kind, sample
 // budget, seed, fault/trace config) tuple whose result is a pure function
 // of the spec -- every evaluator below is deterministic given its spec
 // (the MC engines are bit-identical across thread counts, PR 1/4).  That
@@ -22,7 +21,7 @@
 // RunResult is the serializable result envelope: an ordered list of named
 // scalars plus the optional trace JSONL of traced samples.  to_entry() /
 // parse_entry() round-trip it through one JSONL line (the format shared by
-// the on-disk cache and the checkpoint manifest), preserving doubles
+// the on-disk cache and the swapgamed wire protocol), preserving doubles
 // exactly.
 #pragma once
 
@@ -47,8 +46,8 @@ namespace swapgame::engine {
 
 /// Version of the canonical-spec format AND of the cache-entry schema.
 /// Bump on any change to evaluator semantics, canonical_string() layout,
-/// or the entry format; old entries are then rejected (cache) or ignored
-/// (checkpoint) instead of being misread.
+/// or the entry format; old cache entries are then rejected instead of
+/// being misread.
 ///
 /// v2: lane-interleaved SIMD draw order in the model MC engines (new
 /// normal draws for a given seed) and the bob_strategy line in the
@@ -153,8 +152,8 @@ struct RunSpec {
 
 /// Serializable result of one cell.
 struct RunResult {
-  /// False only for budget-skipped placeholders (BatchEngine max_cells);
-  /// incomplete results are never cached or checkpointed.
+  /// False when evaluate_cell has no evaluator for the cell kind, or when
+  /// a batch cell's evaluation threw; incomplete results are never cached.
   bool complete = true;
   std::uint64_t samples = 0;  ///< MC samples evaluated (0 for analytic)
   std::uint64_t rounds = 0;   ///< adaptive rounds issued (model MC)
@@ -171,9 +170,9 @@ struct RunResult {
   [[nodiscard]] double at(std::string_view name) const;
 
   /// One JSONL line binding this result to the spec hash that produced it.
-  /// This is THE result codec: the on-disk cache, the checkpoint manifest
-  /// and the swapgamed wire protocol all emit exactly this object shape,
-  /// and all parse it through from_json() below -- one writer, one reader.
+  /// This is THE result codec: the on-disk cache and the swapgamed wire
+  /// protocol both emit exactly this object shape, and both parse it
+  /// through from_json() below -- one writer, one reader.
   [[nodiscard]] std::string to_entry(const std::string& spec_hash) const;
   /// Parses a to_entry() line into (spec_hash, result).  Returns nullopt
   /// for malformed lines and for entries with a different schema version

@@ -2,7 +2,7 @@
 //
 // The engine-native replacement for sim::run_scenarios: each ScenarioPoint
 // becomes one kScenario RunSpec, so a sweep runs its cells in parallel and
-// picks up caching / checkpoint resumption for free.  Results are
+// picks up caching (and resumption through the disk tier) for free.  Results are
 // numerically identical to the serial wrapper (each cell routes through
 // the same sim::detail::scenario_cell).
 #pragma once
@@ -24,7 +24,7 @@ namespace swapgame::engine {
     const sim::ScenarioPoint& point, const RunResult& result);
 
 /// Runs every cell on an existing engine (callers wanting cache /
-/// checkpoint / metrics wiring configure the engine themselves).
+/// metrics wiring configure the engine themselves).
 [[nodiscard]] std::vector<sim::ScenarioResult> run_scenarios(
     BatchEngine& engine, const std::vector<sim::ScenarioPoint>& points,
     const sim::McConfig& config);

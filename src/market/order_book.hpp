@@ -5,8 +5,8 @@
 // A classic price-time-priority limit order book over the exchange rate
 // P* (token-a per token-b): buyers of token-b post the most they will pay,
 // sellers the least they will accept; a cross produces a Match that the
-// settlement layer (market/settlement.hpp) executes as an HTLC swap on the
-// chain substrate.  Orders are unit-sized (1 token-b), matching the
+// population simulator (market/population/population_sim.hpp) executes as
+// an HTLC swap session on shared chain state.  Orders are unit-sized (1 token-b), matching the
 // paper's swap normalization.
 #pragma once
 

@@ -1,8 +1,7 @@
 // Population-scale swap-market simulation on shared ledgers.
 //
-// Where market/settlement.hpp executes each match as an ISOLATED one-shot
-// swap (its own schedule, its own price path), this layer runs 10^5+
-// sessions CONCURRENTLY against shared chain state:
+// This layer runs 10^5+ matched swap sessions CONCURRENTLY against shared
+// chain state:
 //
 //   * orders arrive as a Poisson stream into the OrderBook; resting orders
 //     are cancelled after a patience window (exercising the id index);
@@ -20,7 +19,7 @@
 //     t1 continuation value and analytic SR -- so 10^5 decisions cost a
 //     few hundred solver runs, warm-started along the P* axis;
 //   * per-session outcome, settlement latency and capital lockup roll up
-//     into market::MarketStats, and the ledgers' total_supply()
+//     into MarketStats, and the ledgers' total_supply()
 //     conservation is checked against the minted totals at the end.
 //
 // Parallel intra-run execution (docs/MARKET.md).  Time is cut into epochs
@@ -62,8 +61,8 @@
 #include "chain/ledger.hpp"
 #include "market/order_book.hpp"
 #include "market/population/fee_market.hpp"
-#include "market/settlement.hpp"
 #include "math/interval.hpp"
+#include "math/rng.hpp"
 #include "math/stats.hpp"
 #include "model/params.hpp"
 
@@ -77,6 +76,45 @@ class ThreadPool;
 }  // namespace swapgame::sweep
 
 namespace swapgame::market {
+
+/// The independent RNG stream `index` of a run seeded with `seed`:
+/// counter-keyed SplitMix seeding (the per-chunk MC stream idiom), so the
+/// arrival, price and per-session streams draw the same values for a
+/// given index, bit for bit, in any execution order.
+[[nodiscard]] inline math::Xoshiro256 session_rng(std::uint64_t seed,
+                                                  std::uint64_t index) {
+  return math::Xoshiro256(seed ^
+                          (index * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL));
+}
+
+/// Statistics rolled up over a population run's sessions.
+struct MarketStats {
+  std::size_t matches = 0;
+  std::size_t initiated = 0;
+  std::size_t completed = 0;
+  double mean_predicted_sr = 0.0;
+  /// Sessions whose pending transactions never landed before their
+  /// timelocks (fee-market starvation).
+  std::size_t expired = 0;
+  /// Settlement latency percentiles over COMPLETED sessions, in hours from
+  /// the t1 initiation to the final claim confirmation; NaN when no
+  /// session completed.
+  double latency_p50 = std::numeric_limits<double>::quiet_NaN();
+  double latency_p90 = std::numeric_limits<double>::quiet_NaN();
+  double latency_p99 = std::numeric_limits<double>::quiet_NaN();
+  /// Capital lockup: token-hours spent locked in HTLCs.
+  double lockup_token_a_hours = 0.0;
+  double lockup_token_b_hours = 0.0;
+  /// Completion rate among initiated swaps (empirical SR).  NaN when
+  /// nothing was ever initiated -- the same never-initiated convention as
+  /// McEstimate::conditional_success_rate; a fake 0.0 here would drag down
+  /// averages over runs that merely matched nothing viable.
+  [[nodiscard]] double completion_rate() const noexcept {
+    return initiated == 0 ? std::numeric_limits<double>::quiet_NaN()
+                          : static_cast<double>(completed) /
+                                static_cast<double>(initiated);
+  }
+};
 
 /// A discrete trader archetype; arrivals draw a type per order.  Keeping
 /// the type set small bounds the threshold-cache footprint.

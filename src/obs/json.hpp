@@ -1,6 +1,6 @@
 // Minimal JSON reader for the repo's own canonical emissions.
 //
-// Everything this codebase writes as JSON -- cache/checkpoint entries
+// Everything this codebase writes as JSON -- cache entries
 // (engine/run_spec.hpp), metrics snapshots, trace lines, the RunSpec wire
 // codec and the swapgamed protocol (docs/SERVICE.md) -- comes from the two
 // deterministic writers in trace.hpp (format_json_number /

@@ -610,7 +610,9 @@ void Daemon::run_cell(std::shared_ptr<Job> job, std::size_t index) {
   try {
     result = engine_->run(spec, &source);
     if (!result.complete) {
-      cell_status = Status::unavailable("cell evaluation budget exhausted");
+      // evaluate_cell's only incomplete result: a cell kind it has no
+      // evaluator for.
+      cell_status = Status::internal("cell evaluator returned no result");
     }
   } catch (const std::exception& e) {
     // The exception boundary: evaluator validation/invariant failures
@@ -738,8 +740,6 @@ std::string Daemon::render_stats_locked(std::uint64_t request_id) {
   append_counter(out, "cells_run", es.cells_run);
   append_counter(out, "memory_hits", es.memory_hits);
   append_counter(out, "disk_hits", es.disk_hits);
-  append_counter(out, "cells_resumed", es.cells_resumed);
-  append_counter(out, "cells_skipped", es.cells_skipped);
   append_counter(out, "mc_samples_run", es.mc_samples_run);
   append_counter(out, "mc_samples_cached", es.mc_samples_cached);
   append_counter(out, "entries_rejected", es.entries_rejected);

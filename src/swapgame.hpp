@@ -11,8 +11,9 @@
 //                skeleton, threshold profiles, full protocol substrate),
 //                plus scenario types shared with the engine;
 //   * engine  -- engine::RunSpec / BatchEngine: batched cell evaluation
-//                with content-addressed caching and resumable checkpoints
-//                (docs/ENGINE.md), and the engine-native scenario sweep;
+//                with content-addressed caching, whose disk tier also
+//                resumes killed batches (docs/ENGINE.md), and the
+//                engine-native scenario sweep;
 //   * service -- the swapgamed daemon and its client: RunSpec DAG jobs as
 //                newline-delimited JSON over a local socket, admission
 //                control, per-client fairness and a cache shared across

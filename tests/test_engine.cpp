@@ -1,8 +1,8 @@
 // Tests for the batch run-plan engine (src/engine): canonical hashing,
 // the cache-entry round trip, both cache tiers, DAG scheduling, and the
 // two contracts the migrated benches rely on -- bit-identical results at
-// any thread count (warm or cold cache) and kill-and-resume via the
-// checkpoint manifest (docs/ENGINE.md).
+// any thread count (warm or cold cache) and kill-and-resume via the disk
+// tier (docs/ENGINE.md).
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
@@ -10,14 +10,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "engine/batch_engine.hpp"
-#include "engine/checkpoint.hpp"
 #include "engine/result_cache.hpp"
 #include "engine/run_spec.hpp"
 #include "model/params.hpp"
@@ -54,8 +52,7 @@ void write_file(const std::string& path, const std::string& content) {
   f << content;
 }
 
-/// Fixture owning a throwaway directory for the disk-cache / checkpoint
-/// tests.
+/// Fixture owning a throwaway directory for the disk-cache tests.
 class EngineFiles : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -226,41 +223,24 @@ TEST_F(EngineFiles, DiskTierRejectsStaleMismatchedAndCorruptEntries) {
   EXPECT_EQ(cache.disk_hits(), 0u);
 }
 
-TEST_F(EngineFiles, CheckpointWriteLoadRoundTrip) {
-  const std::string path = dir_ + "/manifest.jsonl";
-  CheckpointFile checkpoint(path);
-  ASSERT_TRUE(checkpoint.enabled());
-  RunResult r1;
-  r1.samples = 10;
-  r1.set("sr", 0.5);
-  RunResult r2;
-  r2.set("sr", std::numeric_limits<double>::quiet_NaN());
-  std::map<std::string, RunResult> entries{{"h1", r1}, {"h2", r2}};
-  ASSERT_TRUE(checkpoint.write(entries));
-
-  std::uint64_t rejected = 0;
-  const auto loaded = checkpoint.load(&rejected);
-  EXPECT_EQ(rejected, 0u);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.at("h1").to_entry("h1"), r1.to_entry("h1"));
-  EXPECT_TRUE(std::isnan(loaded.at("h2").at("sr")));
-
-  // A torn/garbage line (which the atomic rewrite makes impossible, but a
-  // stale manifest from another build could contain) is skipped, counted,
-  // and does not poison the parseable entries around it.
-  std::ofstream(path, std::ios::app | std::ios::binary) << "garbage line\n";
-  const auto reloaded = checkpoint.load(&rejected);
-  EXPECT_EQ(rejected, 1u);
-  EXPECT_EQ(reloaded.size(), 2u);
-
-  checkpoint.remove();
-  EXPECT_TRUE(checkpoint.load().empty());
-}
-
-TEST(CheckpointFile, EmptyPathDisablesCheckpointing) {
-  const CheckpointFile disabled{""};
-  EXPECT_FALSE(disabled.enabled());
-  EXPECT_TRUE(disabled.load().empty());
+TEST_F(EngineFiles, FailedPutLeavesNoTempFile) {
+  // The final <hash>.json name is taken by a directory, so the rename
+  // that publishes the entry fails: the temp file must not stay behind,
+  // and the blocked name reads as a rejected entry, never as a hit.
+  namespace fs = std::filesystem;
+  ASSERT_TRUE(fs::create_directory(dir_ + "/blocked.json"));
+  ResultCache cache(0, dir_);  // no memory tier: get() goes to disk
+  RunResult r;
+  r.set("sr", 0.5);
+  cache.put("blocked", r);
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
+  EXPECT_FALSE(cache.get("blocked").has_value());
+  EXPECT_EQ(cache.disk_rejected(), 1u);
+  EXPECT_EQ(cache.disk_hits(), 0u);
 }
 
 TEST(BatchEngineDag, RejectsCyclesAndOutOfRangeDeps) {
@@ -351,39 +331,37 @@ TEST_F(EngineFiles, KillAndResumeIsBitIdentical) {
   BatchEngine baseline(plain);
   const auto expected = baseline.run_batch(specs);
 
-  // "Kill" after two evaluated cells: the budgeted run checkpoints what it
-  // finished and returns incomplete placeholders for the rest.
-  const std::string manifest = dir_ + "/manifest.jsonl";
+  // "Kill" after two completed cells: the disk tier publishes each entry
+  // as its cell completes, so a run of the first two specs leaves exactly
+  // what a batch killed after two completions would.
+  namespace fs = std::filesystem;
+  const std::string cache_dir = dir_ + "/cache";
+  const std::string snapshot = dir_ + "/snapshot";
   EngineConfig interrupted_config;
   interrupted_config.threads = 1;
-  interrupted_config.checkpoint_path = manifest;
-  interrupted_config.checkpoint_every = 1;
-  interrupted_config.max_cells = 2;
-  BatchEngine interrupted(interrupted_config);
-  const auto partial = interrupted.run_batch(specs);
-  EXPECT_EQ(interrupted.stats().cells_run, 2u);
-  EXPECT_EQ(interrupted.stats().cells_skipped, 3u);
-  EXPECT_TRUE(partial[0].complete);
-  EXPECT_TRUE(partial[1].complete);
-  EXPECT_FALSE(partial[4].complete);
+  interrupted_config.cache_dir = cache_dir;
+  {
+    BatchEngine interrupted(interrupted_config);
+    (void)interrupted.run_batch(
+        std::vector<RunSpec>(specs.begin(), specs.begin() + 2));
+    EXPECT_EQ(interrupted.stats().cells_run, 2u);
+  }
+  fs::copy(cache_dir, snapshot);
 
-  // Restarting from the manifest re-runs only the remainder, at either
-  // thread count, and the assembled batch is bit-identical to the
-  // uninterrupted baseline.  (Each resume's final flush completes the
-  // manifest, so restore the interrupted 2-cell snapshot between runs.)
-  std::ifstream snapshot_in(manifest, std::ios::binary);
-  const std::string snapshot((std::istreambuf_iterator<char>(snapshot_in)),
-                             std::istreambuf_iterator<char>());
-  snapshot_in.close();
+  // Rerunning the whole batch on a fresh engine over that directory
+  // re-runs only the remainder, at either thread count, and the assembled
+  // batch is bit-identical to the uninterrupted baseline.  (Each rerun
+  // completes the cache, so restore the 2-entry snapshot between runs.)
   for (const unsigned threads : {1u, 8u}) {
-    write_file(manifest, snapshot);
+    fs::remove_all(cache_dir);
+    fs::copy(snapshot, cache_dir);
     EngineConfig resumed_config;
     resumed_config.threads = threads;
-    resumed_config.checkpoint_path = manifest;
+    resumed_config.cache_dir = cache_dir;
     BatchEngine resumed(resumed_config);
     const auto results = resumed.run_batch(specs);
     EXPECT_EQ(serialize(results), serialize(expected)) << threads;
-    EXPECT_EQ(resumed.stats().cells_resumed, 2u) << threads;
+    EXPECT_EQ(resumed.stats().disk_hits, 2u) << threads;
     EXPECT_EQ(resumed.stats().cells_run, 3u) << threads;
   }
 }

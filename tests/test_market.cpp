@@ -1,5 +1,5 @@
 // Tests for the DEX match-making layer (src/market): order book semantics
-// and HTLC settlement of matches.
+// and the market statistics envelope.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "market/order_book.hpp"
-#include "market/settlement.hpp"
+#include "market/population/population_sim.hpp"
 
 namespace swapgame::market {
 namespace {
@@ -165,113 +165,22 @@ TEST(OrderBook, MatchesAreFifo) {
   EXPECT_FALSE(book.take_match().has_value());
 }
 
-// ---- Settlement. ------------------------------------------------------------
+// ---- Market statistics. -----------------------------------------------------
 
-Match make_match(double rate, double buyer_alpha = 0.3,
-                 double seller_alpha = 0.3) {
-  OrderBook book;
-  book.submit(Side::kSellTokenB, "seller", rate, prefs(seller_alpha));
-  book.submit(Side::kBuyTokenB, "buyer", rate, prefs(buyer_alpha));
-  return *book.take_match();
-}
+TEST(MarketStats, CompletionRateIsNaNWhenNeverInitiated) {
+  // An empty (or never-initiated) run has NO empirical completion rate;
+  // 0.0 would be a fake number that drags down averages.  Matches
+  // McEstimate::conditional_success_rate's convention.
+  EXPECT_TRUE(std::isnan(MarketStats{}.completion_rate()));
 
-TEST(Settlement, ParamsInheritTraderPreferences) {
-  const Match match = make_match(2.0, 0.45, 0.25);
-  const model::SwapParams params = params_for_match(match, SettlementConfig{});
-  EXPECT_DOUBLE_EQ(params.alice.alpha, 0.45);  // buyer plays Alice
-  EXPECT_DOUBLE_EQ(params.bob.alpha, 0.25);
-}
+  MarketStats matched_only;
+  matched_only.matches = 4;  // matched, but nothing initiated
+  EXPECT_TRUE(std::isnan(matched_only.completion_rate()));
 
-TEST(Settlement, ViableMatchSettlesOnChain) {
-  const Match match = make_match(2.0);
-  const Settlement s = settle_match(match, SettlementConfig{}, 0);
-  EXPECT_NEAR(s.predicted_sr, 0.7143, 2e-3);
-  EXPECT_TRUE(s.initiated);
-  EXPECT_TRUE(s.result.conservation_ok);
-}
-
-TEST(Settlement, OffBandRateNeverInitiates) {
-  const Match match = make_match(5.0);  // far above the feasible band
-  const Settlement s = settle_match(match, SettlementConfig{}, 0);
-  EXPECT_FALSE(s.initiated);
-  EXPECT_EQ(s.result.outcome, proto::SwapOutcome::kNotInitiated);
-}
-
-TEST(Settlement, EmpiricalCompletionTracksPrediction) {
-  // Settle the same viable match across many per-session streams; the
-  // realized completion rate approximates the analytic SR.
-  const Match match = make_match(2.0);
-  std::vector<Settlement> settlements;
-  for (std::uint64_t i = 0; i < 400; ++i) {
-    settlements.push_back(settle_match(match, SettlementConfig{}, i));
-  }
-  const MarketStats stats = aggregate(settlements);
-  EXPECT_EQ(stats.matches, 400u);
-  EXPECT_EQ(stats.initiated, 400u);
-  EXPECT_NEAR(stats.completion_rate(), stats.mean_predicted_sr, 0.07);
-}
-
-TEST(Settlement, CollateralRaisesCompletion) {
-  const Match match = make_match(2.0);
-  SettlementConfig with_q;
-  with_q.collateral = 1.0;
-  int base = 0, coll = 0;
-  for (std::uint64_t i = 0; i < 250; ++i) {
-    if (settle_match(match, SettlementConfig{}, i).result.success) ++base;
-    if (settle_match(match, with_q, i).result.success) ++coll;
-  }
-  EXPECT_GT(coll, base);
-}
-
-TEST(Settlement, ResultIsIndependentOfSettlementOrder) {
-  // The satellite-4 regression: a session's secret and price path come
-  // from its own counter-keyed stream, so settling [m0, m1, m2] forwards
-  // or backwards yields bit-identical per-session results.
-  const Match match = make_match(2.0);
-  const SettlementConfig config;
-  std::vector<Settlement> forward, backward;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    forward.push_back(settle_match(match, config, i));
-  }
-  for (std::uint64_t i = 8; i-- > 0;) {
-    backward.insert(backward.begin(), settle_match(match, config, i));
-  }
-  for (std::size_t i = 0; i < forward.size(); ++i) {
-    EXPECT_EQ(forward[i].result.outcome, backward[i].result.outcome);
-    EXPECT_EQ(forward[i].result.alice.final_token_a,
-              backward[i].result.alice.final_token_a);
-    EXPECT_EQ(forward[i].result.alice.realized_utility,
-              backward[i].result.alice.realized_utility);
-    EXPECT_EQ(forward[i].result.bob.realized_utility,
-              backward[i].result.bob.realized_utility);
-  }
-  // Distinct sessions draw distinct paths: not every outcome can coincide
-  // with session 0's final balances on a viable-but-risky match.
-  bool any_difference = false;
-  for (std::size_t i = 1; i < forward.size(); ++i) {
-    if (forward[i].result.alice.realized_utility !=
-        forward[0].result.alice.realized_utility) {
-      any_difference = true;
-    }
-  }
-  EXPECT_TRUE(any_difference);
-}
-
-TEST(Settlement, CompletionRateIsNaNWhenNeverInitiated) {
-  // The satellite-3 regression: an empty (or never-initiated) batch has NO
-  // empirical completion rate; 0.0 would be a fake number that drags down
-  // averages.  Matches McEstimate::conditional_success_rate's convention.
-  const MarketStats empty = aggregate({});
-  EXPECT_TRUE(std::isnan(empty.completion_rate()));
-
-  const Match match = make_match(5.0);  // off-band: never initiates
-  std::vector<Settlement> settlements;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    settlements.push_back(settle_match(match, SettlementConfig{}, i));
-  }
-  const MarketStats stats = aggregate(settlements);
-  EXPECT_EQ(stats.initiated, 0u);
-  EXPECT_TRUE(std::isnan(stats.completion_rate()));
+  MarketStats some;
+  some.initiated = 4;
+  some.completed = 3;
+  EXPECT_DOUBLE_EQ(some.completion_rate(), 0.75);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 //
 // What is pinned here, in descending order of blast radius:
 //   * the canonical-string bytes (via golden SHA-256 hashes captured from
-//     the pre-visitor implementation) -- every cache entry, checkpoint
-//     and content address depends on them;
+//     the pre-visitor implementation) -- every cache entry and content
+//     address depends on them;
 //   * to_json -> from_json -> to_json byte-identity, including non-finite
 //     doubles, >2^53 counters and tokenized composites, across every cell
 //     kind and across seeded pseudo-random specs;
@@ -11,7 +11,7 @@
 //     kUnsupportedVersion, everything malformed is kInvalidSpec with a
 //     message naming the offending key;
 //   * RunResult::to_entry / from_json round-trips (the one result codec
-//     shared by disk cache, checkpoint manifest and the wire protocol).
+//     shared by the disk cache and the wire protocol).
 #include "engine/run_spec.hpp"
 
 #include <gtest/gtest.h>
