@@ -51,7 +51,7 @@ int main() {
   for (std::size_t i = 0; i < cycle_sizes.size(); ++i) {
     const std::size_t n = cycle_sizes[i];
     const proto::MultihopResult& r = scaling[i];
-    if (r.outcome != proto::MultihopOutcome::kAllCommitted) {
+    if (r.outcome != proto::SwapOutcome::kSuccess) {
       report.claim("honest cycle committed", false);
       return 1;
     }
@@ -84,8 +84,10 @@ int main() {
     }
     report.csv_row(bench::fmt("%zu,%d,%d,%d", pos, r.locks_deployed,
                               r.legs_claimed, anyone_lost ? 1 : 0));
-    if (r.outcome != proto::MultihopOutcome::kAbortedAtLock || anyone_lost ||
-        !r.conservation_ok) {
+    const proto::SwapOutcome aborted = pos == 0
+                                           ? proto::SwapOutcome::kNotInitiated
+                                           : proto::SwapOutcome::kBobDeclinedT2;
+    if (r.outcome != aborted || anyone_lost || !r.conservation_ok) {
       lock_aborts_atomic = false;
     }
   }

@@ -1,257 +1,74 @@
 #include "multihop_protocol.hpp"
 
-#include <cmath>
-#include <memory>
-#include <optional>
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 
 #include "agents/naive.hpp"
-#include "crypto/secret.hpp"
+#include "swap_machine.hpp"
 
 namespace swapgame::proto {
 
-const char* to_string(MultihopOutcome outcome) noexcept {
-  switch (outcome) {
-    case MultihopOutcome::kAllCommitted:
-      return "all-committed";
-    case MultihopOutcome::kAbortedAtLock:
-      return "aborted-at-lock";
-    case MultihopOutcome::kLeaderAborted:
-      return "leader-aborted";
-    case MultihopOutcome::kPartialClaims:
-      return "partial-claims";
-  }
-  return "unknown";
-}
-
-namespace {
-
-/// One cyclic-swap execution.
-class MultihopRun {
- public:
-  MultihopRun(const MultihopSetup& setup, const PricePath& path)
-      : setup_(setup), path_(&path) {
-    const std::size_t n = setup_.parties.size();
-    if (n < 2) {
-      throw std::invalid_argument("run_multihop_swap: need >= 2 parties");
-    }
-    if (!(setup_.tau > 0.0) || !(setup_.eps > 0.0) ||
-        !(setup_.eps < setup_.tau)) {
-      throw std::invalid_argument(
-          "run_multihop_swap: need 0 < eps < tau (Eq. 3 per chain)");
-    }
-    if (!(setup_.safety_margin >= 0.0)) {
-      throw std::invalid_argument(
-          "run_multihop_swap: safety_margin must be >= 0");
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(setup_.parties[i].amount > 0.0)) {
-        throw std::invalid_argument("run_multihop_swap: amounts must be > 0");
-      }
-      chains_.push_back(std::make_unique<chain::Ledger>(
-          chain::ChainParams{chain::ChainId::kChainA, setup_.tau, setup_.eps},
-          queue_));
-      // Chain i: P_i (payer) and P_{i+1} (payee).
-      const std::string& payer = setup_.parties[i].name;
-      const std::string& payee = setup_.parties[(i + 1) % n].name;
-      chains_[i]->create_account(
-          {payer}, chain::Amount::from_tokens(setup_.parties[i].amount));
-      chains_[i]->create_account({payee}, chain::Amount{});
-      initial_supply_.push_back(chains_[i]->total_supply());
-    }
-    deploys_.resize(n);
-  }
-
-  MultihopResult execute() {
-    math::Xoshiro256 rng(setup_.secret_seed);
-    secret_ = crypto::Secret::generate(rng);
-    lock_step(0);
-    queue_.run();
-    return finalize();
-  }
-
- private:
-  static agents::Strategy& fallback_honest() {
-    static agents::HonestStrategy honest;
-    return honest;
-  }
-
-  agents::Strategy& strategy_of(std::size_t i) {
-    return setup_.parties[i].strategy ? *setup_.parties[i].strategy
-                                      : fallback_honest();
-  }
-
-  void log(const std::string& what) {
-    std::ostringstream os;
-    os << "[t=" << queue_.now() << "h] " << what;
-    audit_.push_back(os.str());
-  }
-
-  agents::DecisionContext context() const {
-    return {path_->price_at(queue_.now()), 0.0, queue_.now()};
-  }
-
-  /// Expiry of the lock on chain j: its claim is the (N-1-j)-th of the
-  /// claim phase; provision for that claim's confirmation plus the margin.
-  double expiry_of(std::size_t j) const {
-    const double n = static_cast<double>(setup_.parties.size());
-    const double claim_index = n - 1.0 - static_cast<double>(j);
-    return n * setup_.tau + claim_index * setup_.eps + setup_.tau +
-           setup_.safety_margin;
-  }
-
-  void lock_step(std::size_t i) {
-    const std::size_t n = setup_.parties.size();
-    const agents::Stage stage =
-        i == 0 ? agents::Stage::kT1Initiate : agents::Stage::kT2Lock;
-    if (strategy_of(i).decide(stage, context()) == model::Action::kStop) {
-      outcome_ = MultihopOutcome::kAbortedAtLock;
-      log(setup_.parties[i].name + " declined to lock; cycle aborts");
-      return;
-    }
-    deploys_[i] = chains_[i]->submit(chain::DeployHtlcPayload{
-        {setup_.parties[i].name},
-        {setup_.parties[(i + 1) % n].name},
-        chain::Amount::from_tokens(setup_.parties[i].amount),
-        secret_.commitment(),
-        expiry_of(i)});
-    ++locks_deployed_;
-    log(setup_.parties[i].name + " locked " +
-        std::to_string(setup_.parties[i].amount) + " on chain " +
-        std::to_string(i) + " (expiry " + std::to_string(expiry_of(i)) + "h)");
-    if (i + 1 < n) {
-      // The next party locks once this lock is confirmed.
-      queue_.schedule_at(chains_[i]->transaction(*deploys_[i]).confirmed_at,
-                         [this, i] { lock_step(i + 1); });
-    } else {
-      // All locks in flight; the leader starts the claim phase when the
-      // last lock confirms.
-      queue_.schedule_at(chains_[i]->transaction(*deploys_[i]).confirmed_at,
-                         [this] { leader_claim(); });
-    }
-  }
-
-  void leader_claim() {
-    const std::size_t n = setup_.parties.size();
-    if (strategy_of(0).decide(agents::Stage::kT3Reveal, context()) ==
-        model::Action::kStop) {
-      outcome_ = MultihopOutcome::kLeaderAborted;
-      log(setup_.parties[0].name + " withheld the secret; all legs refund");
-      return;
-    }
-    // P_0 claims its incoming leg on chain n-1, revealing the secret there.
-    chains_[n - 1]->submit(chain::ClaimHtlcPayload{
-        chains_[n - 1]->pending_contract_of(*deploys_[n - 1]), secret_,
-        {setup_.parties[0].name}});
-    log(setup_.parties[0].name + " claimed on chain " + std::to_string(n - 1) +
-        ", revealing the secret");
-    schedule_claim_step(/*claim_index=*/1);
-  }
-
-  /// The claim_index-th backward claim: party P_{n-claim_index} reads the
-  /// secret from chain n-claim_index (where the previous claim landed) and
-  /// claims its incoming leg on chain n-claim_index-1.
-  void schedule_claim_step(std::size_t claim_index) {
-    const std::size_t n = setup_.parties.size();
-    if (claim_index >= n) return;  // full cycle claimed
-    queue_.schedule_in(setup_.eps, [this, claim_index] {
-      const std::size_t n_parties = setup_.parties.size();
-      const std::size_t watcher = n_parties - claim_index;  // P_{n-k}
-      const std::size_t watch_chain = watcher % n_parties;  // its outgoing
-      const std::size_t claim_chain = watch_chain - 1;      // its incoming
-      // Extract the secret from the watched chain's mempool.
-      std::optional<crypto::Secret> observed;
-      for (const chain::ObservedSecret& s :
-           chains_[watch_chain]->visible_secrets()) {
-        if (s.secret.opens(secret_.commitment())) observed = s.secret;
-      }
-      if (!observed) {
-        log(setup_.parties[watcher].name + " saw no secret; cannot claim");
-        return;
-      }
-      if (strategy_of(watcher).decide(agents::Stage::kT4Claim, context()) ==
-          model::Action::kStop) {
-        log(setup_.parties[watcher].name + " (irrationally) skipped its claim");
-        return;
-      }
-      chains_[claim_chain]->submit(chain::ClaimHtlcPayload{
-          chains_[claim_chain]->pending_contract_of(*deploys_[claim_chain]),
-          *observed,
-          {setup_.parties[watcher].name}});
-      log(setup_.parties[watcher].name + " claimed on chain " +
-          std::to_string(claim_chain));
-      schedule_claim_step(claim_index + 1);
-    });
-  }
-
-  MultihopResult finalize() {
-    const std::size_t n = setup_.parties.size();
-    MultihopResult result;
-    result.locks_deployed = locks_deployed_;
-    result.audit = std::move(audit_);
-
-    result.conservation_ok = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(chains_[i]->total_supply() == initial_supply_[i])) {
-        result.conservation_ok = false;
-      }
-    }
-    int claimed = 0;
-    double last_claim = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!deploys_[i]) continue;
-      const chain::HtlcId id = chains_[i]->pending_contract_of(*deploys_[i]);
-      if (chains_[i]->has_htlc(id) &&
-          chains_[i]->htlc(id).state == chain::HtlcState::kClaimed) {
-        ++claimed;
-        last_claim = std::max(last_claim, chains_[i]->htlc(id).settled_at);
-      }
-    }
-    result.legs_claimed = claimed;
-    result.completion_time = last_claim;
-    if (locks_deployed_ == static_cast<int>(n) &&
-        outcome_ != MultihopOutcome::kLeaderAborted) {
-      if (claimed == static_cast<int>(n)) {
-        outcome_ = MultihopOutcome::kAllCommitted;
-      } else if (claimed > 0) {
-        outcome_ = MultihopOutcome::kPartialClaims;
-      }
-    }
-    result.outcome = outcome_;
-
-    result.paid.resize(n);
-    result.received.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // P_i pays on chain i and is paid on chain (i-1+n) % n.
-      const std::size_t in_chain = (i + n - 1) % n;
-      result.paid[i] =
-          setup_.parties[i].amount -
-          chains_[i]->balance({setup_.parties[i].name}).tokens();
-      result.received[i] =
-          chains_[in_chain]->balance({setup_.parties[i].name}).tokens();
-    }
-    return result;
-  }
-
-  MultihopSetup setup_;
-  const PricePath* path_;
-  chain::EventQueue queue_;
-  std::vector<std::unique_ptr<chain::Ledger>> chains_;
-  std::vector<chain::Amount> initial_supply_;
-  std::vector<std::optional<chain::TxId>> deploys_;
-  crypto::Secret secret_;
-  int locks_deployed_ = 0;
-  MultihopOutcome outcome_ = MultihopOutcome::kAbortedAtLock;
-  std::vector<std::string> audit_;
-};
-
-}  // namespace
-
 MultihopResult run_multihop_swap(const MultihopSetup& setup,
                                  const PricePath& path) {
-  MultihopRun run(setup, path);
-  return run.execute();
+  const std::size_t n = setup.parties.size();
+  if (n < 2) {
+    throw std::invalid_argument("run_multihop_swap: need >= 2 parties");
+  }
+  if (!(setup.tau > 0.0) || !(setup.eps > 0.0) || !(setup.eps < setup.tau)) {
+    throw std::invalid_argument(
+        "run_multihop_swap: need 0 < eps < tau (Eq. 3 per chain)");
+  }
+  if (!(setup.safety_margin >= 0.0)) {
+    throw std::invalid_argument(
+        "run_multihop_swap: safety_margin must be >= 0");
+  }
+  static agents::HonestStrategy honest;  // for parties without a strategy
+  std::vector<SwapParty> parties;
+  std::vector<SwapLeg> legs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const HopParty& hop = setup.parties[i];
+    if (!(hop.amount > 0.0)) {
+      throw std::invalid_argument("run_multihop_swap: amounts must be > 0");
+    }
+    parties.push_back(
+        {{hop.name}, hop.strategy ? hop.strategy : &honest, nullptr});
+    // Herlihy's staircase: leg i is claimed by the (n-1-i)-th claim of the
+    // backward wave; provision for that claim's confirmation plus margin.
+    const double cycle = static_cast<double>(n);
+    const double claim_index = cycle - 1.0 - static_cast<double>(i);
+    const double expiry = cycle * setup.tau + claim_index * setup.eps +
+                          setup.tau + setup.safety_margin;
+    legs.push_back({{chain::ChainId::kChainA, setup.tau, setup.eps}, i,
+                    (i + 1) % n, hop.amount, expiry, hop.amount, 0.0,
+                    nullptr});
+  }
+  // The run environment: no faults, auditing or tracing; decision contexts
+  // carry no agreed rate.
+  SwapSetup env;
+  env.p_star = 0.0;
+  env.secret_seed = setup.secret_seed;
+  env.audit = false;
+  SwapMachine machine({legs, parties, false, model::Schedule{}}, env, path);
+  machine.run();
+
+  MultihopResult result;
+  result.outcome = machine.outcome();
+  result.conservation_ok = machine.conservation_ok();
+  result.paid.resize(n);
+  result.received.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (machine.deployed(i)) ++result.locks_deployed;
+    const chain::HtlcContract* c = machine.contract(i);
+    if (c != nullptr && c->state == chain::HtlcState::kClaimed) {
+      ++result.legs_claimed;
+      result.completion_time = std::max(result.completion_time, c->settled_at);
+    }
+    // P_i pays on leg i and is paid on leg i-1.
+    result.paid[i] = setup.parties[i].amount - machine.balance(i, i);
+    result.received[i] = machine.balance((i + n - 1) % n, i);
+  }
+  result.audit = machine.take_audit();
+  return result;
 }
 
 }  // namespace swapgame::proto

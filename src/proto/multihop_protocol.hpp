@@ -16,9 +16,10 @@
 // so expiries DECREASE along the deployment order.  We provision each
 // lock's expiry for its worst-case claim time plus a safety margin.
 //
-// The two-party instance coincides with the paper's swap (without the
-// mempool-leak shortcut: each claimer knows the secret only after the
-// upstream claim is mempool-visible on the neighbouring chain).
+// The cycle runs on the same state machine as run_swap (swap_machine.hpp):
+// each claimer learns the secret once the upstream claim is mempool-visible
+// on its outgoing chain, so the two-party instance with tau_a = tau_b = tau
+// and eps_b = eps is the paper's swap.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +27,8 @@
 #include <vector>
 
 #include "agents/strategy.hpp"
-#include "chain/event_queue.hpp"
-#include "chain/ledger.hpp"
 #include "price_path.hpp"
+#include "swap_protocol.hpp"
 
 namespace swapgame::proto {
 
@@ -50,21 +50,14 @@ struct MultihopSetup {
   std::uint64_t secret_seed = 0xC1C1E;
 };
 
-/// How the cyclic swap ended.
-enum class MultihopOutcome : std::uint8_t {
-  kAllCommitted,   ///< every leg claimed
-  kAbortedAtLock,  ///< some party declined to lock; all deployed legs refund
-  kLeaderAborted,  ///< the leader declined to start the claim phase
-  kPartialClaims,  ///< secret revealed but some party skipped its claim:
-                   ///< the skipper paid without being paid (the 2-party
-                   ///< t4-miss generalized)
-};
-
-[[nodiscard]] const char* to_string(MultihopOutcome outcome) noexcept;
-
 /// Result of one cyclic-swap run.
 struct MultihopResult {
-  MultihopOutcome outcome = MultihopOutcome::kAbortedAtLock;
+  /// How the cycle ended, in the 2-party vocabulary: kSuccess (every leg
+  /// claimed), kNotInitiated (the leader declined to lock), kBobDeclinedT2
+  /// (another party declined to lock; all deployed legs refund),
+  /// kAliceDeclinedT3 (the leader withheld the secret) or kBobMissedT4 (a
+  /// party skipped its claim: it paid without being paid).
+  SwapOutcome outcome = SwapOutcome::kNotInitiated;
   int locks_deployed = 0;   ///< how many parties locked before the abort
   int legs_claimed = 0;     ///< claimed legs (== N on commit)
   bool conservation_ok = false;  ///< per-chain supply invariants held

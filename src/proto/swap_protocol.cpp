@@ -1,19 +1,13 @@
 #include "swap_protocol.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <functional>
-#include <memory>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
-#include "chain/auditor.hpp"
-#include "crypto/secret.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "oracle.hpp"
+#include "swap_machine.hpp"
+#include "witness_protocol.hpp"
 
 namespace swapgame::proto {
 
@@ -43,891 +37,394 @@ const char* to_string(SwapOutcome outcome) noexcept {
 
 namespace {
 
-using chain::Hours;
+chain::ChainParams chain_a_params(const SwapSetup& setup) {
+  // The model has no mempool-visibility parameter for Chain_a (nothing in
+  // the game reads Chain_a's mempool); reuse eps_b where it fits, else
+  // half the confirmation time.
+  const model::SwapParams& p = setup.params;
+  chain::ChainParams cp;
+  cp.id = chain::ChainId::kChainA;
+  cp.confirmation_time = p.tau_a;
+  cp.mempool_visibility = p.eps_b < p.tau_a ? p.eps_b : 0.5 * p.tau_a;
+  cp.confirmation_jitter = setup.confirmation_jitter_a;
+  return cp;
+}
 
-/// One protocol execution.  Owns the event queue, both ledgers and (when
-/// collateralized) the oracle; drives the four decision steps.
-class SwapRun {
- public:
-  SwapRun(const SwapSetup& setup, agents::Strategy& alice,
-          agents::Strategy& bob, const PricePath& path)
-      : setup_(setup), alice_strategy_(&alice), bob_strategy_(&bob),
-        path_(&path), schedule_(model::idealized_schedule(setup.params, 0.0)),
-        latency_rng_a_(setup.latency_seed),
-        latency_rng_b_(setup.latency_seed ^ 0x517CC1B727220A95ULL),
-        chain_a_(make_chain_a_params(setup), queue_, &latency_rng_a_),
-        chain_b_(make_chain_b_params(setup), queue_, &latency_rng_b_) {
-    if (!(setup_.expiry_margin >= 0.0) || !std::isfinite(setup_.expiry_margin)) {
-      throw std::invalid_argument("run_swap: expiry_margin must be >= 0");
-    }
-    // Shift the HTLC expiries (and thus the failure-path receipts) by the
-    // safety margin; decision epochs stay on the idealized schedule.
-    schedule_.t_a += setup_.expiry_margin;
-    schedule_.t_b += setup_.expiry_margin;
-    schedule_.t7 = schedule_.t_b + setup_.params.tau_b;
-    schedule_.t8 = schedule_.t_a + setup_.params.tau_a;
-    if (!(setup_.p_star > 0.0) || !std::isfinite(setup_.p_star)) {
-      throw std::invalid_argument("run_swap: p_star must be positive");
-    }
-    if (!(setup_.collateral >= 0.0) || !std::isfinite(setup_.collateral)) {
-      throw std::invalid_argument("run_swap: collateral must be >= 0");
-    }
-    if (!(setup_.premium >= 0.0) || !std::isfinite(setup_.premium)) {
-      throw std::invalid_argument("run_swap: premium must be >= 0");
-    }
-    const double q = setup_.collateral;
-    chain_a_.create_account(kAlice, chain::Amount::from_tokens(
-                                        setup_.p_star + q + setup_.premium +
-                                        setup_.alice_extra_token_a));
-    chain_a_.create_account(kBob, chain::Amount::from_tokens(
-                                      q + setup_.bob_extra_token_a));
-    chain_b_.create_account(kAlice, chain::Amount{});
-    chain_b_.create_account(kBob, chain::Amount::from_tokens(1.0));
-    initial_supply_a_ = chain_a_.total_supply();
-    initial_supply_b_ = chain_b_.total_supply();
+chain::ChainParams chain_b_params(const SwapSetup& setup) {
+  const model::SwapParams& p = setup.params;
+  chain::ChainParams cp;
+  cp.id = chain::ChainId::kChainB;
+  cp.confirmation_time = p.tau_b;
+  cp.mempool_visibility = p.eps_b;
+  cp.confirmation_jitter = setup.confirmation_jitter_b;
+  return cp;
+}
 
-    // Fault injectors are attached only when their model is active, so a
-    // zero-fault run is byte-identical to one without any fault plumbing.
-    if (setup_.faults.chain_a.any()) {
-      injector_a_.emplace(setup_.faults.chain_a, setup_.faults.seed);
-      chain_a_.set_fault_injector(&*injector_a_);
-    }
-    if (setup_.faults.chain_b.any()) {
-      injector_b_.emplace(setup_.faults.chain_b,
-                          setup_.faults.seed ^ 0x9E3779B97F4A7C15ULL);
-      chain_b_.set_fault_injector(&*injector_b_);
-    }
-    if (setup_.audit) {
-      auditor_a_.attach(chain_a_);
-      auditor_b_.attach(chain_b_);
-    }
-    if (setup_.metrics != nullptr) queue_.set_metrics(setup_.metrics);
-    if (setup_.trace != nullptr) {
-      chain_a_.set_trace(setup_.trace);
-      chain_b_.set_trace(setup_.trace);
-      if (injector_a_) {
-        injector_a_->set_trace(setup_.trace,
-                               chain::to_string(chain::ChainId::kChainA));
+/// Validates the swap terms shared by both 2-party entry points.
+void validate_terms(const SwapSetup& setup, const char* caller) {
+  setup.params.validate();
+  if (!(setup.expiry_margin >= 0.0) || !std::isfinite(setup.expiry_margin)) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": expiry_margin must be >= 0");
+  }
+  if (!(setup.p_star > 0.0) || !std::isfinite(setup.p_star)) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": p_star must be positive");
+  }
+  if (!(setup.collateral >= 0.0) || !std::isfinite(setup.collateral)) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": collateral must be >= 0");
+  }
+  if (!(setup.premium >= 0.0) || !std::isfinite(setup.premium)) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": premium must be >= 0");
+  }
+}
+
+/// Discount factor to t1 at rate r for a receipt at time t.
+double disc(double r, double t1, double t) {
+  return std::exp(-r * (t - t1));
+}
+
+void compute_realized_values(SwapResult& result, const SwapSetup& setup,
+                             const model::Schedule& s,
+                             const PricePath& path) {
+  const model::SwapParams& p = setup.params;
+  const double q = setup.collateral;
+  const double p_star = setup.p_star;
+  const double rA = p.alice.r;
+  const double rB = p.bob.r;
+  const auto price = [&path](double t) { return path.price_at(t); };
+
+  const double pr = setup.premium;
+  double alice_swap = 0.0, bob_swap = 0.0;       // swap asset flows
+  double alice_coll = 0.0, bob_coll = 0.0;       // collateral flows
+  double alice_coll_back = 0.0, bob_coll_back = 0.0;  // tokens, undiscounted
+  double alice_prem = 0.0, bob_prem = 0.0;       // premium flows
+  double alice_prem_back = 0.0, bob_prem_gain = 0.0;
+  double alice_receipt = s.t1, bob_receipt = s.t1;
+
+  const double oracle_t3_receipt = s.t3 + p.tau_a;
+  const double oracle_t4_receipt = s.t4 + p.tau_a;
+  // Premium escrow settlement receipt times: Alice's claim or the
+  // watcher's cancel are submitted at t3 and confirm tau_a later; the
+  // timeout path pays Bob at t_a + tau_a = t8.
+  const double premium_alice_receipt = s.t3 + p.tau_a;
+  const double premium_bob_receipt = s.t8;
+
+  switch (result.outcome) {
+    case SwapOutcome::kNotInitiated:
+      alice_swap = p_star;
+      bob_swap = price(s.t1);
+      alice_coll = q;  // never charged
+      bob_coll = q;
+      alice_coll_back = q;
+      bob_coll_back = q;
+      alice_prem = pr;  // never escrowed
+      alice_prem_back = pr;
+      break;
+    case SwapOutcome::kBobDeclinedT2:
+      alice_swap = p_star * disc(rA, s.t1, s.t8);
+      bob_swap = price(s.t2) * disc(rB, s.t1, s.t2);
+      if (q > 0.0) {
+        alice_coll = 2.0 * q * disc(rA, s.t1, oracle_t3_receipt);
+        alice_coll_back = 2.0 * q;
       }
-      if (injector_b_) {
-        injector_b_->set_trace(setup_.trace,
-                               chain::to_string(chain::ChainId::kChainB));
+      if (pr > 0.0) {
+        // Watcher cancels the escrow back to Alice.
+        alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
+        alice_prem_back = pr;
       }
-      setup_.trace->record(0.0, obs::TraceKind::kRunStart,
-                           {{"p_star", setup_.p_star},
-                            {"collateral", setup_.collateral},
-                            {"premium", setup_.premium},
-                            {"t_a", schedule_.t_a},
-                            {"t_b", schedule_.t_b},
-                            {"expiry_margin", setup_.expiry_margin},
-                            {"faults", setup_.faults.any()}});
-    }
-  }
-
-  SwapResult execute() {
-    at_t1();
-    queue_.run();  // drain confirmations, refunds and oracle releases
-    return finalize();
-  }
-
- private:
-  static chain::ChainParams make_chain_a_params(const SwapSetup& setup) {
-    // The model has no mempool-visibility parameter for Chain_a (nothing in
-    // the game reads Chain_a's mempool); reuse eps_b where it fits, else
-    // half the confirmation time.
-    const model::SwapParams& p = setup.params;
-    chain::ChainParams cp;
-    cp.id = chain::ChainId::kChainA;
-    cp.confirmation_time = p.tau_a;
-    cp.mempool_visibility = p.eps_b < p.tau_a ? p.eps_b : 0.5 * p.tau_a;
-    cp.confirmation_jitter = setup.confirmation_jitter_a;
-    return cp;
-  }
-
-  static chain::ChainParams make_chain_b_params(const SwapSetup& setup) {
-    const model::SwapParams& p = setup.params;
-    chain::ChainParams cp;
-    cp.id = chain::ChainId::kChainB;
-    cp.confirmation_time = p.tau_b;
-    cp.mempool_visibility = p.eps_b;
-    cp.confirmation_jitter = setup.confirmation_jitter_b;
-    return cp;
-  }
-
-  void log(const std::string& what) {
-    std::ostringstream os;
-    os << "[t=" << queue_.now() << "h] " << what;
-    audit_.push_back(os.str());
-  }
-
-  agents::DecisionContext context() const {
-    return {path_->price_at(queue_.now()), setup_.p_star, queue_.now()};
-  }
-
-  /// Records a decision epoch with its full game-theoretic context: who
-  /// moved, at which stage, what they saw (price vs. the agreed rate) and
-  /// the closed-form rule that produced the action.  The rule string is
-  /// only computed on traced runs.
-  void trace_decision(const char* party, agents::Strategy& strategy,
-                      agents::Stage stage, const agents::DecisionContext& ctx,
-                      model::Action action) {
-    if (setup_.trace == nullptr) return;
-    setup_.trace->record(queue_.now(), obs::TraceKind::kDecision,
-                         {{"party", party},
-                          {"stage", agents::to_string(stage)},
-                          {"strategy", std::string(strategy.name())},
-                          {"action", std::string(model::to_string(action))},
-                          {"price", ctx.price},
-                          {"p_star", ctx.p_star},
-                          {"rule", strategy.decision_rule(stage)}});
-  }
-
-  // --- Fault-tolerant broadcasting. ---------------------------------------
-  /// A tracked transaction is re-submitted (with backoff) when the fault
-  /// model drops it; `id` always points at the most recent broadcast.
-  struct TrackedTx {
-    chain::TxId id;
-    int rebroadcasts = 0;
-    bool abandoned = false;  ///< gave up re-broadcasting before the deadline
-  };
-  using TrackedPtr = std::shared_ptr<TrackedTx>;
-
-  TrackedPtr submit_tracked(chain::Ledger& chain, chain::TxPayload payload,
-                            Hours deadline) {
-    auto tracked = std::make_shared<TrackedTx>();
-    tracked->id = chain.submit(payload);
-    watch_broadcast(chain, tracked, std::move(payload), deadline, 0);
-    return tracked;
-  }
-
-  /// The sender detects a drop once the transaction fails to appear in the
-  /// mempool (one visibility period after broadcast) and re-broadcasts with
-  /// exponential backoff until `deadline` (the relevant HTLC expiry, past
-  /// which a landing would be useless anyway).
-  void watch_broadcast(chain::Ledger& chain, const TrackedPtr& tracked,
-                       chain::TxPayload payload, Hours deadline, int attempt) {
-    if (chain.transaction(tracked->id).status != chain::TxStatus::kDropped) {
-      return;
-    }
-    const Hours eps = chain.params().mempool_visibility;
-    const Hours backoff = eps * static_cast<double>(1 << std::min(attempt, 4));
-    const Hours retry_at = queue_.now() + eps + backoff;
-    if (retry_at >= deadline) {
-      tracked->abandoned = true;
-      log("broadcast lost and deadline too close to retry; giving up");
-      if (setup_.trace != nullptr) {
-        setup_.trace->record(queue_.now(), obs::TraceKind::kBroadcastAbandoned,
-                             {{"chain", chain::to_string(chain.params().id)},
-                              {"attempts", tracked->rebroadcasts},
-                              {"deadline", deadline}});
+      alice_receipt = s.t8;
+      bob_receipt = s.t2;
+      break;
+    case SwapOutcome::kAliceDeclinedT3:
+      alice_swap = p_star * disc(rA, s.t1, s.t8);
+      bob_swap = price(s.t7) * disc(rB, s.t1, s.t7);
+      if (q > 0.0) {
+        bob_coll = q * disc(rB, s.t1, oracle_t3_receipt) +
+                   q * disc(rB, s.t1, oracle_t4_receipt);
+        bob_coll_back = 2.0 * q;
       }
-      return;
-    }
-    queue_.schedule_at(
-        retry_at, [this, &chain, tracked, payload = std::move(payload),
-                   deadline, attempt]() mutable {
-          tracked->id = chain.submit(payload);
-          ++tracked->rebroadcasts;
-          ++rebroadcasts_;
-          log("re-broadcast after drop (attempt " +
-              std::to_string(attempt + 1) + ")");
-          if (setup_.trace != nullptr) {
-            setup_.trace->record(queue_.now(), obs::TraceKind::kRebroadcast,
-                                 {{"chain", chain::to_string(chain.params().id)},
-                                  {"tx", tracked->id.value},
-                                  {"attempt", attempt + 1}});
-          }
-          watch_broadcast(chain, tracked, std::move(payload), deadline,
-                          attempt + 1);
-        });
-  }
-
-  enum class WaitFor { kConfirmation, kVisibility };
-
-  /// Schedules `step` for when `tracked` is confirmed (or failed) /
-  /// mempool-visible.  Without a drop this is exactly max(earliest, ready
-  /// time) -- identical to the pre-fault scheduling, so zero-fault runs are
-  /// unchanged.  While re-broadcasts are in flight it polls each eps+tau;
-  /// once the horizon passes (or re-broadcasting was abandoned) it runs the
-  /// step regardless, letting the normal verification-failure / timeout
-  /// paths classify the wreckage.
-  void advance_when(WaitFor what, chain::Ledger& chain,
-                    const TrackedPtr& tracked, Hours earliest, Hours horizon,
-                    std::function<void()> step) {
-    const chain::Transaction& tx = chain.transaction(tracked->id);
-    if (tx.status != chain::TxStatus::kDropped) {
-      const Hours ready =
-          what == WaitFor::kConfirmation ? tx.confirmed_at : tx.visible_at;
-      queue_.schedule_at(std::max({earliest, ready, queue_.now()}),
-                         std::move(step));
-      return;
-    }
-    if (tracked->abandoned || queue_.now() >= horizon) {
-      queue_.schedule_at(std::max(earliest, queue_.now()), std::move(step));
-      return;
-    }
-    const Hours recheck = queue_.now() + chain.params().mempool_visibility +
-                          chain.params().confirmation_time;
-    queue_.schedule_at(recheck,
-                       [this, what, &chain, tracked, earliest, horizon,
-                        step = std::move(step)]() mutable {
-                         advance_when(what, chain, tracked, earliest, horizon,
-                                      std::move(step));
-                       });
-  }
-
-  /// True (and the epoch re-scheduled for the window's end) when the acting
-  /// party is inside one of its offline windows.
-  bool defer_while_offline(const std::vector<chain::FaultWindow>& windows,
-                           void (SwapRun::*step)(), const char* who) {
-    const Hours online = chain::first_time_outside(windows, queue_.now());
-    if (online <= queue_.now()) return false;
-    log(std::string(who) + " is offline; epoch deferred to t=" +
-        std::to_string(online));
-    if (setup_.trace != nullptr) {
-      setup_.trace->record(queue_.now(), obs::TraceKind::kOffline,
-                           {{"party", who}, {"until", online}});
-    }
-    queue_.schedule_at(online, [this, step] { (this->*step)(); });
-    return true;
-  }
-
-  // --- t1: Alice initiates (and with collateral, both engage). ------------
-  void at_t1() {
-    if (defer_while_offline(setup_.faults.alice_offline, &SwapRun::at_t1,
-                            "alice")) {
-      return;
-    }
-    if (setup_.collateral > 0.0 &&
-        defer_while_offline(setup_.faults.bob_offline, &SwapRun::at_t1,
-                            "bob")) {
-      return;
-    }
-    const agents::DecisionContext ctx = context();
-    const model::Action alice_move =
-        alice_strategy_->decide(agents::Stage::kT1Initiate, ctx);
-    trace_decision("alice", *alice_strategy_, agents::Stage::kT1Initiate, ctx,
-                   alice_move);
-    model::Action bob_move = model::Action::kCont;
-    if (setup_.collateral > 0.0) {
-      // Section IV: engagement is a simultaneous decision at t1.
-      bob_move = bob_strategy_->decide(agents::Stage::kT1Initiate, ctx);
-      trace_decision("bob", *bob_strategy_, agents::Stage::kT1Initiate, ctx,
-                     bob_move);
-    }
-    if (alice_move == model::Action::kStop || bob_move == model::Action::kStop) {
-      outcome_ = SwapOutcome::kNotInitiated;
-      log("t1: swap not initiated (alice=" +
-          std::string(model::to_string(alice_move)) + ", bob=" +
-          std::string(model::to_string(bob_move)) + ")");
-      return;
-    }
-
-    if (setup_.collateral > 0.0) {
-      const chain::Amount q = chain::Amount::from_tokens(setup_.collateral);
-      chain_a_.charge_collateral(kAlice, q);
-      chain_a_.charge_collateral(kBob, q);
-      oracle_.emplace(queue_, chain_a_, chain_b_, kAlice, kBob, q);
-      log("t1: oracle charged both collaterals (" + q.to_string() +
-          " token-a each)");
-    }
-
-    math::Xoshiro256 rng(setup_.secret_seed);
-    secret_ = crypto::Secret::generate(rng);
-    hash_ = secret_.commitment();
-    if (oracle_) oracle_->arm(hash_, schedule_);
-
-    deploy_a_ = submit_tracked(
-        chain_a_,
-        chain::DeployHtlcPayload{kAlice, kBob,
-                                 chain::Amount::from_tokens(setup_.p_star),
-                                 hash_, schedule_.t_a},
-        schedule_.t_a);
-    log("t1: alice deployed HTLC on Chain_a (amount=" +
-        std::to_string(setup_.p_star) + ", expiry=t_a=" +
-        std::to_string(schedule_.t_a) + ", hash=" + hash_.to_hex().substr(0, 16) +
-        "...)");
-    if (setup_.premium > 0.0) {
-      // Han et al. premium: an inverse escrow that refunds Alice on reveal
-      // and pays Bob if she waives after commitment.  It is cancelled back
-      // to Alice if Bob never locks (see at_t2).
-      premium_escrow_ = submit_tracked(
-          chain_a_,
-          chain::DeployHtlcPayload{kAlice, kBob,
-                                   chain::Amount::from_tokens(setup_.premium),
-                                   hash_, schedule_.t_a,
-                                   chain::HtlcKind::kInverse},
-          schedule_.t_a);
-      log("t1: alice escrowed premium " + std::to_string(setup_.premium) +
-          " in an inverse HTLC on Chain_a");
-    }
-    // Bob acts when he OBSERVES Alice's confirmation: with zero jitter this
-    // is exactly t2 = t1 + tau_a; with jitter the epoch shifts accordingly.
-    advance_when(WaitFor::kConfirmation, chain_a_, deploy_a_, schedule_.t2,
-                 schedule_.t_a, [this] { at_t2(); });
-  }
-
-  // --- t2: Bob verifies and locks. ----------------------------------------
-  void at_t2() {
-    if (defer_while_offline(setup_.faults.bob_offline, &SwapRun::at_t2,
-                            "bob")) {
-      return;
-    }
-    if (!verify_alice_contract()) {
-      outcome_ = SwapOutcome::kBobDeclinedT2;
-      log("t2: alice's contract failed verification; bob walks away");
-      cancel_premium_escrow();
-      return;
-    }
-    const agents::DecisionContext ctx = context();
-    const model::Action move =
-        bob_strategy_->decide(agents::Stage::kT2Lock, ctx);
-    trace_decision("bob", *bob_strategy_, agents::Stage::kT2Lock, ctx, move);
-    if (move == model::Action::kStop) {
-      outcome_ = SwapOutcome::kBobDeclinedT2;
-      log("t2: bob declined to lock (price=" +
-          std::to_string(path_->price_at(queue_.now())) + ")");
-      cancel_premium_escrow();
-      return;
-    }
-    deploy_b_ = submit_tracked(
-        chain_b_,
-        chain::DeployHtlcPayload{kBob, kAlice, chain::Amount::from_tokens(1.0),
-                                 hash_, schedule_.t_b},
-        schedule_.t_b);
-    log("t2: bob deployed HTLC on Chain_b (amount=1, expiry=t_b=" +
-        std::to_string(schedule_.t_b) + ")");
-    // Alice acts when she observes Bob's confirmation.
-    advance_when(WaitFor::kConfirmation, chain_b_, deploy_b_, schedule_.t3,
-                 schedule_.t_b, [this] { at_t3(); });
-  }
-
-  // --- t3: Alice verifies and reveals. -------------------------------------
-  void at_t3() {
-    if (defer_while_offline(setup_.faults.alice_offline, &SwapRun::at_t3,
-                            "alice")) {
-      return;
-    }
-    if (!verify_bob_contract()) {
-      outcome_ = SwapOutcome::kAliceDeclinedT3;
-      log("t3: bob's contract failed verification; alice withholds the secret");
-      return;
-    }
-    const agents::DecisionContext ctx = context();
-    const model::Action move =
-        alice_strategy_->decide(agents::Stage::kT3Reveal, ctx);
-    trace_decision("alice", *alice_strategy_, agents::Stage::kT3Reveal, ctx,
-                   move);
-    if (move == model::Action::kStop) {
-      outcome_ = SwapOutcome::kAliceDeclinedT3;
-      log("t3: alice withheld the secret (price=" +
-          std::to_string(path_->price_at(queue_.now())) + ")");
-      return;
-    }
-    claim_b_ = submit_tracked(
-        chain_b_,
-        chain::ClaimHtlcPayload{chain_b_.pending_contract_of(deploy_b_->id),
-                                secret_, kAlice},
-        schedule_.t_b);
-    log("t3: alice claimed on Chain_b, revealing the secret");
-    if (premium_escrow_) {
-      submit_tracked(chain_a_,
-                     chain::ClaimHtlcPayload{
-                         chain_a_.pending_contract_of(premium_escrow_->id),
-                         secret_, kAlice},
-                     schedule_.t_a);
-      log("t3: alice reclaimed her premium escrow on Chain_a");
-    }
-    // Bob acts when the secret becomes mempool-visible.
-    advance_when(WaitFor::kVisibility, chain_b_, claim_b_, schedule_.t4,
-                 schedule_.t_b, [this] { at_t4(); });
-  }
-
-  // --- t4: Bob extracts the secret from the mempool and claims. -----------
-  void at_t4() {
-    if (defer_while_offline(setup_.faults.bob_offline, &SwapRun::at_t4,
-                            "bob")) {
-      return;
-    }
-    std::optional<crypto::Secret> observed;
-    for (const chain::ObservedSecret& s : chain_b_.visible_secrets()) {
-      if (s.secret.opens(hash_)) {
-        observed = s.secret;
-        break;
+      if (pr > 0.0) {
+        // The escrow times out at t_a and pays Bob at t8.
+        bob_prem = pr * disc(rB, s.t1, premium_bob_receipt);
+        bob_prem_gain = pr;
       }
-    }
-    if (!observed) {
-      outcome_ = SwapOutcome::kBobMissedT4;
-      log("t4: no secret visible in Chain_b mempool; bob cannot claim");
-      return;
-    }
-    if (setup_.trace != nullptr) {
-      setup_.trace->record(queue_.now(), obs::TraceKind::kSecretObserved,
-                           {{"party", "bob"},
-                            {"chain", chain::to_string(chain_b_.params().id)}});
-    }
-    const agents::DecisionContext ctx = context();
-    const model::Action move =
-        bob_strategy_->decide(agents::Stage::kT4Claim, ctx);
-    trace_decision("bob", *bob_strategy_, agents::Stage::kT4Claim, ctx, move);
-    if (move == model::Action::kStop) {
-      outcome_ = SwapOutcome::kBobMissedT4;
-      log("t4: bob (irrationally) declined to claim");
-      return;
-    }
-    claim_a_ = submit_tracked(
-        chain_a_,
-        chain::ClaimHtlcPayload{chain_a_.pending_contract_of(deploy_a_->id),
-                                *observed, kBob},
-        schedule_.t_a);
-    outcome_ = SwapOutcome::kSuccess;
-    log("t4: bob claimed on Chain_a with the observed secret");
-  }
-
-  // If Bob never locks, Alice could not possibly perform, so the premium
-  // escrow must not penalize her: the watcher cancels it back as soon as
-  // Bob's walk-away is known.
-  void cancel_premium_escrow() {
-    if (!premium_escrow_) return;
-    submit_tracked(chain_a_,
-                   chain::CancelHtlcPayload{
-                       chain_a_.pending_contract_of(premium_escrow_->id),
-                       kAlice},
-                   schedule_.t_a);
-    log("premium watcher cancelled the escrow (bob never locked)");
-  }
-
-  bool verify_alice_contract() {
-    // Bob checks the *confirmed* contract: existence, funding, terms
-    // (Section II-B Step 2).
-    if (!deploy_a_) return false;
-    const chain::Transaction& tx = chain_a_.transaction(deploy_a_->id);
-    if (tx.status != chain::TxStatus::kConfirmed) return false;
-    const chain::HtlcContract& c = chain_a_.htlc(*tx.created_contract);
-    return c.state == chain::HtlcState::kLocked && c.recipient == kBob &&
-           c.amount == chain::Amount::from_tokens(setup_.p_star) &&
-           c.hash_lock == hash_ && c.expiry >= schedule_.t_a;
-  }
-
-  bool verify_bob_contract() {
-    if (!deploy_b_) return false;
-    const chain::Transaction& tx = chain_b_.transaction(deploy_b_->id);
-    if (tx.status != chain::TxStatus::kConfirmed) return false;
-    const chain::HtlcContract& c = chain_b_.htlc(*tx.created_contract);
-    return c.state == chain::HtlcState::kLocked && c.recipient == kAlice &&
-           c.amount == chain::Amount::from_tokens(1.0) &&
-           c.hash_lock == hash_ && c.expiry >= schedule_.t_b;
-  }
-
-  // --- Result assembly. -----------------------------------------------------
-  /// With confirmation jitter, a claim broadcast in time can still confirm
-  /// after its time lock; the state-machine outcome (decided at broadcast
-  /// time) is reconciled against the contracts' final settlement.  With
-  /// zero jitter this never changes anything (asserted by tests).
-  /// True when the deploy created a live contract on `chain`.
-  bool contract_created(const chain::Ledger& chain,
-                        const TrackedPtr& deploy) const {
-    if (!deploy) return false;
-    const chain::Transaction& tx = chain.transaction(deploy->id);
-    return tx.created_contract && chain.has_htlc(*tx.created_contract);
-  }
-
-  void reconcile_outcome() {
-    // A deploy that was broadcast but never produced a contract (every
-    // re-broadcast dropped, or confirmation slipped past the expiry) is a
-    // fault abort: the swap died on the wire, not by a party's choice.
-    if (setup_.faults.any()) {
-      const bool a_dead = deploy_a_ && !contract_created(chain_a_, deploy_a_);
-      const bool b_dead = deploy_b_ && !contract_created(chain_b_, deploy_b_);
-      if (a_dead || b_dead) {
-        outcome_ = SwapOutcome::kFaultAborted;
-        log(std::string("reconcile: ") + (a_dead ? "alice's" : "bob's") +
-            " deploy never took effect; fault abort");
-        return;
-      }
-    }
-    if (!contract_created(chain_a_, deploy_a_) ||
-        !contract_created(chain_b_, deploy_b_)) {
-      return;
-    }
-    const chain::HtlcState sa =
-        chain_a_.htlc(*chain_a_.transaction(deploy_a_->id).created_contract)
-            .state;
-    const chain::HtlcState sb =
-        chain_b_.htlc(*chain_b_.transaction(deploy_b_->id).created_contract)
-            .state;
-    if (sa == chain::HtlcState::kClaimed && sb == chain::HtlcState::kClaimed) {
-      outcome_ = SwapOutcome::kSuccess;
-    } else if (sa == chain::HtlcState::kClaimed &&
-               sb == chain::HtlcState::kRefunded) {
-      outcome_ = SwapOutcome::kAliceLostAtomicity;
-      log("reconcile: alice's claim missed t_b while bob's succeeded");
-    } else if (sa == chain::HtlcState::kRefunded &&
-               sb == chain::HtlcState::kClaimed &&
-               outcome_ != SwapOutcome::kBobMissedT4) {
-      outcome_ = SwapOutcome::kBobLostAtomicity;
-      log("reconcile: bob's claim missed t_a while alice's succeeded");
-    } else if (sa == chain::HtlcState::kRefunded &&
-               sb == chain::HtlcState::kRefunded &&
-               (outcome_ == SwapOutcome::kSuccess ||
-                outcome_ == SwapOutcome::kBobMissedT4)) {
-      // Both claims were broadcast but both confirmed too late -- or (under
-      // faults) alice's claim was swallowed so no secret ever surfaced and
-      // both legs timed out.  Either way both refunded: benign failure.
-      outcome_ = SwapOutcome::kTimelockExpiredBoth;
-      log("reconcile: both legs refunded; benign timeout for both");
-    }
-  }
-
-  SwapResult finalize() {
-    reconcile_outcome();
-    SwapResult result;
-    result.outcome = outcome_;
-    result.success = outcome_ == SwapOutcome::kSuccess;
-    result.schedule = schedule_;
-    result.collateral = setup_.collateral;
-    result.premium = setup_.premium;
-
-    result.alice.final_token_a = chain_a_.balance(kAlice).tokens();
-    result.alice.final_token_b = chain_b_.balance(kAlice).tokens();
-    result.bob.final_token_a = chain_a_.balance(kBob).tokens();
-    result.bob.final_token_b = chain_b_.balance(kBob).tokens();
-
-    result.conservation_ok = chain_a_.total_supply() == initial_supply_a_ &&
-                             chain_b_.total_supply() == initial_supply_b_;
-
-    if (setup_.audit) {
-      result.invariants_ok = auditor_a_.ok() && auditor_b_.ok();
-      for (const chain::InvariantAuditor* auditor :
-           {&auditor_a_, &auditor_b_}) {
-        for (const chain::InvariantAuditor::Violation& v :
-             auditor->violations()) {
-          result.invariant_violations.push_back(
-              "[t=" + std::to_string(v.at) + "h tx " +
-              std::to_string(v.tx.value) + "] " + v.what);
-        }
-      }
-    }
-    result.dropped_txs =
-        static_cast<int>((injector_a_ ? injector_a_->dropped() : 0) +
-                         (injector_b_ ? injector_b_->dropped() : 0));
-    result.rebroadcasts = rebroadcasts_;
-
-    if (setup_.faults.any()) {
-      compute_faulted_values(result);
-    } else {
-      compute_realized_values(result);
-    }
-    if (setup_.trace != nullptr) {
-      setup_.trace->record(queue_.now(), obs::TraceKind::kOutcome,
-                           {{"outcome", to_string(result.outcome)},
-                            {"success", result.success},
-                            {"alice_utility", result.alice.realized_utility},
-                            {"bob_utility", result.bob.realized_utility},
-                            {"dropped_txs", result.dropped_txs},
-                            {"rebroadcasts", result.rebroadcasts},
-                            {"conservation_ok", result.conservation_ok},
-                            {"invariants_ok", result.invariants_ok}});
-    }
-    if (setup_.metrics != nullptr) {
-      obs::MetricsRegistry& m = *setup_.metrics;
-      m.counter("swap.runs").inc();
-      m.counter(std::string("swap.outcome.") + to_string(result.outcome))
-          .inc();
-      if (result.dropped_txs > 0) {
-        m.counter("swap.dropped_txs")
-            .inc(static_cast<std::uint64_t>(result.dropped_txs));
-      }
-      if (result.rebroadcasts > 0) {
-        m.counter("swap.rebroadcasts")
-            .inc(static_cast<std::uint64_t>(result.rebroadcasts));
-      }
-      if (!result.conservation_ok) m.counter("swap.conservation_failures").inc();
-      if (!result.invariants_ok) m.counter("swap.invariant_failures").inc();
-      // Realized-utility range: the paper's Table III utilities live well
-      // inside [-4, 12) for every bench configuration.
-      m.histogram("swap.alice_utility", -4.0, 12.0, 32)
-          .observe(result.alice.realized_utility);
-      m.histogram("swap.bob_utility", -4.0, 12.0, 32)
-          .observe(result.bob.realized_utility);
-    }
-    result.audit = std::move(audit_);
-    return result;
-  }
-
-  /// Discount factor to t1 at rate r for a receipt at time t.
-  static double disc(double r, double t1, double t) {
-    return std::exp(-r * (t - t1));
-  }
-
-  void compute_realized_values(SwapResult& result) const {
-    const model::SwapParams& p = setup_.params;
-    const double q = setup_.collateral;
-    const double p_star = setup_.p_star;
-    const model::Schedule& s = schedule_;
-    const double rA = p.alice.r;
-    const double rB = p.bob.r;
-    const auto price = [this](double t) { return path_->price_at(t); };
-
-    const double pr = setup_.premium;
-    double alice_swap = 0.0, bob_swap = 0.0;       // swap asset flows
-    double alice_coll = 0.0, bob_coll = 0.0;       // collateral flows
-    double alice_coll_back = 0.0, bob_coll_back = 0.0;  // tokens, undiscounted
-    double alice_prem = 0.0, bob_prem = 0.0;       // premium flows
-    double alice_prem_back = 0.0, bob_prem_gain = 0.0;
-    double alice_receipt = s.t1, bob_receipt = s.t1;
-
-    const double oracle_t3_receipt = s.t3 + p.tau_a;
-    const double oracle_t4_receipt = s.t4 + p.tau_a;
-    // Premium escrow settlement receipt times: Alice's claim or the
-    // watcher's cancel are submitted at t3 and confirm tau_a later; the
-    // timeout path pays Bob at t_a + tau_a = t8.
-    const double premium_alice_receipt = s.t3 + p.tau_a;
-    const double premium_bob_receipt = s.t8;
-
-    switch (outcome_) {
-      case SwapOutcome::kNotInitiated:
-        alice_swap = p_star;
-        bob_swap = price(s.t1);
-        alice_coll = q;  // never charged
-        bob_coll = q;
+      alice_receipt = s.t8;
+      bob_receipt = s.t7;
+      break;
+    case SwapOutcome::kBobMissedT4:
+      // Alice receives the token-b at t5 AND her token-a refund at t8;
+      // Bob loses his principal entirely.
+      alice_swap = price(s.t5) * disc(rA, s.t1, s.t5) +
+                   p_star * disc(rA, s.t1, s.t8);
+      bob_swap = 0.0;
+      if (q > 0.0) {
+        bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
+        alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
         alice_coll_back = q;
         bob_coll_back = q;
-        alice_prem = pr;  // never escrowed
+      }
+      if (pr > 0.0) {
+        // Alice revealed and reclaimed her escrow.
+        alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
         alice_prem_back = pr;
-        break;
-      case SwapOutcome::kBobDeclinedT2:
-        alice_swap = p_star * disc(rA, s.t1, s.t8);
-        bob_swap = price(s.t2) * disc(rB, s.t1, s.t2);
-        if (q > 0.0) {
-          alice_coll = 2.0 * q * disc(rA, s.t1, oracle_t3_receipt);
-          alice_coll_back = 2.0 * q;
-        }
-        if (pr > 0.0) {
-          // Watcher cancels the escrow back to Alice.
-          alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
-          alice_prem_back = pr;
-        }
-        alice_receipt = s.t8;
-        bob_receipt = s.t2;
-        break;
-      case SwapOutcome::kAliceDeclinedT3:
-        alice_swap = p_star * disc(rA, s.t1, s.t8);
-        bob_swap = price(s.t7) * disc(rB, s.t1, s.t7);
-        if (q > 0.0) {
-          bob_coll = q * disc(rB, s.t1, oracle_t3_receipt) +
-                     q * disc(rB, s.t1, oracle_t4_receipt);
-          bob_coll_back = 2.0 * q;
-        }
-        if (pr > 0.0) {
-          // The escrow times out at t_a and pays Bob at t8.
-          bob_prem = pr * disc(rB, s.t1, premium_bob_receipt);
-          bob_prem_gain = pr;
-        }
-        alice_receipt = s.t8;
-        bob_receipt = s.t7;
-        break;
-      case SwapOutcome::kBobMissedT4:
-        // Alice receives the token-b at t5 AND her token-a refund at t8;
-        // Bob loses his principal entirely.
-        alice_swap = price(s.t5) * disc(rA, s.t1, s.t5) +
-                     p_star * disc(rA, s.t1, s.t8);
-        bob_swap = 0.0;
-        if (q > 0.0) {
-          bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
-          alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
-          alice_coll_back = q;
-          bob_coll_back = q;
-        }
-        if (pr > 0.0) {
-          // Alice revealed and reclaimed her escrow.
-          alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
-          alice_prem_back = pr;
-        }
-        alice_receipt = s.t8;
-        bob_receipt = oracle_t3_receipt;
-        break;
-      case SwapOutcome::kTimelockExpiredBoth:
-        // Both refunded: economics of a benign failure, except Alice did
-        // fulfil her obligations, so her deposits come back.
-        alice_swap = p_star * disc(rA, s.t1, s.t8);
-        bob_swap = price(s.t7) * disc(rB, s.t1, s.t7);
-        if (q > 0.0) {
-          alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
-          bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
-          alice_coll_back = q;
-          bob_coll_back = q;
-        }
-        if (pr > 0.0) {
-          alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
-          alice_prem_back = pr;
-        }
-        alice_receipt = s.t8;
-        bob_receipt = s.t7;
-        break;
-      case SwapOutcome::kAliceLostAtomicity:
-        // Alice revealed but her claim missed t_b: Bob holds everything.
-        // Receipt times are approximated by the idealized schedule (exact
-        // per-run times vary with the jitter draws; balances are exact).
-        alice_swap = 0.0;
-        bob_swap = p_star * disc(rB, s.t1, s.t6) +
-                   price(s.t7) * disc(rB, s.t1, s.t7);
-        if (q > 0.0) {
-          alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
-          bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
-          alice_coll_back = q;
-          bob_coll_back = q;
-        }
-        if (pr > 0.0) {
-          alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
-          alice_prem_back = pr;
-        }
-        alice_receipt = s.t1;
-        bob_receipt = s.t7;
-        break;
-      case SwapOutcome::kBobLostAtomicity:
-        // Bob's claim missed t_a: Alice holds both assets (same flows as
-        // kBobMissedT4).
-        alice_swap = price(s.t5) * disc(rA, s.t1, s.t5) +
-                     p_star * disc(rA, s.t1, s.t8);
-        bob_swap = 0.0;
-        if (q > 0.0) {
-          bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
-          alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
-          alice_coll_back = q;
-          bob_coll_back = q;
-        }
-        if (pr > 0.0) {
-          alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
-          alice_prem_back = pr;
-        }
-        alice_receipt = s.t8;
-        bob_receipt = s.t1;
-        break;
-      case SwapOutcome::kFaultAborted:
-        // Only reachable under an active fault model, which routes through
-        // compute_faulted_values instead of this exact-flow accounting.
-        break;
-      case SwapOutcome::kSuccess:
-        alice_swap = price(s.t5) * disc(rA, s.t1, s.t5);
-        bob_swap = p_star * disc(rB, s.t1, s.t6);
-        if (q > 0.0) {
-          alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
-          bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
-          alice_coll_back = q;
-          bob_coll_back = q;
-        }
-        if (pr > 0.0) {
-          alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
-          alice_prem_back = pr;
-        }
-        alice_receipt = s.t5;
-        bob_receipt = s.t6;
-        break;
-    }
-
-    const double sA = result.success ? p.alice.alpha : 0.0;
-    const double sB = result.success ? p.bob.alpha : 0.0;
-    result.alice.realized_value = alice_swap + alice_coll + alice_prem;
-    result.bob.realized_value = bob_swap + bob_coll + bob_prem;
-    // Per Eq. (32) side deposits (collateral, premium) are not
-    // premium-scaled.
-    result.alice.realized_utility =
-        (1.0 + sA) * alice_swap + alice_coll + alice_prem;
-    result.bob.realized_utility = (1.0 + sB) * bob_swap + bob_coll + bob_prem;
-    result.alice.receipt_time = alice_receipt;
-    result.bob.receipt_time = bob_receipt;
-    result.alice_collateral_back = alice_coll_back;
-    result.bob_collateral_back = bob_coll_back;
-    result.alice_premium_back = alice_prem_back;
-    result.bob_premium_gain = bob_prem_gain;
-  }
-
-  /// Valuation under an active fault model.  Re-broadcasts, deferred
-  /// mempool entries and halts shift every settlement time, so the exact
-  /// per-outcome receipt algebra above no longer applies.  Instead each
-  /// party's FINAL ledger holdings are valued: token-a at face value,
-  /// token-b at the price of the party's terminal receipt epoch
-  /// (approximated by the idealized schedule), discounted to t1; the
-  /// utility premium (1 + alpha) applies on success per Eq. (2)/(32).
-  /// Oracle-released collateral is already inside the final balances; the
-  /// per-component *_back breakdowns are not attributed under faults.
-  void compute_faulted_values(SwapResult& result) const {
-    const model::SwapParams& p = setup_.params;
-    const model::Schedule& s = schedule_;
-    const auto price = [this](double t) { return path_->price_at(t); };
-
-    // Terminal receipt epochs: success settles at t5/t6, a never-initiated
-    // swap leaves everything liquid at t1, every failure path waits out the
-    // last refund (t8 for Alice's chain-a lock, t7 for Bob's chain-b lock).
-    double alice_receipt = s.t8;
-    double bob_receipt = s.t7;
-    if (outcome_ == SwapOutcome::kNotInitiated) {
+      }
+      alice_receipt = s.t8;
+      bob_receipt = oracle_t3_receipt;
+      break;
+    case SwapOutcome::kTimelockExpiredBoth:
+      // Both refunded: economics of a benign failure, except Alice did
+      // fulfil her obligations, so her deposits come back.
+      alice_swap = p_star * disc(rA, s.t1, s.t8);
+      bob_swap = price(s.t7) * disc(rB, s.t1, s.t7);
+      if (q > 0.0) {
+        alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
+        bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
+        alice_coll_back = q;
+        bob_coll_back = q;
+      }
+      if (pr > 0.0) {
+        alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
+        alice_prem_back = pr;
+      }
+      alice_receipt = s.t8;
+      bob_receipt = s.t7;
+      break;
+    case SwapOutcome::kAliceLostAtomicity:
+      // Alice revealed but her claim missed t_b: Bob holds everything.
+      // Receipt times are approximated by the idealized schedule (exact
+      // per-run times vary with the jitter draws; balances are exact).
+      alice_swap = 0.0;
+      bob_swap = p_star * disc(rB, s.t1, s.t6) +
+                 price(s.t7) * disc(rB, s.t1, s.t7);
+      if (q > 0.0) {
+        alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
+        bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
+        alice_coll_back = q;
+        bob_coll_back = q;
+      }
+      if (pr > 0.0) {
+        alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
+        alice_prem_back = pr;
+      }
       alice_receipt = s.t1;
+      bob_receipt = s.t7;
+      break;
+    case SwapOutcome::kBobLostAtomicity:
+      // Bob's claim missed t_a: Alice holds both assets (same flows as
+      // kBobMissedT4).
+      alice_swap = price(s.t5) * disc(rA, s.t1, s.t5) +
+                   p_star * disc(rA, s.t1, s.t8);
+      bob_swap = 0.0;
+      if (q > 0.0) {
+        bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
+        alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
+        alice_coll_back = q;
+        bob_coll_back = q;
+      }
+      if (pr > 0.0) {
+        alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
+        alice_prem_back = pr;
+      }
+      alice_receipt = s.t8;
       bob_receipt = s.t1;
-    } else if (outcome_ == SwapOutcome::kSuccess) {
+      break;
+    case SwapOutcome::kFaultAborted:
+      // Only reachable under an active fault model, which routes through
+      // compute_faulted_values instead of this exact-flow accounting.
+      break;
+    case SwapOutcome::kSuccess:
+      alice_swap = price(s.t5) * disc(rA, s.t1, s.t5);
+      bob_swap = p_star * disc(rB, s.t1, s.t6);
+      if (q > 0.0) {
+        alice_coll = q * disc(rA, s.t1, oracle_t4_receipt);
+        bob_coll = q * disc(rB, s.t1, oracle_t3_receipt);
+        alice_coll_back = q;
+        bob_coll_back = q;
+      }
+      if (pr > 0.0) {
+        alice_prem = pr * disc(rA, s.t1, premium_alice_receipt);
+        alice_prem_back = pr;
+      }
       alice_receipt = s.t5;
       bob_receipt = s.t6;
-    }
-
-    const double alice_value =
-        (result.alice.final_token_a +
-         result.alice.final_token_b * price(alice_receipt)) *
-        disc(p.alice.r, s.t1, alice_receipt);
-    const double bob_value =
-        (result.bob.final_token_a +
-         result.bob.final_token_b * price(bob_receipt)) *
-        disc(p.bob.r, s.t1, bob_receipt);
-    const double sA = result.success ? p.alice.alpha : 0.0;
-    const double sB = result.success ? p.bob.alpha : 0.0;
-    result.alice.realized_value = alice_value;
-    result.bob.realized_value = bob_value;
-    result.alice.realized_utility = (1.0 + sA) * alice_value;
-    result.bob.realized_utility = (1.0 + sB) * bob_value;
-    result.alice.receipt_time = alice_receipt;
-    result.bob.receipt_time = bob_receipt;
+      break;
   }
 
-  const chain::Address kAlice{"alice"};
-  const chain::Address kBob{"bob"};
+  const double sA = result.success ? p.alice.alpha : 0.0;
+  const double sB = result.success ? p.bob.alpha : 0.0;
+  result.alice.realized_value = alice_swap + alice_coll + alice_prem;
+  result.bob.realized_value = bob_swap + bob_coll + bob_prem;
+  // Per Eq. (32) side deposits (collateral, premium) are not
+  // premium-scaled.
+  result.alice.realized_utility =
+      (1.0 + sA) * alice_swap + alice_coll + alice_prem;
+  result.bob.realized_utility = (1.0 + sB) * bob_swap + bob_coll + bob_prem;
+  result.alice.receipt_time = alice_receipt;
+  result.bob.receipt_time = bob_receipt;
+  result.alice_collateral_back = alice_coll_back;
+  result.bob_collateral_back = bob_coll_back;
+  result.alice_premium_back = alice_prem_back;
+  result.bob_premium_gain = bob_prem_gain;
+}
 
-  SwapSetup setup_;
-  agents::Strategy* alice_strategy_;
-  agents::Strategy* bob_strategy_;
-  const PricePath* path_;
-  model::Schedule schedule_;
-  math::Xoshiro256 latency_rng_a_;
-  math::Xoshiro256 latency_rng_b_;
-  chain::EventQueue queue_;
-  chain::Ledger chain_a_;
-  chain::Ledger chain_b_;
-  std::optional<CollateralOracle> oracle_;
-  std::optional<chain::FaultInjector> injector_a_;
-  std::optional<chain::FaultInjector> injector_b_;
-  // Declared after the ledgers so they detach before the ledgers die.
-  chain::InvariantAuditor auditor_a_;
-  chain::InvariantAuditor auditor_b_;
-  crypto::Secret secret_;
-  crypto::Digest256 hash_;
-  TrackedPtr deploy_a_;
-  TrackedPtr premium_escrow_;
-  TrackedPtr deploy_b_;
-  TrackedPtr claim_b_;
-  TrackedPtr claim_a_;
-  chain::Amount initial_supply_a_;
-  chain::Amount initial_supply_b_;
-  SwapOutcome outcome_ = SwapOutcome::kNotInitiated;
-  int rebroadcasts_ = 0;
-  std::vector<std::string> audit_;
-};
+/// Valuation under an active fault model.  Re-broadcasts, deferred
+/// mempool entries and halts shift every settlement time, so the exact
+/// per-outcome receipt algebra above no longer applies.  Instead each
+/// party's FINAL ledger holdings are valued: token-a at face value,
+/// token-b at the price of the party's terminal receipt epoch
+/// (approximated by the idealized schedule), discounted to t1; the
+/// utility premium (1 + alpha) applies on success per Eq. (2)/(32).
+/// Oracle-released collateral is already inside the final balances; the
+/// per-component *_back breakdowns are not attributed under faults.
+void compute_faulted_values(SwapResult& result, const SwapSetup& setup,
+                            const model::Schedule& s, const PricePath& path) {
+  const model::SwapParams& p = setup.params;
+  const auto price = [&path](double t) { return path.price_at(t); };
+
+  // Terminal receipt epochs: success settles at t5/t6, a never-initiated
+  // swap leaves everything liquid at t1, every failure path waits out the
+  // last refund (t8 for Alice's chain-a lock, t7 for Bob's chain-b lock).
+  double alice_receipt = s.t8;
+  double bob_receipt = s.t7;
+  if (result.outcome == SwapOutcome::kNotInitiated) {
+    alice_receipt = s.t1;
+    bob_receipt = s.t1;
+  } else if (result.outcome == SwapOutcome::kSuccess) {
+    alice_receipt = s.t5;
+    bob_receipt = s.t6;
+  }
+
+  const double alice_value =
+      (result.alice.final_token_a +
+       result.alice.final_token_b * price(alice_receipt)) *
+      disc(p.alice.r, s.t1, alice_receipt);
+  const double bob_value =
+      (result.bob.final_token_a +
+       result.bob.final_token_b * price(bob_receipt)) *
+      disc(p.bob.r, s.t1, bob_receipt);
+  const double sA = result.success ? p.alice.alpha : 0.0;
+  const double sB = result.success ? p.bob.alpha : 0.0;
+  result.alice.realized_value = alice_value;
+  result.bob.realized_value = bob_value;
+  result.alice.realized_utility = (1.0 + sA) * alice_value;
+  result.bob.realized_utility = (1.0 + sB) * bob_value;
+  result.alice.receipt_time = alice_receipt;
+  result.bob.receipt_time = bob_receipt;
+}
+
+/// Runs the paper's 2-cycle -- leg 0: Alice locks P* token-a for Bob on
+/// Chain_a until t_a; leg 1: Bob locks 1 token-b for Alice on Chain_b until
+/// t_b -- and values the outcome on `path`.
+SwapResult run_two_cycle(const SwapSetup& setup, agents::Strategy& alice,
+                         agents::Strategy& bob, const PricePath& path,
+                         const model::Schedule& schedule,
+                         bool witness_holds_secret) {
+  const double q = setup.collateral;
+  const SwapLeg legs[2] = {
+      {chain_a_params(setup), 0, 1, setup.p_star, schedule.t_a,
+       setup.p_star + q + setup.premium + setup.alice_extra_token_a,
+       q + setup.bob_extra_token_a, &setup.faults.chain_a},
+      {chain_b_params(setup), 1, 0, 1.0, schedule.t_b, 1.0, 0.0,
+       &setup.faults.chain_b}};
+  const SwapParty parties[2] = {
+      {{"alice"}, &alice, &setup.faults.alice_offline},
+      {{"bob"}, &bob, &setup.faults.bob_offline}};
+  SwapMachine machine({legs, parties, witness_holds_secret, schedule}, setup,
+                      path);
+  machine.run();
+
+  SwapResult result;
+  result.outcome = machine.outcome();
+  result.success = result.outcome == SwapOutcome::kSuccess;
+  result.schedule = schedule;
+  result.collateral = setup.collateral;
+  result.premium = setup.premium;
+  result.alice.final_token_a = machine.balance(0, 0);
+  result.alice.final_token_b = machine.balance(1, 0);
+  result.bob.final_token_a = machine.balance(0, 1);
+  result.bob.final_token_b = machine.balance(1, 1);
+  machine.report(result);
+  if (setup.faults.any()) {
+    compute_faulted_values(result, setup, schedule, path);
+  } else {
+    compute_realized_values(result, setup, schedule, path);
+  }
+  if (setup.trace != nullptr) {
+    setup.trace->record(machine.now(), obs::TraceKind::kOutcome,
+                        {{"outcome", to_string(result.outcome)},
+                         {"success", result.success},
+                         {"alice_utility", result.alice.realized_utility},
+                         {"bob_utility", result.bob.realized_utility},
+                         {"dropped_txs", result.dropped_txs},
+                         {"rebroadcasts", result.rebroadcasts},
+                         {"conservation_ok", result.conservation_ok},
+                         {"invariants_ok", result.invariants_ok}});
+  }
+  if (setup.metrics != nullptr) {
+    obs::MetricsRegistry& m = *setup.metrics;
+    m.counter("swap.runs").inc();
+    m.counter(std::string("swap.outcome.") + to_string(result.outcome)).inc();
+    if (result.dropped_txs > 0) {
+      m.counter("swap.dropped_txs")
+          .inc(static_cast<std::uint64_t>(result.dropped_txs));
+    }
+    if (result.rebroadcasts > 0) {
+      m.counter("swap.rebroadcasts")
+          .inc(static_cast<std::uint64_t>(result.rebroadcasts));
+    }
+    if (!result.conservation_ok) m.counter("swap.conservation_failures").inc();
+    if (!result.invariants_ok) m.counter("swap.invariant_failures").inc();
+    // Realized-utility range: the paper's Table III utilities live well
+    // inside [-4, 12) for every bench configuration.
+    m.histogram("swap.alice_utility", -4.0, 12.0, 32)
+        .observe(result.alice.realized_utility);
+    m.histogram("swap.bob_utility", -4.0, 12.0, 32)
+        .observe(result.bob.realized_utility);
+  }
+  result.audit = machine.take_audit();
+  return result;
+}
 
 }  // namespace
 
 SwapResult run_swap(const SwapSetup& setup, agents::Strategy& alice,
                     agents::Strategy& bob, const PricePath& path) {
-  setup.params.validate();
-  SwapRun run(setup, alice, bob, path);
-  return run.execute();
+  validate_terms(setup, "run_swap");
+  // Shift the HTLC expiries (and thus the failure-path receipts) by the
+  // safety margin; decision epochs stay on the idealized schedule.
+  model::Schedule schedule = model::idealized_schedule(setup.params, 0.0);
+  schedule.t_a += setup.expiry_margin;
+  schedule.t_b += setup.expiry_margin;
+  schedule.t7 = schedule.t_b + setup.params.tau_b;
+  schedule.t8 = schedule.t_a + setup.params.tau_a;
+  return run_two_cycle(setup, alice, bob, path, schedule, false);
+}
+
+SwapResult run_witness_swap(const SwapSetup& setup, agents::Strategy& alice,
+                            agents::Strategy& bob, const PricePath& path) {
+  validate_terms(setup, "run_witness_swap");
+  if (setup.collateral > 0.0 || setup.premium > 0.0) {
+    throw std::invalid_argument(
+        "run_witness_swap: the witness protocol takes no collateral or "
+        "premium");
+  }
+  // No mempool-visibility step: the witness claims both legs at t3, the
+  // moment Bob's lock confirms.
+  const model::SwapParams& p = setup.params;
+  model::Schedule s;
+  s.t2 = p.tau_a;
+  s.t3 = s.t2 + p.tau_b;
+  s.t4 = s.t3;
+  s.t_a = s.t3 + p.tau_a + setup.expiry_margin;
+  s.t_b = s.t3 + p.tau_b + setup.expiry_margin;
+  s.t5 = s.t3 + p.tau_b;  // Alice's receipt on commit
+  s.t6 = s.t3 + p.tau_a;  // Bob's receipt on commit
+  s.t7 = s.t_b + p.tau_b;
+  s.t8 = s.t_a + p.tau_a;
+  return run_two_cycle(setup, alice, bob, path, s, true);
 }
 
 }  // namespace swapgame::proto

@@ -20,6 +20,10 @@
 //
 // The collateralized variant (Section IV) charges both agents Q into the
 // Chain_a vault at t1 and lets a CollateralOracle settle it (see oracle.hpp).
+//
+// run_swap is the 2-cycle of the one HTLC state machine in swap_machine.hpp,
+// which also runs the witness protocol (witness_protocol.hpp) and N-party
+// cycles (multihop_protocol.hpp).
 #pragma once
 
 #include <cstdint>

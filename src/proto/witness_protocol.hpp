@@ -18,17 +18,22 @@
 // (Substitution note: Zakhary et al. exchange votes/proofs rather than a
 // hash preimage; a witness-held preimage over standard HTLCs realizes the
 // same commit/abort semantics on our substrate -- see DESIGN.md.)
+//
+// The run is run_swap's 2-cycle on the same state machine (swap_machine.hpp)
+// with the secret held by the witness, so fault models, offline windows,
+// confirmation jitter, expiry_margin, auditing, tracing and metrics act on
+// it exactly as on run_swap.
 #pragma once
 
 #include "swap_protocol.hpp"
 
 namespace swapgame::proto {
 
-/// Runs one witness-commitment swap.  Reuses SwapSetup/SwapResult; the
-/// collateral/premium knobs are ignored (the witness makes them moot), and
-/// outcomes are limited to kNotInitiated, kBobDeclinedT2 and kSuccess.
-/// Strategies are consulted at Stage::kT1Initiate (Alice) and
-/// Stage::kT2Lock (Bob) only.
+/// Runs one witness-commitment swap.  Reuses SwapSetup/SwapResult;
+/// setup.collateral or setup.premium > 0 throws std::invalid_argument (the
+/// witness makes them moot).  Without jitter or faults the outcome is
+/// kNotInitiated, kBobDeclinedT2 or kSuccess.  Strategies are consulted at
+/// Stage::kT1Initiate (Alice) and Stage::kT2Lock (Bob) only.
 [[nodiscard]] SwapResult run_witness_swap(const SwapSetup& setup,
                                           agents::Strategy& alice,
                                           agents::Strategy& bob,

@@ -36,7 +36,7 @@ TEST(Multihop, ValidatesSetup) {
 TEST(Multihop, TwoPartyCycleCommits) {
   const ConstantPricePath path(1.0);
   const MultihopResult r = run_multihop_swap(make_cycle(2), path);
-  EXPECT_EQ(r.outcome, MultihopOutcome::kAllCommitted);
+  EXPECT_EQ(r.outcome, SwapOutcome::kSuccess);
   EXPECT_EQ(r.legs_claimed, 2);
   EXPECT_TRUE(r.conservation_ok);
 }
@@ -45,7 +45,7 @@ TEST(Multihop, HonestCyclesCommitForManySizes) {
   const ConstantPricePath path(1.0);
   for (std::size_t n : {2u, 3u, 4u, 5u, 8u}) {
     const MultihopResult r = run_multihop_swap(make_cycle(n), path);
-    EXPECT_EQ(r.outcome, MultihopOutcome::kAllCommitted) << "n=" << n;
+    EXPECT_EQ(r.outcome, SwapOutcome::kSuccess) << "n=" << n;
     EXPECT_EQ(r.legs_claimed, static_cast<int>(n)) << "n=" << n;
     EXPECT_TRUE(r.conservation_ok) << "n=" << n;
     // Everyone paid their own amount and received their predecessor's.
@@ -66,7 +66,8 @@ TEST(Multihop, LockDeclineAbortsAtomically) {
                                         : agents::Stage::kT2Lock);
     setup.parties[defector].strategy = &defect;
     const MultihopResult r = run_multihop_swap(setup, path);
-    EXPECT_EQ(r.outcome, MultihopOutcome::kAbortedAtLock)
+    EXPECT_EQ(r.outcome, defector == 0 ? SwapOutcome::kNotInitiated
+                                       : SwapOutcome::kBobDeclinedT2)
         << "defector=" << defector;
     EXPECT_EQ(r.locks_deployed, static_cast<int>(defector));
     EXPECT_EQ(r.legs_claimed, 0);
@@ -85,7 +86,7 @@ TEST(Multihop, LeaderWithholdingRefundsEveryone) {
   agents::DefectorStrategy withhold(agents::Stage::kT3Reveal);
   setup.parties[0].strategy = &withhold;
   const MultihopResult r = run_multihop_swap(setup, path);
-  EXPECT_EQ(r.outcome, MultihopOutcome::kLeaderAborted);
+  EXPECT_EQ(r.outcome, SwapOutcome::kAliceDeclinedT3);
   EXPECT_EQ(r.locks_deployed, 4);
   EXPECT_EQ(r.legs_claimed, 0);
   EXPECT_TRUE(r.conservation_ok);
@@ -104,7 +105,7 @@ TEST(Multihop, ClaimSkipperLosesOnlyItsOwnLeg) {
   agents::DefectorStrategy skip(agents::Stage::kT4Claim);
   setup.parties[2].strategy = &skip;
   const MultihopResult r = run_multihop_swap(setup, path);
-  EXPECT_EQ(r.outcome, MultihopOutcome::kPartialClaims);
+  EXPECT_EQ(r.outcome, SwapOutcome::kBobMissedT4);
   EXPECT_TRUE(r.conservation_ok);
   // The wave stops at party 2: claims on chains 3 and 2 happened (by P0 and
   // P3); chains 1 and 0 expired.
@@ -127,7 +128,7 @@ TEST(Multihop, ExpiryStaircaseDecreasesAlongDeploymentOrder) {
   const ConstantPricePath path(1.0);
   MultihopSetup setup = make_cycle(5);
   const MultihopResult r = run_multihop_swap(setup, path);
-  ASSERT_EQ(r.outcome, MultihopOutcome::kAllCommitted);
+  ASSERT_EQ(r.outcome, SwapOutcome::kSuccess);
   const double expected =
       5.0 * setup.tau + 4.0 * setup.eps + setup.tau;  // last claim confirm
   EXPECT_DOUBLE_EQ(r.completion_time, expected);
@@ -139,7 +140,7 @@ TEST(Multihop, AuditTrailNamesEveryStep) {
   // 3 locks + 3 claims logged.
   int locks = 0, claims = 0;
   for (const std::string& line : r.audit) {
-    if (line.find("locked") != std::string::npos) ++locks;
+    if (line.find("deployed HTLC") != std::string::npos) ++locks;
     if (line.find("claimed") != std::string::npos) ++claims;
   }
   EXPECT_EQ(locks, 3);
