@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "agents/naive.hpp"
 #include "agents/rational.hpp"
 #include "model/basic_game.hpp"
 #include "model/commitment_game.hpp"
+#include "obs/trace.hpp"
 #include "proto/witness_protocol.hpp"
 
 namespace swapgame {
@@ -181,6 +186,78 @@ TEST(WitnessProtocol, ProtocolOutcomesMatchModelAcrossPriceGrid) {
             : proto::SwapOutcome::kBobDeclinedT2;
     EXPECT_EQ(r.outcome, expected) << "p_t2=" << p_t2;
   }
+}
+
+
+TEST(WitnessProtocol, TracedRunRecordsDecisionsAndOutcome) {
+  proto::SwapSetup setup;
+  setup.params = defaults();
+  setup.p_star = 2.0;
+  obs::TraceRecorder trace;
+  setup.trace = &trace;
+  agents::HonestStrategy alice, bob;
+  const proto::ConstantPricePath path(2.0);
+  const proto::SwapResult r = proto::run_witness_swap(setup, alice, bob, path);
+  ASSERT_EQ(r.outcome, proto::SwapOutcome::kSuccess);
+  std::vector<std::string> deciders;
+  std::string outcome;
+  for (const obs::TraceEvent& e : trace.events()) {
+    for (const obs::TraceField& f : e.fields) {
+      const auto* text = std::get_if<std::string>(&f.value.value);
+      if (text == nullptr) continue;
+      if (e.kind == obs::TraceKind::kDecision && f.key == "party") {
+        deciders.push_back(*text);
+      }
+      if (e.kind == obs::TraceKind::kOutcome && f.key == "outcome") {
+        outcome = *text;
+      }
+    }
+  }
+  // Alice decides at t1 and Bob at t2; the witness, not a party, commits.
+  EXPECT_EQ(deciders, (std::vector<std::string>{"alice", "bob"}));
+  EXPECT_EQ(outcome, "success");
+}
+
+TEST(WitnessProtocol, FaultedRunsAreAuditedAndRebroadcast) {
+  // Dropped broadcasts are re-sent, and the InvariantAuditor attached to
+  // both chains reports on every run.
+  proto::SwapSetup setup;
+  setup.params = defaults();
+  setup.p_star = 2.0;
+  setup.expiry_margin = 6.0;
+  setup.faults.chain_a.drop_prob = 0.3;
+  setup.faults.chain_b.drop_prob = 0.3;
+  agents::HonestStrategy alice, bob;
+  const proto::ConstantPricePath path(2.0);
+  int dropped = 0;
+  int rebroadcasts = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    setup.faults.seed = seed;
+    const proto::SwapResult r =
+        proto::run_witness_swap(setup, alice, bob, path);
+    EXPECT_TRUE(r.invariants_ok) << "seed=" << seed;
+    EXPECT_TRUE(r.invariant_violations.empty()) << "seed=" << seed;
+    EXPECT_TRUE(r.conservation_ok) << "seed=" << seed;
+    dropped += r.dropped_txs;
+    rebroadcasts += r.rebroadcasts;
+  }
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(rebroadcasts, 0);
+}
+
+TEST(WitnessProtocol, RejectsCollateralAndPremium) {
+  proto::SwapSetup setup;
+  setup.params = defaults();
+  setup.p_star = 2.0;
+  agents::HonestStrategy alice, bob;
+  const proto::ConstantPricePath path(2.0);
+  setup.collateral = 0.5;
+  EXPECT_THROW((void)proto::run_witness_swap(setup, alice, bob, path),
+               std::invalid_argument);
+  setup.collateral = 0.0;
+  setup.premium = 0.1;
+  EXPECT_THROW((void)proto::run_witness_swap(setup, alice, bob, path),
+               std::invalid_argument);
 }
 
 }  // namespace

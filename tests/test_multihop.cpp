@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "agents/naive.hpp"
+#include "model/params.hpp"
+#include "proto/swap_protocol.hpp"
 
 namespace swapgame::proto {
 namespace {
@@ -145,6 +147,38 @@ TEST(Multihop, AuditTrailNamesEveryStep) {
   }
   EXPECT_EQ(locks, 3);
   EXPECT_EQ(claims, 3);
+}
+
+
+TEST(Multihop, TwoPartyCycleIsThePapersSwap) {
+  // Herlihy's 2-cycle with tau and eps on both chains is run_swap with
+  // tau_a = tau_b = tau and eps_b = eps: the same completion time (run_swap's
+  // t6, when Bob's claim confirms) and the same final balances.
+  const ConstantPricePath path(2.0);
+  MultihopSetup cycle;
+  cycle.parties.push_back({"alice", 2.0, nullptr});
+  cycle.parties.push_back({"bob", 1.0, nullptr});
+  const MultihopResult hop = run_multihop_swap(cycle, path);
+
+  SwapSetup setup;
+  setup.params = model::SwapParams::table3_defaults();
+  setup.params.tau_a = cycle.tau;
+  setup.params.tau_b = cycle.tau;
+  setup.params.eps_b = cycle.eps;
+  setup.p_star = 2.0;
+  agents::HonestStrategy alice, bob;
+  const SwapResult swap = run_swap(setup, alice, bob, path);
+
+  ASSERT_EQ(hop.outcome, SwapOutcome::kSuccess);
+  ASSERT_EQ(swap.outcome, SwapOutcome::kSuccess);
+  EXPECT_DOUBLE_EQ(hop.completion_time, 10.0);
+  EXPECT_DOUBLE_EQ(hop.completion_time, swap.schedule.t6);
+  EXPECT_DOUBLE_EQ(hop.completion_time, swap.bob.receipt_time);
+  // Party 0 pays on chain 0 (token-a) and is paid on chain 1 (token-b).
+  EXPECT_DOUBLE_EQ(2.0 - hop.paid[0], swap.alice.final_token_a);
+  EXPECT_DOUBLE_EQ(hop.received[0], swap.alice.final_token_b);
+  EXPECT_DOUBLE_EQ(hop.received[1], swap.bob.final_token_a);
+  EXPECT_DOUBLE_EQ(1.0 - hop.paid[1], swap.bob.final_token_b);
 }
 
 }  // namespace
