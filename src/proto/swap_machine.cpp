@@ -227,8 +227,9 @@ bool SwapMachine::defer_while_offline(std::size_t who, Step step) {
   log(party(who).name.value, " is offline; epoch deferred to t=",
       std::to_string(online));
   if (setup_->trace != nullptr) {
-    setup_->trace->record(queue_.now(), obs::TraceKind::kOffline,
-                          {{"party", party(who).name.value}, {"until", online}});
+    setup_->trace->record(
+        queue_.now(), obs::TraceKind::kOffline,
+        {{"party", party(who).name.value}, {"until", online}});
   }
   queue_.schedule_at(online, std::move(step));
   return true;
