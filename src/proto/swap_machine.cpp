@@ -299,6 +299,8 @@ void SwapMachine::initiate() {
 
 void SwapMachine::after_lock(std::size_t leg) {
   const bool last = leg + 1 == legs_.size();
+  // The step captures only [this, leg], which fits std::function's inline
+  // buffer: scheduling it allocates nothing.
   advance_when(WaitFor::kConfirmation, leg, *legs_[leg].deploy,
                last ? graph_.schedule.t3 : graph_.schedule.t2, [this, leg] {
                  if (leg + 1 < legs_.size()) {
