@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <stdexcept>
 #include <utility>
 
@@ -24,6 +27,51 @@ constexpr std::uint64_t kPriceStream = 2'000'000'011ULL;
 // Fee-market stages a drop notification can refer to.  The stage also
 // rides in the low bits of the fee-market owner tag (idx * 4 + stage).
 enum Stage : int { kDeployA = 0, kDeployB = 1, kClaimB = 2, kClaimA = 3 };
+
+// A session's swap locks leg 0 on chain A and leg 1 on chain B.
+[[nodiscard]] int stage_of(std::size_t leg, proto::TxRole role) {
+  const int l = static_cast<int>(leg);
+  return role == proto::TxRole::kDeploy ? l : kClaimA - l;
+}
+[[nodiscard]] std::size_t leg_of(int stage) {
+  return stage == kDeployA || stage == kClaimA ? 0 : 1;
+}
+[[nodiscard]] proto::TxRole role_of(int stage) {
+  return stage <= kDeployB ? proto::TxRole::kDeploy : proto::TxRole::kClaim;
+}
+
+/// Where a session outcome is counted, and its trace label.
+struct Tally {
+  std::uint64_t PopulationResult::*counter;
+  const char* label;
+};
+
+/// The one mapping from a session's SwapOutcome to its result counter.  A
+/// transaction the fee market starved ends the swap in the machine's
+/// give-up outcomes: a starved lock (kFaultAborted) or reveal
+/// (kTimelockExpiredBoth) refunds both sides; a starved claim after the
+/// reveal (kBobMissedT4) lets Alice take Bob's token-b and refunds her
+/// token-a -- atomicity lost.
+[[nodiscard]] Tally tally(proto::SwapOutcome outcome) {
+  switch (outcome) {
+    case proto::SwapOutcome::kNotInitiated:
+      return {&PopulationResult::never_initiated, "never_initiated"};
+    case proto::SwapOutcome::kBobDeclinedT2:
+      return {&PopulationResult::aborted_t2, "aborted_t2"};
+    case proto::SwapOutcome::kAliceDeclinedT3:
+      return {&PopulationResult::aborted_t3, "aborted_t3"};
+    case proto::SwapOutcome::kSuccess:
+      return {&PopulationResult::completed, "completed"};
+    case proto::SwapOutcome::kFaultAborted:
+    case proto::SwapOutcome::kTimelockExpiredBoth:
+      return {&PopulationResult::starved, "starved"};
+    case proto::SwapOutcome::kBobMissedT4:
+    case proto::SwapOutcome::kAliceLostAtomicity:
+    case proto::SwapOutcome::kBobLostAtomicity:
+      break;
+  }
+  return {&PopulationResult::atomicity_lost, "atomicity_lost"};
+}
 
 [[nodiscard]] std::int64_t quantize(double x, double tick) {
   return std::llround(x / tick);
@@ -112,26 +160,6 @@ void PopulationConfig::validate() const {
   }
 }
 
-const char* to_string(SessionOutcome outcome) noexcept {
-  switch (outcome) {
-    case SessionOutcome::kPending:
-      return "pending";
-    case SessionOutcome::kNeverInitiated:
-      return "never_initiated";
-    case SessionOutcome::kAbortedT2:
-      return "aborted_t2";
-    case SessionOutcome::kAbortedT3:
-      return "aborted_t3";
-    case SessionOutcome::kCompleted:
-      return "completed";
-    case SessionOutcome::kStarved:
-      return "starved";
-    case SessionOutcome::kAtomicityLost:
-      return "atomicity_lost";
-  }
-  return "?";
-}
-
 PopulationSim::PopulationSim(PopulationConfig config)
     : config_(std::move(config)) {
   if (config_.types.empty()) config_.types = PopulationConfig::default_types();
@@ -144,11 +172,26 @@ PopulationSim::PopulationSim(PopulationConfig config)
   params_b.id = chain::ChainId::kChainB;
   params_b.confirmation_time = config_.tau_b;
   params_b.mempool_visibility = config_.eps_b;
+  const auto types = static_cast<std::uint32_t>(config_.types.size());
+  strategies_.reserve(static_cast<std::size_t>(types) * types);
+  for (std::uint32_t buyer = 0; buyer < types; ++buyer) {
+    for (std::uint32_t seller = 0; seller < types; ++seller) {
+      strategies_.emplace_back(*this, buyer, seller);
+    }
+  }
   shards_.reserve(config_.workers);
   for (std::uint64_t w = 0; w < config_.workers; ++w) {
     auto sh = std::make_unique<Shard>();
+    sh->sim = this;
     sh->ledger_a = std::make_unique<chain::Ledger>(params_a, sh->queue);
     sh->ledger_b = std::make_unique<chain::Ledger>(params_b, sh->queue);
+    sh->ledgers[0] = sh->ledger_a.get();
+    sh->ledgers[1] = sh->ledger_b.get();
+    sh->env.queue = &sh->queue;
+    sh->env.ledgers = sh->ledgers;
+    sh->env.sink = sh.get();
+    sh->env.path = &epoch_price_;
+    sh->env.setup = &swap_options_;
     shards_.push_back(std::move(sh));
   }
   if (config_.workers > 1) {
@@ -166,7 +209,7 @@ PopulationSim::PopulationSim(PopulationConfig config)
     Shard& sh = *shards_[idx % shards_.size()];
     sh.queue.schedule_at(
         seal_time, [this, &sh, idx, stage, payload = std::move(payload)]() mutable {
-          include_job(sh, idx, stage, std::move(payload));
+          land(sh, idx, stage, std::move(payload));
         });
   };
   market_a_ = std::make_unique<FeeMarket>(config_.fee_a, queue_, sink);
@@ -326,30 +369,78 @@ void PopulationSim::on_arrival() {
 
 void PopulationSim::spawn_session(const Match& match) {
   const std::uint64_t idx = session_offset_ + sessions_.size();
-  sessions_.emplace_back();
+  const std::uint32_t buyer_type = order_types_.at(match.buy.id);
+  const std::uint32_t seller_type = order_types_.at(match.sell.id);
+  order_types_.erase(match.buy.id);
+  order_types_.erase(match.sell.id);
+  // The rest of the session's life runs on its owner shard.
+  Shard& sh = *shards_[idx % shards_.size()];
+  SessionSwap& s = sessions_.emplace_back(
+      sh.env, idx, config_.seed, match.rate,
+      strategies_[buyer_type * config_.types.size() + seller_type]);
   result_.peak_live_sessions =
       std::max(result_.peak_live_sessions,
                static_cast<std::uint64_t>(sessions_.size()));
-  Session& s = sessions_.back();
-  s.buyer_type = order_types_.at(match.buy.id);
-  s.seller_type = order_types_.at(match.sell.id);
-  order_types_.erase(match.buy.id);
-  order_types_.erase(match.sell.id);
-  s.p_star = match.rate;
+  s.buyer_type = static_cast<std::uint8_t>(buyer_type);
+  s.seller_type = static_cast<std::uint8_t>(seller_type);
   s.t0 = queue_.now();
   // Executed flow perturbs the price toward the taker's side (the newer
   // order is the aggressor); applied at the barrier when the session
   // actually initiates.
-  s.impact_dir = match.buy.sequence > match.sell.sequence ? 1.0 : -1.0;
+  s.taker_buys = match.buy.sequence > match.sell.sequence;
   ++result_.sessions;
-  // The rest of the session's life runs on its owner shard.
-  Shard& sh = *shards_[idx % shards_.size()];
   sh.queue.schedule_at(s.t0, [this, &sh, idx] { init_session(sh, idx); });
 }
 
-// --- session state machine (parallel phase) --------------------------------
+// --- sessions (parallel phase) ---------------------------------------------
 
-PopulationSim::Session* PopulationSim::session(std::uint64_t idx) noexcept {
+PopulationSim::SessionSwap::SessionSwap(proto::SwapEnv& env, std::uint64_t idx,
+                                        std::uint64_t seed, double p_star,
+                                        agents::Strategy& strategy)
+    : legs{{0, 1, p_star, 0.0}, {1, 0, 1.0, 0.0}},
+      parties{{{"A" + std::to_string(idx)}, &strategy, nullptr},
+              {{"B" + std::to_string(idx)}, &strategy, nullptr}},
+      swap(
+          [&] {
+            proto::SwapGraph graph;
+            graph.legs = legs;
+            graph.parties = parties;
+            graph.p_star = p_star;
+            // The secret is the first draw of the session's own stream.
+            graph.secret_seed = seed ^ (idx * 0x9E3779B97F4A7C15ULL +
+                                        0xD1B54A32D192ED03ULL);
+            graph.tag = idx;
+            return graph;
+          }(),
+          env) {
+  std::fill(std::begin(confirmed), std::end(confirmed),
+            std::numeric_limits<double>::quiet_NaN());
+}
+
+model::Action PopulationSim::ThresholdStrategy::decide(
+    agents::Stage stage, const agents::DecisionContext& ctx) {
+  bool cont = true;
+  switch (stage) {
+    case agents::Stage::kT1Initiate:
+      cont = sim_->t1_entry(buyer_type_, seller_type_, ctx.p_star, ctx.price)
+                 .first > ctx.p_star;
+      break;
+    case agents::Stage::kT2Lock:  // Bob's continuation region (Eq. 24)
+      cont = sim_->game_entry(buyer_type_, seller_type_, ctx.p_star)
+                 .t2_region.contains(ctx.price);
+      break;
+    case agents::Stage::kT3Reveal:  // Alice's t3 cutoff (Eq. 19)
+      cont = ctx.price >
+             sim_->game_entry(buyer_type_, seller_type_, ctx.p_star).t3_cutoff;
+      break;
+    case agents::Stage::kT4Claim:
+      // Dominance: claiming always beats forfeiting the locked token-a.
+      break;
+  }
+  return cont ? model::Action::kCont : model::Action::kStop;
+}
+
+PopulationSim::SessionSwap* PopulationSim::session(std::uint64_t idx) noexcept {
   // Retired sessions resolve to nullptr: late callbacks (the watchdog of a
   // session finalized early, a fee-market expiry sweep) become checked
   // no-ops rather than dangling deque accesses.
@@ -358,124 +449,102 @@ PopulationSim::Session* PopulationSim::session(std::uint64_t idx) noexcept {
 }
 
 void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
-  Session& s = *session(idx);  // spawned this epoch, cannot be retired
-  s.rng = session_rng(config_.seed, idx);
-  s.secret = crypto::Secret::generate(s.rng);
+  SessionSwap& s = *session(idx);  // spawned this epoch, cannot be retired
   const double p = window_price_;
-  const auto [t1_cont, sr] = t1_entry(s.buyer_type, s.seller_type, s.p_star, p);
+  const double p_star = s.legs[0].amount;
+  const auto [t1_cont, sr] = t1_entry(s.buyer_type, s.seller_type, p_star, p);
   if (trace_ != nullptr && trace_stride_ > 0 && idx % trace_stride_ == 0) {
     TraceRec rec;
     rec.stamp = Stamp{s.t0, idx, s.bseq++};
     rec.start = true;
-    rec.p_star = s.p_star;
+    rec.p_star = p_star;
     rec.price = p;
     rec.t1_cont = t1_cont;
     sh.traces.push_back(std::move(rec));
   }
-  if (!(t1_cont > s.p_star)) {
-    s.outcome = SessionOutcome::kNeverInitiated;
+
+  // Idealized expiries plus fee-market slack (2x on chain A so the
+  // t_b < t_a ordering the atomicity argument needs is preserved), and the
+  // fee bids, drawn after the secret from the session's stream.
+  const model::Schedule sched = model::idealized_schedule(
+      pair_params(s.buyer_type, s.seller_type, p), s.t0);
+  s.legs[0].expiry = sched.t_a + 2.0 * config_.expiry_slack;
+  s.legs[1].expiry = sched.t_b + config_.expiry_slack;
+  math::Xoshiro256 rng = session_rng(config_.seed, idx);
+  (void)crypto::Secret::generate(rng);
+  s.fee_a = config_.base_fee * (1.0 + config_.fee_spread * math::uniform01(rng));
+  s.fee_b = config_.base_fee * (1.0 + config_.fee_spread * math::uniform01(rng));
+
+  // Alice's t1 decision and, on cont, her lock's fee-market intent.
+  s.swap.start();
+  if (!s.swap.initiated()) {
     finalize(sh, idx);
     return;
   }
-  s.initiated = true;
-  sh.inits.push_back(InitRec{Stamp{s.t0, idx, s.bseq++}, sr, s.impact_dir});
+  sh.inits.push_back(InitRec{Stamp{s.t0, idx, s.bseq++}, sr,
+                             s.taker_buys ? 1.0 : -1.0});
 
   // Fund exactly what each side locks; mint-tracking backs the end-of-run
   // conservation check (summed across shards).
-  const std::string tag = std::to_string(idx);
-  s.alice = "A" + tag;
-  s.bob = "B" + tag;
-  const chain::Amount lock_a = chain::Amount::from_tokens(s.p_star);
+  const chain::Address& alice = s.parties[0].name;
+  const chain::Address& bob = s.parties[1].name;
+  const chain::Amount lock_a = chain::Amount::from_tokens(p_star);
   const chain::Amount lock_b = chain::Amount::from_tokens(1.0);
-  sh.ledger_a->create_account({s.alice}, lock_a);
-  sh.ledger_a->create_account({s.bob}, chain::Amount{});
-  sh.ledger_b->create_account({s.bob}, lock_b);
-  sh.ledger_b->create_account({s.alice}, chain::Amount{});
+  sh.ledger_a->create_account(alice, lock_a);
+  sh.ledger_a->create_account(bob, chain::Amount{});
+  sh.ledger_b->create_account(bob, lock_b);
+  sh.ledger_b->create_account(alice, chain::Amount{});
   sh.minted_a += lock_a;
   sh.minted_b += lock_b;
 
-  // Idealized expiries plus fee-market slack (2x on chain A so the
-  // t_b < t_a ordering the atomicity argument needs is preserved).
-  const model::Schedule sched = model::idealized_schedule(
-      pair_params(s.buyer_type, s.seller_type, p), s.t0);
-  s.t_b_expiry = sched.t_b + config_.expiry_slack;
-  s.t_a_expiry = sched.t_a + 2.0 * config_.expiry_slack;
-  s.fee_a = config_.base_fee *
-            (1.0 + config_.fee_spread * math::uniform01(s.rng));
-  s.fee_b = config_.base_fee *
-            (1.0 + config_.fee_spread * math::uniform01(s.rng));
-  submit_deploy_a(sh, idx);
   // Watchdog: by t_a + tau_a every contract of this session has settled
   // (claims land before expiry by deadline construction; refunds confirm
   // tau after expiry), so the terminal classification is decidable.
   sh.queue.schedule_at(
-      s.t_a_expiry + config_.tau_a + config_.fee_a.block_interval,
+      s.legs[0].expiry + config_.tau_a + config_.fee_a.block_interval,
       [this, &sh, idx] { finalize(sh, idx); });
 }
 
-void PopulationSim::include_job(Shard& sh, std::uint64_t idx, int stage,
-                                chain::TxPayload payload) {
-  Session* sp = session(idx);
-  if (sp == nullptr) return;
-  Session& s = *sp;
-  chain::Ledger& ledger =
-      (stage == kDeployA || stage == kClaimA) ? *sh.ledger_a : *sh.ledger_b;
-  const chain::TxId tx = ledger.submit(std::move(payload));
-  switch (stage) {
-    case kDeployA: {
-      s.htlc_a = ledger.pending_contract_of(tx);
-      sh.queue.schedule_at(ledger.transaction(tx).confirmed_at,
-                           [this, &sh, idx] { at_t2(sh, idx); });
-      break;
-    }
-    case kDeployB: {
-      s.htlc_b = ledger.pending_contract_of(tx);
-      sh.queue.schedule_at(ledger.transaction(tx).confirmed_at,
-                           [this, &sh, idx] { at_t3(sh, idx); });
-      break;
-    }
-    case kClaimB: {
-      // The preimage is public once the claim hits the mempool; Bob's t4
-      // epoch fires at visibility (Section II-B Step 3).
-      const chain::Transaction& record = ledger.transaction(tx);
-      sh.queue.schedule_at(record.visible_at,
-                           [this, &sh, idx] { at_t4(sh, idx); });
-      sh.queue.schedule_at(record.confirmed_at, [this, &sh, idx, tx] {
-        Session* confirmed = session(idx);
-        if (confirmed == nullptr) return;
-        const chain::Transaction* applied = sh.ledger_b->find_transaction(tx);
-        if (applied != nullptr &&
-            applied->status == chain::TxStatus::kConfirmed) {
-          confirmed->claim_b_confirmed = sh.queue.now();
-        }
-      });
-      break;
-    }
-    case kClaimA: {
-      sh.queue.schedule_at(
-          ledger.transaction(tx).confirmed_at, [this, &sh, idx, tx] {
-            Session* confirmed = session(idx);
-            if (confirmed == nullptr) return;
-            const chain::Transaction* applied =
-                sh.ledger_a->find_transaction(tx);
-            if (applied != nullptr &&
-                applied->status == chain::TxStatus::kConfirmed) {
-              confirmed->claim_a_confirmed = sh.queue.now();
-            }
-          });
-      break;
-    }
-    default:
-      break;
-  }
+void PopulationSim::Shard::submit(proto::SwapMachine& m, std::size_t leg,
+                                  proto::TxRole role, chain::TxPayload payload,
+                                  chain::Hours /*deadline*/) {
+  sim->submit_intent(*this, m.tag(), stage_of(leg, role), std::move(payload));
 }
 
-void PopulationSim::enqueue_intent(Shard& sh, std::uint64_t idx, int stage,
-                                   chain::TxPayload payload, double fee,
-                                   double deadline, double when) {
+void PopulationSim::submit_intent(Shard& sh, std::uint64_t idx, int stage,
+                                  chain::TxPayload payload) {
+  SessionSwap& s = *session(idx);  // a live swap or a re-bid's live session
+  // Inclusion budgets: on A the slack added to the expiries for the lock,
+  // and a block and tau before t_a for the claim; on B, Bob's lock must
+  // confirm (tau_b) AND leave room for Alice's claim to be included and
+  // confirm before t_b -- two block margins of cushion.
+  const double t_a = s.legs[0].expiry;
+  const double t_b = s.legs[1].expiry;
+  const double block_a = config_.fee_a.block_interval;
+  const double block_b = config_.fee_b.block_interval;
+  double deadline = 0.0;
+  switch (stage) {
+    case kDeployA:
+      deadline = s.t0 + config_.expiry_slack;
+      break;
+    case kDeployB:
+      deadline = t_b - 2.0 * config_.tau_b - 2.0 * block_b;
+      break;
+    case kClaimB:
+      deadline = t_b - config_.tau_b - block_b;
+      break;
+    default:
+      deadline = t_a - config_.tau_a - block_a;
+      break;
+  }
+  const double now = in_parallel_phase_ ? sh.queue.now() : queue_.now();
+  if (now > deadline) {
+    s.swap.give_up(leg_of(stage), role_of(stage));
+    return;
+  }
+  const double fee = leg_of(stage) == 0 ? s.fee_a : s.fee_b;
   if (in_parallel_phase_) {
-    Session& s = *session(idx);
-    sh.intents.push_back(IntentRec{Stamp{when, idx, s.bseq++}, stage,
+    sh.intents.push_back(IntentRec{Stamp{now, idx, s.bseq++}, stage,
                                    std::move(payload), fee, deadline});
     return;
   }
@@ -483,194 +552,84 @@ void PopulationSim::enqueue_intent(Shard& sh, std::uint64_t idx, int stage,
   submit_to_market(idx, stage, std::move(payload), fee, deadline);
 }
 
+void PopulationSim::land(Shard& sh, std::uint64_t idx, int stage,
+                         chain::TxPayload payload) {
+  SessionSwap* s = session(idx);
+  if (s == nullptr) return;
+  chain::Ledger& ledger = *sh.ledgers[leg_of(stage)];
+  const chain::TxId tx = ledger.submit(std::move(payload));
+  // An included transaction always confirms: each lock is funded exactly,
+  // and the inclusion deadlines put every claim's confirmation a block
+  // before its contract's expiry.
+  s->confirmed[stage] = ledger.transaction(tx).confirmed_at;
+  s->swap.landed(leg_of(stage), role_of(stage), tx);
+}
+
 void PopulationSim::submit_to_market(std::uint64_t idx, int stage,
                                      chain::TxPayload payload, double fee,
                                      double deadline) {
-  FeeMarket& market =
-      (stage == kDeployA || stage == kClaimA) ? *market_a_ : *market_b_;
-  market.submit_tagged(
-      idx * 4 + static_cast<std::uint64_t>(stage), std::move(payload), fee,
-      deadline,
-      [this, idx, stage](DropReason reason) { handle_drop(idx, stage, reason); });
-}
-
-void PopulationSim::submit_deploy_a(Shard& sh, std::uint64_t idx) {
-  Session* sp = session(idx);
-  if (sp == nullptr) return;
-  Session& s = *sp;
-  // Inclusion budget on A: the slack added to the expiries.
-  const double now = in_parallel_phase_ ? sh.queue.now() : queue_.now();
-  const double deadline = s.t0 + config_.expiry_slack;
-  if (now > deadline) return;  // watchdog will classify as starved
-  chain::DeployHtlcPayload payload{{s.alice},
-                                   {s.bob},
-                                   chain::Amount::from_tokens(s.p_star),
-                                   s.secret.commitment(),
-                                   s.t_a_expiry,
-                                   chain::HtlcKind::kStandard};
-  enqueue_intent(sh, idx, kDeployA, payload, s.fee_a, deadline, now);
-}
-
-void PopulationSim::at_t2(Shard& sh, std::uint64_t idx) {
-  Session* sp = session(idx);
-  if (sp == nullptr) return;
-  Session& s = *sp;
-  if (s.finalized) return;
-  s.deploy_a_confirmed = sh.queue.now();
-  // Bob verified Alice's confirmed lock; he continues iff the epoch price
-  // sits in his rational continuation region (Eq. 24).
-  const double p = window_price_;
-  const GameEntry& game = game_entry(s.buyer_type, s.seller_type, s.p_star);
-  if (!game.t2_region.contains(p)) {
-    s.outcome = SessionOutcome::kAbortedT2;
-    return;  // Alice's lock auto-refunds at expiry; watchdog accounts it
-  }
-  submit_deploy_b(sh, idx);
-}
-
-void PopulationSim::submit_deploy_b(Shard& sh, std::uint64_t idx) {
-  Session* sp = session(idx);
-  if (sp == nullptr) return;
-  Session& s = *sp;
-  // Bob's lock must confirm (tau_b) AND leave room for Alice's claim to be
-  // included and confirm before t_b -- two block margins of cushion.
-  const double now = in_parallel_phase_ ? sh.queue.now() : queue_.now();
-  const double deadline = s.t_b_expiry - 2.0 * config_.tau_b -
-                          2.0 * config_.fee_b.block_interval;
-  if (now > deadline) return;
-  chain::DeployHtlcPayload payload{{s.bob},
-                                   {s.alice},
-                                   chain::Amount::from_tokens(1.0),
-                                   s.secret.commitment(),
-                                   s.t_b_expiry,
-                                   chain::HtlcKind::kStandard};
-  enqueue_intent(sh, idx, kDeployB, payload, s.fee_b, deadline, now);
-}
-
-void PopulationSim::at_t3(Shard& sh, std::uint64_t idx) {
-  Session* sp = session(idx);
-  if (sp == nullptr) return;
-  Session& s = *sp;
-  if (s.finalized) return;
-  s.deploy_b_confirmed = sh.queue.now();
-  // Alice reveals iff the epoch price clears her t3 cutoff (Eq. 19).
-  const double p = window_price_;
-  const GameEntry& game = game_entry(s.buyer_type, s.seller_type, s.p_star);
-  if (!(p > game.t3_cutoff)) {
-    s.outcome = SessionOutcome::kAbortedT3;
-    return;  // both locks auto-refund; watchdog accounts the lockup
-  }
-  submit_claim_b(sh, idx);
-}
-
-void PopulationSim::submit_claim_b(Shard& sh, std::uint64_t idx) {
-  Session* sp = session(idx);
-  if (sp == nullptr) return;
-  Session& s = *sp;
-  const double now = in_parallel_phase_ ? sh.queue.now() : queue_.now();
-  const double deadline =
-      s.t_b_expiry - config_.tau_b - config_.fee_b.block_interval;
-  if (now > deadline) return;
-  chain::ClaimHtlcPayload payload{s.htlc_b, s.secret, {s.alice}};
-  enqueue_intent(sh, idx, kClaimB, payload, s.fee_b, deadline, now);
-}
-
-void PopulationSim::at_t4(Shard& sh, std::uint64_t idx) {
-  Session* sp = session(idx);
-  if (sp == nullptr) return;
-  Session& s = *sp;
-  if (s.finalized) return;
-  s.revealed = true;
-  // t4 is dominance: claiming always beats forfeiting the locked token-a.
-  submit_claim_a(sh, idx);
-}
-
-void PopulationSim::submit_claim_a(Shard& sh, std::uint64_t idx) {
-  Session* sp = session(idx);
-  if (sp == nullptr) return;
-  Session& s = *sp;
-  const double now = in_parallel_phase_ ? sh.queue.now() : queue_.now();
-  const double deadline =
-      s.t_a_expiry - config_.tau_a - config_.fee_a.block_interval;
-  if (now > deadline) return;
-  chain::ClaimHtlcPayload payload{s.htlc_a, s.secret, {s.bob}};
-  enqueue_intent(sh, idx, kClaimA, payload, s.fee_a, deadline, now);
+  FeeMarket& market = leg_of(stage) == 0 ? *market_a_ : *market_b_;
+  // The drop callback keeps a copy of the payload for a re-bid.
+  market.submit_tagged(idx * 4 + static_cast<std::uint64_t>(stage), payload,
+                       fee, deadline,
+                       [this, idx, stage, payload](DropReason reason) mutable {
+                         handle_drop(idx, stage, std::move(payload), reason);
+                       });
 }
 
 void PopulationSim::handle_drop(std::uint64_t idx, int stage,
-                                DropReason reason) {
-  Session* sp = session(idx);
+                                chain::TxPayload payload, DropReason reason) {
+  SessionSwap* sp = session(idx);
   if (sp == nullptr) return;
-  Session& s = *sp;
+  SessionSwap& s = *sp;
   if (s.finalized) return;
   if (reason == DropReason::kEvicted) {
     // Strategic re-bid: escalate the fee while the bid ceiling allows --
     // the resubmission deadline tightens on its own as expiry approaches.
-    double& fee = (stage == kDeployA || stage == kClaimA) ? s.fee_a : s.fee_b;
+    double& fee = leg_of(stage) == 0 ? s.fee_a : s.fee_b;
     const double escalated = fee * config_.rebid_factor;
     if (escalated <= config_.max_fee) {
       fee = escalated;
       ++result_.rebids;
-      Shard& sh = *shards_[idx % shards_.size()];
-      switch (stage) {
-        case kDeployA:
-          submit_deploy_a(sh, idx);
-          return;
-        case kDeployB:
-          submit_deploy_b(sh, idx);
-          return;
-        case kClaimB:
-          submit_claim_b(sh, idx);
-          return;
-        case kClaimA:
-          submit_claim_a(sh, idx);
-          return;
-        default:
-          return;
-      }
+      submit_intent(*shards_[idx % shards_.size()], idx, stage,
+                    std::move(payload));
+      return;
     }
   }
-  // Expired, or the bid ceiling was hit: the stage is starved.  Whatever
-  // is locked auto-refunds at expiry; the watchdog classifies the session
-  // (kStarved, or kAtomicityLost when the secret was already public).
+  // Expired, or the bid ceiling was hit: the stage is starved.  Whatever is
+  // locked auto-refunds at expiry.
+  s.swap.give_up(leg_of(stage), role_of(stage));
 }
 
 void PopulationSim::finalize(Shard& sh, std::uint64_t idx) {
-  Session* sp = session(idx);
+  SessionSwap* sp = session(idx);
   if (sp == nullptr) return;
-  Session& s = *sp;
+  SessionSwap& s = *sp;
   if (s.finalized) return;
   s.finalized = true;
-  const bool claim_a_ok = !std::isnan(s.claim_a_confirmed);
-  const bool claim_b_ok = !std::isnan(s.claim_b_confirmed);
-  if (s.outcome == SessionOutcome::kPending) {
-    if (claim_a_ok && claim_b_ok) {
-      s.outcome = SessionOutcome::kCompleted;
-    } else if (s.revealed) {
-      s.outcome = SessionOutcome::kAtomicityLost;
-    } else {
-      s.outcome = SessionOutcome::kStarved;
-    }
-  }
 
   // Latency and capital lockup.  Unclaimed locks refund tau after expiry
   // (the paper's t7/t8 receipt times), which the ledger schedules on its
   // own; the analytic times below equal those events' confirmations.
+  const double claim_a = s.confirmed[kClaimA];
+  const double claim_b = s.confirmed[kClaimB];
   FinalRec rec;
   rec.stamp = Stamp{sh.queue.now(), idx, s.bseq++};
-  rec.outcome = s.outcome;
-  if (s.outcome == SessionOutcome::kCompleted) {
-    rec.latency = std::max(s.claim_a_confirmed, s.claim_b_confirmed) - s.t0;
+  rec.outcome = s.swap.outcome();
+  if (rec.outcome == proto::SwapOutcome::kSuccess) {
+    rec.latency = std::max(claim_a, claim_b) - s.t0;
   }
-  if (!std::isnan(s.deploy_a_confirmed)) {
-    const double settle =
-        claim_a_ok ? s.claim_a_confirmed : s.t_a_expiry + config_.tau_a;
-    rec.lockup_a = s.p_star * (settle - s.deploy_a_confirmed);
+  if (const double locked = s.confirmed[kDeployA]; !std::isnan(locked)) {
+    const double settle = !std::isnan(claim_a)
+                              ? claim_a
+                              : s.legs[0].expiry + config_.tau_a;
+    rec.lockup_a = s.legs[0].amount * (settle - locked);
   }
-  if (!std::isnan(s.deploy_b_confirmed)) {
-    const double settle =
-        claim_b_ok ? s.claim_b_confirmed : s.t_b_expiry + config_.tau_b;
-    rec.lockup_b = settle - s.deploy_b_confirmed;
+  if (const double locked = s.confirmed[kDeployB]; !std::isnan(locked)) {
+    const double settle = !std::isnan(claim_b)
+                              ? claim_b
+                              : s.legs[1].expiry + config_.tau_b;
+    rec.lockup_b = settle - locked;
   }
   sh.finals.push_back(rec);
 
@@ -678,16 +637,10 @@ void PopulationSim::finalize(Shard& sh, std::uint64_t idx) {
     TraceRec t;
     t.stamp = Stamp{sh.queue.now(), idx, s.bseq++};
     t.start = false;
-    t.outcome = s.outcome;
+    t.outcome = rec.outcome;
     t.latency = rec.latency;
     sh.traces.push_back(std::move(t));
   }
-  // Release per-session heap state; the deque entry itself stays until a
-  // compaction sweep (or forever, when compaction is off -- it is cheap).
-  s.alice.clear();
-  s.alice.shrink_to_fit();
-  s.bob.clear();
-  s.bob.shrink_to_fit();
 }
 
 // --- barrier ---------------------------------------------------------------
@@ -731,7 +684,7 @@ void PopulationSim::merge_window(double e1) {
     } else {
       trace_->record(t.stamp.when, obs::TraceKind::kOutcome,
                      {{"session", t.stamp.idx},
-                      {"outcome", to_string(t.outcome)},
+                      {"outcome", tally(t.outcome).label},
                       {"latency_hours", t.latency}});
     }
   }
@@ -745,29 +698,8 @@ void PopulationSim::merge_window(double e1) {
 
   // Finalizations: outcome counters, latency sample, lockup folds.
   for (const FinalRec& f : merged_finals_) {
-    switch (f.outcome) {
-      case SessionOutcome::kNeverInitiated:
-        ++result_.never_initiated;
-        break;
-      case SessionOutcome::kAbortedT2:
-        ++result_.aborted_t2;
-        break;
-      case SessionOutcome::kAbortedT3:
-        ++result_.aborted_t3;
-        break;
-      case SessionOutcome::kCompleted:
-        ++result_.completed;
-        break;
-      case SessionOutcome::kStarved:
-        ++result_.starved;
-        break;
-      case SessionOutcome::kAtomicityLost:
-        ++result_.atomicity_lost;
-        break;
-      case SessionOutcome::kPending:
-        break;
-    }
-    if (f.outcome == SessionOutcome::kCompleted) {
+    ++(result_.*tally(f.outcome).counter);
+    if (f.outcome == proto::SwapOutcome::kSuccess) {
       latencies_.push_back(f.latency);
     }
     if (!std::isnan(f.lockup_a)) lockup_a_sum_.add(f.lockup_a);
@@ -784,8 +716,9 @@ void PopulationSim::merge_window(double e1) {
       ++merge_expired_;
       const std::uint64_t idx = rec.stamp.idx;
       const int stage = rec.stage;
-      queue_.schedule_at(queue_.now(), [this, idx, stage] {
-        handle_drop(idx, stage, DropReason::kExpired);
+      queue_.schedule_at(queue_.now(), [this, idx, stage,
+                                        payload = std::move(rec.payload)]() mutable {
+        handle_drop(idx, stage, std::move(payload), DropReason::kExpired);
       });
     } else {
       submit_to_market(rec.stamp.idx, rec.stage, std::move(rec.payload),
@@ -811,14 +744,19 @@ void PopulationSim::merge_window(double e1) {
   maybe_compact(e1);
 }
 
-bool PopulationSim::session_settled(const Shard& sh, const Session& s) const {
-  const auto locked = [](const chain::Ledger& ledger, chain::HtlcId id) {
-    // id 0 = never deployed; a retired contract was settled by definition
-    // (compact() never drops a locked one).
-    if (id.value == 0 || !ledger.has_htlc(id)) return false;
-    return ledger.htlc(id).state == chain::HtlcState::kLocked;
-  };
-  return !locked(*sh.ledger_a, s.htlc_a) && !locked(*sh.ledger_b, s.htlc_b);
+bool PopulationSim::session_settled(const Shard& sh,
+                                    const SessionSwap& s) const {
+  // Contract id 0 = never deployed; a retired contract was settled by
+  // definition (compact() never drops a locked one).
+  for (std::size_t leg = 0; leg < 2; ++leg) {
+    const chain::HtlcId id = s.swap.contract_id(leg);
+    const chain::Ledger& ledger = *sh.ledgers[leg];
+    if (id.value != 0 && ledger.has_htlc(id) &&
+        ledger.htlc(id).state == chain::HtlcState::kLocked) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void PopulationSim::maybe_compact(double now) {
@@ -833,15 +771,15 @@ void PopulationSim::maybe_compact(double now) {
   // after the watchdog when t_b_expiry + tau_b exceeds it), so stop at the
   // first session still waiting on a locked contract.
   while (!sessions_.empty()) {
-    const Session& s = sessions_.front();
+    SessionSwap& s = sessions_.front();
     Shard& sh = *shards_[session_offset_ % shards_.size()];
     if (!s.finalized || !session_settled(sh, s)) break;
-    if (s.initiated) {
-      const std::string tag = std::to_string(session_offset_);
-      sh.ledger_a->retire_account({"A" + tag});
-      sh.ledger_a->retire_account({"B" + tag});
-      sh.ledger_b->retire_account({"A" + tag});
-      sh.ledger_b->retire_account({"B" + tag});
+    if (s.swap.initiated()) {
+      for (chain::Ledger* ledger : sh.ledgers) {
+        for (const proto::SwapParty& party : s.parties) {
+          ledger->retire_account(party.name);
+        }
+      }
       result_.accounts_retired += 4;
     }
     sessions_.pop_front();

@@ -46,18 +46,20 @@
 // cell kind (engine/run_spec.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "agents/strategy.hpp"
 #include "chain/event_queue.hpp"
-#include "crypto/secret.hpp"
 #include "chain/ledger.hpp"
 #include "market/order_book.hpp"
 #include "market/population/fee_market.hpp"
@@ -65,6 +67,8 @@
 #include "math/rng.hpp"
 #include "math/stats.hpp"
 #include "model/params.hpp"
+#include "proto/price_path.hpp"
+#include "proto/swap_machine.hpp"
 
 namespace swapgame::obs {
 class MetricsRegistry;
@@ -188,21 +192,6 @@ struct PopulationConfig {
   /// invalid chain/fee parameters.
   void validate() const;
 };
-
-/// Terminal classification of one matched session.
-enum class SessionOutcome : std::uint8_t {
-  kPending,         ///< not yet finalized (never appears in results)
-  kNeverInitiated,  ///< Alice's t1 threshold rejected the matched rate
-  kAbortedT2,       ///< Bob declined to lock (P left his t2 region)
-  kAbortedT3,       ///< Alice declined to reveal (P below her t3 cutoff)
-  kCompleted,       ///< both claims confirmed
-  kStarved,         ///< a pre-reveal transaction never landed in time;
-                    ///< both sides refunded (benign unwind)
-  kAtomicityLost,   ///< Alice's reveal landed but Bob's claim starved:
-                    ///< Bob paid token-b and his token-a refunded to Alice
-};
-
-[[nodiscard]] const char* to_string(SessionOutcome outcome) noexcept;
 
 /// Everything a population run produces.
 struct PopulationResult {
@@ -329,7 +318,7 @@ class PopulationSim {
   /// A finalization's contribution to the result statistics.
   struct FinalRec {
     Stamp stamp;
-    SessionOutcome outcome = SessionOutcome::kPending;
+    proto::SwapOutcome outcome = proto::SwapOutcome::kNotInitiated;
     double latency = std::numeric_limits<double>::quiet_NaN();
     double lockup_a = std::numeric_limits<double>::quiet_NaN();
     double lockup_b = std::numeric_limits<double>::quiet_NaN();
@@ -342,7 +331,7 @@ class PopulationSim {
     double p_star = 0.0;
     double price = 0.0;
     double t1_cont = 0.0;
-    SessionOutcome outcome = SessionOutcome::kPending;
+    proto::SwapOutcome outcome = proto::SwapOutcome::kNotInitiated;
     double latency = std::numeric_limits<double>::quiet_NaN();
   };
 
@@ -354,14 +343,19 @@ class PopulationSim {
     std::vector<double> roots;
   };
 
-  /// One worker shard: a private event queue and ledger pair plus the
-  /// per-epoch effect buffers.  Sessions with index % workers == shard
-  /// live here; only the owning worker touches any of it during the
-  /// parallel phase.
-  struct Shard {
+  /// One worker shard: a private event queue and ledger pair shared by
+  /// its sessions' swaps (their proto::SwapEnv), plus the per-epoch effect
+  /// buffers.  Sessions with index % workers == shard live here; only the
+  /// owning worker touches any of it during the parallel phase.  The shard
+  /// is its swaps' sink: every transaction goes through its chain's fee
+  /// market (PopulationSim::submit_intent).
+  struct Shard final : proto::SwapSink {
+    PopulationSim* sim = nullptr;
     chain::EventQueue queue;
     std::unique_ptr<chain::Ledger> ledger_a;
     std::unique_ptr<chain::Ledger> ledger_b;
+    chain::Ledger* ledgers[2] = {nullptr, nullptr};  ///< leg 0: A, leg 1: B
+    proto::SwapEnv env;
     chain::Amount minted_a;
     chain::Amount minted_b;
     std::vector<IntentRec> intents;
@@ -369,34 +363,121 @@ class PopulationSim {
     std::vector<FinalRec> finals;
     std::vector<TraceRec> traces;
     double max_event_time = 0.0;  ///< last processed event (end_time fold)
+
+    void submit(proto::SwapMachine& m, std::size_t leg, proto::TxRole role,
+                chain::TxPayload payload, chain::Hours deadline) override;
   };
 
-  /// One matched session's protocol state (the event-driven t1..t4 run).
-  struct Session {
-    std::uint32_t buyer_type = 0;
-    std::uint32_t seller_type = 0;
-    std::uint32_t bseq = 0;  ///< birth order of this session's buffered recs
-    double p_star = 0.0;
+  /// The rational threshold rules of model::BasicGame for one (buyer,
+  /// seller) type pair, read from the threshold caches at the decision
+  /// context's price -- the epoch-frozen price.  Stateless, so the
+  /// sessions of every shard share one per pair.
+  class ThresholdStrategy final : public agents::Strategy {
+   public:
+    ThresholdStrategy(PopulationSim& sim, std::uint32_t buyer_type,
+                      std::uint32_t seller_type)
+        : sim_(&sim), buyer_type_(buyer_type), seller_type_(seller_type) {}
+    [[nodiscard]] model::Action decide(
+        agents::Stage stage, const agents::DecisionContext& ctx) override;
+    [[nodiscard]] std::string_view name() const noexcept override {
+      return "population-threshold";
+    }
+
+   private:
+    PopulationSim* sim_;
+    std::uint32_t buyer_type_;
+    std::uint32_t seller_type_;
+  };
+
+  /// The epoch-frozen decision price, quoted to the strategies.
+  class EpochPrice final : public proto::PricePath {
+   public:
+    explicit EpochPrice(const double& price) : price_(&price) {}
+    [[nodiscard]] double price_at(chain::Hours) const override {
+      return *price_;
+    }
+
+   private:
+    const double* price_;
+  };
+
+  /// One matched session: the 2-cycle it runs on its shard's environment
+  /// (leg 0: the buyer Alice locks P* token-a on chain A; leg 1: the
+  /// seller Bob locks 1 token-b on chain B) and what the result roll-up
+  /// needs.  Lives in a deque, which never moves it: the machine's graph
+  /// points at the legs and parties.
+  struct SessionSwap {
+    SessionSwap(proto::SwapEnv& env, std::uint64_t idx, std::uint64_t seed,
+                double p_star, agents::Strategy& strategy);
+    SessionSwap(const SessionSwap&) = delete;
+    SessionSwap& operator=(const SessionSwap&) = delete;
+
+    proto::SwapLeg legs[2];  ///< expiries set when the session starts
+    proto::SwapParty parties[2];
+    proto::SwapMachine swap;
     double t0 = 0.0;
-    double impact_dir = 0.0;  ///< taker side, applied at initiation
-    double t_a_expiry = 0.0;
-    double t_b_expiry = 0.0;
     double fee_a = 0.0;  ///< current bid on chain A (escalates on eviction)
     double fee_b = 0.0;
-    math::Xoshiro256 rng;  ///< counter-keyed per-session stream
-    crypto::Secret secret;
-    std::string alice;  ///< account name on both chains
-    std::string bob;
-    chain::HtlcId htlc_a{};
-    chain::HtlcId htlc_b{};
-    double deploy_a_confirmed = std::numeric_limits<double>::quiet_NaN();
-    double deploy_b_confirmed = std::numeric_limits<double>::quiet_NaN();
-    double claim_b_confirmed = std::numeric_limits<double>::quiet_NaN();
-    double claim_a_confirmed = std::numeric_limits<double>::quiet_NaN();
-    bool initiated = false;
-    bool revealed = false;  ///< secret hit the chain-B mempool
+    /// Confirmation time of each fee-market stage's transaction (NaN until
+    /// a block includes it).
+    double confirmed[4];
+    std::uint32_t bseq = 0;  ///< birth order of this session's buffered recs
+    std::uint8_t buyer_type = 0;
+    std::uint8_t seller_type = 0;
+    bool taker_buys = false;  ///< impact direction, applied at initiation
     bool finalized = false;
-    SessionOutcome outcome = SessionOutcome::kPending;
+  };
+
+  /// Records appended at the back and retired from the front, stored in
+  /// blocks of kBlock: std::deque's 512-byte nodes would hold a single
+  /// SessionSwap each, doubling the memory of the live sessions.  Records
+  /// never move.
+  template <class T, std::size_t kBlock = 64>
+  class BlockDeque {
+   public:
+    BlockDeque() = default;
+    BlockDeque(const BlockDeque&) = delete;
+    BlockDeque& operator=(const BlockDeque&) = delete;
+    ~BlockDeque() {
+      while (size_ > 0) pop_front();
+    }
+
+    template <class... Args>
+    T& emplace_back(Args&&... args) {
+      const std::size_t slot = head_ + size_;
+      if (slot == blocks_.size() * kBlock) {
+        blocks_.push_back(std::make_unique<Block>());
+      }
+      T* record = ::new (raw(slot)) T(std::forward<Args>(args)...);
+      ++size_;
+      return *record;
+    }
+    void pop_front() {
+      (*this)[0].~T();
+      --size_;
+      if (++head_ == kBlock) {
+        blocks_.pop_front();
+        head_ = 0;
+      }
+    }
+    [[nodiscard]] T& operator[](std::size_t i) {
+      return *std::launder(reinterpret_cast<T*>(raw(head_ + i)));
+    }
+    [[nodiscard]] T& front() { return (*this)[0]; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+   private:
+    struct Block {
+      alignas(T) std::byte bytes[kBlock][sizeof(T)];
+    };
+    [[nodiscard]] std::byte* raw(std::size_t slot) {
+      return blocks_[slot / kBlock]->bytes[slot % kBlock];
+    }
+
+    std::deque<std::unique_ptr<Block>> blocks_;
+    std::size_t head_ = 0;  ///< slot of the front record in blocks_[0]
+    std::size_t size_ = 0;
   };
 
   // --- decision thresholds (two-level tick-quantized cache) -------------
@@ -428,37 +509,34 @@ class PopulationSim {
   void on_arrival();
   void spawn_session(const Match& match);
 
-  // --- session state machine (parallel phase, shard-confined) ------------
+  // --- sessions (parallel phase, shard-confined) -------------------------
   /// The session with GLOBAL index idx, or nullptr when it was already
   /// retired -- every queued callback holds an index, so a late firing
   /// (watchdog of a never-initiated session, fee-market sweep) must
   /// degrade to a checked no-op instead of a dangling deque access.
-  [[nodiscard]] Session* session(std::uint64_t idx) noexcept;
+  [[nodiscard]] SessionSwap* session(std::uint64_t idx) noexcept;
   /// True once neither of the session's contracts is still locked (all
   /// refunds/claims credited), making its accounts safe to retire.
-  [[nodiscard]] bool session_settled(const Shard& sh, const Session& s) const;
+  [[nodiscard]] bool session_settled(const Shard& sh,
+                                     const SessionSwap& s) const;
   void init_session(Shard& sh, std::uint64_t idx);
-  void include_job(Shard& sh, std::uint64_t idx, int stage,
-                   chain::TxPayload payload);
-  void submit_deploy_a(Shard& sh, std::uint64_t idx);
-  void submit_deploy_b(Shard& sh, std::uint64_t idx);
-  void submit_claim_b(Shard& sh, std::uint64_t idx);
-  void submit_claim_a(Shard& sh, std::uint64_t idx);
-  void at_t2(Shard& sh, std::uint64_t idx);
-  void at_t3(Shard& sh, std::uint64_t idx);
-  void at_t4(Shard& sh, std::uint64_t idx);
+  /// A block included the session's `stage` transaction: submit it to the
+  /// shard's ledger and tell the swap.
+  void land(Shard& sh, std::uint64_t idx, int stage, chain::TxPayload payload);
   void finalize(Shard& sh, std::uint64_t idx);
-  /// Buffers the intent during the parallel phase; submits directly when
-  /// called serially (re-bids after drops).
-  void enqueue_intent(Shard& sh, std::uint64_t idx, int stage,
-                      chain::TxPayload payload, double fee, double deadline,
-                      double when);
+  /// The sink proper: checks the stage's inclusion deadline (giving the
+  /// transaction up once it has passed), then buffers the intent during
+  /// the parallel phase or submits it directly when called serially
+  /// (re-bids after drops).
+  void submit_intent(Shard& sh, std::uint64_t idx, int stage,
+                     chain::TxPayload payload);
 
   // --- serial phase / barrier --------------------------------------------
   void submit_to_market(std::uint64_t idx, int stage, chain::TxPayload payload,
                         double fee, double deadline);
-  /// Re-bid after an eviction (escalated fee) or mark the session starved.
-  void handle_drop(std::uint64_t idx, int stage, DropReason reason);
+  /// Re-bid after an eviction (escalated fee) or give the transaction up.
+  void handle_drop(std::uint64_t idx, int stage, chain::TxPayload payload,
+                   DropReason reason);
   /// The epoch barrier: folds every shard buffer in stamp order, then
   /// compacts.  `e1` is the epoch boundary all queues were advanced to.
   void merge_window(double e1);
@@ -487,7 +565,10 @@ class PopulationSim {
   double min_price_ = 0.0;
   double max_price_ = 0.0;
 
-  std::deque<Session> sessions_;  ///< global index session_offset_ + i
+  std::vector<ThresholdStrategy> strategies_;  ///< by buyer * types + seller
+  EpochPrice epoch_price_{window_price_};
+  proto::SwapSetup swap_options_;  ///< every shard env's run options
+  BlockDeque<SessionSwap> sessions_;  ///< global index session_offset_ + i
   std::uint64_t session_offset_ = 0;  ///< sessions retired off the front
   std::uint64_t finalized_since_compact_ = 0;
   std::map<std::uint64_t, std::uint32_t> order_types_;  ///< order id -> type

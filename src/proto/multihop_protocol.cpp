@@ -25,6 +25,7 @@ MultihopResult run_multihop_swap(const MultihopSetup& setup,
   static agents::HonestStrategy honest;  // for parties without a strategy
   std::vector<SwapParty> parties;
   std::vector<SwapLeg> legs;
+  std::vector<LegChain> chains;
   for (std::size_t i = 0; i < n; ++i) {
     const HopParty& hop = setup.parties[i];
     if (!(hop.amount > 0.0)) {
@@ -38,22 +39,27 @@ MultihopResult run_multihop_swap(const MultihopSetup& setup,
     const double claim_index = cycle - 1.0 - static_cast<double>(i);
     const double expiry = cycle * setup.tau + claim_index * setup.eps +
                           setup.tau + setup.safety_margin;
-    legs.push_back({{chain::ChainId::kChainA, setup.tau, setup.eps}, i,
-                    (i + 1) % n, hop.amount, expiry, hop.amount, 0.0,
-                    nullptr});
+    legs.push_back({static_cast<std::uint32_t>(i),
+                    static_cast<std::uint32_t>((i + 1) % n), hop.amount,
+                    expiry});
+    chains.push_back(
+        {{chain::ChainId::kChainA, setup.tau, setup.eps}, hop.amount, 0.0});
   }
   // The run environment: no faults, auditing or tracing; decision contexts
   // carry no agreed rate.
   SwapSetup env;
-  env.p_star = 0.0;
-  env.secret_seed = setup.secret_seed;
   env.audit = false;
-  SwapMachine machine({legs, parties, false, model::Schedule{}}, env, path);
-  machine.run();
+  SwapGraph graph;
+  graph.legs = legs;
+  graph.parties = parties;
+  graph.secret_seed = setup.secret_seed;
+  DirectRun run(graph, chains, env, path);
+  run.run();
+  const SwapMachine& machine = run.machine();
 
   MultihopResult result;
   result.outcome = machine.outcome();
-  result.conservation_ok = machine.conservation_ok();
+  result.conservation_ok = run.conservation_ok();
   result.paid.resize(n);
   result.received.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -64,10 +70,10 @@ MultihopResult run_multihop_swap(const MultihopSetup& setup,
       result.completion_time = std::max(result.completion_time, c->settled_at);
     }
     // P_i pays on leg i and is paid on leg i-1.
-    result.paid[i] = setup.parties[i].amount - machine.balance(i, i);
-    result.received[i] = machine.balance((i + n - 1) % n, i);
+    result.paid[i] = setup.parties[i].amount - run.balance(i, i);
+    result.received[i] = run.balance((i + n - 1) % n, i);
   }
-  result.audit = machine.take_audit();
+  result.audit = run.take_audit();
   return result;
 }
 

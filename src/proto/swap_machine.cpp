@@ -1,8 +1,10 @@
 #include "swap_machine.hpp"
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "obs/trace.hpp"
 
@@ -16,101 +18,102 @@ using chain::Hours;
 /// and Chain_b (expiries t_a, t_b) for the 2-cycle.
 char leg_letter(std::size_t leg) { return static_cast<char>('a' + leg % 26); }
 
+/// A number in std::to_string's format, rendered only when an audit line
+/// is kept.
+struct Fixed {
+  double value;
+};
+std::ostream& operator<<(std::ostream& os, Fixed f) {
+  return os << std::to_string(f.value);
+}
+
+/// The first 16 hex digits of a hash lock, rendered only when kept.
+struct HashPrefix {
+  const crypto::Digest256* hash;
+};
+std::ostream& operator<<(std::ostream& os, HashPrefix h) {
+  return os << h.hash->to_hex().substr(0, 16);
+}
+
+/// A wait's key: the transaction's leg and role.
+std::uint32_t wait_key(std::size_t leg, TxRole role) {
+  return static_cast<std::uint32_t>(leg * 4 + static_cast<std::size_t>(role));
+}
+
 }  // namespace
 
-SwapMachine::SwapMachine(const SwapGraph& graph, const SwapSetup& setup,
-                         const PricePath& path)
-    : graph_(graph), setup_(&setup), path_(&path) {
-  const std::size_t n = graph.legs.size();
-  if (n > 2) heap_legs_ = std::make_unique<LegRun[]>(n);
-  legs_ = std::span<LegRun>(n > 2 ? heap_legs_.get() : inline_legs_, n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const SwapLeg& spec = graph.legs[k];
-    LegRun& leg = legs_[k];
-    leg.spec = &spec;
-    // Leg k draws its latency and fault streams from the setup's seeds
-    // XOR k times a per-stream constant, so leg 0 uses the seeds as given.
-    leg.latency_rng =
-        math::Xoshiro256(setup.latency_seed ^ (k * 0x517CC1B727220A95ULL));
-    chain::Ledger& ledger = leg.ledger.emplace(spec.chain, queue_,
-                                               &leg.latency_rng);
-    ledger.create_account(party(spec.payer).name,
-                          chain::Amount::from_tokens(spec.payer_balance));
-    ledger.create_account(party(spec.payee).name,
-                          chain::Amount::from_tokens(spec.payee_balance));
-    leg.initial_supply = ledger.total_supply();
-    // Injectors are attached only when their model is active, so a
-    // zero-fault run is byte-identical to one without any fault plumbing.
-    if (spec.faults != nullptr && spec.faults->any()) {
-      ledger.set_fault_injector(&leg.injector.emplace(
-          *spec.faults, setup.faults.seed ^ (k * 0x9E3779B97F4A7C15ULL)));
-    }
-    if (setup.audit) leg.auditor.attach(ledger);
-    if (setup.trace != nullptr) {
-      ledger.set_trace(setup.trace);
-      if (leg.injector) {
-        leg.injector->set_trace(setup.trace, chain::to_string(spec.chain.id));
-      }
-    }
-  }
-  if (setup.metrics != nullptr) queue_.set_metrics(setup.metrics);
-  if (setup.trace != nullptr) {
-    setup.trace->record(0.0, obs::TraceKind::kRunStart,
-                        {{"p_star", setup.p_star},
-                         {"collateral", setup.collateral},
-                         {"premium", setup.premium},
-                         {"t_a", graph.legs.front().expiry},
-                         {"t_b", graph.legs.back().expiry},
-                         {"expiry_margin", setup.expiry_margin},
-                         {"faults", setup.faults.any()}});
+// --- SwapMachine --------------------------------------------------------------
+
+SwapMachine::SwapMachine(const SwapGraph& graph, SwapEnv& env)
+    : graph_(graph), env_(&env) {
+  if (graph.legs.size() > 2) {
+    heap_legs_ = std::make_unique<LegTx[]>(graph.legs.size());
   }
 }
 
-void SwapMachine::run() {
-  initiate();
-  queue_.run();  // drain confirmations, refunds and oracle releases
-  reconcile_outcome();
+void SwapMachine::start() { initiate(); }
+
+TrackedTx& SwapMachine::slot(std::size_t leg, TxRole role) {
+  switch (role) {
+    case TxRole::kDeploy:
+      return leg_tx(leg).deploy;
+    case TxRole::kClaim:
+      return leg_tx(leg).claim;
+    case TxRole::kPremiumEscrow:
+      return env_->premium_escrow;
+    case TxRole::kPremiumSettlement:
+      break;
+  }
+  return env_->premium_settlement;
 }
 
-double SwapMachine::balance(std::size_t leg, std::size_t party) const {
-  return legs_[leg].ledger->balance(graph_.parties[party].name).tokens();
+void SwapMachine::landed(std::size_t leg, TxRole role, chain::TxId id) {
+  slot(leg, role).id = id;
+  if (role == TxRole::kDeploy) {
+    leg_tx(leg).contract = chain_of(leg).pending_contract_of(id);
+  }
+  if (awaiting_ == wait_key(leg, role)) {
+    awaiting_ = kNoWait;
+    await(leg, role);
+  }
+}
+
+void SwapMachine::give_up(std::size_t leg, TxRole role) {
+  TrackedTx& tx = slot(leg, role);
+  tx.abandoned = true;
+  // A broadcast that landed and was dropped: the waits stop polling for it
+  // and the epochs after them classify the wreckage.
+  if (tx.id.value != 0) return;
+  // Never on the ledger: the epoch waiting for it can never start.
+  if (awaiting_ == wait_key(leg, role)) awaiting_ = kNoWait;
+  if (role == TxRole::kDeploy) {
+    outcome_ = SwapOutcome::kFaultAborted;
+    log("lock on Chain_", leg_letter(leg), " never landed; fault abort");
+  } else if (role == TxRole::kClaim && leg + 1 == graph_.legs.size()) {
+    outcome_ = SwapOutcome::kTimelockExpiredBoth;
+    log("reveal on Chain_", leg_letter(leg),
+        " never landed; both legs will refund");
+  } else if (role == TxRole::kClaim) {
+    outcome_ = SwapOutcome::kBobMissedT4;
+    log("claim on Chain_", leg_letter(leg), " never landed");
+  }
+}
+
+crypto::Secret SwapMachine::secret() const {
+  math::Xoshiro256 rng(graph_.secret_seed);
+  return crypto::Secret::generate(rng);
 }
 
 const chain::HtlcContract* SwapMachine::contract(std::size_t leg) const {
-  const LegRun& run = legs_[leg];
-  if (!run.deploy) return nullptr;
-  const chain::Transaction& tx = run.ledger->transaction(run.deploy->id);
-  if (!tx.created_contract || !run.ledger->has_htlc(*tx.created_contract)) {
-    return nullptr;
-  }
-  return &run.ledger->htlc(*tx.created_contract);
-}
-
-bool SwapMachine::conservation_ok() const {
-  return std::all_of(legs_.begin(), legs_.end(), [](const LegRun& leg) {
-    return leg.ledger->total_supply() == leg.initial_supply;
-  });
-}
-
-void SwapMachine::report(SwapResult& result) {
-  result.conservation_ok = conservation_ok();
-  std::uint64_t dropped = 0;
-  for (const LegRun& leg : legs_) {
-    if (leg.injector) dropped += leg.injector->dropped();
-    for (const chain::InvariantAuditor::Violation& v :
-         leg.auditor.violations()) {
-      result.invariant_violations.push_back(
-          "[t=" + std::to_string(v.at) + "h tx " +
-          std::to_string(v.tx.value) + "] " + v.what);
-    }
-  }
-  result.invariants_ok = result.invariant_violations.empty();
-  result.dropped_txs = static_cast<int>(dropped);
-  result.rebroadcasts = rebroadcasts_;
+  const LegTx& tx = leg_tx(leg);
+  if (tx.deploy.id.value == 0) return nullptr;
+  const chain::Ledger& ledger = chain_of(leg);
+  return ledger.has_htlc(tx.contract) ? &ledger.htlc(tx.contract) : nullptr;
 }
 
 agents::DecisionContext SwapMachine::context() const {
-  return {path_->price_at(queue_.now()), setup_->p_star, queue_.now()};
+  const Hours now = env_->queue->now();
+  return {env_->path->price_at(now), graph_.p_star, now};
 }
 
 /// Consults party `who` and records the decision epoch with its full
@@ -120,100 +123,77 @@ model::Action SwapMachine::decide(std::size_t who, agents::Stage stage) {
   const agents::DecisionContext ctx = context();
   agents::Strategy& strategy = *party(who).strategy;
   const model::Action action = strategy.decide(stage, ctx);
-  if (setup_->trace != nullptr) {
-    setup_->trace->record(queue_.now(), obs::TraceKind::kDecision,
-                          {{"party", party(who).name.value},
-                           {"stage", agents::to_string(stage)},
-                           {"strategy", std::string(strategy.name())},
-                           {"action", std::string(model::to_string(action))},
-                           {"price", ctx.price},
-                           {"p_star", ctx.p_star},
-                           {"rule", strategy.decision_rule(stage)}});
+  if (obs::TraceRecorder* trace = env_->setup->trace; trace != nullptr) {
+    trace->record(ctx.now, obs::TraceKind::kDecision,
+                  {{"party", party(who).name.value},
+                   {"stage", agents::to_string(stage)},
+                   {"strategy", std::string(strategy.name())},
+                   {"action", std::string(model::to_string(action))},
+                   {"price", ctx.price},
+                   {"p_star", ctx.p_star},
+                   {"rule", strategy.decision_rule(stage)}});
   }
   return action;
 }
 
-// --- Fault-tolerant broadcasting. ------------------------------------------
-
-SwapMachine::TrackedTx& SwapMachine::submit_tracked(
-    std::optional<TrackedTx>& slot, chain::Ledger& chain,
-    chain::TxPayload payload, Hours deadline) {
-  TrackedTx& tracked = slot.emplace();
-  tracked.id = chain.submit(payload);
-  watch_broadcast(chain, &tracked, std::move(payload), deadline, 0);
-  return tracked;
+void SwapMachine::broadcast(std::size_t leg, TxRole role,
+                            chain::TxPayload payload) {
+  env_->sink->submit(*this, leg, role, std::move(payload),
+                     graph_.legs[leg].expiry);
 }
 
-/// The sender detects a drop once the transaction fails to appear in the
-/// mempool (one visibility period after broadcast) and re-broadcasts with
-/// exponential backoff until `deadline` (the relevant HTLC expiry, past
-/// which a landing would be useless anyway).
-void SwapMachine::watch_broadcast(chain::Ledger& chain, TrackedTx* tracked,
-                                  chain::TxPayload payload, Hours deadline,
-                                  int attempt) {
-  if (chain.transaction(tracked->id).status != chain::TxStatus::kDropped) {
+/// Without a drop the epoch starts at exactly max(earliest, ready time).
+/// While re-broadcasts are in flight it polls each eps+tau; once the leg's
+/// expiry passes (or re-broadcasting was abandoned) it starts regardless,
+/// letting the normal verification-failure / timeout paths classify the
+/// wreckage.
+void SwapMachine::await(std::size_t leg, TxRole role) {
+  const TrackedTx& tracked = slot(leg, role);
+  const std::uint32_t key = wait_key(leg, role);
+  if (tracked.id.value == 0) {
+    if (!tracked.abandoned) awaiting_ = key;  // resumed by landed()
     return;
   }
-  const Hours eps = chain.params().mempool_visibility;
-  const Hours backoff = eps * static_cast<double>(1 << std::min(attempt, 4));
-  const Hours retry_at = queue_.now() + eps + backoff;
-  if (retry_at >= deadline) {
-    tracked->abandoned = true;
-    log("broadcast lost and deadline too close to retry; giving up");
-    if (setup_->trace != nullptr) {
-      setup_->trace->record(queue_.now(), obs::TraceKind::kBroadcastAbandoned,
-                            {{"chain", chain::to_string(chain.params().id)},
-                             {"attempts", tracked->rebroadcasts},
-                             {"deadline", deadline}});
-    }
-    return;
-  }
-  queue_.schedule_at(
-      retry_at, [this, &chain, tracked, payload = std::move(payload), deadline,
-                 attempt]() mutable {
-        tracked->id = chain.submit(payload);
-        ++tracked->rebroadcasts;
-        ++rebroadcasts_;
-        log("re-broadcast after drop (attempt ", attempt + 1, ")");
-        if (setup_->trace != nullptr) {
-          setup_->trace->record(queue_.now(), obs::TraceKind::kRebroadcast,
-                                {{"chain", chain::to_string(chain.params().id)},
-                                 {"tx", tracked->id.value},
-                                 {"attempt", attempt + 1}});
-        }
-        watch_broadcast(chain, tracked, std::move(payload), deadline,
-                        attempt + 1);
-      });
-}
-
-/// Schedules `step` for when `tracked` (on leg `leg`) is confirmed (or
-/// failed) / mempool-visible.  Without a drop this is exactly
-/// max(earliest, ready time).  While re-broadcasts are in flight it polls
-/// each eps+tau; once the leg's expiry passes (or re-broadcasting was
-/// abandoned) it runs the step regardless, letting the normal
-/// verification-failure / timeout paths classify the wreckage.
-void SwapMachine::advance_when(WaitFor what, std::size_t leg,
-                               const TrackedTx& tracked, Hours earliest,
-                               std::function<void()> step) {
+  chain::EventQueue& queue = *env_->queue;
   const chain::Ledger& chain = chain_of(leg);
   const chain::Transaction& tx = chain.transaction(tracked.id);
+  const bool lock = role == TxRole::kDeploy;
+  Hours earliest = 0.0;
+  if (const model::Schedule* s = graph_.schedule; s != nullptr) {
+    earliest = !lock ? s->t4 : leg + 1 == graph_.legs.size() ? s->t3 : s->t2;
+  }
+  // The step captures only [this, key], which fits std::function's inline
+  // buffer: scheduling it allocates nothing.
+  const auto step = [this, key] {
+    advance(key / 4, static_cast<TxRole>(key % 4));
+  };
   if (tx.status != chain::TxStatus::kDropped) {
-    const Hours ready =
-        what == WaitFor::kConfirmation ? tx.confirmed_at : tx.visible_at;
-    queue_.schedule_at(std::max({earliest, ready, queue_.now()}),
-                       std::move(step));
+    const Hours ready = lock ? tx.confirmed_at : tx.visible_at;
+    queue.schedule_at(std::max({earliest, ready, queue.now()}), step);
     return;
   }
-  if (tracked.abandoned || queue_.now() >= graph_.legs[leg].expiry) {
-    queue_.schedule_at(std::max(earliest, queue_.now()), std::move(step));
+  if (tracked.abandoned || queue.now() >= graph_.legs[leg].expiry) {
+    queue.schedule_at(std::max(earliest, queue.now()), step);
     return;
   }
-  const Hours recheck = queue_.now() + chain.params().mempool_visibility +
+  const Hours recheck = queue.now() + chain.params().mempool_visibility +
                         chain.params().confirmation_time;
-  queue_.schedule_at(recheck, [this, what, leg, tracked = &tracked, earliest,
-                               step = std::move(step)]() mutable {
-    advance_when(what, leg, *tracked, earliest, std::move(step));
+  queue.schedule_at(recheck, [this, key] {
+    await(key / 4, static_cast<TxRole>(key % 4));
   });
+}
+
+/// The epoch that follows a confirmed lock or a visible claim.
+void SwapMachine::advance(std::size_t leg, TxRole role) {
+  if (role == TxRole::kClaim) {
+    claim(leg);
+  } else if (leg + 1 < graph_.legs.size()) {
+    lock(leg + 1);
+  } else if (graph_.witness_holds_secret) {
+    witness_claims();
+  } else {
+    reveal();
+  }
 }
 
 /// True (and the epoch re-scheduled for the window's end) when party `who`
@@ -221,24 +201,25 @@ void SwapMachine::advance_when(WaitFor what, std::size_t leg,
 template <class Step>
 bool SwapMachine::defer_while_offline(std::size_t who, Step step) {
   if (party(who).offline == nullptr) return false;
+  chain::EventQueue& queue = *env_->queue;
   const Hours online =
-      chain::first_time_outside(*party(who).offline, queue_.now());
-  if (online <= queue_.now()) return false;
+      chain::first_time_outside(*party(who).offline, queue.now());
+  if (online <= queue.now()) return false;
   log(party(who).name.value, " is offline; epoch deferred to t=",
-      std::to_string(online));
-  if (setup_->trace != nullptr) {
-    setup_->trace->record(
-        queue_.now(), obs::TraceKind::kOffline,
-        {{"party", party(who).name.value}, {"until", online}});
+      Fixed{online});
+  if (obs::TraceRecorder* trace = env_->setup->trace; trace != nullptr) {
+    trace->record(queue.now(), obs::TraceKind::kOffline,
+                  {{"party", party(who).name.value}, {"until", online}});
   }
-  queue_.schedule_at(online, std::move(step));
+  queue.schedule_at(online, std::move(step));
   return true;
 }
 
 // --- The protocol epochs. ---------------------------------------------------
 
 void SwapMachine::initiate() {
-  const bool collateral = setup_->collateral > 0.0;
+  const SwapSetup& setup = *env_->setup;
+  const bool collateral = setup.collateral > 0.0;
   if (defer_while_offline(0, [this] { initiate(); })) return;
   if (collateral && defer_while_offline(1, [this] { initiate(); })) return;
   const model::Action leader_move = decide(0, agents::Stage::kT1Initiate);
@@ -253,64 +234,42 @@ void SwapMachine::initiate() {
         model::to_string(partner_move), ")");
     return;
   }
+  initiated_ = true;
 
   if (collateral) {
-    const chain::Amount q = chain::Amount::from_tokens(setup_->collateral);
+    const chain::Amount q = chain::Amount::from_tokens(setup.collateral);
     chain_of(0).charge_collateral(party(0).name, q);
     chain_of(0).charge_collateral(party(1).name, q);
-    oracle_.emplace(queue_, chain_of(0), chain_of(1), party(0).name,
-                    party(1).name, q);
+    env_->oracle.emplace(*env_->queue, chain_of(0), chain_of(1),
+                         party(0).name, party(1).name, q);
     log("t1: oracle charged both collaterals (", q.to_string(),
         " token-a each)");
   }
 
-  math::Xoshiro256 rng(setup_->secret_seed);
-  secret_ = crypto::Secret::generate(rng);
-  hash_ = secret_.commitment();
-  if (oracle_) oracle_->arm(hash_, graph_.schedule);
+  hash_ = secret().commitment();
+  if (collateral) env_->oracle->arm(hash_, *graph_.schedule);
 
   const SwapLeg& first = graph_.legs[0];
-  submit_tracked(legs_[0].deploy, chain_of(0),
-                 chain::DeployHtlcPayload{
-                     party(0).name, party(first.payee).name,
-                     chain::Amount::from_tokens(first.amount), hash_,
-                     first.expiry},
-                 first.expiry);
+  broadcast(0, TxRole::kDeploy,
+            chain::DeployHtlcPayload{party(0).name, party(first.payee).name,
+                                     chain::Amount::from_tokens(first.amount),
+                                     hash_, first.expiry});
   log("t1: ", party(0).name.value, " deployed HTLC on Chain_", leg_letter(0),
-      " (amount=", std::to_string(first.amount), ", expiry=t_",
-      leg_letter(0), "=", std::to_string(first.expiry),
-      ", hash=", hash_.to_hex().substr(0, 16), "...)");
-  if (setup_->premium > 0.0) {
+      " (amount=", Fixed{first.amount}, ", expiry=t_", leg_letter(0), "=",
+      Fixed{first.expiry}, ", hash=", HashPrefix{&hash_}, "...)");
+  if (setup.premium > 0.0) {
     // Han et al. premium: an inverse escrow that refunds Alice on reveal
     // and pays Bob if she waives after commitment.  It is cancelled back
     // to Alice if Bob never locks (cancel_premium_escrow).
-    submit_tracked(premium_escrow_, chain_of(0),
-                   chain::DeployHtlcPayload{
-                       party(0).name, party(1).name,
-                       chain::Amount::from_tokens(setup_->premium), hash_,
-                       first.expiry, chain::HtlcKind::kInverse},
-                   first.expiry);
+    broadcast(0, TxRole::kPremiumEscrow,
+              chain::DeployHtlcPayload{
+                  party(0).name, party(1).name,
+                  chain::Amount::from_tokens(setup.premium), hash_,
+                  first.expiry, chain::HtlcKind::kInverse});
     log("t1: ", party(0).name.value, " escrowed premium ",
-        std::to_string(setup_->premium), " in an inverse HTLC on Chain_",
-        leg_letter(0));
+        Fixed{setup.premium}, " in an inverse HTLC on Chain_", leg_letter(0));
   }
-  after_lock(0);
-}
-
-void SwapMachine::after_lock(std::size_t leg) {
-  const bool last = leg + 1 == legs_.size();
-  // The step captures only [this, leg], which fits std::function's inline
-  // buffer: scheduling it allocates nothing.
-  advance_when(WaitFor::kConfirmation, leg, *legs_[leg].deploy,
-               last ? graph_.schedule.t3 : graph_.schedule.t2, [this, leg] {
-                 if (leg + 1 < legs_.size()) {
-                   lock(leg + 1);
-                 } else if (graph_.witness_holds_secret) {
-                   witness_claims();
-                 } else {
-                   reveal();
-                 }
-               });
+  await(0, TxRole::kDeploy);
 }
 
 void SwapMachine::lock(std::size_t leg) {
@@ -326,28 +285,27 @@ void SwapMachine::lock(std::size_t leg) {
   }
   if (decide(spec.payer, agents::Stage::kT2Lock) == model::Action::kStop) {
     outcome_ = SwapOutcome::kBobDeclinedT2;
-    log("t2: ", name, " declined to lock (price=",
-        std::to_string(path_->price_at(queue_.now())), ")");
+    log("t2: ", name, " declined to lock (price=", Fixed{context().price},
+        ")");
     cancel_premium_escrow();
     return;
   }
-  submit_tracked(legs_[leg].deploy, chain_of(leg),
-                 chain::DeployHtlcPayload{
-                     party(spec.payer).name, party(spec.payee).name,
-                     chain::Amount::from_tokens(spec.amount), hash_,
-                     spec.expiry},
-                 spec.expiry);
+  broadcast(leg, TxRole::kDeploy,
+            chain::DeployHtlcPayload{party(spec.payer).name,
+                                     party(spec.payee).name,
+                                     chain::Amount::from_tokens(spec.amount),
+                                     hash_, spec.expiry});
   // The amount is stream-formatted here ("1") and std::to_string-formatted
   // in the initiator's line: both formats are pinned audit bytes.
   log("t2: ", name, " deployed HTLC on Chain_", leg_letter(leg),
       " (amount=", spec.amount, ", expiry=t_", leg_letter(leg), "=",
-      std::to_string(spec.expiry), ")");
-  after_lock(leg);
+      Fixed{spec.expiry}, ")");
+  await(leg, TxRole::kDeploy);
 }
 
 void SwapMachine::reveal() {
   if (defer_while_offline(0, [this] { reveal(); })) return;
-  const std::size_t last = legs_.size() - 1;
+  const std::size_t last = graph_.legs.size() - 1;
   const std::string& name = party(0).name.value;
   if (!verify(last)) {
     outcome_ = SwapOutcome::kAliceDeclinedT3;
@@ -357,48 +315,42 @@ void SwapMachine::reveal() {
   }
   if (decide(0, agents::Stage::kT3Reveal) == model::Action::kStop) {
     outcome_ = SwapOutcome::kAliceDeclinedT3;
-    log("t3: ", name, " withheld the secret (price=",
-        std::to_string(path_->price_at(queue_.now())), ")");
+    log("t3: ", name, " withheld the secret (price=", Fixed{context().price},
+        ")");
     return;
   }
-  const TrackedTx& revealing = submit_tracked(
-      legs_[last].claim, chain_of(last),
-      chain::ClaimHtlcPayload{
-          chain_of(last).pending_contract_of(legs_[last].deploy->id), secret_,
-          party(0).name},
-      graph_.legs[last].expiry);
+  const crypto::Secret preimage = secret();
+  broadcast(last, TxRole::kClaim,
+            chain::ClaimHtlcPayload{leg_tx(last).contract, preimage,
+                                    party(0).name});
   log("t3: ", name, " claimed on Chain_", leg_letter(last),
       ", revealing the secret");
-  if (premium_escrow_) {
-    submit_tracked(premium_settlement_, chain_of(0),
-                   chain::ClaimHtlcPayload{
-                       chain_of(0).pending_contract_of(premium_escrow_->id),
-                       secret_, party(0).name},
-                   graph_.legs[0].expiry);
+  if (env_->premium_escrow.id.value != 0) {
+    broadcast(0, TxRole::kPremiumSettlement,
+              chain::ClaimHtlcPayload{
+                  chain_of(0).pending_contract_of(env_->premium_escrow.id),
+                  preimage, party(0).name});
     log("t3: ", name, " reclaimed her premium escrow on Chain_",
         leg_letter(0));
   }
-  advance_when(WaitFor::kVisibility, last, revealing, graph_.schedule.t4,
-               [this, last] { claim(last); });
+  await(last, TxRole::kClaim);
 }
 
 void SwapMachine::witness_claims() {
-  for (std::size_t leg = 0; leg < legs_.size(); ++leg) {
+  for (std::size_t leg = 0; leg < graph_.legs.size(); ++leg) {
     if (!verify(leg)) {
       outcome_ = SwapOutcome::kAliceDeclinedT3;
       log("t3: witness aborts (a lock is missing); time locks will refund");
       return;
     }
   }
-  for (std::size_t leg = 0; leg < legs_.size(); ++leg) {
-    const SwapLeg& spec = graph_.legs[leg];
-    submit_tracked(legs_[leg].claim, chain_of(leg),
-                   chain::ClaimHtlcPayload{
-                       chain_of(leg).pending_contract_of(legs_[leg].deploy->id),
-                       secret_, party(spec.payee).name},
-                   spec.expiry);
-  }
+  const crypto::Secret preimage = secret();
   outcome_ = SwapOutcome::kSuccess;
+  for (std::size_t leg = 0; leg < graph_.legs.size(); ++leg) {
+    broadcast(leg, TxRole::kClaim,
+              chain::ClaimHtlcPayload{leg_tx(leg).contract, preimage,
+                                      party(graph_.legs[leg].payee).name});
+  }
   log("t3: witness committed -- claimed every leg atomically");
 }
 
@@ -406,11 +358,16 @@ void SwapMachine::claim(std::size_t watched) {
   const std::size_t who = graph_.legs[watched].payer;
   if (defer_while_offline(who, [this, watched] { claim(watched); })) return;
   const std::string& name = party(who).name.value;
+  // The payer reads the secret off the claim on its own contract once that
+  // claim is mempool-visible.  Only the latest broadcast can be: every
+  // earlier one was dropped before reaching the mempool.
   std::optional<crypto::Secret> observed;
-  for (const chain::ObservedSecret& s : chain_of(watched).visible_secrets()) {
-    if (s.secret.opens(hash_)) {
-      observed = s.secret;
-      break;
+  if (const chain::TxId id = leg_tx(watched).claim.id; id.value != 0) {
+    const chain::Transaction& tx = chain_of(watched).transaction(id);
+    const crypto::Secret& secret =
+        std::get<chain::ClaimHtlcPayload>(tx.payload).secret;
+    if (tx.visible_at <= env_->queue->now() && secret.opens(hash_)) {
+      observed = secret;
     }
   }
   if (!observed) {
@@ -419,9 +376,9 @@ void SwapMachine::claim(std::size_t watched) {
         name, " cannot claim");
     return;
   }
-  if (setup_->trace != nullptr) {
-    setup_->trace->record(
-        queue_.now(), obs::TraceKind::kSecretObserved,
+  if (obs::TraceRecorder* trace = env_->setup->trace; trace != nullptr) {
+    trace->record(
+        env_->queue->now(), obs::TraceKind::kSecretObserved,
         {{"party", name},
          {"chain", chain::to_string(chain_of(watched).params().id)}});
   }
@@ -431,45 +388,39 @@ void SwapMachine::claim(std::size_t watched) {
     return;
   }
   const std::size_t target = watched - 1;
-  const TrackedTx& claimed = submit_tracked(
-      legs_[target].claim, chain_of(target),
-      chain::ClaimHtlcPayload{
-          chain_of(target).pending_contract_of(legs_[target].deploy->id),
-          *observed, party(who).name},
-      graph_.legs[target].expiry);
+  // The last claim completes the swap -- unless the sink gives it up.
+  if (target == 0) outcome_ = SwapOutcome::kSuccess;
+  broadcast(target, TxRole::kClaim,
+            chain::ClaimHtlcPayload{leg_tx(target).contract, *observed,
+                                    party(who).name});
   log("t4: ", name, " claimed on Chain_", leg_letter(target),
       " with the observed secret");
-  if (target == 0) {
-    outcome_ = SwapOutcome::kSuccess;
-    return;
-  }
-  advance_when(WaitFor::kVisibility, target, claimed, graph_.schedule.t4,
-               [this, target] { claim(target); });
+  if (target != 0) await(target, TxRole::kClaim);
 }
 
 // If Bob never locks, Alice could not possibly perform, so the premium
 // escrow must not penalize her: the watcher cancels it back as soon as
 // Bob's walk-away is known.
 void SwapMachine::cancel_premium_escrow() {
-  if (!premium_escrow_) return;
-  submit_tracked(premium_settlement_, chain_of(0),
-                 chain::CancelHtlcPayload{
-                     chain_of(0).pending_contract_of(premium_escrow_->id),
-                     party(0).name},
-                 graph_.legs[0].expiry);
+  if (env_->premium_escrow.id.value == 0) return;
+  broadcast(0, TxRole::kPremiumSettlement,
+            chain::CancelHtlcPayload{
+                chain_of(0).pending_contract_of(env_->premium_escrow.id),
+                party(0).name});
   log("premium watcher cancelled the escrow (", party(1).name.value,
       " never locked)");
 }
 
 /// Leg `leg`'s payee checks the *confirmed* contract: existence, funding
 /// and terms (Section II-B Step 2).
-bool SwapMachine::verify(std::size_t leg) {
-  const LegRun& run = legs_[leg];
-  if (!run.deploy) return false;
-  const chain::Transaction& tx = run.ledger->transaction(run.deploy->id);
+bool SwapMachine::verify(std::size_t leg) const {
+  const chain::TxId id = leg_tx(leg).deploy.id;
+  if (id.value == 0) return false;
+  const chain::Ledger& ledger = chain_of(leg);
+  const chain::Transaction& tx = ledger.transaction(id);
   if (tx.status != chain::TxStatus::kConfirmed) return false;
-  const chain::HtlcContract& c = run.ledger->htlc(*tx.created_contract);
-  const SwapLeg& spec = *run.spec;
+  const chain::HtlcContract& c = ledger.htlc(*tx.created_contract);
+  const SwapLeg& spec = graph_.legs[leg];
   return c.state == chain::HtlcState::kLocked &&
          c.recipient == party(spec.payee).name &&
          c.amount == chain::Amount::from_tokens(spec.amount) &&
@@ -485,8 +436,8 @@ void SwapMachine::reconcile_outcome() {
   // A deploy that was broadcast but never produced a contract (every
   // re-broadcast dropped, or confirmation slipped past the expiry) is a
   // fault abort: the swap died on the wire, not by a party's choice.
-  if (setup_->faults.any()) {
-    for (std::size_t leg = 0; leg < legs_.size(); ++leg) {
+  if (env_->setup->faults.any()) {
+    for (std::size_t leg = 0; leg < graph_.legs.size(); ++leg) {
       if (deployed(leg) && contract(leg) == nullptr) {
         outcome_ = SwapOutcome::kFaultAborted;
         log("reconcile: ", party(graph_.legs[leg].payer).name.value,
@@ -495,7 +446,7 @@ void SwapMachine::reconcile_outcome() {
       }
     }
   }
-  const std::size_t last = legs_.size() - 1;
+  const std::size_t last = graph_.legs.size() - 1;
   const chain::HtlcContract* first_leg = contract(0);
   const chain::HtlcContract* last_leg = contract(last);
   if (first_leg == nullptr || last_leg == nullptr) return;
@@ -526,6 +477,151 @@ void SwapMachine::reconcile_outcome() {
     outcome_ = SwapOutcome::kTimelockExpiredBoth;
     log("reconcile: both legs refunded; benign timeout for both");
   }
+}
+
+// --- DirectRun ----------------------------------------------------------------
+
+DirectRun::DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
+                     const SwapSetup& setup, const PricePath& path)
+    : parties_(graph.parties), setup_(&setup), machine_(graph, env_) {
+  const std::size_t n = graph.legs.size();
+  if (n > 2) {
+    heap_legs_ = std::make_unique<LegRun[]>(n);
+    heap_ledgers_ = std::make_unique<chain::Ledger*[]>(n);
+  }
+  legs_ = std::span<LegRun>(n > 2 ? heap_legs_.get() : inline_legs_, n);
+  chain::Ledger** ledgers = n > 2 ? heap_ledgers_.get() : inline_ledgers_;
+  for (std::size_t k = 0; k < n; ++k) {
+    const SwapLeg& spec = graph.legs[k];
+    const LegChain& spec_chain = chains[k];
+    LegRun& leg = legs_[k];
+    // Leg k draws its latency and fault streams from the setup's seeds
+    // XOR k times a per-stream constant, so leg 0 uses the seeds as given.
+    leg.latency_rng =
+        math::Xoshiro256(setup.latency_seed ^ (k * 0x517CC1B727220A95ULL));
+    chain::Ledger& ledger =
+        leg.ledger.emplace(spec_chain.params, queue_, &leg.latency_rng);
+    ledger.create_account(graph.parties[spec.payer].name,
+                          chain::Amount::from_tokens(spec_chain.payer_balance));
+    ledger.create_account(graph.parties[spec.payee].name,
+                          chain::Amount::from_tokens(spec_chain.payee_balance));
+    leg.initial_supply = ledger.total_supply();
+    // Injectors are attached only when their model is active, so a
+    // zero-fault run is byte-identical to one without any fault plumbing.
+    if (spec_chain.faults != nullptr && spec_chain.faults->any()) {
+      ledger.set_fault_injector(&leg.injector.emplace(
+          *spec_chain.faults, setup.faults.seed ^ (k * 0x9E3779B97F4A7C15ULL)));
+    }
+    if (setup.audit) leg.auditor.attach(ledger);
+    if (setup.trace != nullptr) {
+      ledger.set_trace(setup.trace);
+      if (leg.injector) {
+        leg.injector->set_trace(setup.trace,
+                                chain::to_string(spec_chain.params.id));
+      }
+    }
+    ledgers[k] = &ledger;
+  }
+  env_.queue = &queue_;
+  env_.ledgers = std::span<chain::Ledger* const>(ledgers, n);
+  env_.sink = this;
+  env_.path = &path;
+  env_.setup = &setup;
+  env_.audit = &audit_;
+  if (setup.metrics != nullptr) queue_.set_metrics(setup.metrics);
+  if (setup.trace != nullptr) {
+    setup.trace->record(0.0, obs::TraceKind::kRunStart,
+                        {{"p_star", graph.p_star},
+                         {"collateral", setup.collateral},
+                         {"premium", setup.premium},
+                         {"t_a", graph.legs.front().expiry},
+                         {"t_b", graph.legs.back().expiry},
+                         {"expiry_margin", setup.expiry_margin},
+                         {"faults", setup.faults.any()}});
+  }
+}
+
+void DirectRun::run() {
+  machine_.start();
+  queue_.run();  // drain confirmations, refunds and oracle releases
+  machine_.reconcile_outcome();
+}
+
+double DirectRun::balance(std::size_t leg, std::size_t party) const {
+  return legs_[leg].ledger->balance(parties_[party].name).tokens();
+}
+
+bool DirectRun::conservation_ok() const {
+  return std::all_of(legs_.begin(), legs_.end(), [](const LegRun& leg) {
+    return leg.ledger->total_supply() == leg.initial_supply;
+  });
+}
+
+void DirectRun::report(SwapResult& result) const {
+  result.conservation_ok = conservation_ok();
+  std::uint64_t dropped = 0;
+  for (const LegRun& leg : legs_) {
+    if (leg.injector) dropped += leg.injector->dropped();
+    for (const chain::InvariantAuditor::Violation& v :
+         leg.auditor.violations()) {
+      result.invariant_violations.push_back(
+          "[t=" + std::to_string(v.at) + "h tx " +
+          std::to_string(v.tx.value) + "] " + v.what);
+    }
+  }
+  result.invariants_ok = result.invariant_violations.empty();
+  result.dropped_txs = static_cast<int>(dropped);
+  result.rebroadcasts = rebroadcasts_;
+}
+
+void DirectRun::submit(SwapMachine& m, std::size_t leg, TxRole role,
+                       chain::TxPayload payload, Hours deadline) {
+  const chain::TxId id = legs_[leg].ledger->submit(payload);
+  m.landed(leg, role, id);
+  watch_broadcast(leg, role, id, std::move(payload), deadline, 0);
+}
+
+/// The sender detects a drop once the transaction fails to appear in the
+/// mempool (one visibility period after broadcast) and re-broadcasts with
+/// exponential backoff until `deadline` (the relevant HTLC expiry, past
+/// which a landing would be useless anyway).
+void DirectRun::watch_broadcast(std::size_t leg, TxRole role, chain::TxId id,
+                                chain::TxPayload payload, Hours deadline,
+                                int attempt) {
+  const chain::Ledger& chain = *legs_[leg].ledger;
+  if (chain.transaction(id).status != chain::TxStatus::kDropped) return;
+  const Hours eps = chain.params().mempool_visibility;
+  const Hours backoff = eps * static_cast<double>(1 << std::min(attempt, 4));
+  const Hours retry_at = queue_.now() + eps + backoff;
+  if (retry_at >= deadline) {
+    machine_.give_up(leg, role);
+    audit_.add(queue_.now(),
+               "broadcast lost and deadline too close to retry; giving up");
+    if (setup_->trace != nullptr) {
+      setup_->trace->record(queue_.now(), obs::TraceKind::kBroadcastAbandoned,
+                            {{"chain", chain::to_string(chain.params().id)},
+                             {"attempts", attempt},
+                             {"deadline", deadline}});
+    }
+    return;
+  }
+  queue_.schedule_at(retry_at, [this, leg, role, payload = std::move(payload),
+                                deadline, attempt]() mutable {
+    chain::Ledger& ledger = *legs_[leg].ledger;
+    const chain::TxId retry = ledger.submit(payload);
+    machine_.landed(leg, role, retry);
+    ++rebroadcasts_;
+    audit_.add(queue_.now(), "re-broadcast after drop (attempt ", attempt + 1,
+               ")");
+    if (setup_->trace != nullptr) {
+      setup_->trace->record(queue_.now(), obs::TraceKind::kRebroadcast,
+                            {{"chain", chain::to_string(ledger.params().id)},
+                             {"tx", retry.value},
+                             {"attempt", attempt + 1}});
+    }
+    watch_broadcast(leg, role, retry, std::move(payload), deadline,
+                    attempt + 1);
+  });
 }
 
 }  // namespace swapgame::proto

@@ -1,11 +1,11 @@
-// The one HTLC swap state machine behind every protocol entry point
-// (internal to src/proto).
+// The one HTLC swap state machine behind every protocol entry point and
+// every population session (src/proto and src/market/population).
 //
 // A swap graph is a cycle of HTLC legs.  Leg k pays legs[k].payee from
 // legs[k].payer on its own chain; leg 0 is paid by party 0, the leader,
 // each next leg is paid by the previous leg's payee, and the last leg pays
 // the leader (Herlihy's lock/claim digraph; the paper's swap is the
-// 2-cycle).  The machine runs it on one event queue:
+// 2-cycle).  The machine runs it on an event queue:
 //
 //   initiate: the leader decides (Stage::kT1Initiate) and locks leg 0.
 //   lock:     once leg k-1 confirms, its payee verifies it, decides
@@ -15,23 +15,44 @@
 //             and claims it, revealing the secret in that chain's mempool.
 //             An outside witness instead claims every leg for its payee.
 //   claim:    once a claim on leg k is mempool-visible, leg k's payer reads
-//             the secret, decides (Stage::kT4Claim) and claims leg k-1.
+//             the secret from it, decides (Stage::kT4Claim) and claims leg
+//             k-1.
 //
 // Each epoch waits for what its actor observes, but never starts before
-// the graph's idealized epoch (schedule.t2 for locks, t3 for the reveal,
-// t4 for claims; zero means "as soon as observed").  Declined or missed
-// steps leave locked legs to auto-refund at expiry.  The machine never
-// moves funds itself: every flow is a ledger transaction.
+// the graph's idealized epoch (schedule->t2 for locks, t3 for the reveal,
+// t4 for claims; no schedule means "as soon as observed").  Declined or
+// missed steps leave locked legs to auto-refund at expiry.  The machine
+// never moves funds itself: every flow is a ledger transaction.
 //
-// Everything SwapSetup configures acts on the machine: fault models and
-// confirmation jitter per leg, offline windows per party, re-broadcast of
-// dropped transactions, invariant auditing, tracing and metrics.  The
-// Section IV collateral oracle and the Han et al. premium escrow are
-// 2-cycle features (party 0 = Alice, party 1 = Bob, leg 0 on Chain_a).
+// State and environment.  SwapMachine is one swap's state -- its graph,
+// the hash lock, the latest broadcast of each leg's lock and claim, the
+// outcome -- small enough to keep one per live session of a population
+// run.  SwapEnv is what every swap on one clock shares: the event queue,
+// one ledger per leg, the price feed, the run options and the SwapSink
+// every transaction goes through.  The sink decides how a broadcast
+// reaches its chain and reports back: SwapMachine::landed() once per
+// broadcast that becomes a ledger transaction, give_up() when it stops
+// trying.  A wait on a transaction that has not landed yet resumes when
+// it lands; a transaction given up before it ever landed ends the swap
+// (a lock: kFaultAborted; the reveal: kTimelockExpiredBoth; a later
+// claim: kBobMissedT4).
+//
+//   * DirectRun hosts one swap (run_swap, the witness protocol, N-cycles).
+//     It owns the queue and the ledgers, and its sink submits straight to
+//     the leg's ledger and re-broadcasts a dropped transaction with
+//     backoff until the leg's expiry.  Fault models and confirmation
+//     jitter per leg, offline windows per party, invariant auditing, the
+//     audit log, tracing and metrics all live here, as do the Section IV
+//     collateral oracle and the Han et al. premium escrow (2-cycle
+//     features: party 0 = Alice, party 1 = Bob, leg 0 on Chain_a).
+//   * A population shard (market/population) hosts many sessions on one
+//     ledger pair.  Its sink parks each transaction in the chain's
+//     FeeMarket, submits it when a block includes it and re-bids on
+//     eviction; inclusion deadlines and starvation are the sink's.
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -54,21 +75,15 @@ namespace swapgame::proto {
 
 /// One HTLC leg of a swap graph.
 struct SwapLeg {
-  chain::ChainParams chain;  ///< the leg's own ledger
-  std::size_t payer = 0;     ///< party index that locks the leg
-  std::size_t payee = 0;     ///< party index that claims it
+  std::uint32_t payer = 0;   ///< party index that locks the leg
+  std::uint32_t payee = 0;   ///< party index that claims it
   double amount = 0.0;       ///< tokens locked
   chain::Hours expiry = 0.0; ///< HTLC time lock
-  /// Opening balances of payer and payee on the leg's chain (tokens).
-  double payer_balance = 0.0;
-  double payee_balance = 0.0;
-  /// Fault model of the leg's chain; nullptr = none.
-  const chain::FaultModel* faults = nullptr;
 };
 
 /// One party of a swap graph.
 struct SwapParty {
-  chain::Address name;
+  chain::Address name;  ///< account name on every leg's chain
   agents::Strategy* strategy = nullptr;  ///< non-owning; outlives the run
   /// Windows in which the party cannot act; nullptr = always online.
   const std::vector<chain::FaultWindow>* offline = nullptr;
@@ -78,97 +93,151 @@ struct SwapParty {
 struct SwapGraph {
   std::span<const SwapLeg> legs;       ///< a cycle, see the file comment
   std::span<const SwapParty> parties;
+  /// Idealized epochs: lower bounds for locks (t2), the reveal (t3) and
+  /// claims (t4); the collateral oracle settles at t3 and t4.  nullptr =
+  /// every epoch starts as soon as its actor observes what it waits for.
+  const model::Schedule* schedule = nullptr;
+  double p_star = 0.0;  ///< agreed rate quoted in decision contexts
+  std::uint64_t secret_seed = 0;  ///< the secret holder's secret
+  /// The owner's handle for the swap, handed back to the sink.
+  std::uint64_t tag = 0;
   /// false: the leader holds the secret; true: an outside witness does.
   bool witness_holds_secret = false;
-  /// Idealized epochs: lower bounds for locks (t2), the reveal (t3) and
-  /// claims (t4); the collateral oracle settles at t3 and t4.
-  model::Schedule schedule;
 };
 
-/// Executes one swap graph.  Reads from `setup`: p_star (decision
-/// contexts), collateral, premium, the secret, latency and fault seeds,
-/// audit, trace and metrics.  The graph's spans, the strategies and the
-/// path must outlive the machine.
+/// Which of a swap's transactions a broadcast is.  The premium escrow and
+/// its settlement live on leg 0.
+enum class TxRole : std::uint8_t {
+  kDeploy,
+  kClaim,
+  kPremiumEscrow,
+  kPremiumSettlement
+};
+
+class SwapMachine;
+
+/// Where a swap's transactions go (see the file comment).
+class SwapSink {
+ public:
+  virtual ~SwapSink() = default;
+  /// Broadcasts `m`'s `role` transaction on leg `leg`'s chain.  `deadline`
+  /// is the latest time it is of use.  Calls m.landed() for every
+  /// broadcast that becomes a ledger transaction (possibly before
+  /// returning) and m.give_up() if it stops trying.
+  virtual void submit(SwapMachine& m, std::size_t leg, TxRole role,
+                      chain::TxPayload payload, chain::Hours deadline) = 0;
+};
+
+/// Audit log of a one-swap environment: timestamped step lines.
+struct AuditLog {
+  std::vector<std::string> lines;
+  std::ostringstream line;  ///< reused for every line
+
+  template <class... Parts>
+  void add(chain::Hours now, const Parts&... parts) {
+    line.str(std::string());
+    line << "[t=" << now << "h] ";
+    (line << ... << parts);
+    lines.push_back(line.str());
+  }
+};
+
+/// The latest broadcast of one transaction (id 0: none landed yet).
+struct TrackedTx {
+  chain::TxId id;
+  bool abandoned = false;  ///< the sink stopped re-broadcasting it
+};
+
+/// What every swap on one clock shares (see the file comment).
+struct SwapEnv {
+  chain::EventQueue* queue = nullptr;
+  std::span<chain::Ledger* const> ledgers;  ///< leg k's chain
+  SwapSink* sink = nullptr;
+  const PricePath* path = nullptr;  ///< prices quoted at decision epochs
+  /// Run options read by the machine: collateral, premium, faults (the
+  /// final reconciliation) and trace.
+  const SwapSetup* setup = nullptr;
+  AuditLog* audit = nullptr;  ///< nullptr = no audit lines
+  /// The Section IV oracle and the Han et al. premium escrow of the one
+  /// 2-cycle on this clock (a DirectRun's).
+  std::optional<CollateralOracle> oracle;
+  TrackedTx premium_escrow;
+  TrackedTx premium_settlement;
+};
+
+/// One swap's state.  The graph's spans, its strategies and the
+/// environment must outlive the machine.
 class SwapMachine {
  public:
-  SwapMachine(const SwapGraph& graph, const SwapSetup& setup,
-              const PricePath& path);
+  SwapMachine(const SwapGraph& graph, SwapEnv& env);
   SwapMachine(const SwapMachine&) = delete;
   SwapMachine& operator=(const SwapMachine&) = delete;
 
-  /// Runs the swap to quiescence (every refund and oracle release done)
-  /// and reconciles the outcome against the legs' final settlement.
-  void run();
+  /// The leader's t1 epoch; every later epoch runs on the environment's
+  /// queue.
+  void start();
+  /// Sink report: broadcast `id` of the `role` transaction of `leg` is now
+  /// on the leg's ledger.
+  void landed(std::size_t leg, TxRole role, chain::TxId id);
+  /// Sink report: the `role` transaction of `leg` will not be broadcast
+  /// again.
+  void give_up(std::size_t leg, TxRole role);
+  /// Reconciles the outcome against the legs' final settlement (a swap
+  /// alone on its ledgers, run to quiescence).
+  void reconcile_outcome();
 
   [[nodiscard]] SwapOutcome outcome() const noexcept { return outcome_; }
-  [[nodiscard]] chain::Hours now() const noexcept { return queue_.now(); }
-  /// Final confirmed balance of `party` on `leg`'s chain (tokens).
-  [[nodiscard]] double balance(std::size_t leg, std::size_t party) const;
-  /// Whether the leg's deploy was broadcast.
+  /// The leader chose to initiate at t1.
+  [[nodiscard]] bool initiated() const noexcept { return initiated_; }
+  [[nodiscard]] std::uint64_t tag() const noexcept { return graph_.tag; }
+  /// Whether the leg's deploy reached its ledger.
   [[nodiscard]] bool deployed(std::size_t leg) const noexcept {
-    return legs_[leg].deploy.has_value();
+    return leg_tx(leg).deploy.id.value != 0;
   }
-  /// The leg's contract, or nullptr when its deploy never created one.
+  /// The contract the leg's latest deploy creates (id 0: none landed).
+  [[nodiscard]] chain::HtlcId contract_id(std::size_t leg) const noexcept {
+    return leg_tx(leg).contract;
+  }
+  /// The leg's contract, or nullptr when no deploy created one.
   [[nodiscard]] const chain::HtlcContract* contract(std::size_t leg) const;
-  /// Every leg's chain still holds its opening supply.
-  [[nodiscard]] bool conservation_ok() const;
-  /// Fills `result`'s conservation and auditor verdicts and its fault
-  /// telemetry.
-  void report(SwapResult& result);
-  /// The audit log (timestamped step lines).
-  [[nodiscard]] std::vector<std::string> take_audit() {
-    return std::move(audit_);
-  }
 
  private:
-  /// A transaction re-broadcast (with backoff) when the fault model drops
-  /// it; `id` is the most recent broadcast.
-  struct TrackedTx {
-    chain::TxId id;
-    int rebroadcasts = 0;
-    bool abandoned = false;  ///< gave up re-broadcasting before the deadline
+  struct LegTx {
+    TrackedTx deploy;
+    TrackedTx claim;
+    chain::HtlcId contract;
   };
-
-  /// Per-leg runtime.  The auditor and injector follow the ledger so they
-  /// are destroyed before it.
-  struct LegRun {
-    const SwapLeg* spec = nullptr;
-    math::Xoshiro256 latency_rng;
-    std::optional<chain::Ledger> ledger;
-    std::optional<chain::FaultInjector> injector;
-    chain::InvariantAuditor auditor;
-    std::optional<TrackedTx> deploy;
-    std::optional<TrackedTx> claim;
-    chain::Amount initial_supply;
-  };
-
-  enum class WaitFor { kConfirmation, kVisibility };
+  /// No wait outstanding (see awaiting_).
+  static constexpr std::uint32_t kNoWait = ~std::uint32_t{0};
 
   template <class... Parts>
   void log(const Parts&... parts) {
-    log_line_.str(std::string());
-    log_line_ << "[t=" << queue_.now() << "h] ";
-    (log_line_ << ... << parts);
-    audit_.push_back(log_line_.str());
+    if (env_->audit != nullptr) env_->audit->add(env_->queue->now(), parts...);
   }
 
   [[nodiscard]] const SwapParty& party(std::size_t i) const {
     return graph_.parties[i];
   }
-  [[nodiscard]] chain::Ledger& chain_of(std::size_t leg) {
-    return *legs_[leg].ledger;
+  [[nodiscard]] chain::Ledger& chain_of(std::size_t leg) const {
+    return *env_->ledgers[leg];
   }
+  [[nodiscard]] const LegTx& leg_tx(std::size_t leg) const noexcept {
+    return heap_legs_ ? heap_legs_[leg] : inline_legs_[leg];
+  }
+  [[nodiscard]] LegTx& leg_tx(std::size_t leg) noexcept {
+    return heap_legs_ ? heap_legs_[leg] : inline_legs_[leg];
+  }
+  [[nodiscard]] TrackedTx& slot(std::size_t leg, TxRole role);
+  [[nodiscard]] crypto::Secret secret() const;
   [[nodiscard]] agents::DecisionContext context() const;
   model::Action decide(std::size_t who, agents::Stage stage);
+  void broadcast(std::size_t leg, TxRole role, chain::TxPayload payload);
 
-  TrackedTx& submit_tracked(std::optional<TrackedTx>& slot,
-                            chain::Ledger& chain, chain::TxPayload payload,
-                            chain::Hours deadline);
-  void watch_broadcast(chain::Ledger& chain, TrackedTx* tracked,
-                       chain::TxPayload payload, chain::Hours deadline,
-                       int attempt);
-  void advance_when(WaitFor what, std::size_t leg, const TrackedTx& tracked,
-                    chain::Hours earliest, std::function<void()> step);
+  /// Runs the epoch that follows `role` on `leg` once that transaction is
+  /// confirmed (a lock) or mempool-visible (a claim), and not before the
+  /// epoch's idealized time; resumes from landed() when it has not landed.
+  void await(std::size_t leg, TxRole role);
+  void advance(std::size_t leg, TxRole role);
   template <class Step>
   bool defer_while_offline(std::size_t who, Step step);
 
@@ -177,30 +246,93 @@ class SwapMachine {
   void reveal();
   void witness_claims();
   void claim(std::size_t watched_leg);
-  /// Schedules whatever follows the confirmation of leg `leg`'s lock.
-  void after_lock(std::size_t leg);
   void cancel_premium_escrow();
-  [[nodiscard]] bool verify(std::size_t leg);
-  void reconcile_outcome();
+  [[nodiscard]] bool verify(std::size_t leg) const;
 
   SwapGraph graph_;
+  SwapEnv* env_;
+  crypto::Digest256 hash_;
+  // Leg records sit inline for the 2-cycle (the protocol Monte-Carlo runs
+  // one per sample, a population one per session); longer cycles use the
+  // heap.
+  LegTx inline_legs_[2];
+  std::unique_ptr<LegTx[]> heap_legs_;
+  std::uint32_t awaiting_ = kNoWait;  ///< leg * 4 + role of a pending wait
+  SwapOutcome outcome_ = SwapOutcome::kNotInitiated;
+  bool initiated_ = false;
+};
+
+/// How a DirectRun sets up one leg's chain.
+struct LegChain {
+  chain::ChainParams params;
+  /// Opening balances of the leg's payer and payee (tokens).
+  double payer_balance = 0.0;
+  double payee_balance = 0.0;
+  const chain::FaultModel* faults = nullptr;  ///< nullptr = none
+};
+
+/// An environment hosting one swap, and its direct sink (see the file
+/// comment).  Reads from `setup`: collateral, premium, latency and fault
+/// seeds, audit, trace and metrics.  The graph's spans, the strategies and
+/// the path must outlive the run.
+class DirectRun final : public SwapSink {
+ public:
+  DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
+            const SwapSetup& setup, const PricePath& path);
+  DirectRun(const DirectRun&) = delete;
+  DirectRun& operator=(const DirectRun&) = delete;
+
+  /// Runs the swap to quiescence (every refund and oracle release done)
+  /// and reconciles the outcome against the legs' final settlement.
+  void run();
+
+  [[nodiscard]] const SwapMachine& machine() const noexcept {
+    return machine_;
+  }
+  [[nodiscard]] chain::Hours now() const noexcept { return queue_.now(); }
+  /// Final confirmed balance of `party` on `leg`'s chain (tokens).
+  [[nodiscard]] double balance(std::size_t leg, std::size_t party) const;
+  /// Every leg's chain still holds its opening supply.
+  [[nodiscard]] bool conservation_ok() const;
+  /// Fills `result`'s conservation and auditor verdicts and its fault
+  /// telemetry.
+  void report(SwapResult& result) const;
+  /// The audit log (timestamped step lines).
+  [[nodiscard]] std::vector<std::string> take_audit() {
+    return std::move(audit_.lines);
+  }
+
+  void submit(SwapMachine& m, std::size_t leg, TxRole role,
+              chain::TxPayload payload, chain::Hours deadline) override;
+
+ private:
+  /// Per-leg chain.  The auditor and injector follow the ledger so they
+  /// are destroyed before it.
+  struct LegRun {
+    math::Xoshiro256 latency_rng;
+    std::optional<chain::Ledger> ledger;
+    std::optional<chain::FaultInjector> injector;
+    chain::InvariantAuditor auditor;
+    chain::Amount initial_supply;
+  };
+
+  void watch_broadcast(std::size_t leg, TxRole role, chain::TxId id,
+                       chain::TxPayload payload, chain::Hours deadline,
+                       int attempt);
+  std::span<const SwapParty> parties_;
   const SwapSetup* setup_;
-  const PricePath* path_;
   chain::EventQueue queue_;
-  // Leg runtimes sit inline for the 2-cycle, which the protocol
-  // Monte-Carlo runs once per sample; longer cycles use the heap.
+  // Chains sit inline for the 2-cycle, which the protocol Monte-Carlo runs
+  // once per sample; longer cycles use the heap.
   LegRun inline_legs_[2];
   std::unique_ptr<LegRun[]> heap_legs_;
   std::span<LegRun> legs_;
-  std::optional<CollateralOracle> oracle_;
-  crypto::Secret secret_;
-  crypto::Digest256 hash_;
-  std::optional<TrackedTx> premium_escrow_;
-  std::optional<TrackedTx> premium_settlement_;
-  SwapOutcome outcome_ = SwapOutcome::kNotInitiated;
+  chain::Ledger* inline_ledgers_[2] = {nullptr, nullptr};
+  std::unique_ptr<chain::Ledger*[]> heap_ledgers_;
+  AuditLog audit_;
+  SwapEnv env_;
+  SwapMachine machine_;
   int rebroadcasts_ = 0;
-  std::vector<std::string> audit_;
-  std::ostringstream log_line_;  ///< reused by log(): one stream per run
 };
 
 }  // namespace swapgame::proto

@@ -323,37 +323,44 @@ SwapResult run_two_cycle(const SwapSetup& setup, agents::Strategy& alice,
                          const model::Schedule& schedule,
                          bool witness_holds_secret) {
   const double q = setup.collateral;
-  const SwapLeg legs[2] = {
-      {chain_a_params(setup), 0, 1, setup.p_star, schedule.t_a,
+  const SwapLeg legs[2] = {{0, 1, setup.p_star, schedule.t_a},
+                           {1, 0, 1.0, schedule.t_b}};
+  const LegChain chains[2] = {
+      {chain_a_params(setup),
        setup.p_star + q + setup.premium + setup.alice_extra_token_a,
        q + setup.bob_extra_token_a, &setup.faults.chain_a},
-      {chain_b_params(setup), 1, 0, 1.0, schedule.t_b, 1.0, 0.0,
-       &setup.faults.chain_b}};
+      {chain_b_params(setup), 1.0, 0.0, &setup.faults.chain_b}};
   const SwapParty parties[2] = {
       {{"alice"}, &alice, &setup.faults.alice_offline},
       {{"bob"}, &bob, &setup.faults.bob_offline}};
-  SwapMachine machine({legs, parties, witness_holds_secret, schedule}, setup,
-                      path);
-  machine.run();
+  SwapGraph graph;
+  graph.legs = legs;
+  graph.parties = parties;
+  graph.schedule = &schedule;
+  graph.p_star = setup.p_star;
+  graph.secret_seed = setup.secret_seed;
+  graph.witness_holds_secret = witness_holds_secret;
+  DirectRun run(graph, chains, setup, path);
+  run.run();
 
   SwapResult result;
-  result.outcome = machine.outcome();
+  result.outcome = run.machine().outcome();
   result.success = result.outcome == SwapOutcome::kSuccess;
   result.schedule = schedule;
   result.collateral = setup.collateral;
   result.premium = setup.premium;
-  result.alice.final_token_a = machine.balance(0, 0);
-  result.alice.final_token_b = machine.balance(1, 0);
-  result.bob.final_token_a = machine.balance(0, 1);
-  result.bob.final_token_b = machine.balance(1, 1);
-  machine.report(result);
+  result.alice.final_token_a = run.balance(0, 0);
+  result.alice.final_token_b = run.balance(1, 0);
+  result.bob.final_token_a = run.balance(0, 1);
+  result.bob.final_token_b = run.balance(1, 1);
+  run.report(result);
   if (setup.faults.any()) {
     compute_faulted_values(result, setup, schedule, path);
   } else {
     compute_realized_values(result, setup, schedule, path);
   }
   if (setup.trace != nullptr) {
-    setup.trace->record(machine.now(), obs::TraceKind::kOutcome,
+    setup.trace->record(run.now(), obs::TraceKind::kOutcome,
                         {{"outcome", to_string(result.outcome)},
                          {"success", result.success},
                          {"alice_utility", result.alice.realized_utility},
@@ -384,7 +391,7 @@ SwapResult run_two_cycle(const SwapSetup& setup, agents::Strategy& alice,
     m.histogram("swap.bob_utility", -4.0, 12.0, 32)
         .observe(result.bob.realized_utility);
   }
-  result.audit = machine.take_audit();
+  result.audit = run.take_audit();
   return result;
 }
 
