@@ -297,6 +297,10 @@ void Daemon::reader_loop(std::shared_ptr<Connection> conn) {
     std::string line;
     bool eof = false;
     const Status status = conn->socket.read_line(&line, &eof);
+    // An oversized line is answered, then the connection dropped.
+    if (status.code() == StatusCode::kProtocolError) {
+      send_error(conn, 0, status);
+    }
     if (!status.is_ok() || eof) break;
     if (line.empty()) continue;
 

@@ -31,6 +31,7 @@
 // transport never throws.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -70,6 +71,13 @@ inline constexpr std::string_view kEvError = "error";
 /// Connects to the AF_UNIX stream socket at `path`.
 [[nodiscard]] Status connect_unix(const std::string& path, int* out_fd);
 
+/// The longest line read_line() accepts, terminator excluded: 16 MiB.
+/// Above any job the default admission bound admits (4096 cells of about
+/// 2.2 KB of RunSpec JSON each, about 9 MB) and about 1200 times the
+/// largest line a repo tool, bench or test sends (13,610 bytes, a
+/// swapbench service job).
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 24;
+
 /// Buffered newline-delimited IO over one connected socket.  Reads and
 /// writes are independently usable from different threads, but each
 /// direction needs external serialization (the daemon holds a per-
@@ -101,7 +109,9 @@ class LineSocket {
 
   /// Reads the next '\n'-terminated line (terminator stripped).  Clean
   /// EOF sets *eof and returns OK with an empty line; a mid-line EOF or
-  /// transport error returns kUnavailable.
+  /// transport error returns kUnavailable; a line longer than
+  /// kMaxLineBytes returns kProtocolError (the caller should hang up:
+  /// the rest of the line is still in flight).
   [[nodiscard]] Status read_line(std::string* line, bool* eof);
 
  private:

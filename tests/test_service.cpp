@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <string>
@@ -263,6 +264,51 @@ TEST(Service, WireProtocolErrorSurface) {
 
   EXPECT_EQ(daemon.stats().protocol_errors, 3u);
   socket.close();
+  daemon.stop();
+}
+
+TEST(Service, OversizedLineIsRejectedAndOtherClientsStayServed) {
+  ServiceConfig config;
+  config.socket_path = socket_path("oversized");
+  config.threads = 1;
+  Daemon daemon(config);
+  ASSERT_OK(daemon.start());
+
+  int fd = -1;
+  ASSERT_OK(swapgame::service::connect_unix(config.socket_path, &fd));
+  LineSocket flooder;
+  flooder.adopt(fd);
+  // A daemon that waits forever for the terminator fails the read below
+  // instead of hanging the test.
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  swapgame::obs::json::Value hello;
+  ASSERT_OK(read_event(flooder, &hello));
+
+  // One byte past the limit and no terminator.  The daemon may hang up
+  // before taking all of it, so the write's status is not checked.
+  const std::string flood(swapgame::service::kMaxLineBytes + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  expect_status_event(flooder, "error", StatusCode::kProtocolError);
+  std::string line;
+  bool eof = false;
+  ASSERT_OK(flooder.read_line(&line, &eof));
+  EXPECT_TRUE(eof) << "the daemon keeps the connection after the overflow";
+
+  // Another client is served as usual.
+  Client client;
+  ASSERT_OK(client.connect(config.socket_path));
+  ASSERT_OK(client.ping());
+  EXPECT_EQ(daemon.stats().protocol_errors, 1u);
+  flooder.close();
   daemon.stop();
 }
 
