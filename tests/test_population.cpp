@@ -219,6 +219,32 @@ TEST(PopulationSim, CongestedFeeMarketEvictsAndStarves) {
   EXPECT_GT(r.fees_paid, 0.0);
 }
 
+TEST(PopulationSim, UncongestedMarketNeverStarves) {
+  // The model regime: block space for every intent and no price impact.
+  // Every transaction then lands by its deadline, so no session starves or
+  // loses atomicity, and each ends in one of the paper's four outcomes.
+  // (Completion is not compared with the predicted SR here: all sessions
+  // of a run share one price path.)
+  for (const std::uint64_t seed : {0xFEED5u, 0x5EEDu, 0xA11u}) {
+    PopulationConfig config = small_config(2000);
+    config.seed = seed;
+    config.impact = 0.0;
+    const std::size_t room = 4 * config.sessions + 1;  // 4 txs per session
+    config.fee_a.block_capacity = config.fee_b.block_capacity = room;
+    config.fee_a.mempool_capacity = config.fee_b.mempool_capacity = room;
+    PopulationSim sim(config);
+    const PopulationResult r = sim.run();
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    EXPECT_EQ(r.starved, 0u);
+    EXPECT_EQ(r.atomicity_lost, 0u);
+    EXPECT_EQ(r.txs_evicted, 0u);
+    EXPECT_EQ(r.txs_expired, 0u);
+    EXPECT_EQ(r.never_initiated + r.aborted_t2 + r.aborted_t3 + r.completed,
+              r.sessions);
+    EXPECT_TRUE(r.conserved);
+  }
+}
+
 TEST(PopulationSim, RunsAreDeterministic) {
   PopulationSim sim_a(small_config(200));
   PopulationSim sim_b(small_config(200));
