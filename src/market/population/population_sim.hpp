@@ -5,20 +5,24 @@
 //
 //   * orders arrive as a Poisson stream into the OrderBook; resting orders
 //     are cancelled after a patience window (exercising the id index);
-//   * every match spawns a SwapSession -- an event-driven replica of the
-//     proto t1..t4 state machine -- whose transactions compete for block
-//     space through a per-chain FeeMarket (fee bids, capacity eviction,
-//     strategic re-bidding as the timelock expiry approaches);
+//   * every match runs the paper's 2-cycle on proto::SwapMachine, the
+//     HTLC state machine behind run_swap: the session keeps the machine's
+//     per-swap state, and its shard is the machine's environment and
+//     sink, so the swap's transactions compete for block space through a
+//     per-chain FeeMarket (fee bids, capacity eviction, strategic
+//     re-bidding as the timelock expiry approaches);
 //   * the token-b price is ENDOGENOUS: a GBM advanced once per epoch and
 //     perturbed by executed swap flow (each initiation moves log-P by
-//     +-impact toward the taker's side), and every t1/t2/t3 decision reads
-//     the epoch price against the rational thresholds of model::BasicGame;
+//     +-impact toward the taker's side), and every t1/t2/t3 decision (a
+//     per-type-pair strategy) reads the epoch price against the rational
+//     thresholds of model::BasicGame;
 //   * thresholds are served from two caches keyed on tick-quantized
 //     coordinates -- (type pair, P*) for the p_t0-independent t2 region
 //     and t3 cutoff, plus (type pair, P*, P_t0) for the quadrature-backed
 //     t1 continuation value and analytic SR -- so 10^5 decisions cost a
 //     few hundred solver runs, warm-started along the P* axis;
-//   * per-session outcome, settlement latency and capital lockup roll up
+//   * per-session outcome (the machine's SwapOutcome, counted by one
+//     mapping), settlement latency and capital lockup roll up
 //     into MarketStats, and the ledgers' total_supply()
 //     conservation is checked against the minted totals at the end.
 //
@@ -30,8 +34,8 @@
 //      the epoch boundary;
 //   2. a PARALLEL phase drains K per-worker event-queue shards on a
 //      sweep::ThreadPool -- each shard owns the sessions with
-//      index % workers == shard and a private Ledger pair, so the t1..t4
-//      state machines, HTLC lifecycles and refunds advance with no shared
+//      index % workers == shard and a private Ledger pair, so the swap
+//      machines, HTLC lifecycles and refunds advance with no shared
 //      mutable state (the threshold caches are the one mutex);
 //   3. a BARRIER merges every cross-shard effect in canonical
 //      (time, session, birth-order) stamp order: fee-market intents,
@@ -233,12 +237,12 @@ struct PopulationResult {
   // scales with the worker count (each worker's ledger pair is swept);
   // everything else here and above is worker-count-invariant.
   std::uint64_t compactions = 0;        ///< ledger sweeps (all shards)
-  std::uint64_t sessions_retired = 0;   ///< Session records dropped
+  std::uint64_t sessions_retired = 0;   ///< session records dropped
   std::uint64_t accounts_retired = 0;   ///< balances folded (both chains)
   std::uint64_t txs_retired = 0;        ///< transaction records dropped
   std::uint64_t htlcs_retired = 0;      ///< settled contracts dropped
   std::uint64_t log_truncated = 0;      ///< confirmation-log entries cut
-  std::uint64_t peak_live_sessions = 0; ///< high-water Session deque size
+  std::uint64_t peak_live_sessions = 0; ///< high-water live session count
 
   /// Ledger conservation: total_supply() == minted on both chains at end
   /// (summed across worker shards).

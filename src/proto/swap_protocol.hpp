@@ -22,8 +22,9 @@
 // Chain_a vault at t1 and lets a CollateralOracle settle it (see oracle.hpp).
 //
 // run_swap is the 2-cycle of the one HTLC state machine in swap_machine.hpp,
-// which also runs the witness protocol (witness_protocol.hpp) and N-party
-// cycles (multihop_protocol.hpp).
+// which also runs the witness protocol (witness_protocol.hpp), N-party
+// cycles (multihop_protocol.hpp) and every population session
+// (market/population).
 #pragma once
 
 #include <cstdint>
@@ -51,8 +52,10 @@ enum class SwapOutcome : std::uint8_t {
   kNotInitiated,    ///< Alice stopped at t1; nothing ever hit a chain
   kBobDeclinedT2,   ///< Bob did not lock; Alice auto-refunded
   kAliceDeclinedT3, ///< Alice did not reveal; both auto-refunded
-  kBobMissedT4,     ///< Bob failed to claim a revealed secret (irrational /
-                    ///< crash): Alice received token-b AND gets token-a back
+  kBobMissedT4,     ///< Bob failed to claim a revealed secret (irrational,
+                    ///< offline, or his claim starved in a population's
+                    ///< fee market): Alice received token-b AND gets
+                    ///< token-a back
   kSuccess,         ///< both legs settled per Table I
   /// Atomicity violations reachable only with confirmation jitter
   /// (ChainParams::confirmation_jitter > 0), i.e. when the paper's
@@ -65,12 +68,15 @@ enum class SwapOutcome : std::uint8_t {
   kBobLostAtomicity,    ///< Alice's token-b claim confirmed, but Bob's
                         ///< token-a claim confirmed after t_a.  Bob lost.
   kTimelockExpiredBoth, ///< both claims missed their locks (extreme
-                        ///< jitter): both legs refunded -- benign failure,
+                        ///< jitter), or the reveal never landed (swallowed
+                        ///< by faults, or starved in a population's fee
+                        ///< market): both legs refunded -- benign failure,
                         ///< atomicity preserved.
-  kFaultAborted,        ///< a deploy was swallowed by the fault model (all
-                        ///< re-broadcasts dropped / confirmed past expiry):
-                        ///< the swap died on the wire, not by choice.  Only
-                        ///< reachable when SwapFaults::any().
+  kFaultAborted,        ///< a deploy never took effect: swallowed by the
+                        ///< fault model (all re-broadcasts dropped /
+                        ///< confirmed past expiry) or starved in a
+                        ///< population's fee market.  The swap died on the
+                        ///< wire, not by choice.
 };
 
 [[nodiscard]] const char* to_string(SwapOutcome outcome) noexcept;
