@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <iterator>
-#include <limits>
-#include <string>
 #include <stdexcept>
 #include <utility>
 
@@ -24,54 +21,32 @@ namespace {
 constexpr std::uint64_t kArrivalStream = 1'000'000'007ULL;
 constexpr std::uint64_t kPriceStream = 2'000'000'011ULL;
 
-// Fee-market stages a drop notification can refer to.  The stage also
-// rides in the low bits of the fee-market owner tag (idx * 4 + stage).
-enum Stage : int { kDeployA = 0, kDeployB = 1, kClaimB = 2, kClaimA = 3 };
-
-// A session's swap locks leg 0 on chain A and leg 1 on chain B.
-[[nodiscard]] int stage_of(std::size_t leg, proto::TxRole role) {
-  const int l = static_cast<int>(leg);
-  return role == proto::TxRole::kDeploy ? l : kClaimA - l;
-}
-[[nodiscard]] std::size_t leg_of(int stage) {
-  return stage == kDeployA || stage == kClaimA ? 0 : 1;
-}
-[[nodiscard]] proto::TxRole role_of(int stage) {
-  return stage <= kDeployB ? proto::TxRole::kDeploy : proto::TxRole::kClaim;
-}
-
-/// Where a session outcome is counted, and its trace label.
+/// Where a session outcome is counted; the counter's name is its trace
+/// label.
 struct Tally {
   std::uint64_t PopulationResult::*counter;
   const char* label;
 };
 
-/// The one mapping from a session's SwapOutcome to its result counter.  A
-/// transaction the fee market starved ends the swap in the machine's
-/// give-up outcomes: a starved lock (kFaultAborted) or reveal
-/// (kTimelockExpiredBoth) refunds both sides; a starved claim after the
-/// reveal (kBobMissedT4) lets Alice take Bob's token-b and refunds her
+/// The one mapping from a session's SwapOutcome (indexed by value) to its
+/// result counter.  A transaction the fee market starved ends the swap in
+/// the machine's give-up outcomes: a starved lock (kFaultAborted) or
+/// reveal (kTimelockExpiredBoth) refunds both sides; a starved claim after
+/// the reveal (kBobMissedT4) lets Alice take Bob's token-b and refunds her
 /// token-a -- atomicity lost.
-[[nodiscard]] Tally tally(proto::SwapOutcome outcome) {
-  switch (outcome) {
-    case proto::SwapOutcome::kNotInitiated:
-      return {&PopulationResult::never_initiated, "never_initiated"};
-    case proto::SwapOutcome::kBobDeclinedT2:
-      return {&PopulationResult::aborted_t2, "aborted_t2"};
-    case proto::SwapOutcome::kAliceDeclinedT3:
-      return {&PopulationResult::aborted_t3, "aborted_t3"};
-    case proto::SwapOutcome::kSuccess:
-      return {&PopulationResult::completed, "completed"};
-    case proto::SwapOutcome::kFaultAborted:
-    case proto::SwapOutcome::kTimelockExpiredBoth:
-      return {&PopulationResult::starved, "starved"};
-    case proto::SwapOutcome::kBobMissedT4:
-    case proto::SwapOutcome::kAliceLostAtomicity:
-    case proto::SwapOutcome::kBobLostAtomicity:
-      break;
-  }
-  return {&PopulationResult::atomicity_lost, "atomicity_lost"};
-}
+constexpr Tally kTally[] = {
+    {&PopulationResult::never_initiated, "never_initiated"},  // kNotInitiated
+    {&PopulationResult::aborted_t2, "aborted_t2"},      // kBobDeclinedT2
+    {&PopulationResult::aborted_t3, "aborted_t3"},      // kAliceDeclinedT3
+    {&PopulationResult::atomicity_lost, "atomicity_lost"},  // kBobMissedT4
+    {&PopulationResult::completed, "completed"},        // kSuccess
+    {&PopulationResult::atomicity_lost, "atomicity_lost"},  // kAlice/
+    {&PopulationResult::atomicity_lost, "atomicity_lost"},  // kBobLostAtomicity
+    {&PopulationResult::starved, "starved"},  // kTimelockExpiredBoth
+    {&PopulationResult::starved, "starved"},  // kFaultAborted
+};
+static_assert(std::size(kTally) ==
+              static_cast<std::size_t>(proto::SwapOutcome::kFaultAborted) + 1);
 
 [[nodiscard]] std::int64_t quantize(double x, double tick) {
   return std::llround(x / tick);
@@ -181,18 +156,7 @@ PopulationSim::PopulationSim(PopulationConfig config)
   }
   shards_.reserve(config_.workers);
   for (std::uint64_t w = 0; w < config_.workers; ++w) {
-    auto sh = std::make_unique<Shard>();
-    sh->sim = this;
-    sh->ledger_a = std::make_unique<chain::Ledger>(params_a, sh->queue);
-    sh->ledger_b = std::make_unique<chain::Ledger>(params_b, sh->queue);
-    sh->ledgers[0] = sh->ledger_a.get();
-    sh->ledgers[1] = sh->ledger_b.get();
-    sh->env.queue = &sh->queue;
-    sh->env.ledgers = sh->ledgers;
-    sh->env.sink = sh.get();
-    sh->env.path = &epoch_price_;
-    sh->env.setup = &swap_options_;
-    shards_.push_back(std::move(sh));
+    shards_.push_back(std::make_unique<Shard>(*this, params_a, params_b));
   }
   if (config_.workers > 1) {
     pool_ = std::make_unique<sweep::ThreadPool>(
@@ -220,6 +184,17 @@ PopulationSim::PopulationSim(PopulationConfig config)
 }
 
 PopulationSim::~PopulationSim() = default;
+
+PopulationSim::Shard::Shard(PopulationSim& owner, const chain::ChainParams& a,
+                            const chain::ChainParams& b)
+    : sim(&owner),
+      ledger_a(a, queue),
+      ledger_b(b, queue),
+      env{.queue = &queue,
+          .ledgers = ledgers,
+          .sink = this,
+          .path = this,
+          .setup = &owner.swap_options_} {}
 
 // --- decision thresholds ---------------------------------------------------
 
@@ -368,19 +343,19 @@ void PopulationSim::on_arrival() {
 }
 
 void PopulationSim::spawn_session(const Match& match) {
-  const std::uint64_t idx = session_offset_ + sessions_.size();
+  const std::uint64_t idx = result_.sessions;
   const std::uint32_t buyer_type = order_types_.at(match.buy.id);
   const std::uint32_t seller_type = order_types_.at(match.sell.id);
   order_types_.erase(match.buy.id);
   order_types_.erase(match.sell.id);
   // The rest of the session's life runs on its owner shard.
   Shard& sh = *shards_[idx % shards_.size()];
-  SessionSwap& s = sessions_.emplace_back(
+  if (idx % kSessionBlock == 0) sessions_.emplace_back();
+  SessionSwap& s = sessions_.back()[idx % kSessionBlock].emplace(
       sh.env, idx, config_.seed, match.rate,
       strategies_[buyer_type * config_.types.size() + seller_type]);
   result_.peak_live_sessions =
-      std::max(result_.peak_live_sessions,
-               static_cast<std::uint64_t>(sessions_.size()));
+      std::max(result_.peak_live_sessions, idx + 1 - session_offset_);
   s.buyer_type = static_cast<std::uint8_t>(buyer_type);
   s.seller_type = static_cast<std::uint8_t>(seller_type);
   s.t0 = queue_.now();
@@ -400,42 +375,27 @@ PopulationSim::SessionSwap::SessionSwap(proto::SwapEnv& env, std::uint64_t idx,
     : legs{{0, 1, p_star, 0.0}, {1, 0, 1.0, 0.0}},
       parties{{{"A" + std::to_string(idx)}, &strategy, nullptr},
               {{"B" + std::to_string(idx)}, &strategy, nullptr}},
-      swap(
-          [&] {
-            proto::SwapGraph graph;
-            graph.legs = legs;
-            graph.parties = parties;
-            graph.p_star = p_star;
-            // The secret is the first draw of the session's own stream.
-            graph.secret_seed = seed ^ (idx * 0x9E3779B97F4A7C15ULL +
-                                        0xD1B54A32D192ED03ULL);
-            graph.tag = idx;
-            return graph;
-          }(),
-          env) {
-  std::fill(std::begin(confirmed), std::end(confirmed),
-            std::numeric_limits<double>::quiet_NaN());
-}
+      // The secret is the first draw of the session's own stream.
+      swap({.legs = legs,
+            .parties = parties,
+            .p_star = p_star,
+            .secret_seed = session_rng_seed(seed, idx),
+            .tag = idx},
+           env) {}
 
 model::Action PopulationSim::ThresholdStrategy::decide(
     agents::Stage stage, const agents::DecisionContext& ctx) {
-  bool cont = true;
-  switch (stage) {
-    case agents::Stage::kT1Initiate:
-      cont = sim_->t1_entry(buyer_type_, seller_type_, ctx.p_star, ctx.price)
-                 .first > ctx.p_star;
-      break;
-    case agents::Stage::kT2Lock:  // Bob's continuation region (Eq. 24)
-      cont = sim_->game_entry(buyer_type_, seller_type_, ctx.p_star)
-                 .t2_region.contains(ctx.price);
-      break;
-    case agents::Stage::kT3Reveal:  // Alice's t3 cutoff (Eq. 19)
-      cont = ctx.price >
-             sim_->game_entry(buyer_type_, seller_type_, ctx.p_star).t3_cutoff;
-      break;
-    case agents::Stage::kT4Claim:
-      // Dominance: claiming always beats forfeiting the locked token-a.
-      break;
+  const auto game = [&]() -> const GameEntry& {
+    return sim->game_entry(buyer_type, seller_type, ctx.p_star);
+  };
+  bool cont = true;  // t4: claiming always beats forfeiting the token-a lock
+  if (stage == agents::Stage::kT1Initiate) {
+    cont = sim->t1_entry(buyer_type, seller_type, ctx.p_star, ctx.price).first >
+           ctx.p_star;
+  } else if (stage == agents::Stage::kT2Lock) {
+    cont = game().t2_region.contains(ctx.price);  // Bob's region (Eq. 24)
+  } else if (stage == agents::Stage::kT3Reveal) {
+    cont = ctx.price > game().t3_cutoff;  // Alice's cutoff (Eq. 19)
   }
   return cont ? model::Action::kCont : model::Action::kStop;
 }
@@ -445,7 +405,8 @@ PopulationSim::SessionSwap* PopulationSim::session(std::uint64_t idx) noexcept {
   // session finalized early, a fee-market expiry sweep) become checked
   // no-ops rather than dangling deque accesses.
   if (idx < session_offset_) return nullptr;
-  return &sessions_[idx - session_offset_];
+  return &*sessions_[idx / kSessionBlock - session_offset_ / kSessionBlock]
+                    [idx % kSessionBlock];
 }
 
 void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
@@ -454,13 +415,11 @@ void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
   const double p_star = s.legs[0].amount;
   const auto [t1_cont, sr] = t1_entry(s.buyer_type, s.seller_type, p_star, p);
   if (trace_ != nullptr && trace_stride_ > 0 && idx % trace_stride_ == 0) {
-    TraceRec rec;
-    rec.stamp = Stamp{s.t0, idx, s.bseq++};
-    rec.start = true;
-    rec.p_star = p_star;
-    rec.price = p;
-    rec.t1_cont = t1_cont;
-    sh.traces.push_back(std::move(rec));
+    sh.traces.push_back({.stamp = {s.t0, idx, s.bseq++},
+                         .start = true,
+                         .p_star = p_star,
+                         .price = p,
+                         .t1_cont = t1_cont});
   }
 
   // Idealized expiries plus fee-market slack (2x on chain A so the
@@ -472,8 +431,9 @@ void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
   s.legs[1].expiry = sched.t_b + config_.expiry_slack;
   math::Xoshiro256 rng = session_rng(config_.seed, idx);
   (void)crypto::Secret::generate(rng);
-  s.fee_a = config_.base_fee * (1.0 + config_.fee_spread * math::uniform01(rng));
-  s.fee_b = config_.base_fee * (1.0 + config_.fee_spread * math::uniform01(rng));
+  for (double& fee : s.fee) {
+    fee = config_.base_fee * (1.0 + config_.fee_spread * math::uniform01(rng));
+  }
 
   // Alice's t1 decision and, on cont, her lock's fee-market intent.
   s.swap.start();
@@ -484,18 +444,15 @@ void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
   sh.inits.push_back(InitRec{Stamp{s.t0, idx, s.bseq++}, sr,
                              s.taker_buys ? 1.0 : -1.0});
 
-  // Fund exactly what each side locks; mint-tracking backs the end-of-run
-  // conservation check (summed across shards).
-  const chain::Address& alice = s.parties[0].name;
-  const chain::Address& bob = s.parties[1].name;
-  const chain::Amount lock_a = chain::Amount::from_tokens(p_star);
-  const chain::Amount lock_b = chain::Amount::from_tokens(1.0);
-  sh.ledger_a->create_account(alice, lock_a);
-  sh.ledger_a->create_account(bob, chain::Amount{});
-  sh.ledger_b->create_account(bob, lock_b);
-  sh.ledger_b->create_account(alice, chain::Amount{});
-  sh.minted_a += lock_a;
-  sh.minted_b += lock_b;
+  // Fund exactly what each side locks (leg k is paid by party k);
+  // mint-tracking backs the end-of-run conservation check (summed across
+  // shards).
+  for (std::size_t leg = 0; leg < 2; ++leg) {
+    const chain::Amount lock = chain::Amount::from_tokens(s.legs[leg].amount);
+    sh.ledgers[leg]->create_account(s.parties[leg].name, lock);
+    sh.ledgers[leg]->create_account(s.parties[1 - leg].name, chain::Amount{});
+    sh.minted[leg] += lock;
+  }
 
   // Watchdog: by t_a + tau_a every contract of this session has settled
   // (claims land before expiry by deadline construction; refunds confirm
@@ -505,70 +462,52 @@ void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
       [this, &sh, idx] { finalize(sh, idx); });
 }
 
-void PopulationSim::Shard::submit(proto::SwapMachine& m, std::size_t leg,
-                                  proto::TxRole role, chain::TxPayload payload,
-                                  chain::Hours /*deadline*/) {
-  sim->submit_intent(*this, m.tag(), stage_of(leg, role), std::move(payload));
-}
-
 void PopulationSim::submit_intent(Shard& sh, std::uint64_t idx, int stage,
                                   chain::TxPayload payload) {
   SessionSwap& s = *session(idx);  // a live swap or a re-bid's live session
-  // Inclusion budgets: on A the slack added to the expiries for the lock,
-  // and a block and tau before t_a for the claim; on B, Bob's lock must
-  // confirm (tau_b) AND leave room for Alice's claim to be included and
-  // confirm before t_b -- two block margins of cushion.
-  const double t_a = s.legs[0].expiry;
-  const double t_b = s.legs[1].expiry;
-  const double block_a = config_.fee_a.block_interval;
-  const double block_b = config_.fee_b.block_interval;
-  double deadline = 0.0;
-  switch (stage) {
-    case kDeployA:
-      deadline = s.t0 + config_.expiry_slack;
-      break;
-    case kDeployB:
-      deadline = t_b - 2.0 * config_.tau_b - 2.0 * block_b;
-      break;
-    case kClaimB:
-      deadline = t_b - config_.tau_b - block_b;
-      break;
-    default:
-      deadline = t_a - config_.tau_a - block_a;
-      break;
-  }
+  // Inclusion budgets: Alice's lock gets the slack added to the expiries;
+  // Bob's must confirm (tau_b) AND leave room for Alice's claim to be
+  // included and confirm before t_b -- two block margins of cushion; a
+  // claim must confirm a block before its contract expires.
+  const std::size_t leg = stage >> 1;
+  const double tau = leg == 0 ? config_.tau_a : config_.tau_b;
+  const double block =
+      (leg == 0 ? config_.fee_a : config_.fee_b).block_interval;
+  const double expiry = s.legs[leg].expiry;
+  const double deadline = (stage & 1) != 0 ? expiry - tau - block
+                          : leg == 0       ? s.t0 + config_.expiry_slack
+                                           : expiry - 2.0 * tau - 2.0 * block;
   const double now = in_parallel_phase_ ? sh.queue.now() : queue_.now();
   if (now > deadline) {
-    s.swap.give_up(leg_of(stage), role_of(stage));
+    s.swap.give_up(leg, static_cast<proto::TxRole>(stage & 1));
     return;
   }
-  const double fee = leg_of(stage) == 0 ? s.fee_a : s.fee_b;
   if (in_parallel_phase_) {
     sh.intents.push_back(IntentRec{Stamp{now, idx, s.bseq++}, stage,
-                                   std::move(payload), fee, deadline});
+                                   std::move(payload), s.fee[leg], deadline});
     return;
   }
   // Serial context (a re-bid after a drop delivery): straight to the market.
-  submit_to_market(idx, stage, std::move(payload), fee, deadline);
+  submit_to_market(idx, stage, std::move(payload), s.fee[leg], deadline);
 }
 
 void PopulationSim::land(Shard& sh, std::uint64_t idx, int stage,
                          chain::TxPayload payload) {
   SessionSwap* s = session(idx);
   if (s == nullptr) return;
-  chain::Ledger& ledger = *sh.ledgers[leg_of(stage)];
+  chain::Ledger& ledger = *sh.ledgers[stage >> 1];
   const chain::TxId tx = ledger.submit(std::move(payload));
   // An included transaction always confirms: each lock is funded exactly,
   // and the inclusion deadlines put every claim's confirmation a block
   // before its contract's expiry.
   s->confirmed[stage] = ledger.transaction(tx).confirmed_at;
-  s->swap.landed(leg_of(stage), role_of(stage), tx);
+  s->swap.landed(stage >> 1, static_cast<proto::TxRole>(stage & 1), tx);
 }
 
 void PopulationSim::submit_to_market(std::uint64_t idx, int stage,
                                      chain::TxPayload payload, double fee,
                                      double deadline) {
-  FeeMarket& market = leg_of(stage) == 0 ? *market_a_ : *market_b_;
+  FeeMarket& market = (stage >> 1) == 0 ? *market_a_ : *market_b_;
   // The drop callback keeps a copy of the payload for a re-bid.
   market.submit_tagged(idx * 4 + static_cast<std::uint64_t>(stage), payload,
                        fee, deadline,
@@ -586,7 +525,7 @@ void PopulationSim::handle_drop(std::uint64_t idx, int stage,
   if (reason == DropReason::kEvicted) {
     // Strategic re-bid: escalate the fee while the bid ceiling allows --
     // the resubmission deadline tightens on its own as expiry approaches.
-    double& fee = leg_of(stage) == 0 ? s.fee_a : s.fee_b;
+    double& fee = s.fee[stage >> 1];
     const double escalated = fee * config_.rebid_factor;
     if (escalated <= config_.max_fee) {
       fee = escalated;
@@ -598,7 +537,7 @@ void PopulationSim::handle_drop(std::uint64_t idx, int stage,
   }
   // Expired, or the bid ceiling was hit: the stage is starved.  Whatever is
   // locked auto-refunds at expiry.
-  s.swap.give_up(leg_of(stage), role_of(stage));
+  s.swap.give_up(stage >> 1, static_cast<proto::TxRole>(stage & 1));
 }
 
 void PopulationSim::finalize(Shard& sh, std::uint64_t idx) {
@@ -611,35 +550,29 @@ void PopulationSim::finalize(Shard& sh, std::uint64_t idx) {
   // Latency and capital lockup.  Unclaimed locks refund tau after expiry
   // (the paper's t7/t8 receipt times), which the ledger schedules on its
   // own; the analytic times below equal those events' confirmations.
-  const double claim_a = s.confirmed[kClaimA];
-  const double claim_b = s.confirmed[kClaimB];
   FinalRec rec;
   rec.stamp = Stamp{sh.queue.now(), idx, s.bseq++};
   rec.outcome = s.swap.outcome();
   if (rec.outcome == proto::SwapOutcome::kSuccess) {
-    rec.latency = std::max(claim_a, claim_b) - s.t0;
+    rec.latency = std::max(s.confirmed[1], s.confirmed[3]) - s.t0;
   }
-  if (const double locked = s.confirmed[kDeployA]; !std::isnan(locked)) {
-    const double settle = !std::isnan(claim_a)
-                              ? claim_a
-                              : s.legs[0].expiry + config_.tau_a;
-    rec.lockup_a = s.legs[0].amount * (settle - locked);
-  }
-  if (const double locked = s.confirmed[kDeployB]; !std::isnan(locked)) {
-    const double settle = !std::isnan(claim_b)
-                              ? claim_b
-                              : s.legs[1].expiry + config_.tau_b;
-    rec.lockup_b = settle - locked;
+  for (std::size_t leg = 0; leg < 2; ++leg) {
+    const double locked = s.confirmed[2 * leg];
+    if (std::isnan(locked)) continue;
+    const double claimed = s.confirmed[2 * leg + 1];
+    const double settle =
+        !std::isnan(claimed)
+            ? claimed
+            : s.legs[leg].expiry + (leg == 0 ? config_.tau_a : config_.tau_b);
+    (leg == 0 ? rec.lockup_a : rec.lockup_b) =
+        s.legs[leg].amount * (settle - locked);
   }
   sh.finals.push_back(rec);
 
   if (trace_ != nullptr && trace_stride_ > 0 && idx % trace_stride_ == 0) {
-    TraceRec t;
-    t.stamp = Stamp{sh.queue.now(), idx, s.bseq++};
-    t.start = false;
-    t.outcome = rec.outcome;
-    t.latency = rec.latency;
-    sh.traces.push_back(std::move(t));
+    sh.traces.push_back({.stamp = {sh.queue.now(), idx, s.bseq++},
+                         .outcome = rec.outcome,
+                         .latency = rec.latency});
   }
 }
 
@@ -684,7 +617,7 @@ void PopulationSim::merge_window(double e1) {
     } else {
       trace_->record(t.stamp.when, obs::TraceKind::kOutcome,
                      {{"session", t.stamp.idx},
-                      {"outcome", tally(t.outcome).label},
+                      {"outcome", kTally[static_cast<std::size_t>(t.outcome)].label},
                       {"latency_hours", t.latency}});
     }
   }
@@ -698,7 +631,7 @@ void PopulationSim::merge_window(double e1) {
 
   // Finalizations: outcome counters, latency sample, lockup folds.
   for (const FinalRec& f : merged_finals_) {
-    ++(result_.*tally(f.outcome).counter);
+    ++(result_.*kTally[static_cast<std::size_t>(f.outcome)].counter);
     if (f.outcome == proto::SwapOutcome::kSuccess) {
       latencies_.push_back(f.latency);
     }
@@ -716,9 +649,8 @@ void PopulationSim::merge_window(double e1) {
       ++merge_expired_;
       const std::uint64_t idx = rec.stamp.idx;
       const int stage = rec.stage;
-      queue_.schedule_at(queue_.now(), [this, idx, stage,
-                                        payload = std::move(rec.payload)]() mutable {
-        handle_drop(idx, stage, std::move(payload), DropReason::kExpired);
+      queue_.schedule_at(queue_.now(), [this, idx, stage] {
+        handle_drop(idx, stage, {}, DropReason::kExpired);  // never re-bid
       });
     } else {
       submit_to_market(rec.stamp.idx, rec.stage, std::move(rec.payload),
@@ -744,21 +676,6 @@ void PopulationSim::merge_window(double e1) {
   maybe_compact(e1);
 }
 
-bool PopulationSim::session_settled(const Shard& sh,
-                                    const SessionSwap& s) const {
-  // Contract id 0 = never deployed; a retired contract was settled by
-  // definition (compact() never drops a locked one).
-  for (std::size_t leg = 0; leg < 2; ++leg) {
-    const chain::HtlcId id = s.swap.contract_id(leg);
-    const chain::Ledger& ledger = *sh.ledgers[leg];
-    if (id.value != 0 && ledger.has_htlc(id) &&
-        ledger.htlc(id).state == chain::HtlcState::kLocked) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void PopulationSim::maybe_compact(double now) {
   if (!config_.compaction.enabled) return;
   if (finalized_since_compact_ < config_.compaction.interval) return;
@@ -770,10 +687,16 @@ void PopulationSim::maybe_compact(double now) {
   // be folded once every refund has credited them (chain-B refunds confirm
   // after the watchdog when t_b_expiry + tau_b exceeds it), so stop at the
   // first session still waiting on a locked contract.
-  while (!sessions_.empty()) {
-    SessionSwap& s = sessions_.front();
+  while (session_offset_ < result_.sessions) {
+    std::optional<SessionSwap>& slot =
+        sessions_.front()[session_offset_ % kSessionBlock];
+    SessionSwap& s = *slot;
     Shard& sh = *shards_[session_offset_ % shards_.size()];
-    if (!s.finalized || !session_settled(sh, s)) break;
+    const auto locked = [&s](std::size_t leg) {
+      const chain::HtlcContract* c = s.swap.contract(leg);
+      return c != nullptr && c->state == chain::HtlcState::kLocked;
+    };
+    if (!s.finalized || locked(0) || locked(1)) break;
     if (s.swap.initiated()) {
       for (chain::Ledger* ledger : sh.ledgers) {
         for (const proto::SwapParty& party : s.parties) {
@@ -782,13 +705,13 @@ void PopulationSim::maybe_compact(double now) {
       }
       result_.accounts_retired += 4;
     }
-    sessions_.pop_front();
-    ++session_offset_;
+    slot.reset();
+    if (++session_offset_ % kSessionBlock == 0) sessions_.pop_front();
     ++result_.sessions_retired;
   }
 
   for (const auto& shp : shards_) {
-    for (chain::Ledger* ledger : {shp->ledger_a.get(), shp->ledger_b.get()}) {
+    for (chain::Ledger* ledger : shp->ledgers) {
       const chain::CompactionReport report = ledger->compact(watermark);
       ++result_.compactions;
       result_.txs_retired += report.transactions_retired;
@@ -888,19 +811,17 @@ PopulationResult PopulationSim::run() {
   r.txs_expired = market_a_->expired() + market_b_->expired() + merge_expired_;
   r.fees_paid = market_a_->fees_paid() + market_b_->fees_paid();
 
-  chain::Amount minted_a;
-  chain::Amount minted_b;
-  chain::Amount supply_a;
-  chain::Amount supply_b;
+  chain::Amount minted[2];
+  chain::Amount supply[2];
   double end_time = global_max_event_time_;
   for (const auto& shp : shards_) {
-    minted_a += shp->minted_a;
-    minted_b += shp->minted_b;
-    supply_a += shp->ledger_a->total_supply();
-    supply_b += shp->ledger_b->total_supply();
+    for (std::size_t leg = 0; leg < 2; ++leg) {
+      minted[leg] += shp->minted[leg];
+      supply[leg] += shp->ledgers[leg]->total_supply();
+    }
     end_time = std::max(end_time, shp->max_event_time);
   }
-  r.conserved = supply_a == minted_a && supply_b == minted_b;
+  r.conserved = supply[0] == minted[0] && supply[1] == minted[1];
   r.end_time = end_time;
 
   if (metrics_ != nullptr) {

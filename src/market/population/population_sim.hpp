@@ -50,14 +50,14 @@
 // cell kind (engine/run_spec.hpp).
 #pragma once
 
-#include <cstddef>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <new>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,10 +89,13 @@ namespace swapgame::market {
 /// counter-keyed SplitMix seeding (the per-chunk MC stream idiom), so the
 /// arrival, price and per-session streams draw the same values for a
 /// given index, bit for bit, in any execution order.
+[[nodiscard]] constexpr std::uint64_t session_rng_seed(std::uint64_t seed,
+                                                       std::uint64_t index) {
+  return seed ^ (index * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
+}
 [[nodiscard]] inline math::Xoshiro256 session_rng(std::uint64_t seed,
                                                   std::uint64_t index) {
-  return math::Xoshiro256(seed ^
-                          (index * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL));
+  return math::Xoshiro256(session_rng_seed(seed, index));
 }
 
 /// Statistics rolled up over a population run's sessions.
@@ -351,59 +354,58 @@ class PopulationSim {
   /// its sessions' swaps (their proto::SwapEnv), plus the per-epoch effect
   /// buffers.  Sessions with index % workers == shard live here; only the
   /// owning worker touches any of it during the parallel phase.  The shard
-  /// is its swaps' sink: every transaction goes through its chain's fee
-  /// market (PopulationSim::submit_intent).
-  struct Shard final : proto::SwapSink {
-    PopulationSim* sim = nullptr;
+  /// is its swaps' sink -- every transaction goes through its chain's fee
+  /// market (PopulationSim::submit_intent) -- and their price feed, quoting
+  /// the epoch-frozen price.
+  struct Shard final : proto::SwapSink, proto::PricePath {
+    Shard(PopulationSim& owner, const chain::ChainParams& a,
+          const chain::ChainParams& b);
+
+    PopulationSim* sim;
     chain::EventQueue queue;
-    std::unique_ptr<chain::Ledger> ledger_a;
-    std::unique_ptr<chain::Ledger> ledger_b;
-    chain::Ledger* ledgers[2] = {nullptr, nullptr};  ///< leg 0: A, leg 1: B
+    chain::Ledger ledger_a;
+    chain::Ledger ledger_b;
+    chain::Ledger* ledgers[2] = {&ledger_a, &ledger_b};  ///< by leg
     proto::SwapEnv env;
-    chain::Amount minted_a;
-    chain::Amount minted_b;
+    chain::Amount minted[2];  ///< by leg
     std::vector<IntentRec> intents;
     std::vector<InitRec> inits;
     std::vector<FinalRec> finals;
     std::vector<TraceRec> traces;
     double max_event_time = 0.0;  ///< last processed event (end_time fold)
 
+    /// A transaction's stage, 2 * leg + role (leg 0 on chain A, leg 1 on
+    /// chain B), rides in the low bits of its fee-market owner tag
+    /// (idx * 4 + stage).  The inclusion deadline is the stage's own.
     void submit(proto::SwapMachine& m, std::size_t leg, proto::TxRole role,
-                chain::TxPayload payload, chain::Hours deadline) override;
+                chain::TxPayload payload, chain::Hours) override {
+      sim->submit_intent(*this, m.tag(),
+                         static_cast<int>(2 * leg + static_cast<int>(role)),
+                         std::move(payload));
+    }
+    double price_at(chain::Hours) const override { return sim->window_price_; }
   };
 
   /// The rational threshold rules of model::BasicGame for one (buyer,
   /// seller) type pair, read from the threshold caches at the decision
   /// context's price -- the epoch-frozen price.  Stateless, so the
   /// sessions of every shard share one per pair.
-  class ThresholdStrategy final : public agents::Strategy {
-   public:
-    ThresholdStrategy(PopulationSim& sim, std::uint32_t buyer_type,
-                      std::uint32_t seller_type)
-        : sim_(&sim), buyer_type_(buyer_type), seller_type_(seller_type) {}
-    [[nodiscard]] model::Action decide(
-        agents::Stage stage, const agents::DecisionContext& ctx) override;
-    [[nodiscard]] std::string_view name() const noexcept override {
+  struct ThresholdStrategy final : agents::Strategy {
+    ThresholdStrategy(PopulationSim& owner, std::uint32_t buyer,
+                      std::uint32_t seller)
+        : sim(&owner), buyer_type(buyer), seller_type(seller) {}
+    model::Action decide(agents::Stage stage,
+                         const agents::DecisionContext& ctx) override;
+    std::string_view name() const noexcept override {
       return "population-threshold";
     }
-
-   private:
-    PopulationSim* sim_;
-    std::uint32_t buyer_type_;
-    std::uint32_t seller_type_;
+    PopulationSim* sim;
+    std::uint32_t buyer_type;
+    std::uint32_t seller_type;
   };
 
-  /// The epoch-frozen decision price, quoted to the strategies.
-  class EpochPrice final : public proto::PricePath {
-   public:
-    explicit EpochPrice(const double& price) : price_(&price) {}
-    [[nodiscard]] double price_at(chain::Hours) const override {
-      return *price_;
-    }
 
-   private:
-    const double* price_;
-  };
+  static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
   /// One matched session: the 2-cycle it runs on its shard's environment
   /// (leg 0: the buyer Alice locks P* token-a on chain A; leg 1: the
@@ -413,75 +415,20 @@ class PopulationSim {
   struct SessionSwap {
     SessionSwap(proto::SwapEnv& env, std::uint64_t idx, std::uint64_t seed,
                 double p_star, agents::Strategy& strategy);
-    SessionSwap(const SessionSwap&) = delete;
-    SessionSwap& operator=(const SessionSwap&) = delete;
 
     proto::SwapLeg legs[2];  ///< expiries set when the session starts
     proto::SwapParty parties[2];
     proto::SwapMachine swap;
     double t0 = 0.0;
-    double fee_a = 0.0;  ///< current bid on chain A (escalates on eviction)
-    double fee_b = 0.0;
-    /// Confirmation time of each fee-market stage's transaction (NaN until
-    /// a block includes it).
-    double confirmed[4];
+    double fee[2] = {0.0, 0.0};  ///< bid per leg (escalates on eviction)
+    /// Confirmation time of each stage's transaction (2 * leg + role; NaN
+    /// until a block includes it).
+    double confirmed[4] = {kNaN, kNaN, kNaN, kNaN};
     std::uint32_t bseq = 0;  ///< birth order of this session's buffered recs
     std::uint8_t buyer_type = 0;
     std::uint8_t seller_type = 0;
     bool taker_buys = false;  ///< impact direction, applied at initiation
     bool finalized = false;
-  };
-
-  /// Records appended at the back and retired from the front, stored in
-  /// blocks of kBlock: std::deque's 512-byte nodes would hold a single
-  /// SessionSwap each, doubling the memory of the live sessions.  Records
-  /// never move.
-  template <class T, std::size_t kBlock = 64>
-  class BlockDeque {
-   public:
-    BlockDeque() = default;
-    BlockDeque(const BlockDeque&) = delete;
-    BlockDeque& operator=(const BlockDeque&) = delete;
-    ~BlockDeque() {
-      while (size_ > 0) pop_front();
-    }
-
-    template <class... Args>
-    T& emplace_back(Args&&... args) {
-      const std::size_t slot = head_ + size_;
-      if (slot == blocks_.size() * kBlock) {
-        blocks_.push_back(std::make_unique<Block>());
-      }
-      T* record = ::new (raw(slot)) T(std::forward<Args>(args)...);
-      ++size_;
-      return *record;
-    }
-    void pop_front() {
-      (*this)[0].~T();
-      --size_;
-      if (++head_ == kBlock) {
-        blocks_.pop_front();
-        head_ = 0;
-      }
-    }
-    [[nodiscard]] T& operator[](std::size_t i) {
-      return *std::launder(reinterpret_cast<T*>(raw(head_ + i)));
-    }
-    [[nodiscard]] T& front() { return (*this)[0]; }
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-
-   private:
-    struct Block {
-      alignas(T) std::byte bytes[kBlock][sizeof(T)];
-    };
-    [[nodiscard]] std::byte* raw(std::size_t slot) {
-      return blocks_[slot / kBlock]->bytes[slot % kBlock];
-    }
-
-    std::deque<std::unique_ptr<Block>> blocks_;
-    std::size_t head_ = 0;  ///< slot of the front record in blocks_[0]
-    std::size_t size_ = 0;
   };
 
   // --- decision thresholds (two-level tick-quantized cache) -------------
@@ -519,10 +466,6 @@ class PopulationSim {
   /// (watchdog of a never-initiated session, fee-market sweep) must
   /// degrade to a checked no-op instead of a dangling deque access.
   [[nodiscard]] SessionSwap* session(std::uint64_t idx) noexcept;
-  /// True once neither of the session's contracts is still locked (all
-  /// refunds/claims credited), making its accounts safe to retire.
-  [[nodiscard]] bool session_settled(const Shard& sh,
-                                     const SessionSwap& s) const;
   void init_session(Shard& sh, std::uint64_t idx);
   /// A block included the session's `stage` transaction: submit it to the
   /// shard's ledger and tell the swap.
@@ -570,9 +513,13 @@ class PopulationSim {
   double max_price_ = 0.0;
 
   std::vector<ThresholdStrategy> strategies_;  ///< by buyer * types + seller
-  EpochPrice epoch_price_{window_price_};
   proto::SwapSetup swap_options_;  ///< every shard env's run options
-  BlockDeque<SessionSwap> sessions_;  ///< global index session_offset_ + i
+  /// Live session records by global index in blocks: block k of the
+  /// deque holds indices from (session_offset_ / kSessionBlock + k) *
+  /// kSessionBlock on.  (std::deque's 512-byte nodes would hold a single
+  /// SessionSwap each, doubling the memory of the live sessions.)
+  static constexpr std::uint64_t kSessionBlock = 64;
+  std::deque<std::array<std::optional<SessionSwap>, kSessionBlock>> sessions_;
   std::uint64_t session_offset_ = 0;  ///< sessions retired off the front
   std::uint64_t finalized_since_compact_ = 0;
   std::map<std::uint64_t, std::uint32_t> order_types_;  ///< order id -> type

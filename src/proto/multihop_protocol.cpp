@@ -49,11 +49,9 @@ MultihopResult run_multihop_swap(const MultihopSetup& setup,
   // carry no agreed rate.
   SwapSetup env;
   env.audit = false;
-  SwapGraph graph;
-  graph.legs = legs;
-  graph.parties = parties;
-  graph.secret_seed = setup.secret_seed;
-  DirectRun run(graph, chains, env, path);
+  DirectRun run(
+      {.legs = legs, .parties = parties, .secret_seed = setup.secret_seed},
+      chains, env, path);
   run.run();
   const SwapMachine& machine = run.machine();
 

@@ -1,7 +1,6 @@
 #include "swap_machine.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <variant>
@@ -18,23 +17,6 @@ using chain::Hours;
 /// and Chain_b (expiries t_a, t_b) for the 2-cycle.
 char leg_letter(std::size_t leg) { return static_cast<char>('a' + leg % 26); }
 
-/// A number in std::to_string's format, rendered only when an audit line
-/// is kept.
-struct Fixed {
-  double value;
-};
-std::ostream& operator<<(std::ostream& os, Fixed f) {
-  return os << std::to_string(f.value);
-}
-
-/// The first 16 hex digits of a hash lock, rendered only when kept.
-struct HashPrefix {
-  const crypto::Digest256* hash;
-};
-std::ostream& operator<<(std::ostream& os, HashPrefix h) {
-  return os << h.hash->to_hex().substr(0, 16);
-}
-
 /// A wait's key: the transaction's leg and role.
 std::uint32_t wait_key(std::size_t leg, TxRole role) {
   return static_cast<std::uint32_t>(leg * 4 + static_cast<std::size_t>(role));
@@ -42,35 +24,26 @@ std::uint32_t wait_key(std::size_t leg, TxRole role) {
 
 }  // namespace
 
-// --- SwapMachine --------------------------------------------------------------
+// --- SwapMachine -------------------------------------------------------------
 
 SwapMachine::SwapMachine(const SwapGraph& graph, SwapEnv& env)
-    : graph_(graph), env_(&env) {
-  if (graph.legs.size() > 2) {
-    heap_legs_ = std::make_unique<LegTx[]>(graph.legs.size());
-  }
-}
-
-void SwapMachine::start() { initiate(); }
+    : graph_(graph),
+      env_(&env),
+      heap_legs_(graph.legs.size() > 2
+                     ? std::make_unique<LegTx[]>(graph.legs.size())
+                     : nullptr),
+      legs_(heap_legs_ ? heap_legs_.get() : inline_legs_) {}
 
 TrackedTx& SwapMachine::slot(std::size_t leg, TxRole role) {
-  switch (role) {
-    case TxRole::kDeploy:
-      return leg_tx(leg).deploy;
-    case TxRole::kClaim:
-      return leg_tx(leg).claim;
-    case TxRole::kPremiumEscrow:
-      return env_->premium_escrow;
-    case TxRole::kPremiumSettlement:
-      break;
-  }
-  return env_->premium_settlement;
+  if (role == TxRole::kDeploy) return legs_[leg].deploy;
+  if (role == TxRole::kClaim) return legs_[leg].claim;
+  return env_->premium[role == TxRole::kPremiumSettlement];
 }
 
 void SwapMachine::landed(std::size_t leg, TxRole role, chain::TxId id) {
   slot(leg, role).id = id;
   if (role == TxRole::kDeploy) {
-    leg_tx(leg).contract = chain_of(leg).pending_contract_of(id);
+    legs_[leg].contract = chain_of(leg).pending_contract_of(id);
   }
   if (awaiting_ == wait_key(leg, role)) {
     awaiting_ = kNoWait;
@@ -88,14 +61,9 @@ void SwapMachine::give_up(std::size_t leg, TxRole role) {
   if (awaiting_ == wait_key(leg, role)) awaiting_ = kNoWait;
   if (role == TxRole::kDeploy) {
     outcome_ = SwapOutcome::kFaultAborted;
-    log("lock on Chain_", leg_letter(leg), " never landed; fault abort");
-  } else if (role == TxRole::kClaim && leg + 1 == graph_.legs.size()) {
-    outcome_ = SwapOutcome::kTimelockExpiredBoth;
-    log("reveal on Chain_", leg_letter(leg),
-        " never landed; both legs will refund");
   } else if (role == TxRole::kClaim) {
-    outcome_ = SwapOutcome::kBobMissedT4;
-    log("claim on Chain_", leg_letter(leg), " never landed");
+    outcome_ = leg + 1 == graph_.legs.size() ? SwapOutcome::kTimelockExpiredBoth
+                                             : SwapOutcome::kBobMissedT4;
   }
 }
 
@@ -105,7 +73,7 @@ crypto::Secret SwapMachine::secret() const {
 }
 
 const chain::HtlcContract* SwapMachine::contract(std::size_t leg) const {
-  const LegTx& tx = leg_tx(leg);
+  const LegTx& tx = legs_[leg];
   if (tx.deploy.id.value == 0) return nullptr;
   const chain::Ledger& ledger = chain_of(leg);
   return ledger.has_htlc(tx.contract) ? &ledger.htlc(tx.contract) : nullptr;
@@ -157,18 +125,29 @@ void SwapMachine::await(std::size_t leg, TxRole role) {
   chain::EventQueue& queue = *env_->queue;
   const chain::Ledger& chain = chain_of(leg);
   const chain::Transaction& tx = chain.transaction(tracked.id);
-  const bool lock = role == TxRole::kDeploy;
+  const bool locking = role == TxRole::kDeploy;
   Hours earliest = 0.0;
   if (const model::Schedule* s = graph_.schedule; s != nullptr) {
-    earliest = !lock ? s->t4 : leg + 1 == graph_.legs.size() ? s->t3 : s->t2;
+    earliest = !locking                        ? s->t4
+               : leg + 1 == graph_.legs.size() ? s->t3
+                                               : s->t2;
   }
   // The step captures only [this, key], which fits std::function's inline
   // buffer: scheduling it allocates nothing.
-  const auto step = [this, key] {
-    advance(key / 4, static_cast<TxRole>(key % 4));
+  const auto step = [this, key] {  // the epoch after a lock or a claim
+    const std::size_t next = key / 4;
+    if (static_cast<TxRole>(key % 4) == TxRole::kClaim) {
+      claim(next);
+    } else if (next + 1 < graph_.legs.size()) {
+      lock(next + 1);
+    } else if (graph_.witness_holds_secret) {
+      witness_claims();
+    } else {
+      reveal();
+    }
   };
   if (tx.status != chain::TxStatus::kDropped) {
-    const Hours ready = lock ? tx.confirmed_at : tx.visible_at;
+    const Hours ready = locking ? tx.confirmed_at : tx.visible_at;
     queue.schedule_at(std::max({earliest, ready, queue.now()}), step);
     return;
   }
@@ -183,19 +162,6 @@ void SwapMachine::await(std::size_t leg, TxRole role) {
   });
 }
 
-/// The epoch that follows a confirmed lock or a visible claim.
-void SwapMachine::advance(std::size_t leg, TxRole role) {
-  if (role == TxRole::kClaim) {
-    claim(leg);
-  } else if (leg + 1 < graph_.legs.size()) {
-    lock(leg + 1);
-  } else if (graph_.witness_holds_secret) {
-    witness_claims();
-  } else {
-    reveal();
-  }
-}
-
 /// True (and the epoch re-scheduled for the window's end) when party `who`
 /// is inside one of its offline windows.
 template <class Step>
@@ -206,7 +172,7 @@ bool SwapMachine::defer_while_offline(std::size_t who, Step step) {
       chain::first_time_outside(*party(who).offline, queue.now());
   if (online <= queue.now()) return false;
   log(party(who).name.value, " is offline; epoch deferred to t=",
-      Fixed{online});
+      std::to_string(online));
   if (obs::TraceRecorder* trace = env_->setup->trace; trace != nullptr) {
     trace->record(queue.now(), obs::TraceKind::kOffline,
                   {{"party", party(who).name.value}, {"until", online}});
@@ -217,11 +183,11 @@ bool SwapMachine::defer_while_offline(std::size_t who, Step step) {
 
 // --- The protocol epochs. ---------------------------------------------------
 
-void SwapMachine::initiate() {
+void SwapMachine::start() {
   const SwapSetup& setup = *env_->setup;
   const bool collateral = setup.collateral > 0.0;
-  if (defer_while_offline(0, [this] { initiate(); })) return;
-  if (collateral && defer_while_offline(1, [this] { initiate(); })) return;
+  if (defer_while_offline(0, [this] { start(); })) return;
+  if (collateral && defer_while_offline(1, [this] { start(); })) return;
   const model::Action leader_move = decide(0, agents::Stage::kT1Initiate);
   // Section IV: with collateral, engagement is a simultaneous decision.
   const model::Action partner_move =
@@ -255,8 +221,9 @@ void SwapMachine::initiate() {
                                      chain::Amount::from_tokens(first.amount),
                                      hash_, first.expiry});
   log("t1: ", party(0).name.value, " deployed HTLC on Chain_", leg_letter(0),
-      " (amount=", Fixed{first.amount}, ", expiry=t_", leg_letter(0), "=",
-      Fixed{first.expiry}, ", hash=", HashPrefix{&hash_}, "...)");
+      " (amount=", std::to_string(first.amount), ", expiry=t_",
+      leg_letter(0), "=", std::to_string(first.expiry),
+      ", hash=", hash_.to_hex().substr(0, 16), "...)");
   if (setup.premium > 0.0) {
     // Han et al. premium: an inverse escrow that refunds Alice on reveal
     // and pays Bob if she waives after commitment.  It is cancelled back
@@ -267,7 +234,8 @@ void SwapMachine::initiate() {
                   chain::Amount::from_tokens(setup.premium), hash_,
                   first.expiry, chain::HtlcKind::kInverse});
     log("t1: ", party(0).name.value, " escrowed premium ",
-        Fixed{setup.premium}, " in an inverse HTLC on Chain_", leg_letter(0));
+        std::to_string(setup.premium), " in an inverse HTLC on Chain_",
+        leg_letter(0));
   }
   await(0, TxRole::kDeploy);
 }
@@ -285,8 +253,8 @@ void SwapMachine::lock(std::size_t leg) {
   }
   if (decide(spec.payer, agents::Stage::kT2Lock) == model::Action::kStop) {
     outcome_ = SwapOutcome::kBobDeclinedT2;
-    log("t2: ", name, " declined to lock (price=", Fixed{context().price},
-        ")");
+    log("t2: ", name, " declined to lock (price=",
+        std::to_string(context().price), ")");
     cancel_premium_escrow();
     return;
   }
@@ -299,7 +267,7 @@ void SwapMachine::lock(std::size_t leg) {
   // in the initiator's line: both formats are pinned audit bytes.
   log("t2: ", name, " deployed HTLC on Chain_", leg_letter(leg),
       " (amount=", spec.amount, ", expiry=t_", leg_letter(leg), "=",
-      Fixed{spec.expiry}, ")");
+      std::to_string(spec.expiry), ")");
   await(leg, TxRole::kDeploy);
 }
 
@@ -315,20 +283,20 @@ void SwapMachine::reveal() {
   }
   if (decide(0, agents::Stage::kT3Reveal) == model::Action::kStop) {
     outcome_ = SwapOutcome::kAliceDeclinedT3;
-    log("t3: ", name, " withheld the secret (price=", Fixed{context().price},
-        ")");
+    log("t3: ", name, " withheld the secret (price=",
+        std::to_string(context().price), ")");
     return;
   }
   const crypto::Secret preimage = secret();
   broadcast(last, TxRole::kClaim,
-            chain::ClaimHtlcPayload{leg_tx(last).contract, preimage,
+            chain::ClaimHtlcPayload{legs_[last].contract, preimage,
                                     party(0).name});
   log("t3: ", name, " claimed on Chain_", leg_letter(last),
       ", revealing the secret");
-  if (env_->premium_escrow.id.value != 0) {
+  if (env_->premium[0].id.value != 0) {
     broadcast(0, TxRole::kPremiumSettlement,
               chain::ClaimHtlcPayload{
-                  chain_of(0).pending_contract_of(env_->premium_escrow.id),
+                  chain_of(0).pending_contract_of(env_->premium[0].id),
                   preimage, party(0).name});
     log("t3: ", name, " reclaimed her premium escrow on Chain_",
         leg_letter(0));
@@ -348,7 +316,7 @@ void SwapMachine::witness_claims() {
   outcome_ = SwapOutcome::kSuccess;
   for (std::size_t leg = 0; leg < graph_.legs.size(); ++leg) {
     broadcast(leg, TxRole::kClaim,
-              chain::ClaimHtlcPayload{leg_tx(leg).contract, preimage,
+              chain::ClaimHtlcPayload{legs_[leg].contract, preimage,
                                       party(graph_.legs[leg].payee).name});
   }
   log("t3: witness committed -- claimed every leg atomically");
@@ -362,7 +330,7 @@ void SwapMachine::claim(std::size_t watched) {
   // claim is mempool-visible.  Only the latest broadcast can be: every
   // earlier one was dropped before reaching the mempool.
   std::optional<crypto::Secret> observed;
-  if (const chain::TxId id = leg_tx(watched).claim.id; id.value != 0) {
+  if (const chain::TxId id = legs_[watched].claim.id; id.value != 0) {
     const chain::Transaction& tx = chain_of(watched).transaction(id);
     const crypto::Secret& secret =
         std::get<chain::ClaimHtlcPayload>(tx.payload).secret;
@@ -391,7 +359,7 @@ void SwapMachine::claim(std::size_t watched) {
   // The last claim completes the swap -- unless the sink gives it up.
   if (target == 0) outcome_ = SwapOutcome::kSuccess;
   broadcast(target, TxRole::kClaim,
-            chain::ClaimHtlcPayload{leg_tx(target).contract, *observed,
+            chain::ClaimHtlcPayload{legs_[target].contract, *observed,
                                     party(who).name});
   log("t4: ", name, " claimed on Chain_", leg_letter(target),
       " with the observed secret");
@@ -402,10 +370,10 @@ void SwapMachine::claim(std::size_t watched) {
 // escrow must not penalize her: the watcher cancels it back as soon as
 // Bob's walk-away is known.
 void SwapMachine::cancel_premium_escrow() {
-  if (env_->premium_escrow.id.value == 0) return;
+  if (env_->premium[0].id.value == 0) return;
   broadcast(0, TxRole::kPremiumSettlement,
             chain::CancelHtlcPayload{
-                chain_of(0).pending_contract_of(env_->premium_escrow.id),
+                chain_of(0).pending_contract_of(env_->premium[0].id),
                 party(0).name});
   log("premium watcher cancelled the escrow (", party(1).name.value,
       " never locked)");
@@ -414,7 +382,7 @@ void SwapMachine::cancel_premium_escrow() {
 /// Leg `leg`'s payee checks the *confirmed* contract: existence, funding
 /// and terms (Section II-B Step 2).
 bool SwapMachine::verify(std::size_t leg) const {
-  const chain::TxId id = leg_tx(leg).deploy.id;
+  const chain::TxId id = legs_[leg].deploy.id;
   if (id.value == 0) return false;
   const chain::Ledger& ledger = chain_of(leg);
   const chain::Transaction& tx = ledger.transaction(id);
@@ -479,7 +447,7 @@ void SwapMachine::reconcile_outcome() {
   }
 }
 
-// --- DirectRun ----------------------------------------------------------------
+// --- DirectRun ---------------------------------------------------------------
 
 DirectRun::DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
                      const SwapSetup& setup, const PricePath& path)

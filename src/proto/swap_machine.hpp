@@ -158,11 +158,10 @@ struct SwapEnv {
   /// final reconciliation) and trace.
   const SwapSetup* setup = nullptr;
   AuditLog* audit = nullptr;  ///< nullptr = no audit lines
-  /// The Section IV oracle and the Han et al. premium escrow of the one
-  /// 2-cycle on this clock (a DirectRun's).
+  /// The Section IV oracle and the Han et al. premium escrow (and its
+  /// settlement) of the one 2-cycle on this clock (a DirectRun's).
   std::optional<CollateralOracle> oracle;
-  TrackedTx premium_escrow;
-  TrackedTx premium_settlement;
+  TrackedTx premium[2];
 };
 
 /// One swap's state.  The graph's spans, its strategies and the
@@ -173,8 +172,8 @@ class SwapMachine {
   SwapMachine(const SwapMachine&) = delete;
   SwapMachine& operator=(const SwapMachine&) = delete;
 
-  /// The leader's t1 epoch; every later epoch runs on the environment's
-  /// queue.
+  /// The leader's t1 epoch (initiate); every later epoch runs on the
+  /// environment's queue.
   void start();
   /// Sink report: broadcast `id` of the `role` transaction of `leg` is now
   /// on the leg's ledger.
@@ -192,11 +191,7 @@ class SwapMachine {
   [[nodiscard]] std::uint64_t tag() const noexcept { return graph_.tag; }
   /// Whether the leg's deploy reached its ledger.
   [[nodiscard]] bool deployed(std::size_t leg) const noexcept {
-    return leg_tx(leg).deploy.id.value != 0;
-  }
-  /// The contract the leg's latest deploy creates (id 0: none landed).
-  [[nodiscard]] chain::HtlcId contract_id(std::size_t leg) const noexcept {
-    return leg_tx(leg).contract;
+    return legs_[leg].deploy.id.value != 0;
   }
   /// The leg's contract, or nullptr when no deploy created one.
   [[nodiscard]] const chain::HtlcContract* contract(std::size_t leg) const;
@@ -221,12 +216,6 @@ class SwapMachine {
   [[nodiscard]] chain::Ledger& chain_of(std::size_t leg) const {
     return *env_->ledgers[leg];
   }
-  [[nodiscard]] const LegTx& leg_tx(std::size_t leg) const noexcept {
-    return heap_legs_ ? heap_legs_[leg] : inline_legs_[leg];
-  }
-  [[nodiscard]] LegTx& leg_tx(std::size_t leg) noexcept {
-    return heap_legs_ ? heap_legs_[leg] : inline_legs_[leg];
-  }
   [[nodiscard]] TrackedTx& slot(std::size_t leg, TxRole role);
   [[nodiscard]] crypto::Secret secret() const;
   [[nodiscard]] agents::DecisionContext context() const;
@@ -237,11 +226,9 @@ class SwapMachine {
   /// confirmed (a lock) or mempool-visible (a claim), and not before the
   /// epoch's idealized time; resumes from landed() when it has not landed.
   void await(std::size_t leg, TxRole role);
-  void advance(std::size_t leg, TxRole role);
   template <class Step>
   bool defer_while_offline(std::size_t who, Step step);
 
-  void initiate();
   void lock(std::size_t leg);
   void reveal();
   void witness_claims();
@@ -257,6 +244,7 @@ class SwapMachine {
   // heap.
   LegTx inline_legs_[2];
   std::unique_ptr<LegTx[]> heap_legs_;
+  LegTx* legs_;  ///< inline_legs_ or heap_legs_
   std::uint32_t awaiting_ = kNoWait;  ///< leg * 4 + role of a pending wait
   SwapOutcome outcome_ = SwapOutcome::kNotInitiated;
   bool initiated_ = false;

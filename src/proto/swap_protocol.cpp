@@ -333,14 +333,9 @@ SwapResult run_two_cycle(const SwapSetup& setup, agents::Strategy& alice,
   const SwapParty parties[2] = {
       {{"alice"}, &alice, &setup.faults.alice_offline},
       {{"bob"}, &bob, &setup.faults.bob_offline}};
-  SwapGraph graph;
-  graph.legs = legs;
-  graph.parties = parties;
-  graph.schedule = &schedule;
-  graph.p_star = setup.p_star;
-  graph.secret_seed = setup.secret_seed;
-  graph.witness_holds_secret = witness_holds_secret;
-  DirectRun run(graph, chains, setup, path);
+  DirectRun run({legs, parties, &schedule, setup.p_star, setup.secret_seed,
+                 /*tag=*/0, witness_holds_secret},
+                chains, setup, path);
   run.run();
 
   SwapResult result;

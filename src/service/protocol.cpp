@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -119,24 +120,21 @@ Status LineSocket::read_line(std::string* line, bool* eof) {
   line->clear();
   *eof = false;
   if (fd_ < 0) return Status::unavailable("socket is closed");
-  const auto too_long = [this] {
-    buffer_.clear();
-    return Status::protocol_error("line longer than " +
-                                  std::to_string(kMaxLineBytes) + " bytes");
-  };
   // buffer_[0, scanned) holds no '\n': every received byte is searched
   // once.
-  std::size_t scanned = 0;
-  for (;;) {
+  for (std::size_t scanned = 0;;) {
     const std::size_t newline = buffer_.find('\n', scanned);
+    if (std::min(newline, buffer_.size()) > kMaxLineBytes) {
+      buffer_.clear();
+      return Status::protocol_error("line longer than " +
+                                    std::to_string(kMaxLineBytes) + " bytes");
+    }
     if (newline != std::string::npos) {
-      if (newline > kMaxLineBytes) return too_long();
       line->assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
       return Status::ok();
     }
     scanned = buffer_.size();
-    if (scanned > kMaxLineBytes) return too_long();
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {
