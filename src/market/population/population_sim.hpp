@@ -380,7 +380,7 @@ class PopulationSim {
     void submit(proto::SwapMachine& m, std::size_t leg, proto::TxRole role,
                 chain::TxPayload payload, chain::Hours) override {
       sim->submit_intent(*this, m.tag(),
-                         static_cast<int>(2 * leg + static_cast<int>(role)),
+                         static_cast<int>(2 * leg) + static_cast<int>(role),
                          std::move(payload));
     }
     double price_at(chain::Hours) const override { return sim->window_price_; }
@@ -404,13 +404,12 @@ class PopulationSim {
     std::uint32_t seller_type;
   };
 
-
   static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
   /// One matched session: the 2-cycle it runs on its shard's environment
   /// (leg 0: the buyer Alice locks P* token-a on chain A; leg 1: the
   /// seller Bob locks 1 token-b on chain B) and what the result roll-up
-  /// needs.  Lives in a deque, which never moves it: the machine's graph
+  /// needs.  Its slot in sessions_ never moves it: the machine's graph
   /// points at the legs and parties.
   struct SessionSwap {
     SessionSwap(proto::SwapEnv& env, std::uint64_t idx, std::uint64_t seed,
