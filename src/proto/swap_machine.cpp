@@ -1,6 +1,7 @@
 #include "swap_machine.hpp"
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <variant>
@@ -16,6 +17,23 @@ using chain::Hours;
 /// Leg k is named by the k-th letter in audit lines: the paper's Chain_a
 /// and Chain_b (expiries t_a, t_b) for the 2-cycle.
 char leg_letter(std::size_t leg) { return static_cast<char>('a' + leg % 26); }
+
+/// A number in std::to_string's format, rendered only when a line is kept
+/// (a population run keeps no audit log).
+struct Fixed {
+  double value;
+};
+std::ostream& operator<<(std::ostream& os, Fixed f) {
+  return os << std::to_string(f.value);
+}
+
+/// A hash lock's first 16 hex digits, rendered only when a line is kept.
+struct HashHead {
+  const crypto::Digest256& hash;
+};
+std::ostream& operator<<(std::ostream& os, HashHead h) {
+  return os << h.hash.to_hex().substr(0, 16);
+}
 
 /// A wait's key: the transaction's leg and role.
 std::uint32_t wait_key(std::size_t leg, TxRole role) {
@@ -172,7 +190,7 @@ bool SwapMachine::defer_while_offline(std::size_t who, Step step) {
       chain::first_time_outside(*party(who).offline, queue.now());
   if (online <= queue.now()) return false;
   log(party(who).name.value, " is offline; epoch deferred to t=",
-      std::to_string(online));
+      Fixed{online});
   if (obs::TraceRecorder* trace = env_->setup->trace; trace != nullptr) {
     trace->record(queue.now(), obs::TraceKind::kOffline,
                   {{"party", party(who).name.value}, {"until", online}});
@@ -221,9 +239,8 @@ void SwapMachine::start() {
                                      chain::Amount::from_tokens(first.amount),
                                      hash_, first.expiry});
   log("t1: ", party(0).name.value, " deployed HTLC on Chain_", leg_letter(0),
-      " (amount=", std::to_string(first.amount), ", expiry=t_",
-      leg_letter(0), "=", std::to_string(first.expiry),
-      ", hash=", hash_.to_hex().substr(0, 16), "...)");
+      " (amount=", Fixed{first.amount}, ", expiry=t_", leg_letter(0), "=",
+      Fixed{first.expiry}, ", hash=", HashHead{hash_}, "...)");
   if (setup.premium > 0.0) {
     // Han et al. premium: an inverse escrow that refunds Alice on reveal
     // and pays Bob if she waives after commitment.  It is cancelled back
@@ -234,8 +251,7 @@ void SwapMachine::start() {
                   chain::Amount::from_tokens(setup.premium), hash_,
                   first.expiry, chain::HtlcKind::kInverse});
     log("t1: ", party(0).name.value, " escrowed premium ",
-        std::to_string(setup.premium), " in an inverse HTLC on Chain_",
-        leg_letter(0));
+        Fixed{setup.premium}, " in an inverse HTLC on Chain_", leg_letter(0));
   }
   await(0, TxRole::kDeploy);
 }
@@ -253,8 +269,8 @@ void SwapMachine::lock(std::size_t leg) {
   }
   if (decide(spec.payer, agents::Stage::kT2Lock) == model::Action::kStop) {
     outcome_ = SwapOutcome::kBobDeclinedT2;
-    log("t2: ", name, " declined to lock (price=",
-        std::to_string(context().price), ")");
+    log("t2: ", name, " declined to lock (price=", Fixed{context().price},
+        ")");
     cancel_premium_escrow();
     return;
   }
@@ -267,7 +283,7 @@ void SwapMachine::lock(std::size_t leg) {
   // in the initiator's line: both formats are pinned audit bytes.
   log("t2: ", name, " deployed HTLC on Chain_", leg_letter(leg),
       " (amount=", spec.amount, ", expiry=t_", leg_letter(leg), "=",
-      std::to_string(spec.expiry), ")");
+      Fixed{spec.expiry}, ")");
   await(leg, TxRole::kDeploy);
 }
 
@@ -283,8 +299,8 @@ void SwapMachine::reveal() {
   }
   if (decide(0, agents::Stage::kT3Reveal) == model::Action::kStop) {
     outcome_ = SwapOutcome::kAliceDeclinedT3;
-    log("t3: ", name, " withheld the secret (price=",
-        std::to_string(context().price), ")");
+    log("t3: ", name, " withheld the secret (price=", Fixed{context().price},
+        ")");
     return;
   }
   const crypto::Secret preimage = secret();
