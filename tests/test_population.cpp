@@ -245,6 +245,30 @@ TEST(PopulationSim, UncongestedMarketNeverStarves) {
   }
 }
 
+TEST(PopulationSim, OrderFlowBalances) {
+  // Every order either matches (two per session) or expires on its
+  // patience timer -- the run drains, so no order is left resting.  A lost
+  // or doubled expiry breaks the balance.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const std::uint64_t workers : {1u, 3u}) {
+      PopulationConfig config = small_config(3000);
+      config.seed = seed;
+      config.workers = workers;
+      config.compaction.enabled = true;
+      config.compaction.horizon = 2.0;
+      config.compaction.interval = 64;
+      PopulationSim sim(config);
+      const PopulationResult r = sim.run();
+      SCOPED_TRACE(::testing::Message()
+                   << "seed=" << seed << " workers=" << workers);
+      EXPECT_EQ(r.sessions, config.sessions);
+      EXPECT_GT(r.orders_cancelled, 0u);
+      EXPECT_GT(r.sessions_retired, 0u);
+      EXPECT_EQ(r.arrivals, 2 * r.sessions + r.orders_cancelled);
+    }
+  }
+}
+
 TEST(PopulationSim, RunsAreDeterministic) {
   PopulationSim sim_a(small_config(200));
   PopulationSim sim_b(small_config(200));
