@@ -650,6 +650,35 @@ TEST(PopulationEquivalence, AggressiveRetirementUnderFeePressure) {
   EXPECT_EQ(baseline.trace, parallel_run.trace);
 }
 
+TEST(PopulationEquivalence, ShardSweepsRetireTheSameRecords) {
+  // Each worker shard retires its own sessions' accounts and sweeps its
+  // own ledger pair, so the records retired are the same at every worker
+  // count; only the number of ledger sweeps scales (two per shard).
+  const auto run = [](std::uint64_t workers) {
+    market::PopulationConfig config = equivalence_config();
+    config.compaction.enabled = true;
+    config.compaction.horizon = 2.0;
+    config.compaction.interval = 16;
+    config.workers = workers;
+    market::PopulationSim sim(std::move(config));
+    return sim.run();
+  };
+  const market::PopulationResult one = run(1);
+  ASSERT_GT(one.compactions, 0u);
+  ASSERT_GT(one.accounts_retired, 0u);
+  ASSERT_GT(one.htlcs_retired, 0u);
+  for (const std::uint64_t workers : {2u, 3u, 4u}) {
+    const market::PopulationResult r = run(workers);
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    EXPECT_EQ(r.sessions_retired, one.sessions_retired);
+    EXPECT_EQ(r.accounts_retired, one.accounts_retired);
+    EXPECT_EQ(r.txs_retired, one.txs_retired);
+    EXPECT_EQ(r.htlcs_retired, one.htlcs_retired);
+    EXPECT_EQ(r.log_truncated, one.log_truncated);
+    EXPECT_EQ(r.compactions, workers * one.compactions);
+  }
+}
+
 TEST(PopulationEquivalence, ValidatesRetirementKnobs) {
   market::PopulationConfig config = equivalence_config();
   config.workers = 0;
