@@ -124,10 +124,11 @@ void FeeMarket::seal_block() {
   // seal time (confirmation clock starts here -- inclusion latency is the
   // fee market's whole effect).  Callbacks run after the mempool mutation
   // so an on_included that submits a follow-up intent sees clean state.
-  // Deferred mode routes the payload through the sink instead: the owner
-  // submits it to its own ledger shard at this seal time.
+  // Deferred mode hands the whole block to the sink instead, in one call:
+  // the owner submits each payload to its own ledger shard at this seal
+  // time.
   std::vector<std::pair<IncludedCallback, chain::TxId>> ready;
-  std::vector<std::pair<std::uint64_t, chain::TxPayload>> deferred;
+  std::vector<Included> deferred;
   std::size_t filled = 0;
   while (!order_.empty() && filled < config_.block_capacity) {
     ++filled;
@@ -144,11 +145,11 @@ void FeeMarket::seal_block() {
         ready.emplace_back(std::move(intent.on_included), tx);
       }
     } else {
-      deferred.emplace_back(intent.owner_tag, std::move(intent.payload));
+      deferred.push_back({intent.owner_tag, std::move(intent.payload)});
     }
   }
   for (auto& [cb, tx] : ready) cb(tx);
-  for (auto& [tag, payload] : deferred) sink_(tag, std::move(payload), now);
+  if (!deferred.empty()) sink_(deferred, now);
   if (!intents_.empty()) ensure_seal_scheduled();
 }
 

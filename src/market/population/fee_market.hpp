@@ -36,6 +36,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 
 #include "chain/event_queue.hpp"
 #include "chain/ledger.hpp"
@@ -70,14 +71,20 @@ class FeeMarket {
   /// when the intent was evicted or expired without inclusion.
   using DroppedCallback = std::function<void(DropReason)>;
 
-  /// Deferred-inclusion sink (the parallel population engine): called at
-  /// seal time for every intent that won block space, handing the payload
-  /// BACK to its owner (identified by the tag given to submit_tagged)
-  /// instead of submitting to a ledger.  The owner routes it to whatever
-  /// ledger shard owns the session and submits there -- which is what lets
-  /// one global fee market arbitrate block space across per-shard ledgers.
-  using IncludeSink = std::function<void(
-      std::uint64_t owner_tag, chain::TxPayload payload, double seal_time)>;
+  /// An intent a sealed block included, in deferred-inclusion mode.
+  struct Included {
+    std::uint64_t owner_tag = 0;  ///< the tag given to submit_tagged
+    chain::TxPayload payload;
+  };
+  /// Deferred-inclusion sink (the parallel population engine): called once
+  /// per sealed block that included anything, at seal time, with the block's
+  /// intents in inclusion order.  It hands the payloads BACK to their owners
+  /// instead of submitting to a ledger (the sink may move them out).  The
+  /// owner routes each to whatever ledger shard owns the session and submits
+  /// there -- which is what lets one global fee market arbitrate block space
+  /// across per-shard ledgers.
+  using IncludeSink =
+      std::function<void(std::span<Included> block, double seal_time)>;
 
   /// Ledger and queue must outlive the fee market (the queue must be the
   /// one driving the ledger).

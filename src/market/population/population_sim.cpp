@@ -162,20 +162,29 @@ PopulationSim::PopulationSim(PopulationConfig config)
     pool_ = std::make_unique<sweep::ThreadPool>(
         static_cast<unsigned>(config_.workers - 1));
   }
-  // Sealed intents come back through the sink: the owner shard submits the
-  // payload to ITS ledger at seal time, which is what lets one global fee
-  // market arbitrate block space across per-worker ledger pairs.
-  const FeeMarket::IncludeSink sink = [this](std::uint64_t tag,
-                                             chain::TxPayload payload,
-                                             double seal_time) {
-    const std::uint64_t idx = tag >> 2;
-    const int stage = static_cast<int>(tag & 3);
-    Shard& sh = *shards_[idx % shards_.size()];
-    sh.queue.schedule_at(
-        seal_time, [this, &sh, idx, stage, payload = std::move(payload)]() mutable {
-          land(sh, idx, stage, std::move(payload));
-        });
-  };
+  // A sealed block comes back through the sink: each owner shard lands its
+  // share of the block, in block order, in ONE event at the seal time,
+  // submitting the payloads to ITS ledger -- which is what lets one global
+  // fee market arbitrate block space across per-worker ledger pairs.  A
+  // seal schedules nothing else on shard queues, so one event per shard
+  // runs the landings in the order one event per transaction would.
+  const FeeMarket::IncludeSink sink =
+      [this](std::span<FeeMarket::Included> block, double seal_time) {
+        for (FeeMarket::Included& tx : block) {
+          shards_[(tx.owner_tag >> 2) % shards_.size()]->landings.push_back(
+              std::move(tx));
+        }
+        for (const auto& shp : shards_) {
+          Shard& sh = *shp;
+          const std::uint32_t begin = sh.landings_scheduled;
+          const auto end = static_cast<std::uint32_t>(sh.landings.size());
+          if (begin == end) continue;
+          sh.landings_scheduled = end;
+          sh.queue.schedule_at(seal_time, [&sh, begin, end] {
+            sh.sim->land(sh, begin, end);
+          });
+        }
+      };
   market_a_ = std::make_unique<FeeMarket>(config_.fee_a, queue_, sink);
   market_b_ = std::make_unique<FeeMarket>(config_.fee_b, queue_, sink);
   arrival_rng_ = session_rng(config_.seed, kArrivalStream);
@@ -302,7 +311,30 @@ void PopulationSim::schedule_next_arrival() {
   queue_.schedule_in(dt, [this] { on_arrival(); });
 }
 
+void PopulationSim::arm_expiry() {
+  expiry_armed_ = true;
+  queue_.schedule_at(expiries_.front().first, [this] {
+    expiry_armed_ = false;
+    expire_orders();
+    if (!expiries_.empty()) arm_expiry();
+  });
+}
+
+void PopulationSim::expire_orders() {
+  while (!expiries_.empty() && expiries_.front().first <= queue_.now()) {
+    const std::uint64_t order_id = expiries_.front().second;
+    expiries_.pop_front();
+    if (book_.cancel(order_id)) {
+      ++result_.orders_cancelled;
+      order_types_.erase(order_id);
+    }
+  }
+}
+
 void PopulationSim::on_arrival() {
+  // An order whose patience ends at this very instant leaves the book
+  // before this arrival can match it.
+  expire_orders();
   ++result_.arrivals;
   const double p = window_price_;
 
@@ -331,12 +363,8 @@ void PopulationSim::on_arrival() {
   const std::uint64_t order_id =
       book_.submit(side, "t", limit, config_.types[type].agent);
   order_types_.emplace(order_id, type);
-  queue_.schedule_in(config_.cancel_after, [this, order_id] {
-    if (book_.cancel(order_id)) {
-      ++result_.orders_cancelled;
-      order_types_.erase(order_id);
-    }
-  });
+  expiries_.emplace_back(queue_.now() + config_.cancel_after, order_id);
+  if (!expiry_armed_) arm_expiry();
 
   while (auto match = book_.take_match()) spawn_session(*match);
   schedule_next_arrival();
@@ -491,17 +519,21 @@ void PopulationSim::submit_intent(Shard& sh, std::uint64_t idx, int stage,
   submit_to_market(idx, stage, std::move(payload), s.fee[leg], deadline);
 }
 
-void PopulationSim::land(Shard& sh, std::uint64_t idx, int stage,
-                         chain::TxPayload payload) {
-  SessionSwap* s = session(idx);
-  if (s == nullptr) return;
-  chain::Ledger& ledger = *sh.ledgers[stage >> 1];
-  const chain::TxId tx = ledger.submit(std::move(payload));
-  // An included transaction always confirms: each lock is funded exactly,
-  // and the inclusion deadlines put every claim's confirmation a block
-  // before its contract's expiry.
-  s->confirmed[stage] = ledger.transaction(tx).confirmed_at;
-  s->swap.landed(stage >> 1, static_cast<proto::TxRole>(stage & 1), tx);
+void PopulationSim::land(Shard& sh, std::uint32_t begin, std::uint32_t end) {
+  for (std::uint32_t i = begin; i < end; ++i) {
+    FeeMarket::Included& included = sh.landings[i];
+    const std::uint64_t idx = included.owner_tag >> 2;
+    const int stage = static_cast<int>(included.owner_tag & 3);
+    SessionSwap* s = session(idx);
+    if (s == nullptr) continue;
+    chain::Ledger& ledger = *sh.ledgers[stage >> 1];
+    const chain::TxId tx = ledger.submit(std::move(included.payload));
+    // An included transaction always confirms: each lock is funded exactly,
+    // and the inclusion deadlines put every claim's confirmation a block
+    // before its contract's expiry.
+    s->confirmed[stage] = ledger.transaction(tx).confirmed_at;
+    s->swap.landed(stage >> 1, static_cast<proto::TxRole>(stage & 1), tx);
+  }
 }
 
 void PopulationSim::submit_to_market(std::uint64_t idx, int stage,
@@ -597,6 +629,10 @@ void PopulationSim::merge_window(double e1) {
     std::move(sh.traces.begin(), sh.traces.end(),
               std::back_inserter(merged_traces_));
     sh.traces.clear();
+    // Every seal of the serial phase lies before e1, so the drain has
+    // landed all of them.
+    sh.landings.clear();
+    sh.landings_scheduled = 0;
   }
   const auto by_stamp = [](const auto& a, const auto& b) {
     return a.stamp < b.stamp;
@@ -685,39 +721,67 @@ void PopulationSim::maybe_compact(double now) {
 
   // Retire finalized sessions from the deque front.  The accounts can only
   // be folded once every refund has credited them (chain-B refunds confirm
-  // after the watchdog when t_b_expiry + tau_b exceeds it), so stop at the
-  // first session still waiting on a locked contract.
-  while (session_offset_ < result_.sessions) {
-    std::optional<SessionSwap>& slot =
-        sessions_.front()[session_offset_ % kSessionBlock];
-    SessionSwap& s = *slot;
-    Shard& sh = *shards_[session_offset_ % shards_.size()];
+  // after the watchdog when t_b_expiry + tau_b exceeds it), so the
+  // retirable range stops at the first session still waiting on a locked
+  // contract.
+  std::uint64_t end = session_offset_;
+  for (; end < result_.sessions; ++end) {
+    const SessionSwap& s = *session(end);
     const auto locked = [&s](std::size_t leg) {
       const chain::HtlcContract* c = s.swap.contract(leg);
       return c != nullptr && c->state == chain::HtlcState::kLocked;
     };
     if (!s.finalized || locked(0) || locked(1)) break;
-    if (s.swap.initiated()) {
+  }
+
+  // Each shard folds its own retired sessions' accounts and sweeps its own
+  // ledger pair -- no shared state, so the shards sweep in parallel.
+  const std::uint64_t width = shards_.size();
+  for_each_shard([&](std::size_t w) {
+    Shard& sh = *shards_[w];
+    const std::uint64_t first =
+        session_offset_ + (w + width - session_offset_ % width) % width;
+    for (std::uint64_t idx = first; idx < end; idx += width) {
+      const SessionSwap& s = *session(idx);
+      if (!s.swap.initiated()) continue;
       for (chain::Ledger* ledger : sh.ledgers) {
         for (const proto::SwapParty& party : s.parties) {
           ledger->retire_account(party.name);
         }
       }
-      result_.accounts_retired += 4;
+      sh.swept.accounts_retired += 4;
     }
-    slot.reset();
-    if (++session_offset_ % kSessionBlock == 0) sessions_.pop_front();
-    ++result_.sessions_retired;
+    for (chain::Ledger* ledger : sh.ledgers) {
+      const chain::CompactionReport report = ledger->compact(watermark);
+      ++sh.swept.compactions;
+      sh.swept.txs_retired += report.transactions_retired;
+      sh.swept.htlcs_retired += report.htlcs_retired;
+      sh.swept.log_truncated += report.log_truncated;
+    }
+  });
+  for (const auto& shp : shards_) {
+    const Shard::SweepTally& t = shp->swept;
+    result_.compactions += t.compactions;
+    result_.accounts_retired += t.accounts_retired;
+    result_.txs_retired += t.txs_retired;
+    result_.htlcs_retired += t.htlcs_retired;
+    result_.log_truncated += t.log_truncated;
+    shp->swept = {};
   }
 
-  for (const auto& shp : shards_) {
-    for (chain::Ledger* ledger : shp->ledgers) {
-      const chain::CompactionReport report = ledger->compact(watermark);
-      ++result_.compactions;
-      result_.txs_retired += report.transactions_retired;
-      result_.htlcs_retired += report.htlcs_retired;
-      result_.log_truncated += report.log_truncated;
-    }
+  result_.sessions_retired += end - session_offset_;
+  while (session_offset_ < end) {
+    sessions_.front()[session_offset_ % kSessionBlock].reset();
+    if (++session_offset_ % kSessionBlock == 0) sessions_.pop_front();
+  }
+}
+
+void PopulationSim::for_each_shard(
+    const std::function<void(std::size_t)>& fn) {
+  if (pool_ != nullptr) {
+    pool_->run_parallel(shards_.size(), fn);
+  } else {
+    for (std::size_t w = 0; w < shards_.size(); ++w) fn(w);
   }
 }
 
@@ -769,18 +833,13 @@ PopulationResult PopulationSim::run() {
     // Parallel phase: each shard drains its own queue (session state
     // machines, HTLC confirmations, refunds) up to the barrier.
     in_parallel_phase_ = true;
-    const std::function<void(std::size_t)> drain = [this, e1](std::size_t w) {
+    for_each_shard([this, e1](std::size_t w) {
       Shard& sh = *shards_[w];
       if (sh.queue.drain_before(e1) != 0) {
         sh.max_event_time = std::max(sh.max_event_time, sh.queue.now());
       }
       sh.queue.advance_to(e1);
-    };
-    if (pool_ != nullptr) {
-      pool_->run_parallel(shards_.size(), drain);
-    } else {
-      for (std::size_t w = 0; w < shards_.size(); ++w) drain(w);
-    }
+    });
     in_parallel_phase_ = false;
 
     merge_window(e1);

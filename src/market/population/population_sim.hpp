@@ -53,6 +53,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -353,10 +354,12 @@ class PopulationSim {
   /// One worker shard: a private event queue and ledger pair shared by
   /// its sessions' swaps (their proto::SwapEnv), plus the per-epoch effect
   /// buffers.  Sessions with index % workers == shard live here; only the
-  /// owning worker touches any of it during the parallel phase.  The shard
-  /// is its swaps' sink -- every transaction goes through its chain's fee
-  /// market (PopulationSim::submit_intent) -- and their price feed, quoting
-  /// the epoch-frozen price.
+  /// owning worker touches any of it during the parallel phase and the
+  /// barrier's sweep.  The shard is its swaps' sink -- every transaction
+  /// goes through its chain's fee market (PopulationSim::submit_intent) --
+  /// and their price feed, quoting the epoch-frozen price.  The serial
+  /// phase hands it the transactions that sealed blocks included
+  /// (`landings`), one landing event per seal.
   struct Shard final : proto::SwapSink, proto::PricePath {
     Shard(PopulationSim& owner, const chain::ChainParams& a,
           const chain::ChainParams& b);
@@ -372,6 +375,19 @@ class PopulationSim {
     std::vector<InitRec> inits;
     std::vector<FinalRec> finals;
     std::vector<TraceRec> traces;
+    /// This epoch's sealed transactions in seal order; the first
+    /// `landings_scheduled` already have their landing event.
+    std::vector<FeeMarket::Included> landings;
+    std::uint32_t landings_scheduled = 0;
+    /// The shard's share of one retirement sweep, folded into the result
+    /// in shard order.
+    struct SweepTally {
+      std::uint64_t compactions = 0;
+      std::uint64_t accounts_retired = 0;
+      std::uint64_t txs_retired = 0;
+      std::uint64_t htlcs_retired = 0;
+      std::uint64_t log_truncated = 0;
+    } swept;
     double max_event_time = 0.0;  ///< last processed event (end_time fold)
 
     /// A transaction's stage, 2 * leg + role (leg 0 on chain A, leg 1 on
@@ -457,6 +473,10 @@ class PopulationSim {
   // --- workload (serial phase) -------------------------------------------
   void schedule_next_arrival();
   void on_arrival();
+  /// Arms the one global expiry event at the front order's expiry.
+  void arm_expiry();
+  /// Cancels every order whose patience ran out by now.
+  void expire_orders();
   void spawn_session(const Match& match);
 
   // --- sessions (parallel phase, shard-confined) -------------------------
@@ -466,9 +486,9 @@ class PopulationSim {
   /// degrade to a checked no-op instead of a dangling deque access.
   [[nodiscard]] SessionSwap* session(std::uint64_t idx) noexcept;
   void init_session(Shard& sh, std::uint64_t idx);
-  /// A block included the session's `stage` transaction: submit it to the
-  /// shard's ledger and tell the swap.
-  void land(Shard& sh, std::uint64_t idx, int stage, chain::TxPayload payload);
+  /// A sealed block included landings [begin, end) of the shard: submit
+  /// each to the shard's ledger and tell its swap.
+  void land(Shard& sh, std::uint32_t begin, std::uint32_t end);
   void finalize(Shard& sh, std::uint64_t idx);
   /// The sink proper: checks the stage's inclusion deadline (giving the
   /// transaction up once it has passed), then buffers the intent during
@@ -489,6 +509,8 @@ class PopulationSim {
   /// Every compaction.interval finalizations: retire settled sessions from
   /// the deque front and sweep every shard ledger behind the watermark.
   void maybe_compact(double now);
+  /// Runs fn(shard) for every shard, on the pool when there is one.
+  void for_each_shard(const std::function<void(std::size_t)>& fn);
 
   PopulationConfig config_;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -522,6 +544,12 @@ class PopulationSim {
   std::uint64_t session_offset_ = 0;  ///< sessions retired off the front
   std::uint64_t finalized_since_compact_ = 0;
   std::map<std::uint64_t, std::uint32_t> order_types_;  ///< order id -> type
+  /// (expiry, order id) of every order that entered the book, in arrival
+  /// order -- cancel_after is constant, so expiries never decrease.  One
+  /// global event, armed at the front's expiry, cancels the orders still
+  /// resting.
+  std::deque<std::pair<double, std::uint64_t>> expiries_;
+  bool expiry_armed_ = false;
 
   std::mutex cache_mutex_;  ///< guards the caches + pending_hints_
   std::map<std::uint64_t, GameEntry> games_;            ///< level-1 cache
