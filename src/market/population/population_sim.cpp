@@ -223,44 +223,49 @@ model::SwapParams PopulationSim::pair_params(std::uint32_t buyer_type,
 
 const PopulationSim::GameEntry& PopulationSim::game_entry(
     std::uint32_t buyer_type, std::uint32_t seller_type, double p_star) {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return game_entry_locked(buyer_type, seller_type, p_star);
-}
-
-const PopulationSim::GameEntry& PopulationSim::game_entry_locked(
-    std::uint32_t buyer_type, std::uint32_t seller_type, double p_star) {
   const std::uint32_t pair_key = (buyer_type << 8) | seller_type;
   const std::int64_t star_units = quantize(p_star, config_.tick);
   const std::uint64_t key =
       (static_cast<std::uint64_t>(pair_key) << 32) |
       static_cast<std::uint64_t>(star_units & 0xFFFFFFFFLL);
-  const auto it = games_.find(key);
-  if (it != games_.end()) return it->second;
+  std::vector<double> hints;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    const auto it = games_.find(key);
+    if (it != games_.end()) return it->second;
+    const auto h = last_roots_.find(pair_key);
+    if (h != last_roots_.end()) hints = h->second;
+  }
 
   // The t3 cutoff and t2 region do not depend on p_t0 (only the t1
   // quantities do), so one solve at a canonical p_t0 = P* serves every
   // decision price.  Warm-start along the P* axis within a type pair; the
   // hints are frozen for the whole epoch (refreshed at the barrier) so a
-  // solve's inputs do not depend on which worker reaches it first.
+  // solve's inputs do not depend on which worker reaches it first.  That
+  // is also why the solve runs outside the lock: a worker racing on the
+  // same key computes the same entry, and only the first insert counts.
   const double p = static_cast<double>(star_units) * config_.tick;
   const model::SwapParams params = pair_params(buyer_type, seller_type, p);
-  const std::vector<double>& hints = last_roots_[pair_key];
   const model::BasicGame game = hints.empty()
                                     ? model::BasicGame(params, p)
                                     : model::BasicGame(params, p, hints);
-  ++result_.threshold_games;
   GameEntry entry;
   entry.t3_cutoff = game.alice_t3_cutoff();
   entry.t2_region = game.bob_t2_region();
   entry.t2_roots = game.t2_roots();
-  pending_hints_.push_back(HintRec{pair_key, star_units, entry.t2_roots});
-  return games_.emplace(key, std::move(entry)).first->second;
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  const auto [it, inserted] = games_.try_emplace(key, std::move(entry));
+  if (inserted) {
+    ++result_.threshold_games;
+    pending_hints_.push_back(
+        HintRec{pair_key, star_units, it->second.t2_roots});
+  }
+  return it->second;
 }
 
 std::pair<double, double> PopulationSim::t1_entry(std::uint32_t buyer_type,
                                                   std::uint32_t seller_type,
                                                   double p_star, double p_t0) {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
   const std::uint32_t pair_key = (buyer_type << 8) | seller_type;
   const std::int64_t star_units = quantize(p_star, config_.tick);
   const std::int64_t t0_units = quantize(p_t0, config_.decision_tick);
@@ -268,20 +273,25 @@ std::pair<double, double> PopulationSim::t1_entry(std::uint32_t buyer_type,
       (static_cast<std::uint64_t>(pair_key) << 48) |
       (static_cast<std::uint64_t>(star_units & 0xFFFFFFLL) << 24) |
       static_cast<std::uint64_t>(t0_units & 0xFFFFFFLL);
-  const auto it = t1_cache_.find(key);
-  if (it != t1_cache_.end()) return it->second;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    const auto it = t1_cache_.find(key);
+    if (it != t1_cache_.end()) return it->second;
+  }
 
-  const GameEntry& level1 = game_entry_locked(buyer_type, seller_type, p_star);
+  // Solved outside the lock, like game_entry: the inputs are the key and
+  // the level-1 roots, which no worker changes once stored.
+  const GameEntry& level1 = game_entry(buyer_type, seller_type, p_star);
   const double star = static_cast<double>(star_units) * config_.tick;
   const double t0 =
       std::max(static_cast<double>(t0_units) * config_.decision_tick,
                0.5 * config_.decision_tick);
   const model::BasicGame game(pair_params(buyer_type, seller_type, t0), star,
                               level1.t2_roots);
-  ++result_.t1_evaluations;
   const std::pair<double, double> value{game.alice_t1_cont(),
                                         game.success_rate()};
-  t1_cache_.emplace(key, value);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (t1_cache_.emplace(key, value).second) ++result_.t1_evaluations;
   return value;
 }
 

@@ -4,7 +4,9 @@
 // chain state:
 //
 //   * orders arrive as a Poisson stream into the OrderBook; resting orders
-//     are cancelled after a patience window (exercising the id index);
+//     are cancelled after a patience window (exercising the id index) --
+//     expiries come in arrival order, so one FIFO and one armed global
+//     event serve them all;
 //   * every match runs the paper's 2-cycle on proto::SwapMachine, the
 //     HTLC state machine behind run_swap: the session keeps the machine's
 //     per-swap state, and its shard is the machine's environment and
@@ -29,18 +31,22 @@
 // Parallel intra-run execution (docs/MARKET.md).  Time is cut into epochs
 // of one block interval.  Each epoch runs three phases:
 //
-//   1. a SERIAL phase drains the global event queue (arrivals, order-book
-//      matching, block seals, drop deliveries, re-bids) strictly before
-//      the epoch boundary;
+//   1. a SERIAL phase drains the global event queue (arrivals, order
+//      expiries, order-book matching, block seals, drop deliveries,
+//      re-bids) strictly before the epoch boundary; a seal hands its
+//      block over in one call and schedules one landing event on each
+//      shard that owns any of its transactions;
 //   2. a PARALLEL phase drains K per-worker event-queue shards on a
 //      sweep::ThreadPool -- each shard owns the sessions with
-//      index % workers == shard and a private Ledger pair, so the swap
-//      machines, HTLC lifecycles and refunds advance with no shared
-//      mutable state (the threshold caches are the one mutex);
+//      index % workers == shard and a private Ledger pair, so landings,
+//      the swap machines, HTLC lifecycles and refunds advance with no
+//      shared mutable state (the threshold caches are the one mutex);
 //   3. a BARRIER merges every cross-shard effect in canonical
 //      (time, session, birth-order) stamp order: fee-market intents,
 //      price impacts, statistics folds, trace events, cache warm-start
-//      hints, ledger compaction.
+//      hints.  Every compaction.interval finalizations a serial walk
+//      picks the retirable sessions, and each shard retires their
+//      accounts and compacts its own ledgers on the pool.
 //
 // Because the merge order is canonical and sessions only interact through
 // merged state, results and traces are BIT-IDENTICAL at every worker
@@ -457,9 +463,6 @@ class PopulationSim {
   [[nodiscard]] const GameEntry& game_entry(std::uint32_t buyer_type,
                                             std::uint32_t seller_type,
                                             double p_star);
-  [[nodiscard]] const GameEntry& game_entry_locked(std::uint32_t buyer_type,
-                                                   std::uint32_t seller_type,
-                                                   double p_star);
   /// (alice_t1_cont, analytic SR) at quantized (pair, P*, P_t0).
   [[nodiscard]] std::pair<double, double> t1_entry(std::uint32_t buyer_type,
                                                    std::uint32_t seller_type,
