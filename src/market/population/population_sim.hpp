@@ -40,7 +40,8 @@
 //      sweep::ThreadPool -- each shard owns the sessions with
 //      index % workers == shard and a private Ledger pair, so landings,
 //      the swap machines, HTLC lifecycles and refunds advance with no
-//      shared mutable state (the threshold caches are the one mutex);
+//      shared mutable state (the threshold caches are the one mutex, held
+//      for lookups and inserts but not for solves);
 //   3. a BARRIER merges every cross-shard effect in canonical
 //      (time, session, birth-order) stamp order: fee-market intents,
 //      price impacts, statistics folds, trace events, cache warm-start
@@ -454,9 +455,10 @@ class PopulationSim {
 
   // --- decision thresholds (two-level tick-quantized cache) -------------
   // Thread-safe: workers of the parallel phase share the caches under
-  // cache_mutex_ (misses are rare after warm-up and the values are
+  // cache_mutex_, which a miss releases while it solves.  The values are
   // deterministic -- frozen warm-start hints make a solve's inputs
-  // independent of which worker runs it first).
+  // independent of which worker runs it first -- so a racing duplicate
+  // solve stores nothing new.
   [[nodiscard]] model::SwapParams pair_params(std::uint32_t buyer_type,
                                               std::uint32_t seller_type,
                                               double p_t0) const;

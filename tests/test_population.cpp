@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "chain/event_queue.hpp"
@@ -70,6 +72,37 @@ TEST(FeeMarket, IncludesByFeePriorityAndAccountsEveryIntent) {
   EXPECT_EQ(fx.market.included(), 4u);
   EXPECT_EQ(fx.market.pending(), 0u);
   EXPECT_NEAR(fx.market.fees_paid(), 0.10, 1e-12);
+}
+
+TEST(FeeMarket, DeferredModeHandsOverEachBlockInOneCall) {
+  // Capacity 2 per block, five tagged intents: three seals, each handing
+  // its block to the sink once, in inclusion order, at the seal time.
+  chain::EventQueue queue;
+  std::vector<std::pair<double, std::vector<std::uint64_t>>> blocks;
+  FeeMarket market({0.25, 2, 16}, queue,
+                   [&blocks](std::span<FeeMarket::Included> block,
+                             double seal_time) {
+                     std::vector<std::uint64_t> tags;
+                     for (const FeeMarket::Included& tx : block) {
+                       tags.push_back(tx.owner_tag);
+                     }
+                     blocks.emplace_back(seal_time, std::move(tags));
+                   });
+  const double fees[5] = {0.01, 0.04, 0.02, 0.03, 0.02};
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    market.submit_tagged(100 + i, transfer("a", "b", 1.0), fees[i], 10.0, {});
+  }
+  queue.run();
+
+  ASSERT_EQ(blocks.size(), 3u);
+  EXPECT_EQ(blocks[0].first, 0.25);
+  EXPECT_EQ(blocks[0].second, (std::vector<std::uint64_t>{101, 103}));
+  EXPECT_EQ(blocks[1].first, 0.5);
+  EXPECT_EQ(blocks[1].second, (std::vector<std::uint64_t>{102, 104}));
+  EXPECT_EQ(blocks[2].first, 0.75);
+  EXPECT_EQ(blocks[2].second, (std::vector<std::uint64_t>{100}));
+  EXPECT_EQ(market.blocks_sealed(), 3u);
+  EXPECT_EQ(market.included(), 5u);
 }
 
 TEST(FeeMarket, EqualFeesIncludeInArrivalOrder) {
