@@ -745,10 +745,20 @@ void PopulationSim::maybe_compact(double now) {
   }
 
   // Each shard folds its own retired sessions' accounts and sweeps its own
-  // ledger pair -- no shared state, so the shards sweep in parallel.
+  // ledger pair -- no shared state, so the shards sweep in parallel.  Their
+  // tallies fold into the result in shard order.
+  struct SweepTally {
+    std::uint64_t compactions = 0;
+    std::uint64_t accounts_retired = 0;
+    std::uint64_t txs_retired = 0;
+    std::uint64_t htlcs_retired = 0;
+    std::uint64_t log_truncated = 0;
+  };
+  std::vector<SweepTally> tallies(shards_.size());
   const std::uint64_t width = shards_.size();
   for_each_shard([&](std::size_t w) {
     Shard& sh = *shards_[w];
+    SweepTally& tally = tallies[w];
     const std::uint64_t first =
         session_offset_ + (w + width - session_offset_ % width) % width;
     for (std::uint64_t idx = first; idx < end; idx += width) {
@@ -759,24 +769,22 @@ void PopulationSim::maybe_compact(double now) {
           ledger->retire_account(party.name);
         }
       }
-      sh.swept.accounts_retired += 4;
+      tally.accounts_retired += 4;
     }
     for (chain::Ledger* ledger : sh.ledgers) {
       const chain::CompactionReport report = ledger->compact(watermark);
-      ++sh.swept.compactions;
-      sh.swept.txs_retired += report.transactions_retired;
-      sh.swept.htlcs_retired += report.htlcs_retired;
-      sh.swept.log_truncated += report.log_truncated;
+      ++tally.compactions;
+      tally.txs_retired += report.transactions_retired;
+      tally.htlcs_retired += report.htlcs_retired;
+      tally.log_truncated += report.log_truncated;
     }
   });
-  for (const auto& shp : shards_) {
-    const Shard::SweepTally& t = shp->swept;
+  for (const SweepTally& t : tallies) {
     result_.compactions += t.compactions;
     result_.accounts_retired += t.accounts_retired;
     result_.txs_retired += t.txs_retired;
     result_.htlcs_retired += t.htlcs_retired;
     result_.log_truncated += t.log_truncated;
-    shp->swept = {};
   }
 
   result_.sessions_retired += end - session_offset_;

@@ -386,15 +386,6 @@ class PopulationSim {
     /// `landings_scheduled` already have their landing event.
     std::vector<FeeMarket::Included> landings;
     std::uint32_t landings_scheduled = 0;
-    /// The shard's share of one retirement sweep, folded into the result
-    /// in shard order.
-    struct SweepTally {
-      std::uint64_t compactions = 0;
-      std::uint64_t accounts_retired = 0;
-      std::uint64_t txs_retired = 0;
-      std::uint64_t htlcs_retired = 0;
-      std::uint64_t log_truncated = 0;
-    } swept;
     double max_event_time = 0.0;  ///< last processed event (end_time fold)
 
     /// A transaction's stage, 2 * leg + role (leg 0 on chain A, leg 1 on
