@@ -166,8 +166,9 @@ PopulationSim::PopulationSim(PopulationConfig config)
   // share of the block, in block order, in ONE event at the seal time,
   // submitting the payloads to ITS ledger -- which is what lets one global
   // fee market arbitrate block space across per-worker ledger pairs.  A
-  // seal schedules nothing else on shard queues, so one event per shard
-  // runs the landings in the order one event per transaction would.
+  // seal schedules nothing else on shard queues, so a block's landings are
+  // contiguous in each shard's (when, seq) order and one event can run
+  // them all.
   const FeeMarket::IncludeSink sink =
       [this](std::span<FeeMarket::Included> block, double seal_time) {
         for (FeeMarket::Included& tx : block) {
