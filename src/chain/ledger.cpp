@@ -168,16 +168,6 @@ TxId Ledger::submit(TxPayload payload) {
   if (faults_ != nullptr) {
     tx.confirmed_at = faults_->delay_past_halts(tx.confirmed_at);
   }
-  // A claim's preimage becomes extractable at visibility even if the claim
-  // later fails to confirm; feed the secret index now (dropped submissions
-  // returned above and never reach the mempool).
-  if (const auto* claim = std::get_if<ClaimHtlcPayload>(&tx.payload)) {
-    pending_secrets_.push_back(
-        {tx.visible_at, id.value,
-         ObservedSecret{claim->secret, claim->contract, tx.visible_at}});
-    std::push_heap(pending_secrets_.begin(), pending_secrets_.end(),
-                   PendingLater{});
-  }
   if (trace_ != nullptr) {
     trace_->record(tx.submitted_at, obs::TraceKind::kBroadcast,
                    {{"chain", to_string(params_.id)},
@@ -228,26 +218,17 @@ HtlcId Ledger::pending_contract_of(TxId deploy_tx) const {
   return *tx.created_contract;
 }
 
-void Ledger::mature_secrets(Hours now) const {
-  while (!pending_secrets_.empty() &&
-         pending_secrets_.front().visible_at <= now) {
-    std::pop_heap(pending_secrets_.begin(), pending_secrets_.end(),
-                  PendingLater{});
-    PendingSecret p = std::move(pending_secrets_.back());
-    pending_secrets_.pop_back();
-    secret_index_.emplace(p.tx, std::move(p.secret));
-  }
-}
-
 std::vector<ObservedSecret> Ledger::visible_secrets() const {
-  // Incremental index instead of a full-history rescan (which was quadratic
-  // across a population run): claims enter a pending heap at submission and
-  // mature here once mempool-visible.  Iterating the matured index by tx id
-  // reproduces the old scan's content and order exactly.
-  mature_secrets(queue_->now());
+  // A claim's preimage is extractable from its visibility on, even if the
+  // claim later fails to confirm.
+  const Hours now = queue_->now();
   std::vector<ObservedSecret> result;
-  result.reserve(secret_index_.size());
-  for (const auto& [tx, secret] : secret_index_) result.push_back(secret);
+  for (const auto& [id, tx] : transactions_) {
+    if (tx.visible_at > now) continue;
+    if (const auto* claim = std::get_if<ClaimHtlcPayload>(&tx.payload)) {
+      result.push_back({claim->secret, claim->contract, tx.visible_at});
+    }
+  }
   return result;
 }
 
@@ -310,10 +291,6 @@ CompactionReport Ledger::compact(Hours watermark) {
   report.watermark = watermark;
   if (auditor_ != nullptr) report.supply_before = total_supply();
 
-  // Everything mempool-visible by now must reach the secret index before
-  // its transaction record can go away.
-  mature_secrets(queue_->now());
-
   // Confirmed transactions enter the log in time order, so the retirable
   // entries are exactly a prefix.
   std::size_t cut = 0;
@@ -365,7 +342,6 @@ CompactionReport Ledger::compact(Hours watermark) {
       still_pending.push_back(next);
       continue;
     }
-    secret_index_.erase(next.id);
     transactions_.erase(it);
     ++report.transactions_retired;
   }

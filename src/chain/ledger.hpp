@@ -24,6 +24,10 @@
 // settlement (see compact()).  retire_account() additionally folds a
 // finished session's balance into one retained aggregate that
 // total_supply() still counts.  The InvariantAuditor audits every sweep.
+// Secrets keep no index of their own: visible_secrets() scans the live
+// transactions, which is cheap on the one-swap ledgers of its one caller
+// (the collateral oracle at t4), and a retired claim leaves it with its
+// record.
 #pragma once
 
 #include <cstdint>
@@ -129,8 +133,10 @@ class Ledger {
   [[nodiscard]] HtlcId pending_contract_of(TxId deploy_tx) const;
 
   /// All secrets currently extractable by watching the mempool and the
-  /// confirmed history: any ClaimHtlc transaction with visible_at <= now().
-  /// This is how Bob learns Alice's secret at t4 (Section II-B Step 3).
+  /// confirmed history: every ClaimHtlc transaction not yet retired by
+  /// compact() with visible_at <= now(), ascending by id (a dropped claim
+  /// never becomes visible).  This is how Bob learns Alice's secret at t4
+  /// (Section II-B Step 3).
   [[nodiscard]] std::vector<ObservedSecret> visible_secrets() const;
 
   /// Finds the most recently deployed HTLC whose hash lock equals `hash`,
@@ -232,20 +238,6 @@ class Ledger {
   }
 
  private:
-  /// A claim's preimage waiting for its mempool-visibility time (min-heap
-  /// by (visible_at, tx id)); matured entries move into secret_index_.
-  struct PendingSecret {
-    Hours visible_at = 0.0;
-    std::uint64_t tx = 0;
-    ObservedSecret secret;
-  };
-  struct PendingLater {
-    bool operator()(const PendingSecret& a,
-                    const PendingSecret& b) const noexcept {
-      if (a.visible_at != b.visible_at) return a.visible_at > b.visible_at;
-      return a.tx > b.tx;
-    }
-  };
   /// A record's place in a retirement queue: the time its lifecycle
   /// completes (or will) and its id.
   struct Retirement {
@@ -273,8 +265,6 @@ class Ledger {
   void settle(HtlcContract& contract, HtlcState state);
   void schedule_auto_refund(HtlcId id, Hours expiry);
   void try_auto_refund(HtlcId id, int attempt);
-  /// Moves every pending secret with visible_at <= now into the index.
-  void mature_secrets(Hours now) const;
 
   ChainParams params_;
   EventQueue* queue_;
@@ -290,12 +280,6 @@ class Ledger {
   Amount retired_balance_;
   std::vector<TxId> confirmation_log_;
   std::size_t log_offset_ = 0;
-  // Incremental secret index (mutable: visible_secrets() is const but
-  // matures pending entries lazily against the clock).  Mirrors exactly
-  // what the old full-history rescan produced: every claim transaction
-  // still in transactions_ whose visible_at has passed, ascending by tx id.
-  mutable std::vector<PendingSecret> pending_secrets_;
-  mutable std::map<std::uint64_t, ObservedSecret> secret_index_;
   // Retirement queues behind compact(): a RetiresLater min-heap of every
   // transaction record, and a FIFO of settled HTLCs whose consumed prefix
   // ends at htlc_retire_head_.  Vectors, so constructing a Ledger (many

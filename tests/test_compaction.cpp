@@ -1,6 +1,6 @@
 // Tests for the bounded-memory retirement layer: Ledger compaction
-// (conservation across the fold, audited), the incremental
-// visible_secrets index, Neumaier-compensated accumulation, and
+// (conservation across the fold, audited), visible_secrets() across
+// sweeps, Neumaier-compensated accumulation, and
 // population-run equivalence with compaction on vs off and 1 vs K workers.
 #include <gtest/gtest.h>
 
@@ -196,7 +196,7 @@ TEST(LedgerCompaction, AuditorCatchesSupplyDriftAcrossTheFold) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental secret index
+// visible_secrets() against a reference rescan
 // ---------------------------------------------------------------------------
 
 /// The pre-index algorithm: rescan every transaction for mempool-visible
