@@ -9,23 +9,17 @@ const char* to_string(Side side) noexcept {
   return side == Side::kBuyTokenB ? "buy" : "sell";
 }
 
-std::uint64_t OrderBook::submit(Side side, const std::string& trader,
-                                double limit_rate,
-                                const model::AgentParams& preferences) {
+std::uint64_t OrderBook::submit(Side side, std::uint32_t trader,
+                                double limit_rate) {
   if (!(limit_rate > 0.0) || !std::isfinite(limit_rate)) {
     throw std::invalid_argument("OrderBook::submit: limit must be positive");
   }
-  if (trader.empty()) {
-    throw std::invalid_argument("OrderBook::submit: trader name required");
-  }
-  preferences.validate();
 
   Order order;
   order.id = next_id_++;
   order.side = side;
   order.trader = trader;
   order.limit_rate = limit_rate;
-  order.preferences = preferences;
   order.sequence = next_sequence_++;
 
   if (side == Side::kBuyTokenB) {

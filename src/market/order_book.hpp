@@ -12,11 +12,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
-#include <string>
-
-#include "model/params.hpp"
 
 namespace swapgame::market {
 
@@ -32,10 +30,9 @@ enum class Side : std::uint8_t {
 struct Order {
   std::uint64_t id = 0;
   Side side = Side::kBuyTokenB;
-  std::string trader;
-  double limit_rate = 0.0;          ///< price bound in token-a per token-b
-  model::AgentParams preferences;   ///< the trader's (alpha, r)
-  std::uint64_t sequence = 0;       ///< arrival order (time priority)
+  std::uint32_t trader = 0;    ///< caller's tag (the population: trader type)
+  double limit_rate = 0.0;     ///< price bound in token-a per token-b
+  std::uint64_t sequence = 0;  ///< arrival order (time priority)
 };
 
 /// A crossed pair, priced at the RESTING (maker) order's limit.
@@ -51,9 +48,9 @@ class OrderBook {
   /// Submits an order; if it crosses the opposite side, the best resting
   /// order is matched immediately (taker pays/receives the maker's price)
   /// and the match is queued for take_match().  Returns the order id.
-  /// @throws std::invalid_argument for non-positive limits or empty trader.
-  std::uint64_t submit(Side side, const std::string& trader, double limit_rate,
-                       const model::AgentParams& preferences);
+  /// `trader` is an opaque tag handed back on the order's Match.
+  /// @throws std::invalid_argument for a non-positive or non-finite limit.
+  std::uint64_t submit(Side side, std::uint32_t trader, double limit_rate);
 
   /// Pops the oldest unconsumed match, if any.
   [[nodiscard]] std::optional<Match> take_match();

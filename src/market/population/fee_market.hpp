@@ -1,35 +1,36 @@
-// A per-chain mempool fee market in front of a chain::Ledger.
+// A per-chain mempool fee market in front of the population's ledgers.
 //
 // The base Ledger models the paper's assumption 1 (every submission
 // confirms after a constant tau) -- inclusion is free and unconditional.
 // Population-scale runs break that idealization: 10^5 concurrent sessions
 // compete for block space, so inclusion becomes a priority auction.  The
-// FeeMarket interposes between sessions and the ledger:
+// FeeMarket sits between sessions and their ledgers:
 //
-//   * submit() parks an *intent* (payload + fee bid + inclusion deadline)
-//     in a bounded mempool instead of hitting the ledger directly;
+//   * submit() parks an *intent* (owner tag + payload + fee bid +
+//     inclusion deadline) in a bounded mempool instead of hitting a
+//     ledger directly;
 //   * every block_interval hours a block is sealed: the block_capacity
-//     best intents (fee descending, arrival order tie-break) are forwarded
-//     to Ledger::submit() and their owners notified with the TxId, so
-//     confirmation still follows the ledger's tau from SEAL time --
-//     fee pressure shows up as inclusion latency, exactly the lever the
-//     paper's timelock analysis is sensitive to;
+//     best intents (fee descending, arrival order tie-break) are handed
+//     back, whole, to the block sink, whose owner submits each payload to
+//     its ledger at SEAL time -- so confirmation follows the ledger's tau
+//     from the seal, and fee pressure shows up as inclusion latency,
+//     exactly the lever the paper's timelock analysis is sensitive to;
 //   * when the mempool exceeds mempool_capacity, the worst intent (lowest
-//     fee, newest first among ties) is evicted and its owner notified, so
-//     sessions can re-bid with an escalated fee as their timelock expiry
-//     approaches;
+//     fee, newest first among ties) is evicted and handed back to the drop
+//     sink, so sessions can re-bid with an escalated fee as their timelock
+//     expiry approaches;
 //   * intents whose deadline lapses before inclusion are dropped as
 //     expired at the next seal.
 //
 // Fees are pure priority signals accounted in fees_paid() -- they are NOT
-// moved on the ledger, so the ledger's total_supply() conservation
+// moved on any ledger, so the ledgers' total_supply() conservation
 // invariant is untouched.
 //
 // Determinism: everything runs on the shared EventQueue; block seals are
 // scheduled lazily (only while intents are pending) so a drained queue
-// terminates EventQueue::run().  Drop notifications are delivered through
-// the queue at the current time rather than synchronously, keeping
-// re-bidding re-entrancy-free and the event order reproducible.
+// terminates EventQueue::run().  Each drop reaches the drop sink through
+// one queue event at the drop decision's time rather than synchronously,
+// keeping re-bidding re-entrancy-free and the event order reproducible.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@
 #include <span>
 
 #include "chain/event_queue.hpp"
-#include "chain/ledger.hpp"
+#include "chain/transaction.hpp"
 
 namespace swapgame::market {
 
@@ -63,63 +64,44 @@ enum class DropReason : std::uint8_t {
 
 class FeeMarket {
  public:
-  /// Called at seal time when the intent made it into a block; the payload
-  /// is now a pending ledger transaction with the given id (its
-  /// confirmed_at / visible_at are already known to the ledger).
-  using IncludedCallback = std::function<void(chain::TxId)>;
-  /// Called (via the event queue, at the drop decision's simulation time)
-  /// when the intent was evicted or expired without inclusion.
-  using DroppedCallback = std::function<void(DropReason)>;
-
-  /// An intent a sealed block included, in deferred-inclusion mode.
-  struct Included {
-    std::uint64_t owner_tag = 0;  ///< the tag given to submit_tagged
+  /// A parked transaction: what its owner submitted, and the tag that
+  /// routes it back to them.
+  struct Intent {
     chain::TxPayload payload;
+    double fee = 0.0;
+    double deadline = 0.0;
+    std::uint64_t owner_tag = 0;
   };
-  /// Deferred-inclusion sink (the parallel population engine): called once
-  /// per sealed block that included anything, at seal time, with the block's
-  /// intents in inclusion order.  It hands the payloads BACK to their owners
-  /// instead of submitting to a ledger (the sink may move them out).  The
-  /// owner routes each to whatever ledger shard owns the session and submits
-  /// there -- which is what lets one global fee market arbitrate block space
-  /// across per-shard ledgers.
-  using IncludeSink =
-      std::function<void(std::span<Included> block, double seal_time)>;
+  /// Called once per sealed block that included anything, at seal time,
+  /// with the block's intents in inclusion order.  The payloads go BACK to
+  /// their owners (the sink may move them out), who submit each to
+  /// whatever ledger shard owns it -- which is what lets one global fee
+  /// market arbitrate block space across per-shard ledgers.
+  using BlockSink =
+      std::function<void(std::span<Intent> block, double seal_time)>;
+  /// Called (via the event queue, at the drop decision's simulation time)
+  /// with an intent that was evicted or expired without inclusion, its
+  /// payload handed back as submitted.
+  using DropSink = std::function<void(std::uint64_t owner_tag,
+                                      chain::TxPayload payload,
+                                      DropReason reason)>;
 
-  /// Ledger and queue must outlive the fee market (the queue must be the
-  /// one driving the ledger).
-  FeeMarket(const FeeMarketConfig& config, chain::Ledger& ledger,
-            chain::EventQueue& queue);
-
-  /// Deferred-inclusion mode: no ledger; sealed intents are delivered to
-  /// `sink` instead (see IncludeSink).  Submissions must use submit_tagged.
+  /// The queue must outlive the fee market.
+  /// @throws std::invalid_argument on an invalid config or an empty sink.
   FeeMarket(const FeeMarketConfig& config, chain::EventQueue& queue,
-            IncludeSink sink);
+            BlockSink on_block, DropSink on_drop);
 
   FeeMarket(const FeeMarket&) = delete;
   FeeMarket& operator=(const FeeMarket&) = delete;
 
   /// Parks an intent bidding `fee` (token-a, accounting-only) for inclusion
-  /// in a block sealed no later than `inclusion_deadline`.  Returns the
-  /// intent id.  May trigger an eviction (possibly of this very intent)
-  /// when the mempool is over capacity.
+  /// in a block sealed no later than `inclusion_deadline`.  May trigger an
+  /// eviction (possibly of this very intent) when the mempool is over
+  /// capacity.
   /// @throws std::invalid_argument on negative/non-finite fee or a
-  /// deadline before now; std::logic_error in deferred-inclusion mode.
-  std::uint64_t submit(chain::TxPayload payload, double fee,
-                       double inclusion_deadline, IncludedCallback on_included,
-                       DroppedCallback on_dropped);
-
-  /// Deferred-mode submit: like submit(), but inclusion is delivered
-  /// through the IncludeSink with `owner_tag` instead of a per-intent
-  /// callback (drops still use the callback -- they carry no payload).
-  /// @throws std::logic_error when constructed in ledger mode.
-  std::uint64_t submit_tagged(std::uint64_t owner_tag, chain::TxPayload payload,
-                              double fee, double inclusion_deadline,
-                              DroppedCallback on_dropped);
-
-  /// Withdraws a pending intent (no callback fires).  False if unknown or
-  /// already included/dropped.
-  bool cancel(std::uint64_t intent_id);
+  /// deadline before now.
+  void submit(std::uint64_t owner_tag, chain::TxPayload payload, double fee,
+              double inclusion_deadline);
 
   [[nodiscard]] const FeeMarketConfig& config() const noexcept {
     return config_;
@@ -135,15 +117,6 @@ class FeeMarket {
   [[nodiscard]] double fees_paid() const noexcept { return fees_paid_; }
 
  private:
-  struct Intent {
-    chain::TxPayload payload;
-    double fee = 0.0;
-    double deadline = 0.0;
-    std::uint64_t owner_tag = 0;  ///< deferred mode: routed through the sink
-    IncludedCallback on_included;
-    DroppedCallback on_dropped;
-  };
-
   /// Priority order: highest fee first, oldest intent first among equal
   /// fees (id order doubles as arrival order).
   struct BetterBid {
@@ -157,12 +130,11 @@ class FeeMarket {
   void ensure_seal_scheduled();
   void seal_block();
   void drop(std::uint64_t id, DropReason reason);
-  std::uint64_t park(Intent intent, double fee);
 
   FeeMarketConfig config_;
-  chain::Ledger* ledger_;  ///< nullptr in deferred-inclusion mode
   chain::EventQueue* queue_;
-  IncludeSink sink_;
+  BlockSink on_block_;
+  DropSink on_drop_;
   std::map<std::uint64_t, Intent> intents_;
   std::set<std::pair<double, std::uint64_t>, BetterBid> order_;
   std::uint64_t next_id_ = 1;

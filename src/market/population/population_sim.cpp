@@ -168,10 +168,10 @@ PopulationSim::PopulationSim(PopulationConfig config)
   // fee market arbitrate block space across per-worker ledger pairs.  A
   // seal schedules nothing else on shard queues, so a block's landings are
   // contiguous in each shard's (when, seq) order and one event can run
-  // them all.
-  const FeeMarket::IncludeSink sink =
-      [this](std::span<FeeMarket::Included> block, double seal_time) {
-        for (FeeMarket::Included& tx : block) {
+  // them all.  A dropped intent comes back with its payload for a re-bid.
+  const FeeMarket::BlockSink on_block =
+      [this](std::span<FeeMarket::Intent> block, double seal_time) {
+        for (FeeMarket::Intent& tx : block) {
           shards_[(tx.owner_tag >> 2) % shards_.size()]->landings.push_back(
               std::move(tx));
         }
@@ -186,8 +186,16 @@ PopulationSim::PopulationSim(PopulationConfig config)
           });
         }
       };
-  market_a_ = std::make_unique<FeeMarket>(config_.fee_a, queue_, sink);
-  market_b_ = std::make_unique<FeeMarket>(config_.fee_b, queue_, sink);
+  const FeeMarket::DropSink on_drop = [this](std::uint64_t tag,
+                                             chain::TxPayload payload,
+                                             DropReason reason) {
+    handle_drop(tag >> 2, static_cast<int>(tag & 3), std::move(payload),
+                reason);
+  };
+  market_a_ =
+      std::make_unique<FeeMarket>(config_.fee_a, queue_, on_block, on_drop);
+  market_b_ =
+      std::make_unique<FeeMarket>(config_.fee_b, queue_, on_block, on_drop);
   arrival_rng_ = session_rng(config_.seed, kArrivalStream);
   price_rng_ = session_rng(config_.seed, kPriceStream);
   price_ = window_price_ = min_price_ = max_price_ = config_.p0;
@@ -335,10 +343,7 @@ void PopulationSim::expire_orders() {
   while (!expiries_.empty() && expiries_.front().first <= queue_.now()) {
     const std::uint64_t order_id = expiries_.front().second;
     expiries_.pop_front();
-    if (book_.cancel(order_id)) {
-      ++result_.orders_cancelled;
-      order_types_.erase(order_id);
-    }
+    if (book_.cancel(order_id)) ++result_.orders_cancelled;
   }
 }
 
@@ -371,9 +376,7 @@ void PopulationSim::on_arrival() {
       config_.tick,
       static_cast<double>(quantize(raw, config_.tick)) * config_.tick);
 
-  const std::uint64_t order_id =
-      book_.submit(side, "t", limit, config_.types[type].agent);
-  order_types_.emplace(order_id, type);
+  const std::uint64_t order_id = book_.submit(side, type, limit);
   expiries_.emplace_back(queue_.now() + config_.cancel_after, order_id);
   if (!expiry_armed_) arm_expiry();
 
@@ -383,10 +386,8 @@ void PopulationSim::on_arrival() {
 
 void PopulationSim::spawn_session(const Match& match) {
   const std::uint64_t idx = result_.sessions;
-  const std::uint32_t buyer_type = order_types_.at(match.buy.id);
-  const std::uint32_t seller_type = order_types_.at(match.sell.id);
-  order_types_.erase(match.buy.id);
-  order_types_.erase(match.sell.id);
+  const std::uint32_t buyer_type = match.buy.trader;
+  const std::uint32_t seller_type = match.sell.trader;
   // The rest of the session's life runs on its owner shard.
   Shard& sh = *shards_[idx % shards_.size()];
   if (idx % kSessionBlock == 0) sessions_.emplace_back();
@@ -532,7 +533,7 @@ void PopulationSim::submit_intent(Shard& sh, std::uint64_t idx, int stage,
 
 void PopulationSim::land(Shard& sh, std::uint32_t begin, std::uint32_t end) {
   for (std::uint32_t i = begin; i < end; ++i) {
-    FeeMarket::Included& included = sh.landings[i];
+    FeeMarket::Intent& included = sh.landings[i];
     const std::uint64_t idx = included.owner_tag >> 2;
     const int stage = static_cast<int>(included.owner_tag & 3);
     SessionSwap* s = session(idx);
@@ -551,12 +552,8 @@ void PopulationSim::submit_to_market(std::uint64_t idx, int stage,
                                      chain::TxPayload payload, double fee,
                                      double deadline) {
   FeeMarket& market = (stage >> 1) == 0 ? *market_a_ : *market_b_;
-  // The drop callback keeps a copy of the payload for a re-bid.
-  market.submit_tagged(idx * 4 + static_cast<std::uint64_t>(stage), payload,
-                       fee, deadline,
-                       [this, idx, stage, payload](DropReason reason) mutable {
-                         handle_drop(idx, stage, std::move(payload), reason);
-                       });
+  market.submit(idx * 4 + static_cast<std::uint64_t>(stage),
+                std::move(payload), fee, deadline);
 }
 
 void PopulationSim::handle_drop(std::uint64_t idx, int stage,

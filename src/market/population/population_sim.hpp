@@ -384,7 +384,7 @@ class PopulationSim {
     std::vector<TraceRec> traces;
     /// This epoch's sealed transactions in seal order; the first
     /// `landings_scheduled` already have their landing event.
-    std::vector<FeeMarket::Included> landings;
+    std::vector<FeeMarket::Intent> landings;
     std::uint32_t landings_scheduled = 0;
     double max_event_time = 0.0;  ///< last processed event (end_time fold)
 
@@ -539,7 +539,6 @@ class PopulationSim {
   std::deque<std::array<std::optional<SessionSwap>, kSessionBlock>> sessions_;
   std::uint64_t session_offset_ = 0;  ///< sessions retired off the front
   std::uint64_t finalized_since_compact_ = 0;
-  std::map<std::uint64_t, std::uint32_t> order_types_;  ///< order id -> type
   /// (expiry, order id) of every order that entered the book, in arrival
   /// order -- cancel_after is constant, so expiries never decrease.  One
   /// global event, armed at the front's expiry, cancels the orders still

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "market/order_book.hpp"
@@ -12,24 +13,38 @@
 namespace swapgame::market {
 namespace {
 
-model::AgentParams prefs(double alpha = 0.3, double r = 0.01) {
-  return {alpha, r};
-}
+// Trader tags: opaque to the book, handed back on each match.
+enum Trader : std::uint32_t {
+  kBuyer = 1,
+  kSeller,
+  kMaker,
+  kTaker,
+  kExpensive,
+  kCheap,
+  kFirst,
+  kSecond,
+  kThird,
+  kLow,
+  kHigh,
+  kB1,
+  kB2,
+  kS1,
+  kS2,
+};
 
 TEST(OrderBook, ValidatesInput) {
   OrderBook book;
-  EXPECT_THROW((void)book.submit(Side::kBuyTokenB, "t", 0.0, prefs()),
+  EXPECT_THROW((void)book.submit(Side::kBuyTokenB, kBuyer, 0.0),
                std::invalid_argument);
-  EXPECT_THROW((void)book.submit(Side::kBuyTokenB, "", 2.0, prefs()),
-               std::invalid_argument);
-  EXPECT_THROW((void)book.submit(Side::kBuyTokenB, "t", 2.0, prefs(0.3, 0.0)),
+  EXPECT_THROW((void)book.submit(Side::kBuyTokenB, kBuyer,
+                                 std::numeric_limits<double>::infinity()),
                std::invalid_argument);
 }
 
 TEST(OrderBook, RestingOrdersDoNotMatchWithoutCross) {
   OrderBook book;
-  book.submit(Side::kBuyTokenB, "buyer", 1.9, prefs());
-  book.submit(Side::kSellTokenB, "seller", 2.1, prefs());
+  book.submit(Side::kBuyTokenB, kBuyer, 1.9);
+  book.submit(Side::kSellTokenB, kSeller, 2.1);
   EXPECT_FALSE(book.take_match().has_value());
   EXPECT_EQ(book.depth(Side::kBuyTokenB), 1u);
   EXPECT_EQ(book.depth(Side::kSellTokenB), 1u);
@@ -39,58 +54,58 @@ TEST(OrderBook, RestingOrdersDoNotMatchWithoutCross) {
 
 TEST(OrderBook, CrossMatchesAtMakerPrice) {
   OrderBook book;
-  book.submit(Side::kSellTokenB, "maker", 2.0, prefs());
-  book.submit(Side::kBuyTokenB, "taker", 2.3, prefs());
+  book.submit(Side::kSellTokenB, kMaker, 2.0);
+  book.submit(Side::kBuyTokenB, kTaker, 2.3);
   const auto match = book.take_match();
   ASSERT_TRUE(match.has_value());
   EXPECT_DOUBLE_EQ(match->rate, 2.0);  // maker's (resting) price
-  EXPECT_EQ(match->buy.trader, "taker");
-  EXPECT_EQ(match->sell.trader, "maker");
+  EXPECT_EQ(match->buy.trader, kTaker);
+  EXPECT_EQ(match->sell.trader, kMaker);
   EXPECT_EQ(book.depth(Side::kSellTokenB), 0u);
 }
 
 TEST(OrderBook, PricePriorityBestOppositeFirst) {
   OrderBook book;
-  book.submit(Side::kSellTokenB, "expensive", 2.2, prefs());
-  book.submit(Side::kSellTokenB, "cheap", 1.8, prefs());
-  book.submit(Side::kBuyTokenB, "buyer", 2.5, prefs());
+  book.submit(Side::kSellTokenB, kExpensive, 2.2);
+  book.submit(Side::kSellTokenB, kCheap, 1.8);
+  book.submit(Side::kBuyTokenB, kBuyer, 2.5);
   const auto match = book.take_match();
   ASSERT_TRUE(match.has_value());
-  EXPECT_EQ(match->sell.trader, "cheap");
+  EXPECT_EQ(match->sell.trader, kCheap);
   EXPECT_DOUBLE_EQ(match->rate, 1.8);
   EXPECT_EQ(book.depth(Side::kSellTokenB), 1u);
 }
 
 TEST(OrderBook, TimePriorityAtEqualPrice) {
   OrderBook book;
-  book.submit(Side::kSellTokenB, "first", 2.0, prefs());
-  book.submit(Side::kSellTokenB, "second", 2.0, prefs());
-  book.submit(Side::kBuyTokenB, "buyer", 2.0, prefs());
+  book.submit(Side::kSellTokenB, kFirst, 2.0);
+  book.submit(Side::kSellTokenB, kSecond, 2.0);
+  book.submit(Side::kBuyTokenB, kBuyer, 2.0);
   const auto match = book.take_match();
   ASSERT_TRUE(match.has_value());
-  EXPECT_EQ(match->sell.trader, "first");
+  EXPECT_EQ(match->sell.trader, kFirst);
 }
 
 TEST(OrderBook, SellTakerCrossesBestBid) {
   OrderBook book;
-  book.submit(Side::kBuyTokenB, "low", 1.9, prefs());
-  book.submit(Side::kBuyTokenB, "high", 2.1, prefs());
-  book.submit(Side::kSellTokenB, "seller", 2.0, prefs());
+  book.submit(Side::kBuyTokenB, kLow, 1.9);
+  book.submit(Side::kBuyTokenB, kHigh, 2.1);
+  book.submit(Side::kSellTokenB, kSeller, 2.0);
   const auto match = book.take_match();
   ASSERT_TRUE(match.has_value());
-  EXPECT_EQ(match->buy.trader, "high");
+  EXPECT_EQ(match->buy.trader, kHigh);
   EXPECT_DOUBLE_EQ(match->rate, 2.1);  // maker bid
   EXPECT_EQ(book.depth(Side::kBuyTokenB), 1u);
 }
 
 TEST(OrderBook, CancelRemovesRestingOrder) {
   OrderBook book;
-  const auto id = book.submit(Side::kBuyTokenB, "buyer", 1.9, prefs());
+  const auto id = book.submit(Side::kBuyTokenB, kBuyer, 1.9);
   EXPECT_TRUE(book.cancel(id));
   EXPECT_FALSE(book.cancel(id));
   EXPECT_EQ(book.depth(Side::kBuyTokenB), 0u);
   // A later crossing sell no longer matches.
-  book.submit(Side::kSellTokenB, "seller", 1.8, prefs());
+  book.submit(Side::kSellTokenB, kSeller, 1.8);
   EXPECT_FALSE(book.take_match().has_value());
 }
 
@@ -98,8 +113,8 @@ TEST(OrderBook, CancelAfterMatchReturnsFalse) {
   // Once a resting order has been consumed by a cross, its id must leave
   // the cancel index: cancelling it is a no-op that reports false.
   OrderBook book;
-  const auto maker = book.submit(Side::kSellTokenB, "maker", 2.0, prefs());
-  book.submit(Side::kBuyTokenB, "taker", 2.3, prefs());
+  const auto maker = book.submit(Side::kSellTokenB, kMaker, 2.0);
+  book.submit(Side::kBuyTokenB, kTaker, 2.3);
   ASSERT_TRUE(book.take_match().has_value());
   EXPECT_FALSE(book.cancel(maker));
   EXPECT_EQ(book.depth(Side::kSellTokenB), 0u);
@@ -109,14 +124,14 @@ TEST(OrderBook, CancelThenEqualPriceKeepsFifo) {
   // Cancelling the first of two equal-priced makers must leave the
   // second's time priority intact -- and never disturb its book position.
   OrderBook book;
-  const auto first = book.submit(Side::kSellTokenB, "first", 2.0, prefs());
-  book.submit(Side::kSellTokenB, "second", 2.0, prefs());
-  book.submit(Side::kSellTokenB, "third", 2.0, prefs());
+  const auto first = book.submit(Side::kSellTokenB, kFirst, 2.0);
+  book.submit(Side::kSellTokenB, kSecond, 2.0);
+  book.submit(Side::kSellTokenB, kThird, 2.0);
   EXPECT_TRUE(book.cancel(first));
-  book.submit(Side::kBuyTokenB, "buyer", 2.0, prefs());
+  book.submit(Side::kBuyTokenB, kBuyer, 2.0);
   const auto match = book.take_match();
   ASSERT_TRUE(match.has_value());
-  EXPECT_EQ(match->sell.trader, "second");
+  EXPECT_EQ(match->sell.trader, kSecond);
   EXPECT_EQ(book.depth(Side::kSellTokenB), 1u);
 }
 
@@ -130,15 +145,15 @@ TEST(OrderBook, IdIndexStaysConsistentUnderChurn) {
   for (int round = 0; round < 50; ++round) {
     const double bid = 1.0 + 0.01 * round;
     const double ask = 3.0 - 0.01 * round;
-    live.push_back(book.submit(Side::kBuyTokenB, "b", bid, prefs()));
-    live.push_back(book.submit(Side::kSellTokenB, "s", ask, prefs()));
+    live.push_back(book.submit(Side::kBuyTokenB, kBuyer, bid));
+    live.push_back(book.submit(Side::kSellTokenB, kSeller, ask));
     if (round % 5 == 0 && !live.empty()) {
       EXPECT_TRUE(book.cancel(live.front()));
       live.erase(live.begin());
     }
     if (round % 7 == 0) {
       // A marketable buy consumes the current best ask.
-      book.submit(Side::kBuyTokenB, "taker", 3.5, prefs());
+      book.submit(Side::kBuyTokenB, kTaker, 3.5);
       const auto match = book.take_match();
       ASSERT_TRUE(match.has_value());
       consumed.push_back(match->sell.id);
@@ -155,13 +170,13 @@ TEST(OrderBook, IdIndexStaysConsistentUnderChurn) {
 
 TEST(OrderBook, MatchesAreFifo) {
   OrderBook book;
-  book.submit(Side::kSellTokenB, "s1", 2.0, prefs());
-  book.submit(Side::kBuyTokenB, "b1", 2.0, prefs());
-  book.submit(Side::kSellTokenB, "s2", 2.0, prefs());
-  book.submit(Side::kBuyTokenB, "b2", 2.0, prefs());
+  book.submit(Side::kSellTokenB, kS1, 2.0);
+  book.submit(Side::kBuyTokenB, kB1, 2.0);
+  book.submit(Side::kSellTokenB, kS2, 2.0);
+  book.submit(Side::kBuyTokenB, kB2, 2.0);
   EXPECT_EQ(book.matches_produced(), 2u);
-  EXPECT_EQ(book.take_match()->buy.trader, "b1");
-  EXPECT_EQ(book.take_match()->buy.trader, "b2");
+  EXPECT_EQ(book.take_match()->buy.trader, kB1);
+  EXPECT_EQ(book.take_match()->buy.trader, kB2);
   EXPECT_FALSE(book.take_match().has_value());
 }
 

@@ -8,14 +8,16 @@
 #include <cstring>
 #include <span>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "chain/event_queue.hpp"
-#include "chain/ledger.hpp"
+#include "crypto/secret.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/run_spec.hpp"
 #include "market/population/fee_market.hpp"
 #include "market/population/population_sim.hpp"
+#include "math/rng.hpp"
 
 namespace swapgame::market {
 namespace {
@@ -25,16 +27,48 @@ chain::TxPayload transfer(const char* from, const char* to, double tokens) {
                                 chain::Amount::from_tokens(tokens)};
 }
 
+/// A fee market whose sinks record every sealed block (owner tags in
+/// inclusion order, with the seal time) and every drop delivered.
 struct FeeMarketFixture {
+  struct Drop {
+    std::uint64_t tag = 0;
+    chain::TxPayload payload;
+    DropReason reason = DropReason::kEvicted;
+  };
+
   chain::EventQueue queue;
-  chain::Ledger ledger;
+  std::vector<std::pair<double, std::vector<std::uint64_t>>> blocks;
+  std::vector<Drop> drops;
   FeeMarket market;
 
   explicit FeeMarketFixture(FeeMarketConfig config)
-      : ledger({chain::ChainId::kChainA, /*tau=*/1.0, /*eps=*/0.25}, queue),
-        market(config, ledger, queue) {
-    ledger.create_account(chain::Address{"a"}, chain::Amount::from_tokens(100.0));
-    ledger.create_account(chain::Address{"b"}, chain::Amount::from_tokens(100.0));
+      : market(
+            config, queue,
+            [this](std::span<FeeMarket::Intent> block, double seal_time) {
+              std::vector<std::uint64_t> tags;
+              for (const FeeMarket::Intent& tx : block) {
+                tags.push_back(tx.owner_tag);
+              }
+              blocks.emplace_back(seal_time, std::move(tags));
+            },
+            [this](std::uint64_t tag, chain::TxPayload payload,
+                   DropReason reason) {
+              drops.push_back({tag, std::move(payload), reason});
+            }) {}
+
+  /// Every included owner tag, in inclusion order across blocks.
+  [[nodiscard]] std::vector<std::uint64_t> included() const {
+    std::vector<std::uint64_t> tags;
+    for (const auto& [seal_time, block] : blocks) {
+      tags.insert(tags.end(), block.begin(), block.end());
+    }
+    return tags;
+  }
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, DropReason>> dropped()
+      const {
+    std::vector<std::pair<std::uint64_t, DropReason>> out;
+    for (const Drop& d : drops) out.emplace_back(d.tag, d.reason);
+    return out;
   }
 };
 
@@ -44,97 +78,82 @@ TEST(FeeMarket, ValidatesInput) {
   EXPECT_THROW(FeeMarketConfig({0.25, 4, 0}).validate(), std::invalid_argument);
 
   FeeMarketFixture fx({0.25, 4, 8});
-  EXPECT_THROW(fx.market.submit(transfer("a", "b", 1.0), -1.0, 1.0, {}, {}),
+  EXPECT_THROW(fx.market.submit(1, transfer("a", "b", 1.0), -1.0, 1.0),
                std::invalid_argument);
-  EXPECT_THROW(fx.market.submit(transfer("a", "b", 1.0), 0.01, -1.0, {}, {}),
+  EXPECT_THROW(fx.market.submit(1, transfer("a", "b", 1.0), 0.01, -1.0),
                std::invalid_argument);
+  EXPECT_THROW(FeeMarket({0.25, 4, 8}, fx.queue, {},
+                         [](std::uint64_t, chain::TxPayload, DropReason) {}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      FeeMarket({0.25, 4, 8}, fx.queue,
+                [](std::span<FeeMarket::Intent>, double) {}, {}),
+      std::invalid_argument);
 }
 
 TEST(FeeMarket, IncludesByFeePriorityAndAccountsEveryIntent) {
   // Capacity 2 per block: the two best fees go first, the rest wait.
   FeeMarketFixture fx({0.25, 2, 16});
-  std::vector<int> included;
-  std::vector<int> dropped;
   const double fees[4] = {0.01, 0.04, 0.02, 0.03};
-  for (int i = 0; i < 4; ++i) {
-    fx.market.submit(
-        transfer("a", "b", 1.0), fees[i], 10.0,
-        [&included, i](chain::TxId) { included.push_back(i); },
-        [&dropped, i](DropReason) { dropped.push_back(i); });
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    fx.market.submit(i, transfer("a", "b", 1.0), fees[i], 10.0);
   }
   fx.queue.run();
 
-  ASSERT_EQ(included.size(), 4u);
-  EXPECT_TRUE(dropped.empty());
+  EXPECT_TRUE(fx.drops.empty());
   // First block: fee 0.04 then 0.03; second block: 0.02 then 0.01.
-  EXPECT_EQ(included, (std::vector<int>{1, 3, 2, 0}));
+  EXPECT_EQ(fx.included(), (std::vector<std::uint64_t>{1, 3, 2, 0}));
   EXPECT_EQ(fx.market.blocks_sealed(), 2u);
   EXPECT_EQ(fx.market.included(), 4u);
   EXPECT_EQ(fx.market.pending(), 0u);
   EXPECT_NEAR(fx.market.fees_paid(), 0.10, 1e-12);
 }
 
-TEST(FeeMarket, DeferredModeHandsOverEachBlockInOneCall) {
-  // Capacity 2 per block, five tagged intents: three seals, each handing
-  // its block to the sink once, in inclusion order, at the seal time.
-  chain::EventQueue queue;
-  std::vector<std::pair<double, std::vector<std::uint64_t>>> blocks;
-  FeeMarket market({0.25, 2, 16}, queue,
-                   [&blocks](std::span<FeeMarket::Included> block,
-                             double seal_time) {
-                     std::vector<std::uint64_t> tags;
-                     for (const FeeMarket::Included& tx : block) {
-                       tags.push_back(tx.owner_tag);
-                     }
-                     blocks.emplace_back(seal_time, std::move(tags));
-                   });
+TEST(FeeMarket, HandsEachBlockToTheSinkInOneCall) {
+  // Capacity 2 per block, five intents: three seals, each handing its
+  // block to the sink once, in inclusion order, at the seal time.
+  FeeMarketFixture fx({0.25, 2, 16});
   const double fees[5] = {0.01, 0.04, 0.02, 0.03, 0.02};
   for (std::uint64_t i = 0; i < 5; ++i) {
-    market.submit_tagged(100 + i, transfer("a", "b", 1.0), fees[i], 10.0, {});
+    fx.market.submit(100 + i, transfer("a", "b", 1.0), fees[i], 10.0);
   }
-  queue.run();
+  fx.queue.run();
 
-  ASSERT_EQ(blocks.size(), 3u);
-  EXPECT_EQ(blocks[0].first, 0.25);
-  EXPECT_EQ(blocks[0].second, (std::vector<std::uint64_t>{101, 103}));
-  EXPECT_EQ(blocks[1].first, 0.5);
-  EXPECT_EQ(blocks[1].second, (std::vector<std::uint64_t>{102, 104}));
-  EXPECT_EQ(blocks[2].first, 0.75);
-  EXPECT_EQ(blocks[2].second, (std::vector<std::uint64_t>{100}));
-  EXPECT_EQ(market.blocks_sealed(), 3u);
-  EXPECT_EQ(market.included(), 5u);
+  ASSERT_EQ(fx.blocks.size(), 3u);
+  EXPECT_EQ(fx.blocks[0].first, 0.25);
+  EXPECT_EQ(fx.blocks[0].second, (std::vector<std::uint64_t>{101, 103}));
+  EXPECT_EQ(fx.blocks[1].first, 0.5);
+  EXPECT_EQ(fx.blocks[1].second, (std::vector<std::uint64_t>{102, 104}));
+  EXPECT_EQ(fx.blocks[2].first, 0.75);
+  EXPECT_EQ(fx.blocks[2].second, (std::vector<std::uint64_t>{100}));
+  EXPECT_EQ(fx.market.blocks_sealed(), 3u);
+  EXPECT_EQ(fx.market.included(), 5u);
 }
 
 TEST(FeeMarket, EqualFeesIncludeInArrivalOrder) {
   FeeMarketFixture fx({0.25, 8, 16});
-  std::vector<int> included;
-  for (int i = 0; i < 4; ++i) {
-    fx.market.submit(
-        transfer("a", "b", 1.0), 0.02, 10.0,
-        [&included, i](chain::TxId) { included.push_back(i); }, {});
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    fx.market.submit(i, transfer("a", "b", 1.0), 0.02, 10.0);
   }
   fx.queue.run();
-  EXPECT_EQ(included, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(fx.included(), (std::vector<std::uint64_t>{0, 1, 2, 3}));
 }
 
 TEST(FeeMarket, EvictsLowestFeeWhenOverCapacity) {
   // Mempool holds 2: the third submission evicts the cheapest bid.
   FeeMarketFixture fx({0.25, 1, 2});
-  std::vector<std::pair<int, DropReason>> drops;
   const double fees[3] = {0.05, 0.01, 0.03};
-  for (int i = 0; i < 3; ++i) {
-    fx.market.submit(
-        transfer("a", "b", 1.0), fees[i], 10.0, {},
-        [&drops, i](DropReason r) { drops.emplace_back(i, r); });
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    fx.market.submit(i, transfer("a", "b", 1.0), fees[i], 10.0);
   }
-  // Eviction decided synchronously; notification arrives via the queue.
+  // Eviction decided synchronously; the drop arrives via the queue.
   EXPECT_EQ(fx.market.pending(), 2u);
   EXPECT_EQ(fx.market.evicted(), 1u);
+  EXPECT_TRUE(fx.drops.empty());
   fx.queue.run();
 
-  ASSERT_EQ(drops.size(), 1u);
-  EXPECT_EQ(drops[0].first, 1);  // the 0.01 bid lost
-  EXPECT_EQ(drops[0].second, DropReason::kEvicted);
+  using Dropped = std::vector<std::pair<std::uint64_t, DropReason>>;
+  EXPECT_EQ(fx.dropped(), (Dropped{{1, DropReason::kEvicted}}));  // 0.01 lost
   EXPECT_EQ(fx.market.included(), 2u);
   // Conservation of intents: every submission is included or dropped.
   EXPECT_EQ(fx.market.included() + fx.market.evicted() + fx.market.expired(),
@@ -145,32 +164,55 @@ TEST(FeeMarket, ExpiresIntentsPastTheirDeadline) {
   // Capacity 1 per block: the low bid waits, and its deadline lapses
   // before the second seal reaches it.
   FeeMarketFixture fx({0.25, 1, 16});
-  std::vector<DropReason> drops;
-  fx.market.submit(transfer("a", "b", 1.0), 0.05, 10.0, {}, {});
-  fx.market.submit(transfer("a", "b", 1.0), 0.01, 0.3,
-                   [](chain::TxId) { FAIL() << "expired intent included"; },
-                   [&drops](DropReason r) { drops.push_back(r); });
+  fx.market.submit(0, transfer("a", "b", 1.0), 0.05, 10.0);
+  fx.market.submit(1, transfer("a", "b", 1.0), 0.01, 0.3);
   fx.queue.run();
 
-  ASSERT_EQ(drops.size(), 1u);
-  EXPECT_EQ(drops[0], DropReason::kExpired);
+  using Dropped = std::vector<std::pair<std::uint64_t, DropReason>>;
+  EXPECT_EQ(fx.dropped(), (Dropped{{1, DropReason::kExpired}}));
+  EXPECT_EQ(fx.included(), (std::vector<std::uint64_t>{0}));
   EXPECT_EQ(fx.market.included(), 1u);
   EXPECT_EQ(fx.market.expired(), 1u);
   EXPECT_NEAR(fx.market.fees_paid(), 0.05, 1e-12);
 }
 
-TEST(FeeMarket, CancelWithdrawsWithoutCallbacks) {
-  FeeMarketFixture fx({0.25, 4, 16});
-  bool touched = false;
-  const std::uint64_t id = fx.market.submit(
-      transfer("a", "b", 1.0), 0.02, 10.0,
-      [&touched](chain::TxId) { touched = true; },
-      [&touched](DropReason) { touched = true; });
-  EXPECT_TRUE(fx.market.cancel(id));
-  EXPECT_FALSE(fx.market.cancel(id));
+TEST(FeeMarket, DroppedIntentHandsItsPayloadBack) {
+  // Mempool holds 2 and a block 1.  Tag 12 (the cheapest) is evicted by
+  // the third submission; tag 11 waits behind tag 10 and its deadline
+  // lapses before the second seal.  Each drop hands back the claim exactly
+  // as submitted, so its owner can re-bid it.
+  FeeMarketFixture fx({0.25, 1, 2});
+  math::Xoshiro256 rng{0xD20B};
+  const auto claim = [&rng](std::uint64_t contract, const char* claimer) {
+    return chain::ClaimHtlcPayload{chain::HtlcId{contract},
+                                   crypto::Secret::generate(rng),
+                                   chain::Address{claimer}};
+  };
+  const chain::ClaimHtlcPayload evicted = claim(7, "bob-12");
+  const chain::ClaimHtlcPayload expired = claim(9, "bob-11");
+  fx.market.submit(12, evicted, 0.001, 10.0);
+  fx.market.submit(10, claim(8, "bob-10"), 0.05, 10.0);
+  fx.market.submit(11, expired, 0.01, 0.3);
+  EXPECT_EQ(fx.market.evicted(), 1u);
+  EXPECT_TRUE(fx.drops.empty());  // nothing delivered before the queue runs
   fx.queue.run();
-  EXPECT_FALSE(touched);
-  EXPECT_EQ(fx.market.included(), 0u);
+
+  ASSERT_EQ(fx.drops.size(), 2u);
+  const std::pair<std::uint64_t, DropReason> want[2] = {
+      {12, DropReason::kEvicted}, {11, DropReason::kExpired}};
+  const chain::ClaimHtlcPayload* sent[2] = {&evicted, &expired};
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(::testing::Message() << "drop " << i);
+    EXPECT_EQ(fx.drops[i].tag, want[i].first);
+    EXPECT_EQ(fx.drops[i].reason, want[i].second);
+    const auto* back = std::get_if<chain::ClaimHtlcPayload>(&fx.drops[i].payload);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->secret.bytes(), sent[i]->secret.bytes());
+    EXPECT_EQ(back->contract.value, sent[i]->contract.value);
+    EXPECT_EQ(back->claimer.value, sent[i]->claimer.value);
+  }
+  EXPECT_EQ(fx.included(), (std::vector<std::uint64_t>{10}));
+  EXPECT_EQ(fx.market.expired(), 1u);
 }
 
 // ---------------------------------------------------------------------------
