@@ -24,10 +24,9 @@
 // settlement (see compact()).  retire_account() additionally folds a
 // finished session's balance into one retained aggregate that
 // total_supply() still counts.  The InvariantAuditor audits every sweep.
-// Secrets keep no index of their own: visible_secrets() scans the live
-// transactions, which is cheap on the one-swap ledgers of its one caller
-// (the collateral oracle at t4), and a retired claim leaves it with its
-// record.
+// visible_secrets() scans the live transactions: its one caller, the
+// collateral oracle at t4, reads ledgers that carry one swap, and a claim
+// retired by compact() leaves the scan with its record.
 #pragma once
 
 #include <cstdint>
