@@ -38,6 +38,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <utility>
 
 #include "chain/event_queue.hpp"
 #include "chain/transaction.hpp"
