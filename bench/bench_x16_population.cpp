@@ -26,8 +26,9 @@
 //     degrades completion and stretches p99 latency while evictions and
 //     re-bids engage -- the Mazumdar-style settlement-pressure effect
 //     the per-session benches cannot see;
-//   * threshold-cache efficiency: 10^7 rational t1/t2/t3 decisions are
-//     served by a few hundred BasicGame solves.
+//   * one threshold solve per type pair: the 10^7 rational t1/t2/t3
+//     decisions read rules solved once per (buyer, seller) pair before
+//     the first arrival.
 //
 // The panel and ladder run as kMarketSim cells on the BatchEngine:
 // RunSpec-hashed, cacheable, and bit-identical across
@@ -190,7 +191,8 @@ int main() {
   report.csv_begin("headline",
                    "sessions,arrivals,completed,starved,atomicity_lost,"
                    "never_initiated,completion_rate,latency_p50,latency_p99,"
-                   "blocks_sealed,txs_evicted,rebids,final_price");
+                   "blocks_sealed,txs_evicted,rebids,final_price,aborted_t2,"
+                   "aborted_t3,mean_predicted_sr");
 
   // Smoke floor 40000 (not the usual 4000): at the headline's 6000/h
   // arrival rate, fewer sessions all enter inside a sub-hour burst and
@@ -234,7 +236,8 @@ int main() {
   report.write_trace_jsonl(parallel_result.trace);
 
   report.csv_row(bench::fmt(
-      "%llu,%.0f,%llu,%llu,%llu,%llu,%.4f,%.2f,%.2f,%.0f,%llu,%llu,%.4f",
+      "%llu,%.0f,%llu,%llu,%llu,%llu,%.4f,%.2f,%.2f,%.0f,%llu,%llu,%.4f,%.0f,"
+      "%.0f,%.6f",
       static_cast<unsigned long long>(h.sessions),
       parallel_result.at("arrivals"),
       static_cast<unsigned long long>(h.completed),
@@ -244,7 +247,9 @@ int main() {
       h.latency_p50, h.latency_p99, parallel_result.at("blocks_sealed"),
       static_cast<unsigned long long>(h.evicted),
       static_cast<unsigned long long>(h.rebids),
-      parallel_result.at("final_price")));
+      parallel_result.at("final_price"), parallel_result.at("aborted_t2"),
+      parallel_result.at("aborted_t3"),
+      parallel_result.at("mean_predicted_sr")));
 
   // The tentpole contract: 8 workers change WALL CLOCK, never results.
   report.claim("workers=8 headline is bit-identical to the serial reference",
@@ -306,14 +311,16 @@ int main() {
                    parallel_result.at("max_price") >
                        parallel_result.at("min_price"));
 
-  // Threshold-cache efficiency: rational decisions per solver run.
+  // Pair solves: one rule per (buyer, seller) type pair, whatever the
+  // session count; t1_evaluations counts their SR table points.
   const double games = parallel_result.at("threshold_games");
   const double t1_evals = parallel_result.at("t1_evaluations");
   report.metric("headline_threshold_games", games);
   report.metric("headline_t1_evaluations", t1_evals);
-  report.claim("threshold games amortize >10:1 over rational decisions",
-               games > 0.0 &&
-                   games < 500.0 + static_cast<double>(h.sessions) / 10.0);
+  const double types =
+      static_cast<double>(market::PopulationConfig::default_types().size());
+  report.claim("one threshold solve per type pair",
+               games == types * types);
 
   // ---- Block 2: retirement + worker equivalence (FIXED size). ------------
   // The contract of docs/MARKET.md "state retirement" and
@@ -378,7 +385,8 @@ int main() {
   report.csv_begin("fee_regimes",
                    "regime,block_capacity,completed,starved,completion_rate,"
                    "latency_p50,latency_p99,txs_evicted,rebids,fees_paid,"
-                   "lockup_token_a_hours");
+                   "lockup_token_a_hours,never_initiated,aborted_t2,"
+                   "aborted_t3,atomicity_lost,mean_predicted_sr");
 
   struct Regime {
     const char* name;
@@ -411,13 +419,18 @@ int main() {
     all_partition = all_partition && outcomes_partition(regime_results[i]);
     all_conserved = all_conserved && c.conserved;
     report.csv_row(bench::fmt(
-        "%s,%zu,%llu,%llu,%.4f,%.2f,%.2f,%llu,%llu,%.3f,%.1f",
+        "%s,%zu,%llu,%llu,%.4f,%.2f,%.2f,%llu,%llu,%.3f,%.1f,%llu,%.0f,%.0f,"
+        "%llu,%.6f",
         regimes[i].name, regimes[i].block_capacity,
         static_cast<unsigned long long>(c.completed),
         static_cast<unsigned long long>(c.starved), c.completion_rate,
         c.latency_p50, c.latency_p99,
         static_cast<unsigned long long>(c.evicted),
-        static_cast<unsigned long long>(c.rebids), c.fees_paid, c.lockup_a));
+        static_cast<unsigned long long>(c.rebids), c.fees_paid, c.lockup_a,
+        static_cast<unsigned long long>(c.never_initiated),
+        regime_results[i].at("aborted_t2"), regime_results[i].at("aborted_t3"),
+        static_cast<unsigned long long>(c.atomicity_lost),
+        regime_results[i].at("mean_predicted_sr")));
     const std::string suffix = regimes[i].name;
     report.metric("population_completion_rate_" + suffix, c.completion_rate);
     report.metric("population_latency_p50_" + suffix, c.latency_p50);

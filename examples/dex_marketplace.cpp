@@ -5,7 +5,7 @@
 // Each regime is one market::PopulationSim run: Poisson order flow into
 // the order book, every match settled as an HTLC session on two shared
 // ledgers with per-chain fee markets, rational threshold strategies on
-// both sides.  Per regime it prints the session outcome counts, the
+// both sides.  Per regime it prints the session count per outcome, the
 // population's completion rate among initiated swaps, the mean analytic
 // SR predicted at initiation and the median settlement latency.
 //
@@ -26,13 +26,18 @@ void run_regime(const char* label, double sigma, std::uint64_t sessions) {
   config.seed = 2024;
   market::PopulationSim sim(config);
   const market::PopulationResult r = sim.run();
-  std::printf("%-14s sessions %5llu  initiated %5zu  completed %5zu  "
-              "starved %4llu  (completion %.1f%%, predicted SR %.1f%%, "
-              "p50 latency %.1f h)\n",
-              label, static_cast<unsigned long long>(r.sessions),
-              r.stats.initiated, r.stats.completed,
-              static_cast<unsigned long long>(r.starved),
-              100.0 * r.stats.completion_rate(),
+  const auto count = [](std::uint64_t n) {
+    return static_cast<unsigned long long>(n);
+  };
+  std::printf("%-14s sessions %5llu  never initiated %4llu  aborted t2 %4llu  "
+              "aborted t3 %4llu  completed %5llu  starved %4llu  "
+              "atomicity lost %llu\n",
+              label, count(r.sessions), count(r.never_initiated),
+              count(r.aborted_t2), count(r.aborted_t3), count(r.completed),
+              count(r.starved), count(r.atomicity_lost));
+  std::printf("%-14s completion %.1f%%, predicted SR %.1f%%, p50 latency "
+              "%.1f h\n",
+              "", 100.0 * r.stats.completion_rate(),
               100.0 * r.stats.mean_predicted_sr, r.stats.latency_p50);
 }
 

@@ -67,7 +67,12 @@ namespace swapgame::engine {
 /// v6: the population block's `shards` line is gone (event-queue storage
 /// shards were deleted).  Only the canonical form changes -- the shard
 /// count never affected execution order -- so no result differs from v5.
-inline constexpr int kRunSpecSchemaVersion = 6;
+/// v7: the population block's `decision_tick` line is gone.  market_sim
+/// decisions read each type pair's scale-free rule at the exact P_t0
+/// instead of a t1 cache at P_t0 rounded to decision_tick, and
+/// mean_predicted_sr, alice_t1_cont and the threshold_games /
+/// t1_evaluations counters are redefined, so market_sim results change.
+inline constexpr int kRunSpecSchemaVersion = 7;
 
 /// What computation a cell performs.
 enum class CellKind : std::uint8_t {

@@ -171,7 +171,6 @@ void visit_spec_fields(RunSpec& spec, V& v) {
   v.num("population.gbm.mu", pop.gbm.mu);
   v.num("population.gbm.sigma", pop.gbm.sigma);
   v.num("population.impact", pop.impact);
-  v.num("population.decision_tick", pop.decision_tick);
   v.num("population.tau_a", pop.tau_a);
   v.num("population.tau_b", pop.tau_b);
   v.num("population.eps_b", pop.eps_b);

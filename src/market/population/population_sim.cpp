@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numbers>
 #include <stdexcept>
 #include <utility>
 
-#include "model/basic_game.hpp"
+#include "model/solver_cache.hpp"
 #include "model/timeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -81,7 +82,6 @@ void PopulationConfig::validate() const {
   }
   positive(arrival_rate, "arrival_rate");
   positive(tick, "tick");
-  positive(decision_tick, "decision_tick");
   positive(cancel_after, "cancel_after");
   positive(p0, "p0");
   positive(tau_a, "tau_a");
@@ -126,8 +126,9 @@ void PopulationConfig::validate() const {
   if (types.empty()) {
     throw std::invalid_argument("PopulationConfig: types must be non-empty");
   }
-  if (types.size() > 255) {
-    throw std::invalid_argument("PopulationConfig: at most 255 trader types");
+  // run() solves every type pair before the first arrival.
+  if (types.size() > 16) {
+    throw std::invalid_argument("PopulationConfig: at most 16 trader types");
   }
   for (const TraderType& t : types) {
     t.agent.validate();
@@ -147,13 +148,8 @@ PopulationSim::PopulationSim(PopulationConfig config)
   params_b.id = chain::ChainId::kChainB;
   params_b.confirmation_time = config_.tau_b;
   params_b.mempool_visibility = config_.eps_b;
-  const auto types = static_cast<std::uint32_t>(config_.types.size());
-  strategies_.reserve(static_cast<std::size_t>(types) * types);
-  for (std::uint32_t buyer = 0; buyer < types; ++buyer) {
-    for (std::uint32_t seller = 0; seller < types; ++seller) {
-      strategies_.emplace_back(*this, buyer, seller);
-    }
-  }
+  // The rules are solved in run(); sessions keep pointers to the slots.
+  strategies_.resize(config_.types.size() * config_.types.size());
   shards_.reserve(config_.workers);
   for (std::uint64_t w = 0; w < config_.workers; ++w) {
     shards_.push_back(std::make_unique<Shard>(*this, params_a, params_b));
@@ -216,92 +212,76 @@ PopulationSim::Shard::Shard(PopulationSim& owner, const chain::ChainParams& a,
 
 // --- decision thresholds ---------------------------------------------------
 
-model::SwapParams PopulationSim::pair_params(std::uint32_t buyer_type,
-                                             std::uint32_t seller_type,
-                                             double p_t0) const {
+model::SwapParams PopulationConfig::pair_params(std::uint32_t buyer_type,
+                                                std::uint32_t seller_type,
+                                                double p_t0) const {
   model::SwapParams params;
-  params.alice = config_.types[buyer_type].agent;  // buyer locks first
-  params.bob = config_.types[seller_type].agent;
-  params.tau_a = config_.tau_a;
-  params.tau_b = config_.tau_b;
-  params.eps_b = config_.eps_b;
+  params.alice = types[buyer_type].agent;  // buyer locks first
+  params.bob = types[seller_type].agent;
+  params.tau_a = tau_a;
+  params.tau_b = tau_b;
+  params.eps_b = eps_b;
   params.p_t0 = p_t0;
-  params.gbm = config_.gbm;
+  params.gbm = gbm;
   return params;
 }
 
-const PopulationSim::GameEntry& PopulationSim::game_entry(
-    std::uint32_t buyer_type, std::uint32_t seller_type, double p_star) {
-  const std::uint32_t pair_key = (buyer_type << 8) | seller_type;
-  const std::int64_t star_units = quantize(p_star, config_.tick);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(pair_key) << 32) |
-      static_cast<std::uint64_t>(star_units & 0xFFFFFFFFLL);
-  std::vector<double> hints;
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = games_.find(key);
-    if (it != games_.end()) return it->second;
-    const auto h = last_roots_.find(pair_key);
-    if (h != last_roots_.end()) hints = h->second;
+PairRule PairRule::solve(const model::SwapParams& unit) {
+  // The scaling holds for BasicGame only: a collateral Q fixed in tokens
+  // (CollateralGame) does not scale with P*, so a collateralized game
+  // would need a solve per P* again.
+  const model::BasicGame game(unit, 1.0);
+  PairRule rule;
+  rule.t3_ratio = game.alice_t3_cutoff();
+  rule.t2_unit = game.bob_t2_region();
+  rule.t2_roots = game.t2_roots();
+  rule.band = model::cached_feasible_band(unit);
+  if (!rule.band.viable) return rule;
+  // Chebyshev points of the second kind on [lo, hi]: a smooth SR converges
+  // geometrically in their count.  Each solve warm-starts from the unit
+  // roots scaled to its P*.
+  const double mid = 0.5 * (rule.band.lo + rule.band.hi);
+  const double half = 0.5 * (rule.band.hi - rule.band.lo);
+  std::vector<double> hints(rule.t2_roots.size());
+  for (int j = 0; j < kSrNodes; ++j) {
+    const double x =
+        mid + half * std::cos(std::numbers::pi * j / (kSrNodes - 1));
+    for (std::size_t i = 0; i < hints.size(); ++i) {
+      hints[i] = rule.t2_roots[i] * x;
+    }
+    rule.sr_nodes.push_back(x);
+    rule.sr_values.push_back(model::BasicGame(unit, x, hints).success_rate());
   }
-
-  // The t3 cutoff and t2 region do not depend on p_t0 (only the t1
-  // quantities do), so one solve at a canonical p_t0 = P* serves every
-  // decision price.  Warm-start along the P* axis within a type pair; the
-  // hints are frozen for the whole epoch (refreshed at the barrier) so a
-  // solve's inputs do not depend on which worker reaches it first.  That
-  // is also why the solve runs outside the lock: a worker racing on the
-  // same key computes the same entry, and only the first insert counts.
-  const double p = static_cast<double>(star_units) * config_.tick;
-  const model::SwapParams params = pair_params(buyer_type, seller_type, p);
-  const model::BasicGame game = hints.empty()
-                                    ? model::BasicGame(params, p)
-                                    : model::BasicGame(params, p, hints);
-  GameEntry entry;
-  entry.t3_cutoff = game.alice_t3_cutoff();
-  entry.t2_region = game.bob_t2_region();
-  entry.t2_roots = game.t2_roots();
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto [it, inserted] = games_.try_emplace(key, std::move(entry));
-  if (inserted) {
-    ++result_.threshold_games;
-    pending_hints_.push_back(
-        HintRec{pair_key, star_units, it->second.t2_roots});
-  }
-  return it->second;
+  return rule;
 }
 
-std::pair<double, double> PopulationSim::t1_entry(std::uint32_t buyer_type,
-                                                  std::uint32_t seller_type,
-                                                  double p_star, double p_t0) {
-  const std::uint32_t pair_key = (buyer_type << 8) | seller_type;
-  const std::int64_t star_units = quantize(p_star, config_.tick);
-  const std::int64_t t0_units = quantize(p_t0, config_.decision_tick);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(pair_key) << 48) |
-      (static_cast<std::uint64_t>(star_units & 0xFFFFFFLL) << 24) |
-      static_cast<std::uint64_t>(t0_units & 0xFFFFFFLL);
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = t1_cache_.find(key);
-    if (it != t1_cache_.end()) return it->second;
+double PairRule::success_rate(double ratio) const noexcept {
+  // Barycentric form: weights (-1)^j, halved at both ends.
+  double num = 0.0;
+  double den = 0.0;
+  const std::size_t n = sr_nodes.size();
+  for (std::size_t j = 0; j < n; ++j) {
+    const double d = ratio - sr_nodes[j];
+    if (d == 0.0) return sr_values[j];
+    double w = (j % 2 == 0 ? 1.0 : -1.0) / d;
+    if (j == 0 || j + 1 == n) w *= 0.5;
+    num += w * sr_values[j];
+    den += w;
   }
+  return num / den;
+}
 
-  // Solved outside the lock, like game_entry: the inputs are the key and
-  // the level-1 roots, which no worker changes once stored.
-  const GameEntry& level1 = game_entry(buyer_type, seller_type, p_star);
-  const double star = static_cast<double>(star_units) * config_.tick;
-  const double t0 =
-      std::max(static_cast<double>(t0_units) * config_.decision_tick,
-               0.5 * config_.decision_tick);
-  const model::BasicGame game(pair_params(buyer_type, seller_type, t0), star,
-                              level1.t2_roots);
-  const std::pair<double, double> value{game.alice_t1_cont(),
-                                        game.success_rate()};
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (t1_cache_.emplace(key, value).second) ++result_.t1_evaluations;
-  return value;
+void PopulationSim::solve_pairs() {
+  const std::size_t types = config_.types.size();
+  parallel(strategies_.size(), [&](std::size_t i) {
+    strategies_[i].rule = PairRule::solve(config_.pair_params(
+        static_cast<std::uint32_t>(i / types),
+        static_cast<std::uint32_t>(i % types), 1.0));
+  });
+  for (const ThresholdStrategy& strategy : strategies_) {
+    ++result_.threshold_games;
+    result_.t1_evaluations += strategy.rule.sr_values.size();
+  }
 }
 
 // --- endogenous price ------------------------------------------------------
@@ -425,17 +405,13 @@ PopulationSim::SessionSwap::SessionSwap(proto::SwapEnv& env, std::uint64_t idx,
 
 model::Action PopulationSim::ThresholdStrategy::decide(
     agents::Stage stage, const agents::DecisionContext& ctx) {
-  const auto game = [&]() -> const GameEntry& {
-    return sim->game_entry(buyer_type, seller_type, ctx.p_star);
-  };
   bool cont = true;  // t4: claiming always beats forfeiting the token-a lock
   if (stage == agents::Stage::kT1Initiate) {
-    cont = sim->t1_entry(buyer_type, seller_type, ctx.p_star, ctx.price).first >
-           ctx.p_star;
+    cont = rule.initiates(ctx.p_star, ctx.price);  // Alice's band (Eq. 30)
   } else if (stage == agents::Stage::kT2Lock) {
-    cont = game().t2_region.contains(ctx.price);  // Bob's region (Eq. 24)
+    cont = rule.locks(ctx.p_star, ctx.price);  // Bob's region (Eq. 24)
   } else if (stage == agents::Stage::kT3Reveal) {
-    cont = ctx.price > game().t3_cutoff;  // Alice's cutoff (Eq. 19)
+    cont = rule.reveals(ctx.p_star, ctx.price);  // Alice's cutoff (Eq. 19)
   }
   return cont ? model::Action::kCont : model::Action::kStop;
 }
@@ -453,20 +429,26 @@ void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
   SessionSwap& s = *session(idx);  // spawned this epoch, cannot be retired
   const double p = window_price_;
   const double p_star = s.legs[0].amount;
-  const auto [t1_cont, sr] = t1_entry(s.buyer_type, s.seller_type, p_star, p);
+  const PairRule& pair = rule(s);
   if (trace_ != nullptr && trace_stride_ > 0 && idx % trace_stride_ == 0) {
+    // A traced session reports Alice's exact t1 value: one solve, warm-
+    // started from the pair's unit roots scaled to this P*.
+    std::vector<double> hints = pair.t2_roots;
+    for (double& h : hints) h *= p_star;
+    const model::BasicGame game(
+        config_.pair_params(s.buyer_type, s.seller_type, p), p_star, hints);
     sh.traces.push_back({.stamp = {s.t0, idx, s.bseq++},
                          .start = true,
                          .p_star = p_star,
                          .price = p,
-                         .t1_cont = t1_cont});
+                         .t1_cont = game.alice_t1_cont()});
   }
 
   // Idealized expiries plus fee-market slack (2x on chain A so the
   // t_b < t_a ordering the atomicity argument needs is preserved), and the
   // fee bids, drawn after the secret from the session's stream.
   const model::Schedule sched = model::idealized_schedule(
-      pair_params(s.buyer_type, s.seller_type, p), s.t0);
+      config_.pair_params(s.buyer_type, s.seller_type, p), s.t0);
   s.legs[0].expiry = sched.t_a + 2.0 * config_.expiry_slack;
   s.legs[1].expiry = sched.t_b + config_.expiry_slack;
   math::Xoshiro256 rng = session_rng(config_.seed, idx);
@@ -481,7 +463,8 @@ void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
     finalize(sh, idx);
     return;
   }
-  sh.inits.push_back(InitRec{Stamp{s.t0, idx, s.bseq++}, sr,
+  sh.inits.push_back(InitRec{Stamp{s.t0, idx, s.bseq++},
+                             pair.success_rate(p_star / p),
                              s.taker_buys ? 1.0 : -1.0});
 
   // Fund exactly what each side locks (leg k is paid by party k);
@@ -702,20 +685,6 @@ void PopulationSim::merge_window(double e1) {
     }
   }
 
-  // Warm-start hints: fold fresh solves keyed by (pair, P*) -- a
-  // deterministic order that ignores which worker solved first.
-  if (!pending_hints_.empty()) {
-    std::sort(pending_hints_.begin(), pending_hints_.end(),
-              [](const HintRec& a, const HintRec& b) {
-                if (a.pair_key != b.pair_key) return a.pair_key < b.pair_key;
-                return a.star_units < b.star_units;
-              });
-    for (HintRec& h : pending_hints_) {
-      last_roots_[h.pair_key] = std::move(h.roots);
-    }
-    pending_hints_.clear();
-  }
-
   finalized_since_compact_ += merged_finals_.size();
   maybe_compact(e1);
 }
@@ -754,7 +723,7 @@ void PopulationSim::maybe_compact(double now) {
   };
   std::vector<SweepTally> tallies(shards_.size());
   const std::uint64_t width = shards_.size();
-  for_each_shard([&](std::size_t w) {
+  parallel(shards_.size(), [&](std::size_t w) {
     Shard& sh = *shards_[w];
     SweepTally& tally = tallies[w];
     const std::uint64_t first =
@@ -792,12 +761,12 @@ void PopulationSim::maybe_compact(double now) {
   }
 }
 
-void PopulationSim::for_each_shard(
-    const std::function<void(std::size_t)>& fn) {
+void PopulationSim::parallel(std::size_t n,
+                             const std::function<void(std::size_t)>& fn) {
   if (pool_ != nullptr) {
-    pool_->run_parallel(shards_.size(), fn);
+    pool_->run_parallel(n, fn);
   } else {
-    for (std::size_t w = 0; w < shards_.size(); ++w) fn(w);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
   }
 }
 
@@ -806,6 +775,7 @@ void PopulationSim::for_each_shard(
 PopulationResult PopulationSim::run() {
   if (ran_) throw std::logic_error("PopulationSim::run: already ran");
   ran_ = true;
+  solve_pairs();
   schedule_next_arrival();
 
   // Epoch width: one (minimum) block interval, aligning the barriers with
@@ -849,7 +819,7 @@ PopulationResult PopulationSim::run() {
     // Parallel phase: each shard drains its own queue (session state
     // machines, HTLC confirmations, refunds) up to the barrier.
     in_parallel_phase_ = true;
-    for_each_shard([this, e1](std::size_t w) {
+    parallel(shards_.size(), [this, e1](std::size_t w) {
       Shard& sh = *shards_[w];
       if (sh.queue.drain_before(e1) != 0) {
         sh.max_event_time = std::max(sh.max_event_time, sh.queue.now());

@@ -18,11 +18,10 @@
 //     +-impact toward the taker's side), and every t1/t2/t3 decision (a
 //     per-type-pair strategy) reads the epoch price against the rational
 //     thresholds of model::BasicGame;
-//   * thresholds are served from two caches keyed on tick-quantized
-//     coordinates -- (type pair, P*) for the p_t0-independent t2 region
-//     and t3 cutoff, plus (type pair, P*, P_t0) for the quadrature-backed
-//     t1 continuation value and analytic SR -- so 10^5 decisions cost a
-//     few hundred solver runs, warm-started along the P* axis;
+//   * the basic game is homogeneous in price, so run() solves each type
+//     pair ONCE, at P* = P_t0 = 1, before the first epoch (PairRule): the
+//     t3 cutoff and t2 region as multiples of P*, the t1 feasible band and
+//     an SR table in P*/P_t0 -- no solve happens during the epochs;
 //   * per-session outcome (the machine's SwapOutcome, counted by one
 //     mapping), settlement latency and capital lockup roll up
 //     into MarketStats, and the ledgers' total_supply()
@@ -40,14 +39,13 @@
 //      sweep::ThreadPool -- each shard owns the sessions with
 //      index % workers == shard and a private Ledger pair, so landings,
 //      the swap machines, HTLC lifecycles and refunds advance with no
-//      shared mutable state (the threshold caches are the one mutex, held
-//      for lookups and inserts but not for solves);
+//      shared mutable state and no lock (the pair rules are read-only);
 //   3. a BARRIER merges every cross-shard effect in canonical
 //      (time, session, birth-order) stamp order: fee-market intents,
-//      price impacts, statistics folds, trace events, cache warm-start
-//      hints.  Every compaction.interval finalizations a serial walk
-//      picks the retirable sessions, and each shard retires their
-//      accounts and compacts its own ledgers on the pool.
+//      price impacts, statistics folds, trace events.  Every
+//      compaction.interval finalizations a serial walk picks the
+//      retirable sessions, and each shard retires their accounts and
+//      compacts its own ledgers on the pool.
 //
 // Because the merge order is canonical and sessions only interact through
 // merged state, results and traces are BIT-IDENTICAL at every worker
@@ -62,9 +60,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -78,6 +74,7 @@
 #include "math/interval.hpp"
 #include "math/rng.hpp"
 #include "math/stats.hpp"
+#include "model/basic_game.hpp"
 #include "model/params.hpp"
 #include "proto/price_path.hpp"
 #include "proto/swap_machine.hpp"
@@ -111,6 +108,8 @@ struct MarketStats {
   std::size_t matches = 0;
   std::size_t initiated = 0;
   std::size_t completed = 0;
+  /// Mean analytic SR (Eq. 31) over initiated sessions, each read from its
+  /// type pair's SR table at the session's P*/P_t0 (PairRule::kSrBound).
   double mean_predicted_sr = 0.0;
   /// Sessions whose pending transactions never landed before their
   /// timelocks (fee-market starvation).
@@ -135,8 +134,9 @@ struct MarketStats {
   }
 };
 
-/// A discrete trader archetype; arrivals draw a type per order.  Keeping
-/// the type set small bounds the threshold-cache footprint.
+/// A discrete trader archetype; arrivals draw a type per order.  run()
+/// solves every (buyer, seller) type pair before the first arrival, so
+/// that work grows with the square of the type count (capped at 16).
 struct TraderType {
   model::AgentParams agent;
   double weight = 1.0;  ///< relative arrival frequency (need not normalize)
@@ -157,7 +157,6 @@ struct PopulationConfig {
   double p0 = 2.0;               ///< initial token-b price
   math::GbmParams gbm{};         ///< exogenous drift/volatility
   double impact = 1e-4;          ///< log-price kick per initiated swap
-  double decision_tick = 0.1;    ///< P_t0 quantization of the t1 cache
 
   // Chain substrate (the game-parameter taus; fee congestion adds real
   // latency ON TOP of these, which is the phenomenon under study).
@@ -203,9 +202,58 @@ struct PopulationConfig {
   /// The default three-type population (patient/base/impatient).
   [[nodiscard]] static std::vector<TraderType> default_types();
 
-  /// Throws std::invalid_argument on non-positive rates/ticks/sessions or
-  /// invalid chain/fee parameters.
+  /// Throws std::invalid_argument on non-positive rates/ticks/sessions,
+  /// invalid chain/fee parameters or more than 16 trader types.
   void validate() const;
+
+  /// The basic game of a match: the buyer (types[buyer_type]) is Alice,
+  /// who locks first; the seller is Bob.  `types` must be filled.
+  [[nodiscard]] model::SwapParams pair_params(std::uint32_t buyer_type,
+                                              std::uint32_t seller_type,
+                                              double p_t0) const;
+};
+
+/// The rational threshold rules of model::BasicGame for one (buyer, seller)
+/// type pair, in scale-free form.  Every utility of the basic game is
+/// linear in the prices and GBM is scale-invariant, so Alice's t3 cutoff
+/// (Eq. 18) and Bob's t2 region (Eq. 24) are fixed multiples of P*, and
+/// Alice's t1 decision (Eqs. 29/30) and SR (Eq. 31) depend on P*/P_t0
+/// alone.  One solve at P* = P_t0 = 1 serves every decision of the pair.
+struct PairRule {
+  /// SR table size: Chebyshev points spanning the feasible band.
+  static constexpr int kSrNodes = 17;
+  /// Stated bound on |success_rate(x) - SR(x)| for x in the band.  The
+  /// default pairs measure at most 4.4e-7 on a 401-point grid; the gate
+  /// test in tests/test_population.cpp checks the bound against direct
+  /// BasicGame solves.
+  static constexpr double kSrBound = 1e-5;
+
+  double t3_ratio = 0.0;          ///< Alice's t3 cutoff over P*
+  math::IntervalSet t2_unit;      ///< Bob's t2 region over P*
+  std::vector<double> t2_roots;   ///< its indifference roots at P* = 1
+  model::FeasibleBand band;       ///< Alice's t1 band in P*/P_t0
+  std::vector<double> sr_nodes;   ///< table abscissae in P*/P_t0
+  std::vector<double> sr_values;  ///< SR at sr_nodes; empty when !viable
+
+  /// Solves the pair's game at `unit` (p_t0 = 1, P* = 1).
+  [[nodiscard]] static PairRule solve(const model::SwapParams& unit);
+
+  /// Alice initiates at rate p_star and price p_t0.
+  [[nodiscard]] bool initiates(double p_star, double p_t0) const noexcept {
+    const double ratio = p_star / p_t0;
+    return band.viable && band.lo < ratio && ratio < band.hi;
+  }
+  /// Bob locks at t2.
+  [[nodiscard]] bool locks(double p_star, double price) const noexcept {
+    return t2_unit.contains(price / p_star);
+  }
+  /// Alice reveals at t3.
+  [[nodiscard]] bool reveals(double p_star, double price) const noexcept {
+    return price > t3_ratio * p_star;
+  }
+  /// SR at P*/P_t0 = ratio, interpolated from the table (barycentric
+  /// Chebyshev); meaningful only inside the band.
+  [[nodiscard]] double success_rate(double ratio) const noexcept;
 };
 
 /// Everything a population run produces.
@@ -240,9 +288,9 @@ struct PopulationResult {
   std::uint64_t rebids = 0;
   double fees_paid = 0.0;
 
-  // Threshold-cache telemetry (deterministic given the config).
-  std::uint64_t threshold_games = 0;  ///< level-1 (t2/t3) solver runs
-  std::uint64_t t1_evaluations = 0;   ///< level-2 quadrature evaluations
+  // Pair-solve telemetry (a function of the config alone).
+  std::uint64_t threshold_games = 0;  ///< pair rules solved (types^2)
+  std::uint64_t t1_evaluations = 0;   ///< SR table points over all pairs
 
   // Retirement telemetry (all zero when compaction is off).  compactions
   // scales with the worker count (each worker's ledger pair is swept);
@@ -288,14 +336,6 @@ class PopulationSim {
   [[nodiscard]] PopulationResult run();
 
  private:
-  /// Level-1 cache entry: the p_t0-independent thresholds at one
-  /// (type pair, quantized P*) coordinate.
-  struct GameEntry {
-    double t3_cutoff = 0.0;
-    math::IntervalSet t2_region;
-    std::vector<double> t2_roots;
-  };
-
   /// Canonical merge order for everything a worker buffers during the
   /// parallel phase: event time, then session index, then the session's
   /// own record birth order.  Unique per record (bseq breaks the only
@@ -350,14 +390,6 @@ class PopulationSim {
     double latency = std::numeric_limits<double>::quiet_NaN();
   };
 
-  /// A fresh level-1 solve's roots, folded into the warm-start hints at
-  /// the barrier (ordered by key, so the fold ignores solve order).
-  struct HintRec {
-    std::uint32_t pair_key = 0;
-    std::int64_t star_units = 0;
-    std::vector<double> roots;
-  };
-
   /// One worker shard: a private event queue and ledger pair shared by
   /// its sessions' swaps (their proto::SwapEnv), plus the per-epoch effect
   /// buffers.  Sessions with index % workers == shard live here; only the
@@ -400,22 +432,17 @@ class PopulationSim {
     double price_at(chain::Hours) const override { return sim->window_price_; }
   };
 
-  /// The rational threshold rules of model::BasicGame for one (buyer,
-  /// seller) type pair, read from the threshold caches at the decision
-  /// context's price -- the epoch-frozen price.  Stateless, so the
-  /// sessions of every shard share one per pair.
+  /// A type pair's PairRule as the strategy of its sessions, read at the
+  /// decision context's price -- the epoch-frozen price.  The rule is
+  /// solved in run() and read-only afterwards, so the sessions of every
+  /// shard share one per pair.
   struct ThresholdStrategy final : agents::Strategy {
-    ThresholdStrategy(PopulationSim& owner, std::uint32_t buyer,
-                      std::uint32_t seller)
-        : sim(&owner), buyer_type(buyer), seller_type(seller) {}
     model::Action decide(agents::Stage stage,
                          const agents::DecisionContext& ctx) override;
     std::string_view name() const noexcept override {
       return "population-threshold";
     }
-    PopulationSim* sim;
-    std::uint32_t buyer_type;
-    std::uint32_t seller_type;
+    PairRule rule;
   };
 
   static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -444,22 +471,13 @@ class PopulationSim {
     bool finalized = false;
   };
 
-  // --- decision thresholds (two-level tick-quantized cache) -------------
-  // Thread-safe: workers of the parallel phase share the caches under
-  // cache_mutex_, which a miss releases while it solves.  The values are
-  // deterministic -- frozen warm-start hints make a solve's inputs
-  // independent of which worker runs it first -- so a racing duplicate
-  // solve stores nothing new.
-  [[nodiscard]] model::SwapParams pair_params(std::uint32_t buyer_type,
-                                              std::uint32_t seller_type,
-                                              double p_t0) const;
-  [[nodiscard]] const GameEntry& game_entry(std::uint32_t buyer_type,
-                                            std::uint32_t seller_type,
-                                            double p_star);
-  /// (alice_t1_cont, analytic SR) at quantized (pair, P*, P_t0).
-  [[nodiscard]] std::pair<double, double> t1_entry(std::uint32_t buyer_type,
-                                                   std::uint32_t seller_type,
-                                                   double p_star, double p_t0);
+  // --- decision thresholds ----------------------------------------------
+  /// Solves every type pair's rule on the pool (run(), before the epochs).
+  void solve_pairs();
+  [[nodiscard]] const PairRule& rule(const SessionSwap& s) const noexcept {
+    return strategies_[s.buyer_type * config_.types.size() + s.seller_type]
+        .rule;
+  }
 
   // --- endogenous price (serial/barrier only) ----------------------------
   /// One GBM draw covering [price_time_, t]; no-op when t <= price_time_.
@@ -505,8 +523,8 @@ class PopulationSim {
   /// Every compaction.interval finalizations: retire settled sessions from
   /// the deque front and sweep every shard ledger behind the watermark.
   void maybe_compact(double now);
-  /// Runs fn(shard) for every shard, on the pool when there is one.
-  void for_each_shard(const std::function<void(std::size_t)>& fn);
+  /// Runs fn(0) .. fn(n-1), on the pool when there is one.
+  void parallel(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   PopulationConfig config_;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -545,14 +563,6 @@ class PopulationSim {
   /// resting.
   std::deque<std::pair<double, std::uint64_t>> expiries_;
   bool expiry_armed_ = false;
-
-  std::mutex cache_mutex_;  ///< guards the caches + pending_hints_
-  std::map<std::uint64_t, GameEntry> games_;            ///< level-1 cache
-  std::map<std::uint64_t, std::pair<double, double>> t1_cache_;  ///< level-2
-  std::vector<HintRec> pending_hints_;  ///< fresh solves, folded @ barrier
-  /// Last t2 roots per type pair, warm-starting the next P* solve.
-  /// Frozen during the parallel phase, refreshed at the barrier.
-  std::map<std::uint32_t, std::vector<double>> last_roots_;
 
   std::uint64_t merge_expired_ = 0;  ///< intents already dead at the merge
   PopulationResult result_;

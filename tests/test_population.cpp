@@ -18,6 +18,7 @@
 #include "market/population/fee_market.hpp"
 #include "market/population/population_sim.hpp"
 #include "math/rng.hpp"
+#include "model/basic_game.hpp"
 
 namespace swapgame::market {
 namespace {
@@ -240,6 +241,110 @@ TEST(PopulationSim, ValidatesConfig) {
   config = small_config();
   config.rebid_factor = 1.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  // run() solves every type pair up front, so the type count is capped.
+  config = small_config();
+  config.types.assign(16, TraderType{});
+  EXPECT_NO_THROW(config.validate());
+  config.types.assign(17, TraderType{});
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(PairRule, ScaledRulesMatchDirectBasicGameSolves) {
+  // The gate for solving each type pair once: the rules PopulationSim
+  // decides with, solved at P* = P_t0 = 1, against direct BasicGame solves
+  // at random (pair, P*, P_t0).  The default types include non-viable
+  // pairs (the impatient alpha = 0.18, r = 0.014 buyer has an empty band
+  // against the base and the impatient seller), so both t1 branches of
+  // the rule are covered.
+  PopulationConfig config;
+  config.types = PopulationConfig::default_types();
+  const std::uint32_t types = static_cast<std::uint32_t>(config.types.size());
+  std::vector<PairRule> rules;
+  std::size_t non_viable = 0;
+  for (std::uint32_t pair = 0; pair < types * types; ++pair) {
+    rules.push_back(
+        PairRule::solve(config.pair_params(pair / types, pair % types, 1.0)));
+    if (!rules.back().band.viable) {
+      ++non_viable;
+      EXPECT_TRUE(rules.back().sr_values.empty());
+    }
+  }
+  ASSERT_GT(non_viable, 0u);
+
+  const auto expect_region = [](const PairRule& rule, double p_star,
+                                const model::BasicGame& game) {
+    const auto& want = game.bob_t2_region().intervals();
+    const auto& got = rule.t2_unit.intervals();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got[i].lo * p_star, want[i].lo, 1e-9 * want[i].lo);
+      EXPECT_NEAR(got[i].hi * p_star, want[i].hi, 1e-9 * want[i].hi);
+    }
+  };
+  math::Xoshiro256 rng(0x5CA1E);
+  int initiating = 0;
+  int declining = 0;
+  int sr_points = 0;
+  for (int k = 0; k < 120; ++k) {
+    const auto pair = static_cast<std::uint32_t>(rng() % (types * types));
+    const PairRule& rule = rules[pair];
+    const double p_star = 0.5 + 4.5 * math::uniform01(rng);
+    const double ratio = 0.5 + 1.1 * math::uniform01(rng);  // spans every band
+    const double p_t0 = p_star / ratio;
+    SCOPED_TRACE(::testing::Message() << "pair=" << pair << " p_star="
+                                      << p_star << " p_t0=" << p_t0);
+    const model::BasicGame direct(
+        config.pair_params(pair / types, pair % types, p_t0), p_star);
+
+    EXPECT_NEAR(rule.t3_ratio * p_star, direct.alice_t3_cutoff(),
+                1e-9 * direct.alice_t3_cutoff());
+    // Bob's region does not depend on P_t0 (Eq. 24), but BasicGame's
+    // strict-preference margin is 1e-10 of a scan window reaching
+    // 10 * max(P*, P_t0), so at P_t0 > P* the margin alone moves the roots
+    // by up to ~3e-9 relative.  The region is therefore compared with the
+    // solve at P_t0 = P*, and with the direct solve where the margins
+    // coincide (P_t0 <= P*).
+    expect_region(
+        rule, p_star,
+        model::BasicGame(config.pair_params(pair / types, pair % types, p_star),
+                         p_star));
+    if (p_t0 <= p_star) expect_region(rule, p_star, direct);
+
+    const bool exact = direct.alice_t1_cont() > p_star;
+    if (rule.initiates(p_star, p_t0) != exact) {
+      const auto near = [ratio](double edge) {
+        return std::abs(ratio - edge) <= 1e-9 * edge;
+      };
+      EXPECT_TRUE(near(rule.band.lo) || near(rule.band.hi))
+          << "t1 decision differs away from the band edges";
+    }
+    ++(exact ? initiating : declining);
+    if (rule.initiates(p_star, p_t0)) {
+      EXPECT_NEAR(rule.success_rate(ratio), direct.success_rate(),
+                  PairRule::kSrBound);
+      ++sr_points;
+    }
+  }
+  EXPECT_GT(initiating, 20);
+  EXPECT_GT(declining, 20);
+  EXPECT_GT(sr_points, 20);
+  EXPECT_LE(PairRule::kSrBound, 1e-4);
+}
+
+TEST(PopulationSim, NonViablePairNeverInitiates) {
+  // One trader type whose pair with itself has an empty feasible band at
+  // the default taus and GBM: every session declines at t1.
+  PopulationConfig config = small_config(200);
+  config.types = {TraderType{{0.18, 0.014}, 1.0}};
+  PopulationSim sim(config);
+  const PopulationResult r = sim.run();
+  EXPECT_EQ(r.sessions, config.sessions);
+  EXPECT_EQ(r.never_initiated, r.sessions);
+  EXPECT_EQ(r.stats.initiated, 0u);
+  EXPECT_TRUE(std::isnan(r.stats.completion_rate()));
+  EXPECT_EQ(r.threshold_games, 1u);
+  EXPECT_EQ(r.t1_evaluations, 0u);
+  EXPECT_TRUE(r.conserved);
 }
 
 TEST(PopulationSim, OutcomesPartitionSessionsAndLedgersConserve) {

@@ -2,7 +2,7 @@
 // field (doubles by bit pattern) plus the stride-1 trace JSONL, for a fixed
 // matrix of configurations each run at one and at three workers.  Any
 // change to a session outcome, a settlement time, the fee-market auction,
-// the price path, the threshold caches or the retirement sweeps moves the
+// the price path, the pair rules or the retirement sweeps moves the
 // digest.  The pin is the safety net for refactoring the session state
 // machine: a rewrite that keeps it keeps every observable result.
 #include <gtest/gtest.h>

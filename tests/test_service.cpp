@@ -153,6 +153,34 @@ TEST(Service, LifecycleSharesCacheAcrossClients) {
   EXPECT_NE(::access(config.socket_path.c_str(), F_OK), 0);
 }
 
+TEST(Service, TooManyTraderTypesFailsAsACellStatus) {
+  // A market_sim cell with 17 trader types would solve 289 type pairs
+  // before its first arrival.  The simulator refuses it at construction,
+  // so the client gets a per-cell Status back instead of a long run.
+  ServiceConfig config;
+  config.socket_path = socket_path("types");
+  config.threads = 1;
+  Daemon daemon(config);
+  ASSERT_OK(daemon.start());
+
+  std::vector<BatchNode> nodes(1);
+  nodes[0].spec.kind = CellKind::kMarketSim;
+  nodes[0].spec.label = "test:too-many-types";
+  nodes[0].spec.population.types.assign(17, swapgame::market::TraderType{});
+  Client client;
+  ASSERT_OK(client.connect(config.socket_path));
+  Client::SubmitOutcome outcome;
+  const Status status = client.submit(nodes, &outcome);
+  EXPECT_FALSE(status.is_ok());
+  EXPECT_NE(status.message().find("at most 16 trader types"),
+            std::string::npos)
+      << status.to_string();
+  EXPECT_EQ(outcome.failed_cells, 1u);
+  EXPECT_EQ(daemon.stats().cells_failed, 1u);
+  client.close();
+  daemon.stop();
+}
+
 TEST(Service, AdmissionControlRejectsOversizedJobs) {
   ServiceConfig config;
   config.socket_path = socket_path("admit");

@@ -76,10 +76,10 @@ TEST(SpecJson, GoldenCanonicalHashesPinned) {
   // any INTENTIONAL canonical change; never let it drift silently.
   EXPECT_EQ(
       RunSpec{}.hash(),
-      "45fb1d09cc0be403200a57884b91b8a569ee880ebca63bceb2175f2d8508799c");
+      "f6614f9f848187b9e08419c6e85ea1808fa248187bfc6c7e159bfed0287b0ac8");
   EXPECT_EQ(
       golden_market_spec().hash(),
-      "c2a6ceecf140e806ab94795f20c2184c2a0871487ae143de3c9f41d77ed5b9fe");
+      "e9f4237d94162491b6c5ce20a1c8ab9f1ef58585546d71754cc813fa826863d4");
 }
 
 TEST(SpecJson, RoundTripsEveryCellKind) {
@@ -195,7 +195,7 @@ TEST(SpecJson, RejectsStaleAndFutureSchemaVersions) {
   const std::string needle =
       "\"v\":" +
       std::to_string(swapgame::engine::kRunSpecSchemaVersion);
-  for (const char* version : {"\"v\":5", "\"v\":7", "\"v\":999"}) {
+  for (const char* version : {"\"v\":6", "\"v\":8", "\"v\":999"}) {
     std::string stale = json;
     stale.replace(stale.find(needle), needle.size(), version);
     const Status status = RunSpec::from_json(stale, &out);
