@@ -636,10 +636,10 @@ TEST(PopulationEquivalence, AggressiveRetirementUnderFeePressure) {
   EXPECT_GT(churned.result.log_truncated, 0u);
   // The retired set itself, pinned: a sweep that selected different
   // records would keep every behavioral field above but move these.
-  EXPECT_EQ(churned.result.txs_retired, 87u);
-  EXPECT_EQ(churned.result.htlcs_retired, 33u);
-  EXPECT_EQ(churned.result.log_truncated, 87u);
-  EXPECT_EQ(churned.result.accounts_retired, 1360u);
+  EXPECT_EQ(churned.result.txs_retired, 86u);
+  EXPECT_EQ(churned.result.htlcs_retired, 32u);
+  EXPECT_EQ(churned.result.log_truncated, 86u);
+  EXPECT_EQ(churned.result.accounts_retired, 1316u);
 
   // Same churn under parallel workers: eviction drops, merge-expired
   // intents and retirement sweeps must still replay bit-identically.

@@ -131,7 +131,7 @@ std::string golden_digest() {
 
 TEST(PopulationGolden, MatrixDigestIsPinned) {
   EXPECT_EQ(golden_digest(),
-            "dba08f827a08d20463c53134946b4c4161b603391042253ee6cf694a629e091f");
+            "00af4b920470ab86df8e3c8d2305d0f82bfbe2cc55d32c283f6952e41269b37f");
 }
 
 }  // namespace
