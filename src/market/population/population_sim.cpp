@@ -429,7 +429,8 @@ void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
   SessionSwap& s = *session(idx);  // spawned this epoch, cannot be retired
   const double p = window_price_;
   const double p_star = s.legs[0].amount;
-  const PairRule& pair = rule(s);
+  const PairRule& pair =
+      strategies_[s.buyer_type * config_.types.size() + s.seller_type].rule;
   if (trace_ != nullptr && trace_stride_ > 0 && idx % trace_stride_ == 0) {
     // A traced session reports Alice's exact t1 value: one solve, warm-
     // started from the pair's unit roots scaled to this P*.

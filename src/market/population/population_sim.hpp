@@ -474,10 +474,6 @@ class PopulationSim {
   // --- decision thresholds ----------------------------------------------
   /// Solves every type pair's rule on the pool (run(), before the epochs).
   void solve_pairs();
-  [[nodiscard]] const PairRule& rule(const SessionSwap& s) const noexcept {
-    return strategies_[s.buyer_type * config_.types.size() + s.seller_type]
-        .rule;
-  }
 
   // --- endogenous price (serial/barrier only) ----------------------------
   /// One GBM draw covering [price_time_, t]; no-op when t <= price_time_.
