@@ -304,18 +304,32 @@ TEST(PairRule, ScaledRulesMatchDirectBasicGameSolves) {
     // by up to ~3e-9 relative.  The region is therefore compared with the
     // solve at P_t0 = P*, and with the direct solve where the margins
     // coincide (P_t0 <= P*).
-    expect_region(
-        rule, p_star,
-        model::BasicGame(config.pair_params(pair / types, pair % types, p_star),
-                         p_star));
+    const model::BasicGame canonical(
+        config.pair_params(pair / types, pair % types, p_star), p_star);
+    expect_region(rule, p_star, canonical);
     if (p_t0 <= p_star) expect_region(rule, p_star, direct);
 
+    // The decisions themselves.  They may differ only within 1e-9
+    // relative of a threshold.
+    const auto near_any = [](double x, const std::vector<double>& edges) {
+      for (const double edge : edges) {
+        if (std::abs(x - edge) <= 1e-9 * std::abs(edge)) return true;
+      }
+      return false;
+    };
+    const double price = p_star * (0.3 + 1.4 * math::uniform01(rng));
+    const auto cont = [](model::Action a) { return a == model::Action::kCont; };
+    if (rule.reveals(p_star, price) != cont(direct.alice_decision_t3(price))) {
+      EXPECT_TRUE(near_any(price, {direct.alice_t3_cutoff()}))
+          << "t3 decision differs away from the cutoff at " << price;
+    }
+    if (rule.locks(p_star, price) != cont(canonical.bob_decision_t2(price))) {
+      EXPECT_TRUE(near_any(price, canonical.t2_roots()))
+          << "t2 decision differs away from the region edges at " << price;
+    }
     const bool exact = direct.alice_t1_cont() > p_star;
     if (rule.initiates(p_star, p_t0) != exact) {
-      const auto near = [ratio](double edge) {
-        return std::abs(ratio - edge) <= 1e-9 * edge;
-      };
-      EXPECT_TRUE(near(rule.band.lo) || near(rule.band.hi))
+      EXPECT_TRUE(near_any(ratio, {rule.band.lo, rule.band.hi}))
           << "t1 decision differs away from the band edges";
     }
     ++(exact ? initiating : declining);
@@ -329,6 +343,23 @@ TEST(PairRule, ScaledRulesMatchDirectBasicGameSolves) {
   EXPECT_GT(declining, 20);
   EXPECT_GT(sr_points, 20);
   EXPECT_LE(PairRule::kSrBound, 1e-4);
+
+  // Straddle every band edge, where a shifted band would first show.
+  for (std::uint32_t pair = 0; pair < types * types; ++pair) {
+    const PairRule& rule = rules[pair];
+    if (!rule.band.viable) continue;
+    for (const double edge : {rule.band.lo, rule.band.hi}) {
+      for (const double side : {1.0 - 1e-6, 1.0 + 1e-6}) {
+        const double p_star = 2.0;
+        const double p_t0 = p_star / (edge * side);
+        const model::BasicGame direct(
+            config.pair_params(pair / types, pair % types, p_t0), p_star);
+        EXPECT_EQ(rule.initiates(p_star, p_t0),
+                  direct.alice_t1_cont() > p_star)
+            << "pair=" << pair << " ratio=" << edge * side;
+      }
+    }
+  }
 }
 
 TEST(PopulationSim, NonViablePairNeverInitiates) {
