@@ -3,9 +3,13 @@
 // market_sim cell (bit-identical across thread counts).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <set>
 #include <span>
 #include <utility>
 #include <variant>
@@ -214,6 +218,214 @@ TEST(FeeMarket, DroppedIntentHandsItsPayloadBack) {
   }
   EXPECT_EQ(fx.included(), (std::vector<std::uint64_t>{10}));
   EXPECT_EQ(fx.market.expired(), 1u);
+}
+
+/// The fee market's contract written the plain way: one map of intents by
+/// arrival id and one ordered set of (fee, id) bids.  Seals drop lapsed
+/// intents in arrival order, then include the block_capacity best bids
+/// (fee descending, oldest first among ties); a full mempool evicts the
+/// worst bid (lowest fee, newest first among ties).  Drops reach the sink
+/// through the queue at the decision's time.
+class ReferenceFeeMarket {
+ public:
+  ReferenceFeeMarket(const FeeMarketConfig& config, chain::EventQueue& queue,
+                     FeeMarket::BlockSink on_block, FeeMarket::DropSink on_drop)
+      : config_(config), queue_(&queue), on_block_(std::move(on_block)),
+        on_drop_(std::move(on_drop)) {}
+
+  void submit(std::uint64_t owner_tag, chain::TxPayload payload, double fee,
+              double inclusion_deadline) {
+    const std::uint64_t id = next_id_++;
+    intents_.emplace(id, FeeMarket::Intent{std::move(payload), fee,
+                                           inclusion_deadline, owner_tag});
+    order_.emplace(fee, id);
+    if (intents_.size() > config_.mempool_capacity) {
+      drop(std::prev(order_.end())->second, DropReason::kEvicted);
+    }
+    if (!intents_.empty() && !seal_scheduled_) {
+      seal_scheduled_ = true;
+      queue_->schedule_in(config_.block_interval, [this] { seal(); });
+    }
+  }
+
+  [[nodiscard]] std::size_t pending() const { return intents_.size(); }
+  [[nodiscard]] std::uint64_t blocks_sealed() const { return blocks_sealed_; }
+  [[nodiscard]] std::uint64_t included() const { return included_; }
+  [[nodiscard]] std::uint64_t evicted() const { return evicted_; }
+  [[nodiscard]] std::uint64_t expired() const { return expired_; }
+  [[nodiscard]] double fees_paid() const { return fees_paid_; }
+
+ private:
+  struct BetterBid {
+    bool operator()(const std::pair<double, std::uint64_t>& a,
+                    const std::pair<double, std::uint64_t>& b) const {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    }
+  };
+
+  void seal() {
+    seal_scheduled_ = false;
+    ++blocks_sealed_;
+    const double now = queue_->now();
+    std::vector<std::uint64_t> lapsed;
+    for (const auto& [id, intent] : intents_) {
+      if (intent.deadline < now) lapsed.push_back(id);
+    }
+    for (const std::uint64_t id : lapsed) drop(id, DropReason::kExpired);
+    std::vector<FeeMarket::Intent> block;
+    while (!order_.empty() && block.size() < config_.block_capacity) {
+      const auto it = intents_.find(order_.begin()->second);
+      ++included_;
+      fees_paid_ += it->second.fee;
+      block.push_back(std::move(it->second));
+      order_.erase(order_.begin());
+      intents_.erase(it);
+    }
+    if (!block.empty()) on_block_(block, now);
+    if (!intents_.empty() && !seal_scheduled_) {
+      seal_scheduled_ = true;
+      queue_->schedule_in(config_.block_interval, [this] { seal(); });
+    }
+  }
+
+  void drop(std::uint64_t id, DropReason reason) {
+    const auto it = intents_.find(id);
+    order_.erase({it->second.fee, id});
+    ++(reason == DropReason::kEvicted ? evicted_ : expired_);
+    queue_->schedule_at(queue_->now(),
+                        [this, tag = it->second.owner_tag,
+                         payload = std::move(it->second.payload),
+                         reason]() mutable {
+                          on_drop_(tag, std::move(payload), reason);
+                        });
+    intents_.erase(it);
+  }
+
+  FeeMarketConfig config_;
+  chain::EventQueue* queue_;
+  FeeMarket::BlockSink on_block_;
+  FeeMarket::DropSink on_drop_;
+  std::map<std::uint64_t, FeeMarket::Intent> intents_;
+  std::set<std::pair<double, std::uint64_t>, BetterBid> order_;
+  std::uint64_t next_id_ = 1;
+  bool seal_scheduled_ = false;
+  std::uint64_t blocks_sealed_ = 0;
+  std::uint64_t included_ = 0;
+  std::uint64_t evicted_ = 0;
+  std::uint64_t expired_ = 0;
+  double fees_paid_ = 0.0;
+};
+
+/// One submission of the random traffic below.
+struct TrafficBid {
+  double at = 0.0;
+  std::uint64_t tag = 0;
+  double fee = 0.0;
+  double deadline = 0.0;
+};
+
+/// Bursty traffic against a small mempool: fees from four levels (ties
+/// everywhere), deadlines from a tenth of a block to a dozen blocks out,
+/// and idle gaps long enough for the seal chain to stop and restart.
+std::vector<TrafficBid> random_traffic(std::uint64_t seed, std::size_t n) {
+  static constexpr double kFees[] = {0.01, 0.02, 0.02, 0.03, 0.05};
+  math::Xoshiro256 rng{seed};
+  std::vector<TrafficBid> out;
+  double at = 0.0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    at += math::uniform01(rng) < 0.01 ? 2.0 : 0.02 * math::uniform01(rng);
+    const double fee = kFees[rng() % std::size(kFees)];
+    out.push_back({at, i, fee, at + 0.025 + 3.0 * math::uniform01(rng)});
+  }
+  return out;
+}
+
+/// Everything a market run shows its owner: each block (seal time, tags in
+/// order), each drop delivered, the mempool depth after each submission,
+/// and the counters at the end.  An evicted bid is re-bid at 1.5x its fee
+/// while that stays within 0.1 and its deadline has not passed, so drops
+/// re-enter submit().
+struct TrafficLog {
+  std::vector<std::pair<double, std::vector<std::uint64_t>>> blocks;
+  std::vector<std::pair<std::uint64_t, DropReason>> drops;
+  std::vector<std::size_t> depth;
+  std::uint64_t rebids = 0;
+  std::uint64_t blocks_sealed = 0;
+  std::uint64_t included = 0;
+  std::uint64_t evicted = 0;
+  std::uint64_t expired = 0;
+  std::uint64_t fees_paid_bits = 0;
+  std::size_t pending = 0;
+};
+
+template <class Market>
+TrafficLog drive(const FeeMarketConfig& config,
+                 const std::vector<TrafficBid>& traffic) {
+  chain::EventQueue queue;
+  TrafficLog log;
+  std::map<std::uint64_t, std::pair<double, double>> bids;  // fee, deadline
+  std::unique_ptr<Market> market;
+  market = std::make_unique<Market>(
+      config, queue,
+      [&log](std::span<FeeMarket::Intent> block, double seal_time) {
+        std::vector<std::uint64_t> tags;
+        for (const FeeMarket::Intent& tx : block) tags.push_back(tx.owner_tag);
+        log.blocks.emplace_back(seal_time, std::move(tags));
+      },
+      [&](std::uint64_t tag, chain::TxPayload payload, DropReason reason) {
+        log.drops.emplace_back(tag, reason);
+        auto& [fee, deadline] = bids.at(tag);
+        if (reason == DropReason::kEvicted && 1.5 * fee <= 0.1 &&
+            deadline >= queue.now()) {
+          fee *= 1.5;
+          ++log.rebids;
+          market->submit(tag, std::move(payload), fee, deadline);
+        }
+      });
+  for (const TrafficBid& bid : traffic) {
+    queue.schedule_at(bid.at, [&, bid] {
+      bids[bid.tag] = {bid.fee, bid.deadline};
+      market->submit(bid.tag, transfer("a", "b", 1.0), bid.fee, bid.deadline);
+      log.depth.push_back(market->pending());
+    });
+  }
+  queue.run();
+  log.blocks_sealed = market->blocks_sealed();
+  log.included = market->included();
+  log.evicted = market->evicted();
+  log.expired = market->expired();
+  log.fees_paid_bits = std::bit_cast<std::uint64_t>(market->fees_paid());
+  log.pending = market->pending();
+  return log;
+}
+
+TEST(FeeMarket, MatchesReferenceModelUnderRandomTraffic) {
+  const FeeMarketConfig configs[] = {
+      {0.25, 1, 4}, {0.25, 3, 8}, {0.25, 5, 16}, {0.1, 2, 3}};
+  for (const FeeMarketConfig& config : configs) {
+    for (const std::uint64_t seed : {0x7AF1Cu, 0x51u, 0xB10Cu}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "capacity " << config.block_capacity << "/"
+                   << config.mempool_capacity << " seed " << seed);
+      const std::vector<TrafficBid> traffic = random_traffic(seed, 3000);
+      const TrafficLog want = drive<ReferenceFeeMarket>(config, traffic);
+      const TrafficLog got = drive<FeeMarket>(config, traffic);
+      // The traffic exercises what it is meant to.
+      EXPECT_GT(want.evicted, 100u);
+      EXPECT_GT(want.expired, 10u);
+      EXPECT_GT(want.rebids, 100u);
+      EXPECT_EQ(got.rebids, want.rebids);
+      EXPECT_EQ(got.blocks, want.blocks);
+      EXPECT_EQ(got.drops, want.drops);
+      EXPECT_EQ(got.depth, want.depth);
+      EXPECT_EQ(got.blocks_sealed, want.blocks_sealed);
+      EXPECT_EQ(got.included, want.included);
+      EXPECT_EQ(got.evicted, want.evicted);
+      EXPECT_EQ(got.expired, want.expired);
+      EXPECT_EQ(got.fees_paid_bits, want.fees_paid_bits);
+      EXPECT_EQ(got.pending, 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
