@@ -1,7 +1,7 @@
 #include "fee_market.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -50,15 +50,19 @@ void FeeMarket::submit(std::uint64_t owner_tag, chain::TxPayload payload,
     throw std::invalid_argument("FeeMarket: deadline is already past");
   }
   const std::uint64_t id = next_id_++;
-  intents_.emplace(
-      id, Intent{std::move(payload), fee, inclusion_deadline, owner_tag});
-  order_.emplace(fee, id);
-  if (intents_.size() > config_.mempool_capacity) {
+  pool_.push_back(
+      Slot{Intent{std::move(payload), fee, inclusion_deadline, owner_tag}, id});
+  worst_.push_back(Key{fee, id, pool_.size() - 1});
+  std::push_heap(worst_.begin(), worst_.end(), BetterBid{});
+  if (++pending_ > config_.mempool_capacity) {
     // Evict the worst bid; among equal fees the NEWEST goes (an incumbent
     // at the same price keeps its slot, first-come-first-kept).
-    drop(std::prev(order_.end())->second, DropReason::kEvicted);
+    std::pop_heap(worst_.begin(), worst_.end(), BetterBid{});
+    const std::size_t pos = worst_.back().pos;
+    worst_.pop_back();
+    drop(pos, DropReason::kEvicted);
   }
-  if (!intents_.empty()) ensure_seal_scheduled();
+  if (pending_ != 0) ensure_seal_scheduled();
 }
 
 void FeeMarket::ensure_seal_scheduled() {
@@ -74,33 +78,52 @@ void FeeMarket::seal_block() {
 
   // Sweep expired intents first (deadline strictly before this seal) so
   // they never consume block space; drop them in arrival order.
-  std::vector<std::uint64_t> lapsed;
-  for (const auto& [id, intent] : intents_) {
-    if (intent.deadline < now) lapsed.push_back(id);
+  for (std::size_t pos = 0; pos < pool_.size(); ++pos) {
+    if (pool_[pos].live && pool_[pos].intent.deadline < now) {
+      drop(pos, DropReason::kExpired);
+    }
   }
-  for (const std::uint64_t id : lapsed) drop(id, DropReason::kExpired);
 
-  // Include the best block_capacity bids and hand the whole block to the
-  // sink in one call, after the mempool mutation: the owners submit each
-  // payload to their ledger at this seal time (the confirmation clock
-  // starts here -- inclusion latency is the fee market's whole effect).
+  // Rank the live bids: the block_capacity best, best first.  The heap
+  // holds every live key and the keys of the slots just expired.
+  std::erase_if(worst_, [this](const Key& k) { return !pool_[k.pos].live; });
+  const auto take = static_cast<std::ptrdiff_t>(
+      std::min(config_.block_capacity, worst_.size()));
+  std::nth_element(worst_.begin(), worst_.begin() + take, worst_.end(),
+                   BetterBid{});
+  std::sort(worst_.begin(), worst_.begin() + take, BetterBid{});
+
+  // Include them and hand the whole block to the sink in one call, after
+  // the mempool mutation: the owners submit each payload to their ledger at
+  // this seal time (the confirmation clock starts here -- inclusion latency
+  // is the fee market's whole effect).
   std::vector<Intent> block;
-  while (!order_.empty() && block.size() < config_.block_capacity) {
-    const auto best = order_.begin();
-    const auto it = intents_.find(best->second);
+  block.reserve(static_cast<std::size_t>(take));
+  for (auto k = worst_.begin(); k != worst_.begin() + take; ++k) {
+    Slot& slot = pool_[k->pos];
+    slot.live = false;
     ++included_;
-    fees_paid_ += it->second.fee;
-    block.push_back(std::move(it->second));
-    order_.erase(best);
-    intents_.erase(it);
+    fees_paid_ += slot.intent.fee;
+    block.push_back(std::move(slot.intent));
   }
+  pending_ -= static_cast<std::size_t>(take);
+
+  // Compact the pool (arrival order kept) and rebuild the heap over it.
+  std::erase_if(pool_, [](const Slot& slot) { return !slot.live; });
+  worst_.clear();
+  for (std::size_t pos = 0; pos < pool_.size(); ++pos) {
+    worst_.push_back(Key{pool_[pos].intent.fee, pool_[pos].id, pos});
+  }
+  std::make_heap(worst_.begin(), worst_.end(), BetterBid{});
+
   if (!block.empty()) on_block_(block, now);
-  if (!intents_.empty()) ensure_seal_scheduled();
+  if (pending_ != 0) ensure_seal_scheduled();
 }
 
-void FeeMarket::drop(std::uint64_t id, DropReason reason) {
-  const auto it = intents_.find(id);
-  order_.erase({it->second.fee, id});
+void FeeMarket::drop(std::size_t pos, DropReason reason) {
+  Slot& slot = pool_[pos];
+  slot.live = false;
+  --pending_;
   if (reason == DropReason::kEvicted) {
     ++evicted_;
   } else {
@@ -109,12 +132,11 @@ void FeeMarket::drop(std::uint64_t id, DropReason reason) {
   // Deliver through the queue at the current time: re-bids re-enter
   // submit() outside this mutation, in deterministic queue order.
   queue_->schedule_at(queue_->now(),
-                      [this, tag = it->second.owner_tag,
-                       payload = std::move(it->second.payload),
+                      [this, tag = slot.intent.owner_tag,
+                       payload = std::move(slot.intent.payload),
                        reason]() mutable {
                         on_drop_(tag, std::move(payload), reason);
                       });
-  intents_.erase(it);
 }
 
 }  // namespace swapgame::market

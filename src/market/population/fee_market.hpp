@@ -31,14 +31,27 @@
 // terminates EventQueue::run().  Each drop reaches the drop sink through
 // one queue event at the drop decision's time rather than synchronously,
 // keeping re-bidding re-entrancy-free and the event order reproducible.
+//
+// Layout.  The mempool is a flat pool of slots in arrival order (an
+// intent's id is its arrival number, so pool order is id order), plus a
+// heap of POD (fee, id, slot) keys with the worst bid on top.  An eviction
+// pops the heap top and marks its slot dead; nothing else leaves the pool
+// between seals.  Costs, for m resident intents and a block capacity c:
+//
+//   * submit: one slot append and one heap push, O(log m); an eviction
+//     adds one heap pop, O(log m) -- never a scan;
+//   * seal: one arrival-order walk drops the lapsed intents, the live
+//     keys are ranked by nth_element + a sort of the best c, O(m + c log
+//     c), and the pool is compacted and the heap rebuilt, O(m).
+//
+// Ids are unique, so the ranking is a strict order and every tie resolves
+// exactly as an ordered set of (fee, id) would resolve it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <span>
-#include <utility>
+#include <vector>
 
 #include "chain/event_queue.hpp"
 #include "chain/transaction.hpp"
@@ -107,7 +120,7 @@ class FeeMarket {
   [[nodiscard]] const FeeMarketConfig& config() const noexcept {
     return config_;
   }
-  [[nodiscard]] std::size_t pending() const noexcept { return intents_.size(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
   [[nodiscard]] std::uint64_t blocks_sealed() const noexcept {
     return blocks_sealed_;
   }
@@ -118,26 +131,42 @@ class FeeMarket {
   [[nodiscard]] double fees_paid() const noexcept { return fees_paid_; }
 
  private:
+  /// A pool slot: the intent, its arrival id, and whether it is still
+  /// resident (false once evicted, until the next seal compacts the pool).
+  struct Slot {
+    Intent intent;
+    std::uint64_t id = 0;
+    bool live = true;
+  };
+  /// A bid's ranking key and the pool position of its slot.
+  struct Key {
+    double fee = 0.0;
+    std::uint64_t id = 0;
+    std::size_t pos = 0;
+  };
   /// Priority order: highest fee first, oldest intent first among equal
-  /// fees (id order doubles as arrival order).
+  /// fees (id order doubles as arrival order).  As a heap comparator it
+  /// puts the worst bid on top.
   struct BetterBid {
-    bool operator()(const std::pair<double, std::uint64_t>& a,
-                    const std::pair<double, std::uint64_t>& b) const noexcept {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
+    bool operator()(const Key& a, const Key& b) const noexcept {
+      if (a.fee != b.fee) return a.fee > b.fee;
+      return a.id < b.id;
     }
   };
 
   void ensure_seal_scheduled();
   void seal_block();
-  void drop(std::uint64_t id, DropReason reason);
+  /// Takes the slot at `pos` out of the mempool and delivers its intent to
+  /// the drop sink through the queue.
+  void drop(std::size_t pos, DropReason reason);
 
   FeeMarketConfig config_;
   chain::EventQueue* queue_;
   BlockSink on_block_;
   DropSink on_drop_;
-  std::map<std::uint64_t, Intent> intents_;
-  std::set<std::pair<double, std::uint64_t>, BetterBid> order_;
+  std::vector<Slot> pool_;  ///< arrival order; dead slots until a seal
+  std::vector<Key> worst_;  ///< heap of the live slots' keys, worst on top
+  std::size_t pending_ = 0;  ///< live slots
   std::uint64_t next_id_ = 1;
   bool seal_scheduled_ = false;
   std::uint64_t blocks_sealed_ = 0;

@@ -61,6 +61,49 @@ static_assert(std::size(kTally) ==
   return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
 }
 
+template <class Rec>
+void sort_by_stamp(std::vector<Rec>& records) {
+  std::sort(records.begin(), records.end(),
+            [](const Rec& a, const Rec& b) { return a.stamp < b.stamp; });
+}
+
+/// Calls fn on every record of every shard's `buffer` in global stamp
+/// order, then empties the buffers.  Each buffer is already sorted by
+/// stamp, so a k-way merge of the non-empty runs (a heap keyed by each
+/// run's head) gives the order a sort of their concatenation would give;
+/// stamps are unique, so that order is exact.  fn must not append to the
+/// buffers.
+template <class Shard, class Rec, class Fn>
+void merge_runs(const std::vector<std::unique_ptr<Shard>>& shards,
+                std::vector<Rec> Shard::*buffer, Fn&& fn) {
+  struct Run {
+    Rec* next;
+    Rec* end;
+  };
+  std::vector<Run> runs;
+  for (const auto& sh : shards) {
+    std::vector<Rec>& records = (*sh).*buffer;
+    if (!records.empty()) {
+      runs.push_back({records.data(), records.data() + records.size()});
+    }
+  }
+  const auto later = [](const Run& a, const Run& b) {
+    return b.next->stamp < a.next->stamp;
+  };
+  std::make_heap(runs.begin(), runs.end(), later);
+  while (!runs.empty()) {
+    std::pop_heap(runs.begin(), runs.end(), later);
+    Run& run = runs.back();
+    fn(*run.next);
+    if (++run.next == run.end) {
+      runs.pop_back();
+    } else {
+      std::push_heap(runs.begin(), runs.end(), later);
+    }
+  }
+  for (const auto& sh : shards) ((*sh).*buffer).clear();
+}
+
 }  // namespace
 
 std::vector<TraderType> PopulationConfig::default_types() {
@@ -603,39 +646,15 @@ void PopulationSim::finalize(Shard& sh, std::uint64_t idx) {
 // --- barrier ---------------------------------------------------------------
 
 void PopulationSim::merge_window(double e1) {
-  merged_intents_.clear();
-  merged_inits_.clear();
-  merged_finals_.clear();
-  merged_traces_.clear();
   for (const auto& shp : shards_) {
-    Shard& sh = *shp;
-    std::move(sh.intents.begin(), sh.intents.end(),
-              std::back_inserter(merged_intents_));
-    sh.intents.clear();
-    merged_inits_.insert(merged_inits_.end(), sh.inits.begin(),
-                         sh.inits.end());
-    sh.inits.clear();
-    merged_finals_.insert(merged_finals_.end(), sh.finals.begin(),
-                          sh.finals.end());
-    sh.finals.clear();
-    std::move(sh.traces.begin(), sh.traces.end(),
-              std::back_inserter(merged_traces_));
-    sh.traces.clear();
     // Every seal of the serial phase lies before e1, so the drain has
     // landed all of them.
-    sh.landings.clear();
-    sh.landings_scheduled = 0;
+    shp->landings.clear();
+    shp->landings_scheduled = 0;
   }
-  const auto by_stamp = [](const auto& a, const auto& b) {
-    return a.stamp < b.stamp;
-  };
-  std::sort(merged_intents_.begin(), merged_intents_.end(), by_stamp);
-  std::sort(merged_inits_.begin(), merged_inits_.end(), by_stamp);
-  std::sort(merged_finals_.begin(), merged_finals_.end(), by_stamp);
-  std::sort(merged_traces_.begin(), merged_traces_.end(), by_stamp);
 
   // Trace events, in one canonical stream regardless of shard count.
-  for (const TraceRec& t : merged_traces_) {
+  merge_runs(shards_, &Shard::traces, [this](const TraceRec& t) {
     if (t.start) {
       trace_->record(t.stamp.when, obs::TraceKind::kRunStart,
                      {{"session", t.stamp.idx},
@@ -648,31 +667,32 @@ void PopulationSim::merge_window(double e1) {
                       {"outcome", kTally[static_cast<std::size_t>(t.outcome)].label},
                       {"latency_hours", t.latency}});
     }
-  }
+  });
 
   // Initiations: predicted-SR fold + price impacts, in stamp order (the
   // Neumaier sums and the price path are order-sensitive).
-  for (const InitRec& i : merged_inits_) {
+  merge_runs(shards_, &Shard::inits, [this](const InitRec& i) {
     predicted_sr_sum_.add(i.sr);
     apply_impact(i.direction);
-  }
+  });
 
   // Finalizations: outcome counters, latency sample, lockup folds.
-  for (const FinalRec& f : merged_finals_) {
+  merge_runs(shards_, &Shard::finals, [this](const FinalRec& f) {
+    ++finalized_since_compact_;
     ++(result_.*kTally[static_cast<std::size_t>(f.outcome)].counter);
     if (f.outcome == proto::SwapOutcome::kSuccess) {
       latencies_.push_back(f.latency);
     }
     if (!std::isnan(f.lockup_a)) lockup_a_sum_.add(f.lockup_a);
     if (!std::isnan(f.lockup_b)) lockup_b_sum_.add(f.lockup_b);
-  }
+  });
 
   // Fee-market merge: every buffered submission enters the global mempool
   // in stamp order, so contention (evictions, seal priority) is resolved
   // identically at every worker count.  Intents whose deadline already
   // passed get their expiry drop delivered instead of a submission the
   // market would reject.
-  for (IntentRec& rec : merged_intents_) {
+  merge_runs(shards_, &Shard::intents, [this](IntentRec& rec) {
     if (rec.deadline < queue_.now()) {
       ++merge_expired_;
       const std::uint64_t idx = rec.stamp.idx;
@@ -684,9 +704,8 @@ void PopulationSim::merge_window(double e1) {
       submit_to_market(rec.stamp.idx, rec.stage, std::move(rec.payload),
                        rec.fee, rec.deadline);
     }
-  }
+  });
 
-  finalized_since_compact_ += merged_finals_.size();
   maybe_compact(e1);
 }
 
@@ -818,7 +837,8 @@ PopulationResult PopulationSim::run() {
     queue_.advance_to(e1);
 
     // Parallel phase: each shard drains its own queue (session state
-    // machines, HTLC confirmations, refunds) up to the barrier.
+    // machines, HTLC confirmations, refunds) up to the barrier, then sorts
+    // its effect buffers by stamp for the barrier's merge.
     in_parallel_phase_ = true;
     parallel(shards_.size(), [this, e1](std::size_t w) {
       Shard& sh = *shards_[w];
@@ -826,6 +846,10 @@ PopulationResult PopulationSim::run() {
         sh.max_event_time = std::max(sh.max_event_time, sh.queue.now());
       }
       sh.queue.advance_to(e1);
+      sort_by_stamp(sh.intents);
+      sort_by_stamp(sh.inits);
+      sort_by_stamp(sh.finals);
+      sort_by_stamp(sh.traces);
     });
     in_parallel_phase_ = false;
 

@@ -40,9 +40,11 @@
 //      index % workers == shard and a private Ledger pair, so landings,
 //      the swap machines, HTLC lifecycles and refunds advance with no
 //      shared mutable state and no lock (the pair rules are read-only);
-//   3. a BARRIER merges every cross-shard effect in canonical
-//      (time, session, birth-order) stamp order: fee-market intents,
-//      price impacts, statistics folds, trace events.  Every
+//      each shard ends its drain by sorting its own effect buffers into
+//      canonical (time, session, birth-order) stamp order;
+//   3. a BARRIER k-way merges the shards' sorted buffers and folds every
+//      cross-shard effect in stamp order: fee-market intents, price
+//      impacts, statistics folds, trace events.  Every
 //      compaction.interval finalizations a serial walk picks the
 //      retirable sessions, and each shard retires their accounts and
 //      compacts its own ledgers on the pool.
@@ -339,8 +341,10 @@ class PopulationSim {
   /// Canonical merge order for everything a worker buffers during the
   /// parallel phase: event time, then session index, then the session's
   /// own record birth order.  Unique per record (bseq breaks the only
-  /// possible tie: several records of one session at one instant), so the
-  /// barrier's sorted folds are independent of the worker partition.
+  /// possible tie: several records of one session at one instant), so each
+  /// shard's sort of its own buffers and the barrier's k-way merge of them
+  /// give one order, independent of the worker partition and of the order
+  /// a shard's drain produced its records in.
   struct Stamp {
     double when = 0.0;
     std::uint64_t idx = 0;
@@ -513,8 +517,8 @@ class PopulationSim {
   /// Re-bid after an eviction (escalated fee) or give the transaction up.
   void handle_drop(std::uint64_t idx, int stage, chain::TxPayload payload,
                    DropReason reason);
-  /// The epoch barrier: folds every shard buffer in stamp order, then
-  /// compacts.  `e1` is the epoch boundary all queues were advanced to.
+  /// The epoch barrier: merges the shards' stamp-sorted buffers and folds
+  /// them in stamp order, then compacts.  `e1` is the epoch boundary all queues were advanced to.
   void merge_window(double e1);
   /// Every compaction.interval finalizations: retire settled sessions from
   /// the deque front and sweep every shard ledger behind the watermark.
@@ -568,11 +572,6 @@ class PopulationSim {
   math::NeumaierSum predicted_sr_sum_;
   math::NeumaierSum lockup_a_sum_;
   math::NeumaierSum lockup_b_sum_;
-  // Barrier scratch (member to reuse capacity across ~10^4 epochs).
-  std::vector<IntentRec> merged_intents_;
-  std::vector<InitRec> merged_inits_;
-  std::vector<FinalRec> merged_finals_;
-  std::vector<TraceRec> merged_traces_;
   double global_max_event_time_ = 0.0;
   bool ran_ = false;
 };

@@ -570,41 +570,62 @@ void expect_equivalent(const market::PopulationResult& a,
 }
 
 TEST(PopulationEquivalence, CompactionAndWorkersAreBitIdentical) {
-  // Full equivalence panel over {compaction off/on} x {workers 1/K}: every
-  // cell must produce bit-identical results AND a byte-identical trace.
-  // This is the determinism contract of the parallel intra-run engine
-  // (docs/MARKET.md) -- the worker count and compaction are
-  // wall-clock/memory levers only.
-  const TracedRun baseline = run_traced(equivalence_config());
-  EXPECT_EQ(baseline.result.compactions, 0u);
-  EXPECT_EQ(baseline.result.peak_live_sessions, baseline.result.sessions);
+  // Full equivalence panel over {compaction off/on} x {workers 1/4/5}:
+  // every cell must produce bit-identical results AND a byte-identical
+  // trace.  This is the determinism contract of the parallel intra-run
+  // engine (docs/MARKET.md) -- the worker count and compaction are
+  // wall-clock/memory levers only.  Five workers leave some shard buffers
+  // empty in some epochs, so the barrier merges runs of uneven length;
+  // the congested config adds evictions and re-bids to the merged intents.
+  market::PopulationConfig congested = equivalence_config();
+  congested.arrival_rate = 2500.0;
+  congested.fee_a.block_capacity = 6;
+  congested.fee_b.block_capacity = 6;
+  congested.fee_a.mempool_capacity = 24;
+  congested.fee_b.mempool_capacity = 24;
 
-  bool saw_compaction = false;
-  for (const bool compaction : {false, true}) {
-    for (const std::uint64_t workers : {1u, 4u}) {
-      if (!compaction && workers == 1) continue;
-      market::PopulationConfig config = equivalence_config();
-      config.compaction.enabled = compaction;
-      config.compaction.horizon = 2.0;
-      config.compaction.interval = 16;
-      config.workers = workers;
-      const TracedRun cell = run_traced(std::move(config));
-      SCOPED_TRACE(::testing::Message() << "compaction=" << compaction
-                                        << " workers=" << workers);
-      expect_equivalent(baseline.result, cell.result);
-      // TRACE byte-identity, not just equal aggregates.
-      EXPECT_EQ(baseline.trace, cell.trace);
-      if (compaction) {
-        // And the compaction actually happened.
-        EXPECT_GT(cell.result.compactions, 0u);
-        EXPECT_GT(cell.result.sessions_retired, 0u);
-        EXPECT_GT(cell.result.txs_retired, 0u);
-        EXPECT_LT(cell.result.peak_live_sessions, cell.result.sessions);
-        saw_compaction = true;
+  for (const bool fee_pressure : {false, true}) {
+    const market::PopulationConfig base =
+        fee_pressure ? congested : equivalence_config();
+    const TracedRun baseline = run_traced(base);
+    SCOPED_TRACE(::testing::Message() << "fee_pressure=" << fee_pressure);
+    EXPECT_EQ(baseline.result.compactions, 0u);
+    EXPECT_EQ(baseline.result.peak_live_sessions, baseline.result.sessions);
+    if (fee_pressure) {
+      EXPECT_GT(baseline.result.txs_evicted, 0u);
+      EXPECT_GT(baseline.result.rebids, 0u);
+    }
+
+    bool saw_compaction = false;
+    for (const bool compaction : {false, true}) {
+      for (const std::uint64_t workers : {1u, 4u, 5u}) {
+        if (!compaction && workers == 1) continue;
+        market::PopulationConfig config = base;
+        config.compaction.enabled = compaction;
+        config.compaction.horizon = 2.0;
+        config.compaction.interval = 16;
+        config.workers = workers;
+        const TracedRun cell = run_traced(std::move(config));
+        SCOPED_TRACE(::testing::Message() << "compaction=" << compaction
+                                          << " workers=" << workers);
+        expect_equivalent(baseline.result, cell.result);
+        // TRACE byte-identity, not just equal aggregates.
+        EXPECT_EQ(baseline.trace, cell.trace);
+        if (compaction) {
+          // And the compaction actually happened.
+          EXPECT_GT(cell.result.compactions, 0u);
+          EXPECT_GT(cell.result.sessions_retired, 0u);
+          EXPECT_GT(cell.result.txs_retired, 0u);
+          // Only the slow arrivals finish sessions while others arrive.
+          if (!fee_pressure) {
+            EXPECT_LT(cell.result.peak_live_sessions, cell.result.sessions);
+          }
+          saw_compaction = true;
+        }
       }
     }
+    EXPECT_TRUE(saw_compaction);
   }
-  EXPECT_TRUE(saw_compaction);
 }
 
 TEST(PopulationEquivalence, AggressiveRetirementUnderFeePressure) {
