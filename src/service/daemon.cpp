@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -618,9 +619,12 @@ void Daemon::run_cell(std::shared_ptr<Job> job, std::size_t index) {
       // evaluator for.
       cell_status = Status::internal("cell evaluator returned no result");
     }
+  } catch (const std::invalid_argument& e) {
+    // The exception boundary: a config or game-parameter validation
+    // failure is the spec's fault, any other exception the evaluator's;
+    // either becomes a per-cell Status and the job (and daemon) keep going.
+    cell_status = Status::invalid_spec(e.what());
   } catch (const std::exception& e) {
-    // The exception boundary: evaluator validation/invariant failures
-    // become a per-cell Status; the job (and daemon) keep going.
     cell_status = Status::internal(e.what());
   } catch (...) {
     cell_status = Status::internal("unknown evaluation failure");

@@ -172,6 +172,10 @@ TEST(Service, TooManyTraderTypesFailsAsACellStatus) {
   Client::SubmitOutcome outcome;
   const Status status = client.submit(nodes, &outcome);
   EXPECT_FALSE(status.is_ok());
+  // A validation failure is the spec's fault, not the daemon's.
+  EXPECT_EQ(status.code(), StatusCode::kInvalidSpec) << status.to_string();
+  ASSERT_EQ(outcome.cell_status.size(), 1u);
+  EXPECT_EQ(outcome.cell_status[0].code(), StatusCode::kInvalidSpec);
   EXPECT_NE(status.message().find("at most 16 trader types"),
             std::string::npos)
       << status.to_string();
