@@ -575,9 +575,12 @@ TEST(PopulationEquivalence, CompactionAndWorkersAreBitIdentical) {
   // trace.  This is the determinism contract of the parallel intra-run
   // engine (docs/MARKET.md) -- the worker count and compaction are
   // wall-clock/memory levers only.  Five workers leave some shard buffers
-  // empty in some epochs, so the barrier merges runs of uneven length;
-  // the congested config adds evictions and re-bids to the merged intents.
+  // empty in some epochs, so the barrier merges runs of uneven length.
+  // The congested config adds evictions and re-bids to the merged intents,
+  // and its equal first bids make their merge order decide inclusion and
+  // eviction.
   market::PopulationConfig congested = equivalence_config();
+  congested.fee_spread = 0.0;
   congested.arrival_rate = 2500.0;
   congested.fee_a.block_capacity = 6;
   congested.fee_b.block_capacity = 6;
