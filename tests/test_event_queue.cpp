@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "math/rng.hpp"
 
 namespace swapgame::chain {
 namespace {
@@ -174,6 +181,195 @@ TEST(EventQueue, HeavyTiesAndReschedulingFireInExplicitOrder) {
   };
   EXPECT_EQ(order, expected);
   EXPECT_EQ(q.now(), 9.5);
+}
+
+}  // namespace
+}  // namespace swapgame::chain
+
+// ---------------------------------------------------------------------------
+// Reference model: the single-heap queue, as an independent implementation
+// of the (when, seq) contract, driven side by side with EventQueue.
+// ---------------------------------------------------------------------------
+
+namespace swapgame::chain {
+namespace {
+
+class ReferenceEventQueue {
+ public:
+  using Callback = std::function<void()>;
+
+  [[nodiscard]] Hours now() const noexcept { return now_; }
+  void schedule_at(Hours when, Callback cb) {
+    if (!std::isfinite(when) || when < now_ || !cb) {
+      throw std::invalid_argument("ReferenceEventQueue::schedule_at");
+    }
+    heap_.push_back(Event{when, next_seq_++, std::move(cb)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  void schedule_in(Hours delay, Callback cb) {
+    schedule_at(now_ + delay, std::move(cb));
+  }
+  bool step() {
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event ev = std::move(heap_.back());
+    heap_.pop_back();
+    now_ = ev.when;
+    ev.cb();
+    return true;
+  }
+  std::size_t run(std::size_t limit) {
+    std::size_t processed = 0;
+    while (processed < limit && step()) ++processed;
+    return processed;
+  }
+  std::size_t run_until(Hours until) {
+    std::size_t processed = 0;
+    while (!heap_.empty() && heap_.front().when <= until) {
+      step();
+      ++processed;
+    }
+    now_ = until;
+    return processed;
+  }
+  std::size_t drain_before(Hours until) {
+    std::size_t processed = 0;
+    while (!heap_.empty() && heap_.front().when < until) {
+      step();
+      ++processed;
+    }
+    return processed;
+  }
+  void advance_to(Hours t) noexcept {
+    if (t > now_) now_ = t;
+  }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+  [[nodiscard]] Hours next_time() const noexcept {
+    return heap_.empty() ? std::numeric_limits<Hours>::infinity()
+                         : heap_.front().when;
+  }
+
+ private:
+  struct Event {
+    Hours when;
+    std::uint64_t seq;
+    Callback cb;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const noexcept {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
+  std::vector<Event> heap_;
+  Hours now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+};
+
+/// What one side observed: every firing (tag, clock), and after every
+/// driver operation its return value, next_time(), pending() and now().
+struct QueueLog {
+  std::vector<std::pair<std::uint64_t, Hours>> fired;
+  std::vector<double> probes;
+};
+
+/// A time `now + offset` drawn from a mix built to hit the tiers' edges:
+/// exact ties with now(), points on and just off a 0.25 grid, short and
+/// long random gaps, and far-future times.
+Hours draw_time(math::Xoshiro256& rng, Hours now) {
+  switch (rng() % 8) {
+    case 0:
+      return now;  // equal-time tie with the running event
+    case 1:
+      return std::ceil(now * 4.0) / 4.0;  // the next grid point (or now)
+    case 2:
+      return std::ceil(now * 4.0) / 4.0 + 0.25 * static_cast<double>(rng() % 6);
+    case 3:
+      return std::nextafter(std::ceil(now * 4.0 + 1.0) / 4.0, 0.0);
+    case 4:
+      return now + 0.3 * math::uniform01(rng);
+    case 5:
+      return now + 8.0 * math::uniform01(rng);  // tens of grid cells ahead
+    case 6:
+      return now + 200.0 + 1000.0 * math::uniform01(rng);  // far future
+    default:
+      return now + 0.01 * static_cast<double>(rng() % 4);
+  }
+}
+
+template <class Queue>
+QueueLog drive(Queue& q, std::uint64_t seed, int operations) {
+  QueueLog log;
+  math::Xoshiro256 rng(seed);
+  std::uint64_t next_tag = 0;
+  // Every event logs its firing; some schedule children from inside the
+  // callback -- at now() itself among them -- drawing from the same stream
+  // as the driver, so both sides stay in lockstep only while they agree.
+  std::function<void(int)> spawn = [&](int depth) {
+    const std::uint64_t tag = next_tag++;
+    q.schedule_at(draw_time(rng, q.now()), [&, tag, depth] {
+      log.fired.emplace_back(tag, q.now());
+      if (depth < 3) {
+        const int children = static_cast<int>(rng() % 3);
+        for (int c = 0; c < children; ++c) spawn(depth + 1);
+      }
+    });
+  };
+  const auto probe = [&](double result) {
+    log.probes.push_back(result);
+    log.probes.push_back(q.next_time());
+    log.probes.push_back(static_cast<double>(q.pending()));
+    log.probes.push_back(q.now());
+  };
+  for (int i = 0; i < 64; ++i) spawn(0);
+  for (int op = 0; op < operations; ++op) {
+    switch (rng() % 7) {
+      case 0:
+      case 1:
+        spawn(static_cast<int>(rng() % 4));
+        probe(0.0);
+        break;
+      case 2:
+        probe(q.step() ? 1.0 : 0.0);
+        break;
+      case 3: {
+        // Epoch drain, sometimes across several empty grid cells.
+        const Hours until =
+            std::floor(q.now() * 4.0) / 4.0 + 0.25 * static_cast<double>(1 + rng() % 12);
+        probe(static_cast<double>(q.drain_before(until)));
+        if (rng() % 2 == 0) q.advance_to(until);
+        probe(0.0);
+        break;
+      }
+      case 4:
+        probe(static_cast<double>(q.run_until(q.now() + 3.0 * math::uniform01(rng))));
+        break;
+      case 5:
+        probe(static_cast<double>(q.run(rng() % 40)));
+        break;
+      default:
+        q.advance_to(q.now() + 0.25 * static_cast<double>(rng() % 3));
+        probe(0.0);
+        break;
+    }
+  }
+  probe(static_cast<double>(q.run(EventQueue::kNoLimit)));
+  return log;
+}
+
+TEST(EventQueue, MatchesReferenceModelUnderRandomTraffic) {
+  for (const std::uint64_t seed : {0xE7Eu, 0x51u, 0xB0C4u, 0x2A2Au}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ReferenceEventQueue reference;
+    const QueueLog want = drive(reference, seed, 4000);
+    EventQueue queue;
+    const QueueLog got = drive(queue, seed, 4000);
+    // The traffic reaches the far future and back.
+    EXPECT_GT(want.fired.size(), 2000u);
+    EXPECT_GT(want.fired.back().second, 200.0);
+    EXPECT_EQ(got.fired, want.fired);
+    EXPECT_EQ(got.probes, want.probes);
+  }
 }
 
 }  // namespace

@@ -4,11 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <functional>
 #include <limits>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "market/order_book.hpp"
 #include "market/population/population_sim.hpp"
+#include "math/rng.hpp"
 
 namespace swapgame::market {
 namespace {
@@ -178,6 +183,189 @@ TEST(OrderBook, MatchesAreFifo) {
   EXPECT_EQ(book.take_match()->buy.trader, kB1);
   EXPECT_EQ(book.take_match()->buy.trader, kB2);
   EXPECT_FALSE(book.take_match().has_value());
+}
+
+// ---- Reference model. -------------------------------------------------------
+
+/// The price-time book as two multimaps plus id indexes: an independent
+/// implementation of OrderBook's contract, driven side by side with it.
+class ReferenceOrderBook {
+ public:
+  std::uint64_t submit(Side side, std::uint32_t trader, double limit_rate) {
+    Order order{next_id_++, side, trader, limit_rate, next_sequence_++};
+    if (side == Side::kBuyTokenB) {
+      const auto best = asks_.begin();
+      if (best != asks_.end() && limit_rate >= best->first) {
+        matches_.push_back({order, best->second, best->first});
+        ++matches_produced_;
+        ask_index_.erase(best->second.id);
+        asks_.erase(best);
+      } else {
+        bid_index_.emplace(order.id, bids_.emplace(limit_rate, order));
+      }
+    } else {
+      const auto best = bids_.begin();
+      if (best != bids_.end() && limit_rate <= best->first) {
+        matches_.push_back({best->second, order, best->first});
+        ++matches_produced_;
+        bid_index_.erase(best->second.id);
+        bids_.erase(best);
+      } else {
+        ask_index_.emplace(order.id, asks_.emplace(limit_rate, order));
+      }
+    }
+    return order.id;
+  }
+  std::optional<Match> take_match() {
+    if (matches_.empty()) return std::nullopt;
+    Match match = matches_.front();
+    matches_.pop_front();
+    return match;
+  }
+  bool cancel(std::uint64_t order_id) {
+    if (const auto it = bid_index_.find(order_id); it != bid_index_.end()) {
+      bids_.erase(it->second);
+      bid_index_.erase(it);
+      return true;
+    }
+    if (const auto it = ask_index_.find(order_id); it != ask_index_.end()) {
+      asks_.erase(it->second);
+      ask_index_.erase(it);
+      return true;
+    }
+    return false;
+  }
+  std::optional<double> best_bid() const {
+    if (bids_.empty()) return std::nullopt;
+    return bids_.begin()->first;
+  }
+  std::optional<double> best_ask() const {
+    if (asks_.empty()) return std::nullopt;
+    return asks_.begin()->first;
+  }
+  std::size_t depth(Side side) const noexcept {
+    return side == Side::kBuyTokenB ? bids_.size() : asks_.size();
+  }
+  std::size_t matches_produced() const noexcept { return matches_produced_; }
+
+ private:
+  using BidMap = std::multimap<double, Order, std::greater<double>>;
+  using AskMap = std::multimap<double, Order>;
+  BidMap bids_;
+  AskMap asks_;
+  std::map<std::uint64_t, BidMap::iterator> bid_index_;
+  std::map<std::uint64_t, AskMap::iterator> ask_index_;
+  std::deque<Match> matches_;
+  std::uint64_t next_id_ = 1;
+  std::uint64_t next_sequence_ = 1;
+  std::size_t matches_produced_ = 0;
+};
+
+/// Everything one side returned or reported, flattened for comparison.
+struct BookLog {
+  std::vector<double> values;
+  std::size_t matched = 0;
+  std::size_t cancels_accepted = 0;
+  std::size_t cancels_refused = 0;
+
+  void add(double v) { values.push_back(v); }
+  void add(const std::optional<double>& v) {
+    values.push_back(v.has_value() ? 1.0 : 0.0);
+    values.push_back(v.value_or(0.0));
+  }
+  void add(const Order& o) {
+    for (const double v :
+         {static_cast<double>(o.id), static_cast<double>(o.side),
+          static_cast<double>(o.trader), o.limit_rate,
+          static_cast<double>(o.sequence)}) {
+      values.push_back(v);
+    }
+  }
+  void add(const Match& m) {
+    add(m.buy);
+    add(m.sell);
+    values.push_back(m.rate);
+  }
+};
+
+/// Seeded traffic: limits on and off a tick grid around a drifting mid,
+/// marketable takers, cancels of resting, matched, cancelled, unknown and
+/// future ids, cancel storms and late take_match() calls.
+template <class Book>
+BookLog drive_book(std::uint64_t seed, int operations) {
+  Book book;
+  BookLog log;
+  math::Xoshiro256 rng(seed);
+  std::vector<std::uint64_t> ids;  // every id handed out
+  double mid = 2.0;
+  const auto snapshot = [&] {
+    log.add(book.best_bid());
+    log.add(book.best_ask());
+    log.add(static_cast<double>(book.depth(Side::kBuyTokenB)));
+    log.add(static_cast<double>(book.depth(Side::kSellTokenB)));
+  };
+  const auto drain_matches = [&] {
+    while (auto match = book.take_match()) {
+      log.add(*match);
+      ++log.matched;
+    }
+  };
+  for (int op = 0; op < operations; ++op) {
+    const std::uint64_t kind = rng() % 16;
+    if (kind < 9) {
+      mid *= std::exp(0.01 * (math::uniform01(rng) - 0.5));
+      const Side side = (rng() & 1) != 0 ? Side::kBuyTokenB : Side::kSellTokenB;
+      double limit = mid * (0.96 + 0.08 * math::uniform01(rng));
+      if (rng() % 3 != 0) limit = std::max(0.02, std::round(limit / 0.02) * 0.02);
+      if (kind == 8) limit = side == Side::kBuyTokenB ? mid * 1.2 : mid * 0.8;
+      const auto trader = static_cast<std::uint32_t>(rng() % 5);
+      ids.push_back(book.submit(side, trader, limit));
+      log.add(static_cast<double>(ids.back()));
+      if (rng() % 4 != 0) drain_matches();
+    } else if (kind < 13 && !ids.empty()) {
+      // One cancel: mostly recent ids, sometimes old, unknown or future.
+      std::uint64_t id = ids[ids.size() - 1 - rng() % std::min<std::size_t>(ids.size(), 40)];
+      if (kind == 12) id = (rng() & 1) != 0 ? 0 : ids.back() + 1 + rng() % 5;
+      const bool ok = book.cancel(id);
+      ++(ok ? log.cancels_accepted : log.cancels_refused);
+      log.add(ok ? 1.0 : 0.0);
+    } else if (kind == 13) {
+      // A storm: cancel every id of the last few hundred, twice over.
+      const std::size_t span = std::min<std::size_t>(ids.size(), 50 + rng() % 300);
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = ids.size() - span; i < ids.size(); ++i) {
+          const bool ok = book.cancel(ids[i]);
+          ++(ok ? log.cancels_accepted : log.cancels_refused);
+          log.add(ok ? 1.0 : 0.0);
+        }
+      }
+    } else {
+      drain_matches();
+    }
+    snapshot();
+    log.add(static_cast<double>(book.matches_produced()));
+  }
+  drain_matches();
+  for (const std::uint64_t id : ids) log.add(book.cancel(id) ? 1.0 : 0.0);
+  snapshot();
+  return log;
+}
+
+TEST(OrderBook, MatchesReferenceModelUnderRandomTraffic) {
+  for (const std::uint64_t seed : {0xB00Cu, 0x17u, 0x5EEDu}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const BookLog want = drive_book<ReferenceOrderBook>(seed, 20000);
+    const BookLog got = drive_book<OrderBook>(seed, 20000);
+    // The traffic exercises what it is meant to.
+    EXPECT_GT(want.matched, 2000u);
+    EXPECT_GT(want.cancels_accepted, 1000u);
+    EXPECT_GT(want.cancels_refused, 1000u);
+    EXPECT_EQ(got.matched, want.matched);
+    EXPECT_EQ(got.cancels_accepted, want.cancels_accepted);
+    EXPECT_EQ(got.cancels_refused, want.cancels_refused);
+    ASSERT_EQ(got.values.size(), want.values.size());
+    EXPECT_TRUE(got.values == want.values);
+  }
 }
 
 // ---- Market statistics. -----------------------------------------------------
