@@ -12,8 +12,8 @@ void InvariantAuditor::attach(Ledger& ledger) {
   seen_.clear();
   violations_.clear();
   checks_ = 0;
-  for (const auto& [id, contract] : ledger.htlcs()) {
-    seen_.emplace(id,
+  for (const HtlcContract& contract : ledger.htlcs()) {
+    seen_.emplace(contract.id.value,
                   HtlcSnapshot{contract.state, contract.kind, contract.expiry});
   }
   ledger.set_auditor(this);
@@ -57,9 +57,8 @@ void InvariantAuditor::on_compaction(const Ledger& ledger,
 
   // Every contract the ledger no longer knows must have been seen settled;
   // forget it so the per-transaction scan tracks the live set only.
-  const auto& live = ledger.htlcs();
   for (auto it = seen_.begin(); it != seen_.end();) {
-    if (live.find(it->first) != live.end()) {
+    if (ledger.find_htlc(HtlcId{it->first}) != nullptr) {
       ++it;
       continue;
     }
@@ -97,7 +96,8 @@ void InvariantAuditor::on_transaction_applied(const Ledger& ledger,
   // 3. HTLC state-machine legality, checked as a diff against the last
   // audited state (each applied tx touches at most one contract, but the
   // full scan keeps the check independent of that assumption).
-  for (const auto& [id, contract] : ledger.htlcs()) {
+  for (const HtlcContract& contract : ledger.htlcs()) {
+    const std::uint64_t id = contract.id.value;
     const std::string tag = "htlc " + std::to_string(id) + ": ";
     const auto it = seen_.find(id);
     if (it == seen_.end()) {

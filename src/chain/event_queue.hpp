@@ -5,11 +5,27 @@
 // epochs and oracle settlements are all callbacks scheduled at absolute
 // simulation times (hours).  Events at equal times fire in scheduling order
 // (FIFO tie-break), which makes simulations fully deterministic.
+//
+// Two tiers (set_bucket_width; off by default).  With a width w > 0 the
+// binary heap holds only the events of the current bucket -- bucket index
+// floor(when / w) up to cur_ -- and every later event is appended, O(1)
+// and unordered, to the far tier: one vector per bucket index, in an
+// ordered map.  When the heap runs dry, step() swaps the earliest far
+// bucket in and heapifies it.  The (when, seq) order stays exact because
+// the bucket index is monotone in `when` (correctly rounded division by a
+// positive w never inverts two times), so every heap event precedes every
+// far event, and within the heap the usual (when, seq) comparison decides.
+// An event scheduled into a bucket at or before cur_ -- say at now() just
+// after a refill -- goes straight into the heap.  The heap then shrinks
+// from every pending event to one bucket's worth, which is what the
+// population's shard queues (tens of thousands of pending refunds and
+// watchdogs, a few hundred due per epoch) spend their drain on.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "types.hpp"
@@ -60,15 +76,27 @@ class EventQueue {
   /// time-gated operations (Ledger::compact) run against their clocks.
   void advance_to(Hours t) noexcept { if (t > now_) now_ = t; }
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return heap_.size() + far_pending_;
+  }
 
   /// Time of the earliest pending event, or +infinity when empty (the
   /// parallel population engine uses this to skip event-free epochs).
   [[nodiscard]] Hours next_time() const noexcept {
-    if (heap_.empty()) return std::numeric_limits<Hours>::infinity();
-    return heap_.front().when;
+    if (!heap_.empty()) return heap_.front().when;
+    if (far_.empty()) return std::numeric_limits<Hours>::infinity();
+    return far_.begin()->second.earliest;
   }
+
+  /// Turns on the far tier with buckets `width` hours wide (see the file
+  /// comment); 0 (the default) keeps a single heap.  Firing order is the
+  /// same at every width, so this is a speed setting only: worth it when
+  /// many events are pending far beyond the next few buckets.  Only an
+  /// empty queue can change width.
+  /// @throws std::invalid_argument for a negative or non-finite width, or
+  ///         when events are pending.
+  void set_bucket_width(Hours width);
 
   /// Optional metrics sink (nullptr = disabled, the default): counts
   /// `queue.events_scheduled` / `queue.events_processed`.  The counter
@@ -91,12 +119,32 @@ class EventQueue {
     }
   };
 
+  /// One far-tier bucket: its events in scheduling order and their
+  /// earliest time (next_time() reads it without scanning).
+  struct Bucket {
+    std::vector<Event> events;
+    Hours earliest = std::numeric_limits<Hours>::infinity();
+  };
+
+  /// The bucket index of `when` (0 when bucketing is off).  Saturates far
+  /// out, where the cast would overflow; it stays monotone in `when`.
+  [[nodiscard]] std::int64_t bucket_of(Hours when) const noexcept;
+  /// Moves the earliest far bucket into the (empty) heap.
+  void refill();
+
   // Explicit binary heap (std::push_heap/std::pop_heap over a vector, same
   // (when, seq) ordering a priority_queue<Event, ..., Later> had): pop_heap
   // moves the earliest event to the back, where step() can move from it
   // legally -- priority_queue::top() only offers a const reference, and
-  // moving through a const_cast on it is formally UB.
+  // moving through a const_cast on it is formally UB.  Holds the events of
+  // buckets <= cur_ only.
   std::vector<Event> heap_;
+  // Far tier, keyed by bucket index > cur_.  Empty at construction, like
+  // the heap: a queue allocates nothing until used.
+  std::map<std::int64_t, Bucket> far_;
+  std::size_t far_pending_ = 0;
+  Hours bucket_width_ = 0.0;
+  std::int64_t cur_ = 0;
   Hours now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   obs::Counter* scheduled_counter_ = nullptr;

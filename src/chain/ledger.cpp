@@ -119,15 +119,16 @@ Amount Ledger::balance(const Address& address) const {
 }
 
 TxId Ledger::submit(TxPayload payload) {
-  const TxId id{next_tx_++};
+  const TxId id{transactions_.next_id()};
   Transaction tx;
   tx.id = id;
   tx.payload = std::move(payload);
   tx.submitted_at = queue_->now();
   // Assign the contract id a deploy will create, so the counterparty can be
-  // pointed at it before confirmation.
+  // pointed at it before confirmation.  Its slab slot stays held (empty)
+  // until the deploy confirms or fails.
   if (std::holds_alternative<DeployHtlcPayload>(tx.payload)) {
-    tx.created_contract = HtlcId{next_htlc_++};
+    tx.created_contract = HtlcId{htlcs_.reserve()};
   }
 
   // Fault model (if attached): the submission may be dropped outright,
@@ -150,7 +151,8 @@ TxId Ledger::submit(TxPayload payload) {
                         {"status", "dropped"}});
       }
       queue_tx_retirement({tx.submitted_at, id.value});
-      transactions_.emplace(id.value, std::move(tx));
+      if (tx.created_contract) htlcs_.release(tx.created_contract->value);
+      transactions_.push(std::move(tx));
       return id;  // never scheduled for application
     }
     mempool_entry = fate.mempool_entry;
@@ -177,37 +179,36 @@ TxId Ledger::submit(TxPayload payload) {
                     {"confirm_at", tx.confirmed_at}});
   }
   queue_tx_retirement({tx.confirmed_at, id.value});
-  transactions_.emplace(id.value, std::move(tx));
+  const Hours confirm_at = tx.confirmed_at;
+  transactions_.push(std::move(tx));
 
-  queue_->schedule_at(transactions_.at(id.value).confirmed_at, [this, id] {
-    apply(transactions_.at(id.value));
-  });
+  // A transaction retires only after its apply event has fired (or the
+  // clock skipped it), so the record is still there.
+  queue_->schedule_at(confirm_at,
+                      [this, id] { apply(*transactions_.find(id.value)); });
   return id;
 }
 
 const Transaction& Ledger::transaction(TxId id) const {
-  const auto it = transactions_.find(id.value);
-  if (it == transactions_.end()) {
-    throw std::out_of_range("Ledger: unknown transaction");
-  }
-  return it->second;
+  const Transaction* tx = transactions_.find(id.value);
+  if (tx == nullptr) throw std::out_of_range("Ledger: unknown transaction");
+  return *tx;
 }
 
 const Transaction* Ledger::find_transaction(TxId id) const noexcept {
-  const auto it = transactions_.find(id.value);
-  return it == transactions_.end() ? nullptr : &it->second;
+  return transactions_.find(id.value);
 }
 
 const HtlcContract& Ledger::htlc(HtlcId id) const {
-  const auto it = htlcs_.find(id.value);
-  if (it == htlcs_.end()) {
+  const HtlcContract* contract = htlcs_.find(id.value);
+  if (contract == nullptr) {
     throw std::out_of_range("Ledger: unknown HTLC contract");
   }
-  return it->second;
+  return *contract;
 }
 
-bool Ledger::has_htlc(HtlcId id) const noexcept {
-  return htlcs_.find(id.value) != htlcs_.end();
+const HtlcContract* Ledger::find_htlc(HtlcId id) const noexcept {
+  return htlcs_.find(id.value);
 }
 
 HtlcId Ledger::pending_contract_of(TxId deploy_tx) const {
@@ -223,7 +224,7 @@ std::vector<ObservedSecret> Ledger::visible_secrets() const {
   // claim later fails to confirm.
   const Hours now = queue_->now();
   std::vector<ObservedSecret> result;
-  for (const auto& [id, tx] : transactions_) {
+  for (const Transaction& tx : transactions_) {
     if (tx.visible_at > now) continue;
     if (const auto* claim = std::get_if<ClaimHtlcPayload>(&tx.payload)) {
       result.push_back({claim->secret, claim->contract, tx.visible_at});
@@ -238,7 +239,7 @@ const HtlcContract* Ledger::find_htlc_by_hash(
   // confirmation jitter is NOT the same as highest id (a later-submitted
   // deploy can confirm earlier); ties break towards the higher id.
   const HtlcContract* latest = nullptr;
-  for (const auto& [id, contract] : htlcs_) {
+  for (const HtlcContract& contract : htlcs_) {
     if (contract.hash_lock != hash) continue;
     if (latest == nullptr || contract.deployed_at > latest->deployed_at ||
         (contract.deployed_at == latest->deployed_at &&
@@ -271,7 +272,7 @@ Amount Ledger::vault_deposit_of(const Address& depositor) const noexcept {
 Amount Ledger::total_supply() const {
   Amount total;
   for (const auto& [addr, bal] : accounts_) total += bal;
-  for (const auto& [id, contract] : htlcs_) {
+  for (const HtlcContract& contract : htlcs_) {
     if (contract.state == HtlcState::kLocked) total += contract.amount;
   }
   total += vault_total_;
@@ -295,8 +296,8 @@ CompactionReport Ledger::compact(Hours watermark) {
   // entries are exactly a prefix.
   std::size_t cut = 0;
   while (cut < confirmation_log_.size()) {
-    const auto it = transactions_.find(confirmation_log_[cut].value);
-    if (it == transactions_.end() || it->second.confirmed_at > watermark) break;
+    const Transaction* tx = transactions_.find(confirmation_log_[cut].value);
+    if (tx == nullptr || tx->confirmed_at > watermark) break;
     ++cut;
   }
   if (cut > 0) {
@@ -312,7 +313,7 @@ CompactionReport Ledger::compact(Hours watermark) {
   // valid).
   while (htlc_retire_head_ < htlc_retirements_.size() &&
          htlc_retirements_[htlc_retire_head_].at <= watermark) {
-    htlcs_.erase(htlc_retirements_[htlc_retire_head_++].id);
+    htlcs_.release(htlc_retirements_[htlc_retire_head_++].id);
     ++report.htlcs_retired;
   }
   // Drop the consumed prefix once it is at least half the FIFO, so each
@@ -337,15 +338,16 @@ CompactionReport Ledger::compact(Hours watermark) {
                   RetiresLater{});
     const Retirement next = tx_retirements_.back();
     tx_retirements_.pop_back();
-    const auto it = transactions_.find(next.id);
-    if (it->second.status == TxStatus::kPending) {
+    if (transactions_.find(next.id)->status == TxStatus::kPending) {
       still_pending.push_back(next);
       continue;
     }
-    transactions_.erase(it);
+    transactions_.release(next.id);
     ++report.transactions_retired;
   }
   for (const Retirement& r : still_pending) queue_tx_retirement(r);
+  transactions_.reclaim();
+  htlcs_.reclaim();
 
   if (auditor_ != nullptr) report.supply_after = total_supply();
   if (trace_ != nullptr) {
@@ -392,6 +394,9 @@ void Ledger::apply(Transaction& tx) {
         }
       },
       tx.payload);
+  if (tx.status == TxStatus::kFailed && tx.created_contract) {
+    htlcs_.release(tx.created_contract->value);  // the deploy failed
+  }
   if (tx.status != TxStatus::kFailed) {
     tx.status = TxStatus::kConfirmed;
     confirmation_log_.push_back(tx.id);
@@ -446,7 +451,7 @@ void Ledger::apply_deploy(Transaction& tx, const DeployHtlcPayload& p) {
   if (sender == accounts_.end()) {
     return fail(tx, "deploy: unknown sender");
   }
-  if (!accounts_.count(p.recipient)) {
+  if (!accounts_.contains(p.recipient)) {
     return fail(tx, "deploy: unknown recipient");
   }
   if (sender->second < p.amount) {
@@ -466,26 +471,27 @@ void Ledger::apply_deploy(Transaction& tx, const DeployHtlcPayload& p) {
   contract.kind = p.kind;
   contract.expiry = p.expiry;
   contract.deployed_at = queue_->now();
-  htlcs_.emplace(contract.id.value, contract);
+  const HtlcId id = contract.id;
+  htlcs_.fill(id.value, std::move(contract));
   if (trace_ != nullptr) {
     trace_->record(queue_->now(), obs::TraceKind::kHtlcDeployed,
                    {{"chain", to_string(params_.id)},
-                    {"htlc", contract.id.value},
+                    {"htlc", id.value},
                     {"contract", to_string(p.kind)},
                     {"sender", p.sender.value},
                     {"recipient", p.recipient.value},
                     {"amount", p.amount.tokens()},
                     {"expiry", p.expiry}});
   }
-  schedule_auto_refund(contract.id, p.expiry);
+  schedule_auto_refund(id, p.expiry);
 }
 
 void Ledger::apply_claim(Transaction& tx, const ClaimHtlcPayload& p) {
-  const auto it = htlcs_.find(p.contract.value);
-  if (it == htlcs_.end()) {
+  HtlcContract* const found = htlcs_.find(p.contract.value);
+  if (found == nullptr) {
     return fail(tx, "claim: unknown contract");
   }
-  HtlcContract& contract = it->second;
+  HtlcContract& contract = *found;
   if (contract.state != HtlcState::kLocked) {
     return fail(tx, std::string("claim: contract is ") + to_string(contract.state));
   }
@@ -519,11 +525,11 @@ void Ledger::apply_claim(Transaction& tx, const ClaimHtlcPayload& p) {
 }
 
 void Ledger::apply_refund(Transaction& tx, const RefundHtlcPayload& p) {
-  const auto it = htlcs_.find(p.contract.value);
-  if (it == htlcs_.end()) {
+  HtlcContract* const found = htlcs_.find(p.contract.value);
+  if (found == nullptr) {
     return fail(tx, "refund: unknown contract");
   }
-  HtlcContract& contract = it->second;
+  HtlcContract& contract = *found;
   if (contract.state != HtlcState::kLocked) {
     return fail(tx, std::string("refund: contract is ") + to_string(contract.state));
   }
@@ -552,11 +558,11 @@ void Ledger::apply_refund(Transaction& tx, const RefundHtlcPayload& p) {
 }
 
 void Ledger::apply_cancel(Transaction& tx, const CancelHtlcPayload& p) {
-  const auto it = htlcs_.find(p.contract.value);
-  if (it == htlcs_.end()) {
+  HtlcContract* const found = htlcs_.find(p.contract.value);
+  if (found == nullptr) {
     return fail(tx, "cancel: unknown contract");
   }
-  HtlcContract& contract = it->second;
+  HtlcContract& contract = *found;
   if (contract.kind != HtlcKind::kInverse) {
     return fail(tx, "cancel: only inverse escrows can be cancelled");
   }
@@ -646,15 +652,15 @@ void Ledger::schedule_auto_refund(HtlcId id, Hours expiry) {
 }
 
 void Ledger::try_auto_refund(HtlcId id, int attempt) {
-  const auto it = htlcs_.find(id.value);
-  if (it == htlcs_.end() || it->second.state != HtlcState::kLocked) return;
-  const TxId refund = submit(RefundHtlcPayload{id, it->second.sender});
+  const HtlcContract* contract = find_htlc(id);
+  if (contract == nullptr || contract->state != HtlcState::kLocked) return;
+  const TxId refund = submit(RefundHtlcPayload{id, contract->sender});
   // Under a fault model the refund broadcast itself can be dropped; the
   // watcher retries each confirmation period.  The attempt cap bounds the
   // event queue at drop_prob = 1 (funds then stay locked, which
   // total_supply() still counts, so conservation holds regardless).
   constexpr int kMaxAutoRefundAttempts = 16;
-  if (transactions_.at(refund.value).status == TxStatus::kDropped &&
+  if (transactions_.find(refund.value)->status == TxStatus::kDropped &&
       attempt + 1 < kMaxAutoRefundAttempts) {
     queue_->schedule_at(
         queue_->now() + params_.confirmation_time,

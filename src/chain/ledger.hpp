@@ -17,26 +17,38 @@
 // the wall at 10^6 sessions.  compact(watermark) retires records whose
 // lifecycle completed at or before an epoch watermark strictly in the past
 // -- settled HTLCs, applied/dropped transactions (their balance effects
-// already live in the account map, so the fold is conservation-neutral by
-// construction) -- and truncates the confirmed prefix of the log behind
-// confirmation_log_offset().  A sweep costs O(records retired * log n), not
-// O(records live): it pops retirement queues filled at submission and
-// settlement (see compact()).  retire_account() additionally folds a
+// already live in the account table, so the fold is conservation-neutral
+// by construction) -- and truncates the confirmed prefix of the log behind
+// confirmation_log_offset().  retire_account() additionally folds a
 // finished session's balance into one retained aggregate that
 // total_supply() still counts.  The InvariantAuditor audits every sweep.
 // visible_secrets() scans the live transactions: its one caller, the
 // collateral oracle at t4, reads ledgers that carry one swap, and a claim
 // retired by compact() leaves the scan with its record.
+//
+// Cost model.  Transactions and contracts live in id-indexed slabs
+// (id_slab.hpp): a lookup by id is an index and a dereference, O(1).  Accounts live in a
+// hash table keyed by address: create, balance and retire are O(1)
+// expected.  A compact() sweep costs O(records retired * log n), not
+// O(records live): it pops retirement queues filled at submission and
+// settlement (see compact()), frees each record and erases the slabs'
+// retired prefix in amortized O(1) slot moves per record.  The
+// collateral vault keeps an ordered map (releases attribute forfeits in
+// address order); only collateral runs touch it.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "event_queue.hpp"
-#include "math/rng.hpp"
 #include "htlc_contract.hpp"
+#include "id_slab.hpp"
+#include "math/rng.hpp"
 #include "transaction.hpp"
 #include "types.hpp"
 
@@ -114,6 +126,8 @@ class Ledger {
   TxId submit(TxPayload payload);
 
   /// Looks up a transaction by id; throws std::out_of_range if unknown.
+  /// The reference (like every record reference or pointer below) stays
+  /// valid until compact() retires the record.
   [[nodiscard]] const Transaction& transaction(TxId id) const;
 
   /// Looks up a transaction, or nullptr when the id is unknown -- which
@@ -124,7 +138,14 @@ class Ledger {
   /// Looks up an HTLC by id; throws std::out_of_range if unknown.  Note
   /// that contracts are created at *confirmation* of their deploy tx.
   [[nodiscard]] const HtlcContract& htlc(HtlcId id) const;
-  [[nodiscard]] bool has_htlc(HtlcId id) const noexcept;
+
+  /// Looks up an HTLC, or nullptr when there is none under `id`: unknown,
+  /// not yet deployed (its deploy still pending, or failed or dropped), or
+  /// retired by compact().
+  [[nodiscard]] const HtlcContract* find_htlc(HtlcId id) const noexcept;
+  [[nodiscard]] bool has_htlc(HtlcId id) const noexcept {
+    return find_htlc(id) != nullptr;
+  }
 
   /// The contract id a deploy transaction will create upon confirmation
   /// (assigned eagerly at submission so counterparties can be told where to
@@ -152,10 +173,12 @@ class Ledger {
     return vault_deposits_;
   }
 
-  /// Every contract created and not yet retired by compact(), keyed by
-  /// HtlcId.value (read-only; used by the InvariantAuditor and tests).
-  [[nodiscard]] const std::map<std::uint64_t, HtlcContract>& htlcs()
-      const noexcept {
+  /// Every contract created and not yet retired by compact(), ascending
+  /// by id: a range of `const HtlcContract&` (read-only; used by the
+  /// InvariantAuditor and tests).  Iteration walks the id window from the
+  /// oldest unretired contract, so it also steps over retired ids inside
+  /// it.  submit() and compact() invalidate its iterators.
+  [[nodiscard]] const IdSlab<HtlcContract>& htlcs() const noexcept {
     return htlcs_;
   }
 
@@ -195,7 +218,7 @@ class Ledger {
   /// times <= watermark has then already fired, so nothing scheduled can
   /// still look the records up at their own fire time.  Locked HTLCs and
   /// pending transactions always survive.  Conservation-neutral: applied
-  /// balance effects already live in the account map and locked funds are
+  /// balance effects already live in the account table and locked funds are
   /// never touched.  Notifies the auditor (on_compaction) and records a
   /// kCompaction trace event when sinks are attached.
   ///
@@ -204,7 +227,9 @@ class Ledger {
   /// are never visited: transactions wait in a min-heap keyed by retire
   /// time (submission for a dropped one, confirmation otherwise -- a heap
   /// because jitter and faults make confirmation times non-monotone in
-  /// id), settled HTLCs in a FIFO (settlement follows the clock).
+  /// id), settled HTLCs in a FIFO (settlement follows the clock).  Each
+  /// retired record is freed; the slabs then drop their retired prefix
+  /// (amortized O(1) per record).
   CompactionReport compact(Hours watermark);
 
   /// Folds `address`'s balance into a retained aggregate (still counted by
@@ -233,7 +258,7 @@ class Ledger {
 
   /// Number of transactions ever submitted (retired ones included).
   [[nodiscard]] std::size_t transaction_count() const noexcept {
-    return static_cast<std::size_t>(next_tx_ - 1);
+    return static_cast<std::size_t>(transactions_.next_id() - 1);
   }
 
  private:
@@ -271,9 +296,15 @@ class Ledger {
   FaultInjector* faults_ = nullptr;
   InvariantAuditor* auditor_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
-  std::map<Address, Amount> accounts_;
-  std::map<std::uint64_t, Transaction> transactions_;  // keyed by TxId.value
-  std::map<std::uint64_t, HtlcContract> htlcs_;        // keyed by HtlcId.value
+  struct AddressHash {
+    std::size_t operator()(const Address& a) const noexcept {
+      return std::hash<std::string_view>{}(a.value);
+    }
+  };
+
+  std::unordered_map<Address, Amount, AddressHash> accounts_;
+  IdSlab<Transaction> transactions_;  // by TxId.value
+  IdSlab<HtlcContract> htlcs_;        // by HtlcId.value; held from the deploy
   std::map<Address, Amount> vault_deposits_;
   Amount vault_total_;
   Amount retired_balance_;
@@ -286,8 +317,6 @@ class Ledger {
   std::vector<Retirement> tx_retirements_;
   std::vector<Retirement> htlc_retirements_;
   std::size_t htlc_retire_head_ = 0;
-  std::uint64_t next_tx_ = 1;
-  std::uint64_t next_htlc_ = 1;
 };
 
 }  // namespace swapgame::chain

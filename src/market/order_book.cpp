@@ -1,7 +1,10 @@
 #include "order_book.hpp"
 
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 #include <stdexcept>
+#include <vector>
 
 namespace swapgame::market {
 
@@ -21,38 +24,81 @@ std::uint64_t OrderBook::submit(Side side, std::uint32_t trader,
   order.trader = trader;
   order.limit_rate = limit_rate;
   order.sequence = next_sequence_++;
+  positions_.emplace_back();
 
-  if (side == Side::kBuyTokenB) {
-    // Cross against the best ask if the buyer pays at least that much.
-    const auto best = asks_.begin();
-    if (best != asks_.end() && limit_rate >= best->first) {
+  const bool buys = side == Side::kBuyTokenB;
+  Ladder& opposite = buys ? asks_ : bids_;
+  if (!opposite.empty()) {
+    // Cross against the best opposite level if the limit reaches it.
+    const auto best = buys ? opposite.begin() : std::prev(opposite.end());
+    if (buys ? limit_rate >= best->first : limit_rate <= best->first) {
       Match match;
-      match.buy = order;
-      match.sell = best->second;
       match.rate = best->first;  // maker's price
-      ask_index_.erase(best->second.id);
-      asks_.erase(best);
+      (buys ? match.sell : match.buy) = pop_front(best);
+      (buys ? match.buy : match.sell) = order;
       matches_.push_back(std::move(match));
       ++matches_produced_;
-    } else {
-      bid_index_.emplace(order.id, bids_.emplace(limit_rate, order));
-    }
-  } else {
-    const auto best = bids_.begin();
-    if (best != bids_.end() && limit_rate <= best->first) {
-      Match match;
-      match.buy = best->second;
-      match.sell = order;
-      match.rate = best->first;  // maker's price
-      bid_index_.erase(best->second.id);
-      bids_.erase(best);
-      matches_.push_back(std::move(match));
-      ++matches_produced_;
-    } else {
-      ask_index_.emplace(order.id, asks_.emplace(limit_rate, order));
+      reclaim_positions();
+      return order.id;
     }
   }
+  Ladder& own = buys ? bids_ : asks_;
+  const auto level = own.try_emplace(limit_rate).first;
+  level->second.fifo.push_back(order);
+  ++level->second.live;
+  ++(buys ? bid_depth_ : ask_depth_);
+  positions_.back() = Position{level, side, true};
   return order.id;
+}
+
+bool OrderBook::resting(std::uint64_t order_id) const noexcept {
+  return order_id >= positions_base_ + positions_head_ && order_id < next_id_ &&
+         positions_[order_id - positions_base_].resting;
+}
+
+Order OrderBook::pop_front(Ladder::iterator level) {
+  const Level& l = level->second;
+  // leave() keeps the head on a resting order.
+  const Order order = l.fifo[l.head];
+  leave(positions_[order.id - positions_base_]);
+  return order;
+}
+
+void OrderBook::leave(Position& position) {
+  position.resting = false;
+  const bool buys = position.side == Side::kBuyTokenB;
+  --(buys ? bid_depth_ : ask_depth_);
+  const Ladder::iterator level = position.level;
+  Level& l = level->second;
+  if (--l.live == 0) {
+    (buys ? bids_ : asks_).erase(level);
+    return;
+  }
+  // Tombstones at the head are skipped now; once those left behind it
+  // outnumber the live orders, the FIFO is rewritten without them.
+  while (!resting(l.fifo[l.head].id)) ++l.head;
+  if (l.fifo.size() - l.head > 2 * l.live + 16) {
+    std::erase_if(l.fifo, [this](const Order& o) { return !resting(o.id); });
+    l.head = 0;
+  } else if (l.head * 2 >= l.fifo.size()) {
+    l.fifo.erase(l.fifo.begin(),
+                 l.fifo.begin() + static_cast<std::ptrdiff_t>(l.head));
+    l.head = 0;
+  }
+}
+
+void OrderBook::reclaim_positions() {
+  while (positions_head_ < positions_.size() &&
+         !positions_[positions_head_].resting) {
+    ++positions_head_;
+  }
+  if (positions_head_ * 2 >= positions_.size()) {
+    positions_.erase(positions_.begin(),
+                     positions_.begin() +
+                         static_cast<std::ptrdiff_t>(positions_head_));
+    positions_base_ += positions_head_;
+    positions_head_ = 0;
+  }
 }
 
 std::optional<Match> OrderBook::take_match() {
@@ -63,22 +109,15 @@ std::optional<Match> OrderBook::take_match() {
 }
 
 bool OrderBook::cancel(std::uint64_t order_id) {
-  if (const auto it = bid_index_.find(order_id); it != bid_index_.end()) {
-    bids_.erase(it->second);
-    bid_index_.erase(it);
-    return true;
-  }
-  if (const auto it = ask_index_.find(order_id); it != ask_index_.end()) {
-    asks_.erase(it->second);
-    ask_index_.erase(it);
-    return true;
-  }
-  return false;
+  if (!resting(order_id)) return false;
+  leave(positions_[order_id - positions_base_]);
+  reclaim_positions();
+  return true;
 }
 
 std::optional<double> OrderBook::best_bid() const {
   if (bids_.empty()) return std::nullopt;
-  return bids_.begin()->first;
+  return std::prev(bids_.end())->first;
 }
 
 std::optional<double> OrderBook::best_ask() const {
@@ -87,7 +126,7 @@ std::optional<double> OrderBook::best_ask() const {
 }
 
 std::size_t OrderBook::depth(Side side) const noexcept {
-  return side == Side::kBuyTokenB ? bids_.size() : asks_.size();
+  return side == Side::kBuyTokenB ? bid_depth_ : ask_depth_;
 }
 
 }  // namespace swapgame::market

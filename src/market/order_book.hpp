@@ -12,9 +12,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 namespace swapgame::market {
 
@@ -43,6 +43,17 @@ struct Match {
 };
 
 /// Price-time-priority limit order book.
+///
+/// Layout: each side is a ladder of price levels, an ordered map keyed by
+/// the exact limit (limits need not lie on any grid), and each level is a
+/// FIFO of its resting orders.  A position table indexed by order id says
+/// whether an order still rests and on which level, so a cancel flips it
+/// to a tombstone in O(1) and leaves the order in its FIFO; tombstones are
+/// skipped when they reach the FIFO's head and swept once they outnumber
+/// the live orders, so they cost O(1) amortized and at most double a
+/// level's memory.  Costs: submit O(log L) for L levels on the side (O(1)
+/// when it crosses), cancel O(1) amortized (a level whose last order
+/// leaves is erased by iterator), best_bid/best_ask/depth O(1).
 class OrderBook {
  public:
   /// Submits an order; if it crosses the opposite side, the best resting
@@ -55,8 +66,8 @@ class OrderBook {
   /// Pops the oldest unconsumed match, if any.
   [[nodiscard]] std::optional<Match> take_match();
 
-  /// Cancels a resting order in O(log n) via the id index.  Returns false
-  /// if unknown or already matched.
+  /// Cancels a resting order in O(1) amortized through the position
+  /// table.  Returns false if unknown, already matched or cancelled.
   bool cancel(std::uint64_t order_id);
 
   /// Best bid (highest buy limit) / best ask (lowest sell limit).
@@ -71,18 +82,42 @@ class OrderBook {
   }
 
  private:
-  // Bids sorted by descending limit then sequence; asks ascending.
-  using BidMap = std::multimap<double, Order, std::greater<double>>;
-  using AskMap = std::multimap<double, Order>;
-  BidMap bids_;
-  AskMap asks_;
-  // id -> resting position, maintained on every rest/match/cancel so a
-  // cancel never scans the books (a cancel storm over 10^5 resting orders
-  // was quadratic with the old linear scan).  Two maps because the two
-  // books have distinct comparator (and so iterator) types; an id is in at
-  // most one of them.
-  std::map<std::uint64_t, BidMap::iterator> bid_index_;
-  std::map<std::uint64_t, AskMap::iterator> ask_index_;
+  /// One price level: its orders in arrival order from `head` on, some of
+  /// them tombstones (cancelled, no longer resting in the position table).
+  struct Level {
+    std::vector<Order> fifo;
+    std::size_t head = 0;
+    std::size_t live = 0;  ///< resting orders in fifo[head..]
+  };
+  /// Both sides ascend by limit: the best ask is the first level, the best
+  /// bid the last.
+  using Ladder = std::map<double, Level>;
+  /// Where order id `positions_base_ + i` rests, if it does.
+  struct Position {
+    Ladder::iterator level;
+    Side side = Side::kBuyTokenB;
+    bool resting = false;
+  };
+
+  [[nodiscard]] bool resting(std::uint64_t order_id) const noexcept;
+  /// Takes the first resting order of `level` (which has one).
+  Order pop_front(Ladder::iterator level);
+  /// Takes a resting order off its level, erasing the level when it was
+  /// the last there (the match and cancel bookkeeping).
+  void leave(Position& position);
+  /// Drops the dead prefix of the position table.
+  void reclaim_positions();
+
+  Ladder bids_;
+  Ladder asks_;
+  std::size_t bid_depth_ = 0;
+  std::size_t ask_depth_ = 0;
+  // Position table: ids are handed out consecutively, so the entry of id
+  // i is positions_[i - positions_base_].  Entries before positions_head_
+  // are all dead; the prefix is erased once it is half the table.
+  std::vector<Position> positions_;
+  std::size_t positions_head_ = 0;
+  std::uint64_t positions_base_ = 1;
   std::deque<Match> matches_;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_sequence_ = 1;

@@ -61,49 +61,6 @@ static_assert(std::size(kTally) ==
   return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
 }
 
-template <class Rec>
-void sort_by_stamp(std::vector<Rec>& records) {
-  std::sort(records.begin(), records.end(),
-            [](const Rec& a, const Rec& b) { return a.stamp < b.stamp; });
-}
-
-/// Calls fn on every record of every shard's `buffer` in global stamp
-/// order, then empties the buffers.  Each buffer is already sorted by
-/// stamp, so a k-way merge of the non-empty runs (a heap keyed by each
-/// run's head) gives the order a sort of their concatenation would give;
-/// stamps are unique, so that order is exact.  fn must not append to the
-/// buffers.
-template <class Shard, class Rec, class Fn>
-void merge_runs(const std::vector<std::unique_ptr<Shard>>& shards,
-                std::vector<Rec> Shard::*buffer, Fn&& fn) {
-  struct Run {
-    Rec* next;
-    Rec* end;
-  };
-  std::vector<Run> runs;
-  for (const auto& sh : shards) {
-    std::vector<Rec>& records = (*sh).*buffer;
-    if (!records.empty()) {
-      runs.push_back({records.data(), records.data() + records.size()});
-    }
-  }
-  const auto later = [](const Run& a, const Run& b) {
-    return b.next->stamp < a.next->stamp;
-  };
-  std::make_heap(runs.begin(), runs.end(), later);
-  while (!runs.empty()) {
-    std::pop_heap(runs.begin(), runs.end(), later);
-    Run& run = runs.back();
-    fn(*run.next);
-    if (++run.next == run.end) {
-      runs.pop_back();
-    } else {
-      std::push_heap(runs.begin(), runs.end(), later);
-    }
-  }
-  for (const auto& sh : shards) ((*sh).*buffer).clear();
-}
-
 }  // namespace
 
 std::vector<TraderType> PopulationConfig::default_types() {
@@ -193,9 +150,13 @@ PopulationSim::PopulationSim(PopulationConfig config)
   params_b.mempool_visibility = config_.eps_b;
   // The rules are solved in run(); sessions keep pointers to the slots.
   strategies_.resize(config_.types.size() * config_.types.size());
+  // Every queue buckets its far events by epoch: a shard's heap then holds
+  // one epoch's events, not every pending refund and watchdog.
+  queue_.set_bucket_width(epoch());
   shards_.reserve(config_.workers);
   for (std::uint64_t w = 0; w < config_.workers; ++w) {
     shards_.push_back(std::make_unique<Shard>(*this, params_a, params_b));
+    shards_.back()->queue.set_bucket_width(epoch());
   }
   if (config_.workers > 1) {
     pool_ = std::make_unique<sweep::ThreadPool>(
@@ -654,7 +615,7 @@ void PopulationSim::merge_window(double e1) {
   }
 
   // Trace events, in one canonical stream regardless of shard count.
-  merge_runs(shards_, &Shard::traces, [this](const TraceRec& t) {
+  detail::merge_runs(shards_, &Shard::traces, [this](const TraceRec& t) {
     if (t.start) {
       trace_->record(t.stamp.when, obs::TraceKind::kRunStart,
                      {{"session", t.stamp.idx},
@@ -671,13 +632,13 @@ void PopulationSim::merge_window(double e1) {
 
   // Initiations: predicted-SR fold + price impacts, in stamp order (the
   // Neumaier sums and the price path are order-sensitive).
-  merge_runs(shards_, &Shard::inits, [this](const InitRec& i) {
+  detail::merge_runs(shards_, &Shard::inits, [this](const InitRec& i) {
     predicted_sr_sum_.add(i.sr);
     apply_impact(i.direction);
   });
 
   // Finalizations: outcome counters, latency sample, lockup folds.
-  merge_runs(shards_, &Shard::finals, [this](const FinalRec& f) {
+  detail::merge_runs(shards_, &Shard::finals, [this](const FinalRec& f) {
     ++finalized_since_compact_;
     ++(result_.*kTally[static_cast<std::size_t>(f.outcome)].counter);
     if (f.outcome == proto::SwapOutcome::kSuccess) {
@@ -692,7 +653,7 @@ void PopulationSim::merge_window(double e1) {
   // identically at every worker count.  Intents whose deadline already
   // passed get their expiry drop delivered instead of a submission the
   // market would reject.
-  merge_runs(shards_, &Shard::intents, [this](IntentRec& rec) {
+  detail::merge_runs(shards_, &Shard::intents, [this](IntentRec& rec) {
     if (rec.deadline < queue_.now()) {
       ++merge_expired_;
       const std::uint64_t idx = rec.stamp.idx;
@@ -781,6 +742,10 @@ void PopulationSim::maybe_compact(double now) {
   }
 }
 
+double PopulationSim::epoch() const noexcept {
+  return std::min(config_.fee_a.block_interval, config_.fee_b.block_interval);
+}
+
 void PopulationSim::parallel(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (pool_ != nullptr) {
@@ -798,12 +763,7 @@ PopulationResult PopulationSim::run() {
   solve_pairs();
   schedule_next_arrival();
 
-  // Epoch width: one (minimum) block interval, aligning the barriers with
-  // the fee markets' seal grid so every cross-session interaction -- block
-  // space contention, price impact, settlement -- is merged exactly once
-  // per block.
-  const double epoch =
-      std::min(config_.fee_a.block_interval, config_.fee_b.block_interval);
+  const double epoch = this->epoch();
   std::uint64_t k = 0;
   bool first = true;
   while (true) {
@@ -846,10 +806,7 @@ PopulationResult PopulationSim::run() {
         sh.max_event_time = std::max(sh.max_event_time, sh.queue.now());
       }
       sh.queue.advance_to(e1);
-      sort_by_stamp(sh.intents);
-      sort_by_stamp(sh.inits);
-      sort_by_stamp(sh.finals);
-      sort_by_stamp(sh.traces);
+      sh.sort();
     });
     in_parallel_phase_ = false;
 

@@ -72,6 +72,7 @@
 #include "chain/event_queue.hpp"
 #include "chain/ledger.hpp"
 #include "market/order_book.hpp"
+#include "market/population/epoch_buffers.hpp"
 #include "market/population/fee_market.hpp"
 #include "math/interval.hpp"
 #include "math/rng.hpp"
@@ -338,72 +339,23 @@ class PopulationSim {
   [[nodiscard]] PopulationResult run();
 
  private:
-  /// Canonical merge order for everything a worker buffers during the
-  /// parallel phase: event time, then session index, then the session's
-  /// own record birth order.  Unique per record (bseq breaks the only
-  /// possible tie: several records of one session at one instant), so each
-  /// shard's sort of its own buffers and the barrier's k-way merge of them
-  /// give one order, independent of the worker partition and of the order
-  /// a shard's drain produced its records in.
-  struct Stamp {
-    double when = 0.0;
-    std::uint64_t idx = 0;
-    std::uint32_t bseq = 0;
-
-    [[nodiscard]] bool operator<(const Stamp& o) const noexcept {
-      if (when != o.when) return when < o.when;
-      if (idx != o.idx) return idx < o.idx;
-      return bseq < o.bseq;
-    }
-  };
-
-  /// A fee-market submission buffered during the parallel phase, merged
-  /// into the global market at the barrier in stamp order.
-  struct IntentRec {
-    Stamp stamp;
-    int stage = 0;
-    chain::TxPayload payload;
-    double fee = 0.0;
-    double deadline = 0.0;
-  };
-
-  /// An initiation's cross-shard effects: price impact + predicted SR.
-  struct InitRec {
-    Stamp stamp;
-    double sr = 0.0;
-    double direction = 0.0;
-  };
-
-  /// A finalization's contribution to the result statistics.
-  struct FinalRec {
-    Stamp stamp;
-    proto::SwapOutcome outcome = proto::SwapOutcome::kNotInitiated;
-    double latency = std::numeric_limits<double>::quiet_NaN();
-    double lockup_a = std::numeric_limits<double>::quiet_NaN();
-    double lockup_b = std::numeric_limits<double>::quiet_NaN();
-  };
-
-  /// A buffered trace event (run-start or outcome) for the stride sink.
-  struct TraceRec {
-    Stamp stamp;
-    bool start = false;  ///< kRunStart when true, kOutcome otherwise
-    double p_star = 0.0;
-    double price = 0.0;
-    double t1_cont = 0.0;
-    proto::SwapOutcome outcome = proto::SwapOutcome::kNotInitiated;
-    double latency = std::numeric_limits<double>::quiet_NaN();
-  };
+  // The barrier's stamp-ordered effect records (epoch_buffers.hpp).
+  using Stamp = detail::Stamp;
+  using IntentRec = detail::IntentRec;
+  using InitRec = detail::InitRec;
+  using FinalRec = detail::FinalRec;
+  using TraceRec = detail::TraceRec;
 
   /// One worker shard: a private event queue and ledger pair shared by
   /// its sessions' swaps (their proto::SwapEnv), plus the per-epoch effect
-  /// buffers.  Sessions with index % workers == shard live here; only the
+  /// buffers it inherits.  Sessions with index % workers == shard live here; only the
   /// owning worker touches any of it during the parallel phase and the
   /// barrier's sweep.  The shard is its swaps' sink -- every transaction
   /// goes through its chain's fee market (PopulationSim::submit_intent) --
   /// and their price feed, quoting the epoch-frozen price.  The serial
   /// phase hands it the transactions that sealed blocks included
   /// (`landings`), one landing event per seal.
-  struct Shard final : proto::SwapSink, proto::PricePath {
+  struct Shard final : proto::SwapSink, proto::PricePath, detail::EpochBuffers {
     Shard(PopulationSim& owner, const chain::ChainParams& a,
           const chain::ChainParams& b);
 
@@ -414,10 +366,6 @@ class PopulationSim {
     chain::Ledger* ledgers[2] = {&ledger_a, &ledger_b};  ///< by leg
     proto::SwapEnv env;
     chain::Amount minted[2];  ///< by leg
-    std::vector<IntentRec> intents;
-    std::vector<InitRec> inits;
-    std::vector<FinalRec> finals;
-    std::vector<TraceRec> traces;
     /// This epoch's sealed transactions in seal order; the first
     /// `landings_scheduled` already have their landing event.
     std::vector<FeeMarket::Intent> landings;
@@ -523,6 +471,11 @@ class PopulationSim {
   /// Every compaction.interval finalizations: retire settled sessions from
   /// the deque front and sweep every shard ledger behind the watermark.
   void maybe_compact(double now);
+  /// Epoch width: one (minimum) block interval, aligning the barriers with
+  /// the fee markets' seal grid so every cross-session interaction -- block
+  /// space contention, price impact, settlement -- is merged exactly once
+  /// per block.  Also every queue's bucket width.
+  [[nodiscard]] double epoch() const noexcept;
   /// Runs fn(0) .. fn(n-1), on the pool when there is one.
   void parallel(std::size_t n, const std::function<void(std::size_t)>& fn);
 

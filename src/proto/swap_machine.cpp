@@ -93,8 +93,7 @@ crypto::Secret SwapMachine::secret() const {
 const chain::HtlcContract* SwapMachine::contract(std::size_t leg) const {
   const LegTx& tx = legs_[leg];
   if (tx.deploy.id.value == 0) return nullptr;
-  const chain::Ledger& ledger = chain_of(leg);
-  return ledger.has_htlc(tx.contract) ? &ledger.htlc(tx.contract) : nullptr;
+  return chain_of(leg).find_htlc(tx.contract);
 }
 
 agents::DecisionContext SwapMachine::context() const {

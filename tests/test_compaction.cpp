@@ -121,6 +121,57 @@ TEST(LedgerCompaction, LockedContractsAndRecentRecordsSurvive) {
   EXPECT_EQ(fx.ledger.total_supply(), supply);
 }
 
+TEST(LedgerCompaction, FindHtlcSeesOnlyDeployedUnretiredContracts) {
+  LedgerFixture fx;
+  const crypto::Secret secret = crypto::Secret::generate(fx.rng);
+  const auto deploy_of = [&](double amount) {
+    return fx.ledger.submit(
+        chain::DeployHtlcPayload{{"alice"},
+                                 {"bob"},
+                                 chain::Amount::from_tokens(amount),
+                                 secret.commitment(),
+                                 /*expiry=*/30.0,
+                                 chain::HtlcKind::kStandard});
+  };
+  const chain::HtlcId settled = fx.ledger.pending_contract_of(deploy_of(2.0));
+  // Not yet deployed: the id is assigned, the contract does not exist.
+  EXPECT_EQ(fx.ledger.find_htlc(settled), nullptr);
+  EXPECT_FALSE(fx.ledger.has_htlc(settled));
+  fx.queue.run_until(2.0);
+  const chain::HtlcContract* found = fx.ledger.find_htlc(settled);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found, &fx.ledger.htlc(settled));
+  EXPECT_EQ(found->id.value, settled.value);
+  fx.ledger.submit(chain::ClaimHtlcPayload{settled, secret, {"bob"}});
+  // A deploy that fails at confirmation (alice cannot fund 100) never
+  // creates its contract; one still pending has none yet.
+  const chain::HtlcId failed = fx.ledger.pending_contract_of(deploy_of(100.0));
+  fx.queue.run_until(5.0);
+  const chain::HtlcId pending = fx.ledger.pending_contract_of(deploy_of(1.0));
+  EXPECT_EQ(fx.ledger.htlc(settled).state, chain::HtlcState::kClaimed);
+  EXPECT_EQ(fx.ledger.find_htlc(failed), nullptr);
+  EXPECT_EQ(fx.ledger.find_htlc(pending), nullptr);
+
+  // Retired: the settled contract leaves; the pending one's id, before
+  // and after the sweep, still resolves once its deploy confirms.
+  fx.ledger.compact(4.5);
+  EXPECT_EQ(fx.ledger.find_htlc(settled), nullptr);
+  EXPECT_THROW(static_cast<void>(fx.ledger.htlc(settled)), std::out_of_range);
+  EXPECT_EQ(fx.ledger.find_htlc(failed), nullptr);
+  fx.queue.run_until(8.0);
+  ASSERT_NE(fx.ledger.find_htlc(pending), nullptr);
+  EXPECT_EQ(fx.ledger.find_htlc(pending)->amount,
+            chain::Amount::from_tokens(1.0));
+  // Unknown ids: never handed out, or 0.
+  EXPECT_EQ(fx.ledger.find_htlc(chain::HtlcId{pending.value + 1}), nullptr);
+  EXPECT_EQ(fx.ledger.find_htlc(chain::HtlcId{999}), nullptr);
+  EXPECT_EQ(fx.ledger.find_htlc(chain::HtlcId{0}), nullptr);
+  // Iteration visits the live contracts only, ascending by id.
+  std::vector<std::uint64_t> ids;
+  for (const chain::HtlcContract& c : fx.ledger.htlcs()) ids.push_back(c.id.value);
+  EXPECT_EQ(ids, std::vector<std::uint64_t>{pending.value});
+}
+
 TEST(LedgerCompaction, WatermarkMustBeStrictlyInThePast) {
   LedgerFixture fx;
   fx.queue.run_until(5.0);
@@ -350,7 +401,8 @@ TEST(LedgerCompaction, RetiredSetMatchesFullScanUnderJitterAndFaults) {
       if (tx->status == chain::TxStatus::kPending) txs_must_survive.insert(id);
     }
     std::set<std::uint64_t> htlcs_expected, htlcs_must_survive;
-    for (const auto& [id, contract] : ledger.htlcs()) {
+    for (const chain::HtlcContract& contract : ledger.htlcs()) {
+      const std::uint64_t id = contract.id.value;
       const bool locked = contract.state == chain::HtlcState::kLocked;
       if (locked || contract.settled_at > watermark) htlcs_expected.insert(id);
       if (locked) htlcs_must_survive.insert(id);
@@ -368,7 +420,9 @@ TEST(LedgerCompaction, RetiredSetMatchesFullScanUnderJitterAndFaults) {
       if (ledger.find_transaction({id}) != nullptr) txs_left.insert(id);
     }
     std::set<std::uint64_t> htlcs_left;
-    for (const auto& [id, contract] : ledger.htlcs()) htlcs_left.insert(id);
+    for (const chain::HtlcContract& contract : ledger.htlcs()) {
+      htlcs_left.insert(contract.id.value);
+    }
     EXPECT_EQ(txs_left, txs_expected);
     EXPECT_EQ(htlcs_left, htlcs_expected);
     for (const std::uint64_t id : txs_must_survive) {
@@ -413,7 +467,7 @@ TEST(LedgerCompaction, RetiredSetMatchesFullScanUnderJitterAndFaults) {
       // A watermark exactly on a settlement time (also the confirmation
       // time of the settling transaction): both records must retire.
       std::vector<double> settled;
-      for (const auto& [id, contract] : ledger.htlcs()) {
+      for (const chain::HtlcContract& contract : ledger.htlcs()) {
         if (contract.state != chain::HtlcState::kLocked &&
             contract.settled_at < t) {
           settled.push_back(contract.settled_at);

@@ -362,14 +362,55 @@ TEST(EventQueue, MatchesReferenceModelUnderRandomTraffic) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
     ReferenceEventQueue reference;
     const QueueLog want = drive(reference, seed, 4000);
-    EventQueue queue;
-    const QueueLog got = drive(queue, seed, 4000);
     // The traffic reaches the far future and back.
     EXPECT_GT(want.fired.size(), 2000u);
     EXPECT_GT(want.fired.back().second, 200.0);
-    EXPECT_EQ(got.fired, want.fired);
-    EXPECT_EQ(got.probes, want.probes);
+    // A single heap, the traffic's own grid, a finer and an off-grid one,
+    // and buckets wider than most gaps.
+    for (const Hours width : {0.0, 0.25, 0.1, 0.3, 7.0}) {
+      SCOPED_TRACE(::testing::Message() << "bucket width " << width);
+      EventQueue queue;
+      queue.set_bucket_width(width);
+      const QueueLog got = drive(queue, seed, 4000);
+      EXPECT_EQ(got.fired, want.fired);
+      EXPECT_EQ(got.probes, want.probes);
+    }
   }
+}
+
+TEST(EventQueue, BucketWidthIsSetOnAnEmptyQueueOnly) {
+  EventQueue q;
+  EXPECT_THROW(q.set_bucket_width(-1.0), std::invalid_argument);
+  EXPECT_THROW(q.set_bucket_width(std::numeric_limits<Hours>::infinity()),
+               std::invalid_argument);
+  q.set_bucket_width(0.25);
+  q.schedule_at(1.0, [] {});
+  EXPECT_THROW(q.set_bucket_width(0.5), std::invalid_argument);
+  q.run();
+  q.set_bucket_width(0.5);  // empty again, clock at 1.0
+  q.schedule_at(1.0, [] {});
+  EXPECT_EQ(q.next_time(), 1.0);
+  EXPECT_EQ(q.run(), 1u);
+}
+
+TEST(EventQueue, FarBucketsKeepOrderAtExtremeTimes) {
+  // Times whose bucket index would overflow an int64 share the saturated
+  // last bucket and still fire in (when, seq) order, after every nearer
+  // event.
+  EventQueue q;
+  q.set_bucket_width(0.25);
+  std::vector<int> order;
+  q.schedule_at(1e300, [&] { order.push_back(4); });
+  q.schedule_at(1e30, [&] { order.push_back(2); });
+  q.schedule_at(1e300, [&] { order.push_back(5); });
+  q.schedule_at(2.0, [&] { order.push_back(1); });
+  q.schedule_at(1e200, [&] { order.push_back(3); });
+  q.schedule_at(0.0, [&] { order.push_back(0); });
+  EXPECT_EQ(q.pending(), 6u);
+  EXPECT_EQ(q.next_time(), 0.0);
+  EXPECT_EQ(q.run(), 6u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.now(), 1e300);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // market_sim cell (bit-identical across thread counts).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -424,6 +426,67 @@ TEST(FeeMarket, MatchesReferenceModelUnderRandomTraffic) {
       EXPECT_EQ(got.expired, want.expired);
       EXPECT_EQ(got.fees_paid_bits, want.fees_paid_bits);
       EXPECT_EQ(got.pending, 0u);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Barrier order: each shard sorts its own buffers, the barrier merges them
+// ---------------------------------------------------------------------------
+
+/// The stamps merge_runs visits for one buffer kind.
+template <class Rec>
+std::vector<std::tuple<double, std::uint64_t, std::uint32_t>> merged(
+    std::vector<std::unique_ptr<detail::EpochBuffers>>& shards,
+    std::vector<Rec> detail::EpochBuffers::*buffer) {
+  std::vector<std::tuple<double, std::uint64_t, std::uint32_t>> out;
+  detail::merge_runs(shards, buffer, [&out](const Rec& r) {
+    out.emplace_back(r.stamp.when, r.stamp.idx, r.stamp.bseq);
+  });
+  return out;
+}
+
+TEST(EpochBuffers, SortThenMergeGivesTheGlobalStampOrder) {
+  // Each shard fills its four buffers out of order -- in a random drain
+  // order, with many sessions at one instant and several records of one
+  // session at one instant -- and some buffers stay empty.  After every
+  // shard's sort(), merge_runs must visit each kind in exactly the order a
+  // sort of all shards' records gives.
+  for (const std::size_t width : {1u, 4u, 5u}) {
+    SCOPED_TRACE(::testing::Message() << width << " shards");
+    math::Xoshiro256 rng(0xBA55u + width);
+    for (int epoch = 0; epoch < 30; ++epoch) {
+      std::vector<std::unique_ptr<detail::EpochBuffers>> shards;
+      for (std::size_t w = 0; w < width; ++w) {
+        shards.push_back(std::make_unique<detail::EpochBuffers>());
+      }
+      std::vector<std::tuple<double, std::uint64_t, std::uint32_t>> want[4];
+      std::vector<std::uint32_t> bseq(64, 0);
+      for (int r = 0; r < 160; ++r) {
+        const std::uint64_t idx = rng() % bseq.size();
+        const std::size_t kind = rng() % 4;
+        detail::EpochBuffers& sh = *shards[idx % width];
+        if (kind == 0 && width > 1 && idx % width == 1) continue;  // no intents
+        const detail::Stamp stamp{0.25 * static_cast<double>(rng() % 3), idx,
+                                  bseq[idx]++};
+        want[kind].emplace_back(stamp.when, stamp.idx, stamp.bseq);
+        switch (kind) {
+          case 0: sh.intents.push_back({.stamp = stamp}); break;
+          case 1: sh.inits.push_back({.stamp = stamp}); break;
+          case 2: sh.finals.push_back({.stamp = stamp}); break;
+          default: sh.traces.push_back({.stamp = stamp}); break;
+        }
+      }
+      for (auto& sh : shards) sh->sort();
+      for (auto& w : want) std::sort(w.begin(), w.end());
+      EXPECT_EQ(merged(shards, &detail::EpochBuffers::intents), want[0]);
+      EXPECT_EQ(merged(shards, &detail::EpochBuffers::inits), want[1]);
+      EXPECT_EQ(merged(shards, &detail::EpochBuffers::finals), want[2]);
+      EXPECT_EQ(merged(shards, &detail::EpochBuffers::traces), want[3]);
+      for (auto& sh : shards) {
+        EXPECT_TRUE(sh->intents.empty() && sh->inits.empty() &&
+                    sh->finals.empty() && sh->traces.empty());
+      }
     }
   }
 }
