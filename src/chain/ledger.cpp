@@ -100,18 +100,19 @@ Ledger::Ledger(ChainParams params, EventQueue& queue, math::Xoshiro256* rng)
 }
 
 void Ledger::create_account(const Address& address, Amount initial_balance) {
-  const auto [it, inserted] = accounts_.emplace(address, initial_balance);
+  const auto [it, inserted] =
+      accounts_.emplace(address.value, initial_balance);
   if (!inserted) {
     throw std::invalid_argument("Ledger: account already exists: " + address.value);
   }
 }
 
 bool Ledger::has_account(const Address& address) const noexcept {
-  return accounts_.find(address) != accounts_.end();
+  return accounts_.find(address.value) != accounts_.end();
 }
 
 Amount Ledger::balance(const Address& address) const {
-  const auto it = accounts_.find(address);
+  const auto it = accounts_.find(address.value);
   if (it == accounts_.end()) {
     throw std::out_of_range("Ledger: unknown account: " + address.value);
   }
@@ -251,7 +252,7 @@ const HtlcContract* Ledger::find_htlc_by_hash(
 }
 
 void Ledger::charge_collateral(const Address& depositor, Amount amount) {
-  const auto it = accounts_.find(depositor);
+  const auto it = accounts_.find(depositor.value);
   if (it == accounts_.end()) {
     throw std::out_of_range("charge_collateral: unknown account: " +
                             depositor.value);
@@ -364,7 +365,7 @@ CompactionReport Ledger::compact(Hours watermark) {
 }
 
 void Ledger::retire_account(const Address& address) {
-  const auto it = accounts_.find(address);
+  const auto it = accounts_.find(address.value);
   if (it == accounts_.end()) {
     throw std::out_of_range("retire_account: unknown account: " +
                             address.value);
@@ -434,8 +435,8 @@ void Ledger::settle(HtlcContract& contract, HtlcState state) {
 }
 
 void Ledger::apply_transfer(Transaction& tx, const TransferPayload& p) {
-  const auto from = accounts_.find(p.from);
-  const auto to = accounts_.find(p.to);
+  const auto from = accounts_.find(p.from.value);
+  const auto to = accounts_.find(p.to.value);
   if (from == accounts_.end() || to == accounts_.end()) {
     return fail(tx, "transfer: unknown account");
   }
@@ -447,11 +448,11 @@ void Ledger::apply_transfer(Transaction& tx, const TransferPayload& p) {
 }
 
 void Ledger::apply_deploy(Transaction& tx, const DeployHtlcPayload& p) {
-  const auto sender = accounts_.find(p.sender);
+  const auto sender = accounts_.find(p.sender.value);
   if (sender == accounts_.end()) {
     return fail(tx, "deploy: unknown sender");
   }
-  if (!accounts_.contains(p.recipient)) {
+  if (!accounts_.contains(p.recipient.value)) {
     return fail(tx, "deploy: unknown recipient");
   }
   if (sender->second < p.amount) {
@@ -508,7 +509,7 @@ void Ledger::apply_claim(Transaction& tx, const ClaimHtlcPayload& p) {
   const Address& beneficiary = contract.kind == HtlcKind::kStandard
                                    ? contract.recipient
                                    : contract.sender;
-  const auto account = accounts_.find(beneficiary);
+  const auto account = accounts_.find(beneficiary.value);
   if (account == accounts_.end()) {
     return fail(tx, "claim: unknown beneficiary account");
   }
@@ -542,7 +543,7 @@ void Ledger::apply_refund(Transaction& tx, const RefundHtlcPayload& p) {
   const Address& beneficiary = contract.kind == HtlcKind::kStandard
                                    ? contract.sender
                                    : contract.recipient;
-  const auto account = accounts_.find(beneficiary);
+  const auto account = accounts_.find(beneficiary.value);
   if (account == accounts_.end()) {
     return fail(tx, "refund: unknown beneficiary account");
   }
@@ -572,7 +573,7 @@ void Ledger::apply_cancel(Transaction& tx, const CancelHtlcPayload& p) {
   if (queue_->now() >= contract.expiry) {
     return fail(tx, "cancel: escrow already expired");
   }
-  const auto sender = accounts_.find(contract.sender);
+  const auto sender = accounts_.find(contract.sender.value);
   if (sender == accounts_.end()) {
     return fail(tx, "cancel: unknown sender account");
   }
@@ -587,7 +588,7 @@ void Ledger::apply_cancel(Transaction& tx, const CancelHtlcPayload& p) {
 }
 
 void Ledger::apply_deposit(Transaction& tx, const DepositCollateralPayload& p) {
-  const auto depositor = accounts_.find(p.depositor);
+  const auto depositor = accounts_.find(p.depositor.value);
   if (depositor == accounts_.end()) {
     return fail(tx, "deposit: unknown account");
   }
@@ -607,7 +608,7 @@ void Ledger::apply_deposit(Transaction& tx, const DepositCollateralPayload& p) {
 }
 
 void Ledger::apply_release(Transaction& tx, const ReleaseCollateralPayload& p) {
-  const auto recipient = accounts_.find(p.recipient);
+  const auto recipient = accounts_.find(p.recipient.value);
   if (recipient == accounts_.end()) {
     return fail(tx, "release: unknown recipient");
   }

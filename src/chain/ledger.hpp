@@ -38,10 +38,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -296,13 +294,9 @@ class Ledger {
   FaultInjector* faults_ = nullptr;
   InvariantAuditor* auditor_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
-  struct AddressHash {
-    std::size_t operator()(const Address& a) const noexcept {
-      return std::hash<std::string_view>{}(a.value);
-    }
-  };
-
-  std::unordered_map<Address, Amount, AddressHash> accounts_;
+  // Keyed by Address::value: std::hash<std::string> makes the table cache
+  // each node's hash, so a probe never rehashes the strings it passes.
+  std::unordered_map<std::string, Amount> accounts_;
   IdSlab<Transaction> transactions_;  // by TxId.value
   IdSlab<HtlcContract> htlcs_;        // by HtlcId.value; held from the deploy
   std::map<Address, Amount> vault_deposits_;
