@@ -51,11 +51,6 @@ class IdSlab {
       skip();
       return *this;
     }
-    const_iterator operator++(int) {
-      const_iterator old = *this;
-      ++*this;
-      return old;
-    }
     bool operator==(const const_iterator& o) const { return it_ == o.it_; }
 
    private:

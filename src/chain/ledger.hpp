@@ -27,9 +27,9 @@
 // retired by compact() leaves the scan with its record.
 //
 // Cost model.  Transactions and contracts live in id-indexed slabs
-// (id_slab.hpp): a lookup by id is an index and a dereference, O(1).  Accounts live in a
-// hash table keyed by address: create, balance and retire are O(1)
-// expected.  A compact() sweep costs O(records retired * log n), not
+// (id_slab.hpp): a lookup by id is an index and a dereference, O(1).
+// Accounts live in a hash table keyed by address: create, balance and
+// retire are O(1) expected.  A compact() sweep costs O(records retired * log n), not
 // O(records live): it pops retirement queues filled at submission and
 // settlement (see compact()), frees each record and erases the slabs'
 // retired prefix in amortized O(1) slot moves per record.  The

@@ -136,7 +136,9 @@ void merge_runs(const Shards& shards, std::vector<Rec> EpochBuffers::*buffer,
       std::push_heap(runs.begin(), runs.end(), later);
     }
   }
-  for (const auto& sh : shards) (static_cast<EpochBuffers&>(*sh).*buffer).clear();
+  for (const auto& sh : shards) {
+    (static_cast<EpochBuffers&>(*sh).*buffer).clear();
+  }
 }
 
 }  // namespace swapgame::market::detail

@@ -348,9 +348,9 @@ class PopulationSim {
 
   /// One worker shard: a private event queue and ledger pair shared by
   /// its sessions' swaps (their proto::SwapEnv), plus the per-epoch effect
-  /// buffers it inherits.  Sessions with index % workers == shard live here; only the
-  /// owning worker touches any of it during the parallel phase and the
-  /// barrier's sweep.  The shard is its swaps' sink -- every transaction
+  /// buffers it inherits.  Sessions with index % workers == shard live
+  /// here; only the owning worker touches any of it during the parallel
+  /// phase and the barrier's sweep.  The shard is its swaps' sink -- every transaction
   /// goes through its chain's fee market (PopulationSim::submit_intent) --
   /// and their price feed, quoting the epoch-frozen price.  The serial
   /// phase hands it the transactions that sealed blocks included

@@ -168,7 +168,9 @@ TEST(LedgerCompaction, FindHtlcSeesOnlyDeployedUnretiredContracts) {
   EXPECT_EQ(fx.ledger.find_htlc(chain::HtlcId{0}), nullptr);
   // Iteration visits the live contracts only, ascending by id.
   std::vector<std::uint64_t> ids;
-  for (const chain::HtlcContract& c : fx.ledger.htlcs()) ids.push_back(c.id.value);
+  for (const chain::HtlcContract& c : fx.ledger.htlcs()) {
+    ids.push_back(c.id.value);
+  }
   EXPECT_EQ(ids, std::vector<std::uint64_t>{pending.value});
 }
 

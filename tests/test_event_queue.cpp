@@ -334,15 +334,16 @@ QueueLog drive(Queue& q, std::uint64_t seed, int operations) {
         break;
       case 3: {
         // Epoch drain, sometimes across several empty grid cells.
-        const Hours until =
-            std::floor(q.now() * 4.0) / 4.0 + 0.25 * static_cast<double>(1 + rng() % 12);
+        const Hours until = std::floor(q.now() * 4.0) / 4.0 +
+                            0.25 * static_cast<double>(1 + rng() % 12);
         probe(static_cast<double>(q.drain_before(until)));
         if (rng() % 2 == 0) q.advance_to(until);
         probe(0.0);
         break;
       }
       case 4:
-        probe(static_cast<double>(q.run_until(q.now() + 3.0 * math::uniform01(rng))));
+        probe(static_cast<double>(
+            q.run_until(q.now() + 3.0 * math::uniform01(rng))));
         break;
       case 5:
         probe(static_cast<double>(q.run(rng() % 40)));

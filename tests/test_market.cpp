@@ -316,7 +316,9 @@ BookLog drive_book(std::uint64_t seed, int operations) {
       mid *= std::exp(0.01 * (math::uniform01(rng) - 0.5));
       const Side side = (rng() & 1) != 0 ? Side::kBuyTokenB : Side::kSellTokenB;
       double limit = mid * (0.96 + 0.08 * math::uniform01(rng));
-      if (rng() % 3 != 0) limit = std::max(0.02, std::round(limit / 0.02) * 0.02);
+      if (rng() % 3 != 0) {
+        limit = std::max(0.02, std::round(limit / 0.02) * 0.02);  // on-grid
+      }
       if (kind == 8) limit = side == Side::kBuyTokenB ? mid * 1.2 : mid * 0.8;
       const auto trader = static_cast<std::uint32_t>(rng() % 5);
       ids.push_back(book.submit(side, trader, limit));
@@ -324,14 +326,16 @@ BookLog drive_book(std::uint64_t seed, int operations) {
       if (rng() % 4 != 0) drain_matches();
     } else if (kind < 13 && !ids.empty()) {
       // One cancel: mostly recent ids, sometimes old, unknown or future.
-      std::uint64_t id = ids[ids.size() - 1 - rng() % std::min<std::size_t>(ids.size(), 40)];
+      std::uint64_t id =
+          ids[ids.size() - 1 - rng() % std::min<std::size_t>(ids.size(), 40)];
       if (kind == 12) id = (rng() & 1) != 0 ? 0 : ids.back() + 1 + rng() % 5;
       const bool ok = book.cancel(id);
       ++(ok ? log.cancels_accepted : log.cancels_refused);
       log.add(ok ? 1.0 : 0.0);
     } else if (kind == 13) {
       // A storm: cancel every id of the last few hundred, twice over.
-      const std::size_t span = std::min<std::size_t>(ids.size(), 50 + rng() % 300);
+      const std::size_t span =
+          std::min<std::size_t>(ids.size(), 50 + rng() % 300);
       for (int pass = 0; pass < 2; ++pass) {
         for (std::size_t i = ids.size() - span; i < ids.size(); ++i) {
           const bool ok = book.cancel(ids[i]);
