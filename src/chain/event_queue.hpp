@@ -8,10 +8,11 @@
 //
 // Two tiers (set_bucket_width; off by default).  With a width w > 0 the
 // binary heap holds only the events of the current bucket -- bucket index
-// floor(when / w) up to cur_ -- and every later event is appended, O(1)
-// and unordered, to the far tier: one vector per bucket index, in an
-// ordered map.  When the heap runs dry, step() swaps the earliest far
-// bucket in and heapifies it.  The (when, seq) order stays exact because
+// floor(when / w) up to cur_ -- and every later event is appended,
+// unordered, to the far tier: one vector per bucket index, in an ordered
+// map (a lookup among the pending buckets, then a push_back).  When the
+// heap runs dry, step() swaps the earliest far bucket in and heapifies it
+// in O(bucket size).  The (when, seq) order stays exact because
 // the bucket index is monotone in `when` (correctly rounded division by a
 // positive w never inverts two times), so every heap event precedes every
 // far event, and within the heap the usual (when, seq) comparison decides.
