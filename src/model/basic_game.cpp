@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "math/gbm.hpp"
 #include "math/quadrature.hpp"
-#include "math/roots.hpp"
 #include "solver_cache.hpp"
 #include "timeline.hpp"
 
@@ -29,16 +27,6 @@ constexpr int kWarmVerifySamples = 257;
 
 }  // namespace
 
-BasicGame::BasicGame(const SwapParams& params, double p_star)
-    : params_(params), p_star_(p_star) {
-  params_.validate();
-  if (!(p_star > 0.0) || !std::isfinite(p_star)) {
-    throw std::invalid_argument("BasicGame: p_star must be positive and finite");
-  }
-  compute_t3_cutoff();
-  compute_t2_region(nullptr);
-}
-
 BasicGame::BasicGame(const SwapParams& params, double p_star,
                      const std::vector<double>& t2_root_hints)
     : params_(params), p_star_(p_star) {
@@ -47,7 +35,7 @@ BasicGame::BasicGame(const SwapParams& params, double p_star,
     throw std::invalid_argument("BasicGame: p_star must be positive and finite");
   }
   compute_t3_cutoff();
-  compute_t2_region(&t2_root_hints);
+  compute_t2_region(t2_root_hints);
 }
 
 // ---------------------------------------------------------------- t3 stage
@@ -135,46 +123,20 @@ double BasicGame::bob_t2_stop(double p_t2) const {
   return p_t2;
 }
 
-void BasicGame::compute_t2_region(const std::vector<double>* hints) {
+void BasicGame::compute_t2_region(const std::vector<double>& hints) {
   // Roots of g(p) = bob_t2_cont(p) - p.  In the paper's mu < r regime g < 0
   // both as p -> 0 (token-b worthless, but Alice will not reveal either)
   // and as p -> inf (Bob keeps the valuable token-b), so the cont region
   // lies between two roots (Section III-E3).  With mu >= r Bob's refund
   // branch outgrows his discounting and g > 0 near 0: the region extends
   // down to zero with a single indifference point.  The alternating-root
-  // construction handles both.
-  // Strict-preference tie-break: cont must beat stop by a scale-relative
-  // margin.  Guards against the degenerate mu == r_B regime where the gap
-  // is identically zero near p = 0 and floating-point dither would
-  // otherwise fabricate spurious crossings.
-  const auto raw_gap = [this](double p) {
-    return bob_t2_cont(p) - bob_t2_stop(p);
-  };
-  const double scan_hi =
-      10.0 * std::max({p_star_, params_.p_t0, t3_cutoff_});
-  // Scale-relative lower scan bound: keeps the grid resolution
-  // proportional to the price scale (scale-invariance tests pin this).
-  const double scan_lo = 1e-7 * scan_hi;
-  const double tie = 1e-10 * scan_hi;
-  const auto gap = [&raw_gap, tie](double p) { return raw_gap(p) - tie; };
-  std::optional<std::vector<double>> warm;
-  if (hints != nullptr && !hints->empty()) {
-    warm = math::find_all_roots_warm(gap, scan_lo, scan_hi, *hints,
-                                     kWarmVerifySamples);
-  }
-  t2_roots_ = warm ? std::move(*warm)
-                   : math::find_all_roots(gap, scan_lo, scan_hi,
-                                          kBandScanSamples);
-  const bool starts_inside = gap(scan_lo) > 0.0;
-  t2_region_ = math::IntervalSet::from_alternating_roots(
-      t2_roots_, 0.0, std::numeric_limits<double>::infinity(), starts_inside);
-  // g < 0 at +inf always (stop grows linearly); an unbounded inside piece
-  // means the scan missed the last crossing -- trim defensively.
-  if (!t2_region_.empty() && std::isinf(t2_region_.intervals().back().hi)) {
-    std::vector<math::Interval> trimmed = t2_region_.intervals();
-    trimmed.back().hi = scan_hi;
-    t2_region_ = math::IntervalSet(std::move(trimmed));
-  }
+  // construction (sign_region.hpp) handles both.
+  SignRegion solved = sign_region(
+      [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
+      ScanWindow::prices(std::max({p_star_, params_.p_t0, t3_cutoff_})),
+      kBandScanSamples, hints, kWarmVerifySamples);
+  t2_roots_ = std::move(solved.roots);
+  t2_region_ = std::move(solved.set);
 }
 
 std::optional<math::Interval> BasicGame::bob_t2_band() const noexcept {
@@ -276,16 +238,8 @@ double BasicGame::compute_success_rate() const {
 }
 
 double BasicGame::bob_t2_cont_probability() const {
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  double prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    prob += std::isinf(iv.hi) ? law_a.survival(lo)
-                              : law_a.cdf(iv.hi) - law_a.cdf(lo);
-  }
-  return std::min(1.0, std::max(0.0, prob));
+  return region_probability(
+      math::GbmLaw(params_.gbm, params_.p_t0, params_.tau_a), t2_region_);
 }
 
 // ------------------------------------------------------------- free helpers
@@ -302,15 +256,7 @@ FeasibleBand alice_feasible_band(const SwapParams& params, double scan_lo,
     last_roots = game.t2_roots();
     return game.alice_t1_cont() - game.alice_t1_stop();
   };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, scan_samples);
-  FeasibleBand band;
-  if (roots.size() >= 2) {
-    band.viable = true;
-    band.lo = roots.front();
-    band.hi = roots.back();
-  }
-  return band;
+  return feasible_band(gap, scan_lo, scan_hi, scan_samples);
 }
 
 std::optional<OptimalRate> sr_maximizing_rate(const SwapParams& params,

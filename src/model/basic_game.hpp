@@ -9,7 +9,9 @@
 //
 // Partial expectations of the lognormal transition law give closed forms
 // for the t2 utilities; the t1 utilities and SR integrate t2 quantities
-// over the price law by adaptive quadrature.
+// over the price law by adaptive quadrature.  Bob's t2 region and Alice's
+// feasible band are found by the model's one sign-region solver
+// (sign_region.hpp), which every mechanism's game shares.
 #pragma once
 
 #include <optional>
@@ -18,6 +20,7 @@
 #include "math/cached_value.hpp"
 #include "math/interval.hpp"
 #include "params.hpp"
+#include "sign_region.hpp"
 
 namespace swapgame::model {
 
@@ -25,18 +28,16 @@ namespace swapgame::model {
 /// pair.  Immutable after construction; thresholds are computed eagerly.
 class BasicGame {
  public:
-  /// @throws std::invalid_argument on invalid params or p_star <= 0.
-  BasicGame(const SwapParams& params, double p_star);
-
-  /// Warm-started construction for parameter sweeps: `t2_root_hints` are the
+  /// `t2_root_hints` warm-start the t2 solve in parameter sweeps: the
   /// t2-region roots (see t2_roots()) of a game at nearby parameters.  The
-  /// hints only accelerate the root isolation -- each hinted root is
-  /// re-bracketed locally, Brent-polished on this game's own indifference
-  /// function, and cross-checked by a coarse verification scan; on any
-  /// mismatch the solver falls back to the full cold scan.  Results agree
-  /// with the cold constructor to solver tolerance (~1e-12).
+  /// hints only accelerate the root isolation (sign_region.hpp) -- each
+  /// hinted root is re-bracketed locally, Brent-polished on this game's own
+  /// indifference function, and cross-checked by a coarse verification
+  /// scan; on any mismatch, and without hints, the solver runs the full cold
+  /// scan.  Warm and cold results agree to solver tolerance (~1e-12).
+  /// @throws std::invalid_argument on invalid params or p_star <= 0.
   BasicGame(const SwapParams& params, double p_star,
-            const std::vector<double>& t2_root_hints);
+            const std::vector<double>& t2_root_hints = {});
 
   [[nodiscard]] const SwapParams& params() const noexcept { return params_; }
   [[nodiscard]] double p_star() const noexcept { return p_star_; }
@@ -73,8 +74,8 @@ class BasicGame {
   [[nodiscard]] const math::IntervalSet& bob_t2_region() const noexcept {
     return t2_region_;
   }
-  /// The sorted indifference roots defining bob_t2_region(); feed these to
-  /// the warm-start constructor of a game at nearby parameters.
+  /// The sorted indifference roots defining bob_t2_region(); pass them as
+  /// the hints of a game at nearby parameters.
   [[nodiscard]] const std::vector<double>& t2_roots() const noexcept {
     return t2_roots_;
   }
@@ -101,7 +102,7 @@ class BasicGame {
 
  private:
   void compute_t3_cutoff();
-  void compute_t2_region(const std::vector<double>* hints);
+  void compute_t2_region(const std::vector<double>& hints);
   [[nodiscard]] double compute_alice_t1_cont() const;
   [[nodiscard]] double compute_bob_t1_cont() const;
   [[nodiscard]] double compute_success_rate() const;
@@ -118,16 +119,8 @@ class BasicGame {
   math::CachedDouble success_rate_cache_;
 };
 
-/// Alice's feasible exchange-rate band (P*_lo, P*_hi) at t1: the set of
-/// rates for which she initiates (Eq. (29) reports (1.5, 2.5) at Table III
-/// defaults).  Found by root-scanning alice_t1_cont(P*) - P* over
-/// [scan_lo, scan_hi].
-struct FeasibleBand {
-  bool viable = false;  ///< false when no rate makes Alice initiate
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
+/// Alice's feasible exchange-rate band (FeasibleBand, sign_region.hpp):
+/// the sign changes of alice_t1_cont(P*) - P* over [scan_lo, scan_hi].
 [[nodiscard]] FeasibleBand alice_feasible_band(const SwapParams& params,
                                                double scan_lo = 0.05,
                                                double scan_hi = 10.0,

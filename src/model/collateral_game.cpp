@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <limits>
-#include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "math/gbm.hpp"
 #include "math/quadrature.hpp"
-#include "math/roots.hpp"
+#include "solver_cache.hpp"
 
 namespace swapgame::model {
 
@@ -27,18 +22,6 @@ constexpr int kWarmVerifySamples = 513;
 }  // namespace
 
 CollateralGame::CollateralGame(const SwapParams& params, double p_star,
-                               double collateral)
-    : params_(params), p_star_(p_star), q_(collateral),
-      basic_(params, p_star) {
-  if (!(collateral >= 0.0) || !std::isfinite(collateral)) {
-    throw std::invalid_argument(
-        "CollateralGame: collateral must be >= 0 and finite");
-  }
-  compute_t3_cutoff();
-  compute_t2_region(nullptr);
-}
-
-CollateralGame::CollateralGame(const SwapParams& params, double p_star,
                                double collateral,
                                const std::vector<double>& basic_t2_root_hints,
                                const std::vector<double>& t2_root_hints)
@@ -49,7 +32,7 @@ CollateralGame::CollateralGame(const SwapParams& params, double p_star,
         "CollateralGame: collateral must be >= 0 and finite");
   }
   compute_t3_cutoff();
-  compute_t2_region(&t2_root_hints);
+  compute_t2_region(t2_root_hints);
 }
 
 // ---------------------------------------------------------------- t3 stage
@@ -125,46 +108,16 @@ double CollateralGame::bob_t2_stop(double p_t2) const {
   return p_t2;
 }
 
-void CollateralGame::compute_t2_region(const std::vector<double>* hints) {
+void CollateralGame::compute_t2_region(const std::vector<double>& hints) {
   // Roots of bob_t2_cont(p) - p.  With Q > 0 the gap is positive as p -> 0
   // (recovering 2 discounted Q beats keeping a worthless token) and
   // negative as p -> inf, so there is an odd number of crossings (Fig. 7).
-  // Strict-preference tie-break: cont must beat stop by a scale-relative
-  // margin.  Guards against the degenerate mu == r_B regime where the gap
-  // is identically zero near p = 0 and floating-point dither would
-  // otherwise fabricate spurious crossings.
-  const auto raw_gap = [this](double p) {
-    return bob_t2_cont(p) - bob_t2_stop(p);
-  };
-  const double scan_hi =
-      10.0 * std::max({p_star_, params_.p_t0, t3_cutoff_, q_});
-  // Scale-relative lower scan bound: keeps the grid resolution
-  // proportional to the price scale (scale-invariance tests pin this).
-  const double scan_lo = 1e-7 * scan_hi;
-  const double tie = 1e-10 * scan_hi;
-  const auto gap = [&raw_gap, tie](double p) { return raw_gap(p) - tie; };
-  std::optional<std::vector<double>> warm;
-  if (hints != nullptr && !hints->empty()) {
-    warm = math::find_all_roots_warm(gap, scan_lo, scan_hi, *hints,
-                                     kWarmVerifySamples);
-  }
-  t2_roots_ = warm ? std::move(*warm)
-                   : math::find_all_roots(gap, scan_lo, scan_hi,
-                                          kRegionScanSamples);
-  const bool starts_inside = gap(scan_lo) > 0.0;
-  t2_region_ = math::IntervalSet::from_alternating_roots(
-      t2_roots_, 0.0, std::numeric_limits<double>::infinity(), starts_inside);
-  // The unbounded last piece is "inside" only if the gap is positive there;
-  // with an even root count and starts_inside (or odd and !starts_inside)
-  // the alternation already encodes that, and the gap is always negative at
-  // +inf, so the final piece can only be inside if the root scan missed a
-  // crossing beyond scan_hi.  Guard by trimming an unbounded inside piece
-  // at scan_hi (tests assert this never fires at paper-scale parameters).
-  if (!t2_region_.empty() && std::isinf(t2_region_.intervals().back().hi)) {
-    std::vector<math::Interval> trimmed = t2_region_.intervals();
-    trimmed.back().hi = scan_hi;
-    t2_region_ = math::IntervalSet(std::move(trimmed));
-  }
+  SignRegion solved = sign_region(
+      [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
+      ScanWindow::prices(std::max({p_star_, params_.p_t0, t3_cutoff_, q_})),
+      kRegionScanSamples, hints, kWarmVerifySamples);
+  t2_roots_ = std::move(solved.roots);
+  t2_region_ = std::move(solved.set);
 }
 
 Action CollateralGame::bob_decision_t2(double p_t2) const {
@@ -278,16 +231,8 @@ double CollateralGame::compute_success_rate() const {
 }
 
 double CollateralGame::bob_t2_cont_probability() const {
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  double prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    prob += std::isinf(iv.hi) ? law_a.survival(lo)
-                              : law_a.cdf(iv.hi) - law_a.cdf(lo);
-  }
-  return std::min(1.0, std::max(0.0, prob));
+  return region_probability(
+      math::GbmLaw(params_.gbm, params_.p_t0, params_.tau_a), t2_region_);
 }
 
 // ------------------------------------------------------------- free helpers
@@ -295,45 +240,23 @@ double CollateralGame::bob_t2_cont_probability() const {
 CollateralViability collateral_viable_rates(const SwapParams& params,
                                             double collateral, double scan_lo,
                                             double scan_hi, int scan_samples) {
-  params.validate();
   // Alice's and Bob's gap functions are scanned over the same P* grid, and
-  // consecutive evaluations sit close together: share one warm-chained,
-  // memoized game per P* so each (P*, Q) is solved exactly once across both
-  // scans instead of cold twice.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const CollateralGame>>
-      memo;
-  std::vector<double> last_basic_roots;
-  std::vector<double> last_roots;
-  const auto game_at = [&](double p_star) {
-    std::uint64_t key = 0;
-    static_assert(sizeof(key) == sizeof(p_star));
-    std::memcpy(&key, &p_star, sizeof(key));
-    if (const auto it = memo.find(key); it != memo.end()) return it->second;
-    auto g = std::make_shared<const CollateralGame>(
-        params, p_star, collateral, last_basic_roots, last_roots);
-    last_basic_roots = g->basic().t2_roots();
-    last_roots = g->t2_roots();
-    memo.emplace(key, g);
-    return g;
-  };
+  // consecutive evaluations sit close together: one warm-chained, memoizing
+  // sweeper solves each (P*, Q) exactly once across both scans.  Each
+  // scan's closing gap(scan_lo) is a memo hit (the scan starts there), so
+  // the chain of solves is Alice's scan, then Bob's.
+  CollateralGameSweeper sweeper(params);
   const auto alice_gap = [&](double p_star) {
-    const auto g = game_at(p_star);
+    const auto g = sweeper.at(p_star, collateral);
     return g->alice_t1_cont() - g->alice_t1_stop();
   };
   const auto bob_gap = [&](double p_star) {
-    const auto g = game_at(p_star);
+    const auto g = sweeper.at(p_star, collateral);
     return g->bob_t1_cont() - g->bob_t1_stop();
   };
-  const std::vector<double> a_roots =
-      math::find_all_roots(alice_gap, scan_lo, scan_hi, scan_samples);
-  const std::vector<double> b_roots =
-      math::find_all_roots(bob_gap, scan_lo, scan_hi, scan_samples);
-
   CollateralViability v;
-  v.alice = math::IntervalSet::from_alternating_roots(
-      a_roots, scan_lo, scan_hi, alice_gap(scan_lo) > 0.0);
-  v.bob = math::IntervalSet::from_alternating_roots(
-      b_roots, scan_lo, scan_hi, bob_gap(scan_lo) > 0.0);
+  v.alice = positive_set(alice_gap, scan_lo, scan_hi, scan_samples);
+  v.bob = positive_set(bob_gap, scan_lo, scan_hi, scan_samples);
   v.both = v.alice.intersect(v.bob);
   return v;
 }

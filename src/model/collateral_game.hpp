@@ -11,7 +11,8 @@
 //  * Bob's t2 continuation region becomes an odd-root interval set
 //    (1 or 3 indifference points -- Fig. 7): for very low prices Bob
 //    continues *to recover his collateral* even though the swap is likely
-//    to fail at t3.
+//    to fail at t3.  It is solved by the model's one sign-region routine
+//    (sign_region.hpp), like every other game's.
 //
 // At t1 both agents decide simultaneously; the rate is viable only if each
 // agent's cont utility beats stop (the paper prints the union of the two
@@ -32,18 +33,17 @@ namespace swapgame::model {
 /// Backward induction for the collateralized game at one (params, P_star, Q).
 class CollateralGame {
  public:
+  /// The hints warm-start the t2 solves in parameter sweeps: the t2-region
+  /// roots of the embedded basic game and of this game at nearby parameters
+  /// (see t2_roots()).  Hints only accelerate root isolation
+  /// (sign_region.hpp) -- every hinted root is re-polished on this game's own
+  /// indifference function and structurally verified, with a cold-scan
+  /// fallback -- so results agree with a cold solve to solver tolerance
+  /// (~1e-12).
   /// @throws std::invalid_argument on invalid params, p_star <= 0 or Q < 0.
-  CollateralGame(const SwapParams& params, double p_star, double collateral);
-
-  /// Warm-started construction for parameter sweeps: hints are the
-  /// t2-region roots of the embedded basic game and of this game at nearby
-  /// parameters (see t2_roots()).  Hints only accelerate root isolation --
-  /// every hinted root is re-polished on this game's own indifference
-  /// function and structurally verified, with a cold-scan fallback -- so
-  /// results agree with the cold constructor to solver tolerance (~1e-12).
   CollateralGame(const SwapParams& params, double p_star, double collateral,
-                 const std::vector<double>& basic_t2_root_hints,
-                 const std::vector<double>& t2_root_hints);
+                 const std::vector<double>& basic_t2_root_hints = {},
+                 const std::vector<double>& t2_root_hints = {});
 
   [[nodiscard]] const SwapParams& params() const noexcept { return params_; }
   [[nodiscard]] double p_star() const noexcept { return p_star_; }
@@ -71,8 +71,8 @@ class CollateralGame {
   [[nodiscard]] const math::IntervalSet& bob_t2_region() const noexcept {
     return t2_region_;
   }
-  /// The sorted indifference roots defining bob_t2_region(); feed these to
-  /// the warm-start constructor of a game at nearby parameters.
+  /// The sorted indifference roots defining bob_t2_region(); pass them as
+  /// the hints of a game at nearby parameters.
   [[nodiscard]] const std::vector<double>& t2_roots() const noexcept {
     return t2_roots_;
   }
@@ -99,7 +99,7 @@ class CollateralGame {
 
  private:
   void compute_t3_cutoff();
-  void compute_t2_region(const std::vector<double>* hints);
+  void compute_t2_region(const std::vector<double>& hints);
   [[nodiscard]] double compute_alice_t1_cont() const;
   [[nodiscard]] double compute_bob_t1_cont() const;
   [[nodiscard]] double compute_success_rate() const;

@@ -2,10 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "math/gbm.hpp"
-#include "math/roots.hpp"
 
 namespace swapgame::model {
 
@@ -79,15 +77,7 @@ FeasibleBand commitment_feasible_band(const SwapParams& params, double scan_lo,
     const CommitmentGame game(params, p_star);
     return game.alice_t1_cont() - game.alice_t1_stop();
   };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, scan_samples);
-  FeasibleBand band;
-  if (roots.size() >= 2) {
-    band.viable = true;
-    band.lo = roots.front();
-    band.hi = roots.back();
-  }
-  return band;
+  return feasible_band(gap, scan_lo, scan_hi, scan_samples);
 }
 
 }  // namespace swapgame::model

@@ -66,7 +66,8 @@ class CommitmentGame {
   double bob_hi_ = 0.0;
 };
 
-/// Alice's feasible rate band under the commitment protocol.
+/// Alice's feasible rate band under the commitment protocol
+/// (sign_region.hpp).
 [[nodiscard]] FeasibleBand commitment_feasible_band(const SwapParams& params,
                                                     double scan_lo = 0.05,
                                                     double scan_hi = 10.0,

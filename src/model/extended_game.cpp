@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "math/gbm.hpp"
 #include "math/quadrature.hpp"
-#include "math/roots.hpp"
 
 namespace swapgame::model {
 
@@ -98,30 +96,11 @@ double ExtendedGame::bob_t2_cont(double p_t2) const {
 double ExtendedGame::bob_t2_stop(double p_t2) const { return p_t2; }
 
 void ExtendedGame::compute_t2_region() {
-  // Strict-preference tie-break: cont must beat stop by a scale-relative
-  // margin.  Guards against the degenerate mu == r_B regime where the gap
-  // is identically zero near p = 0 and floating-point dither would
-  // otherwise fabricate spurious crossings.
-  const auto raw_gap = [this](double p) {
+  const auto gap = [this](double p) {
     return bob_t2_cont(p) - bob_t2_stop(p);
   };
-  const double scan_hi =
-      10.0 * std::max({p_star_, params_.base.p_t0, t3_cutoff_});
-  // Scale-relative lower scan bound: keeps the grid resolution
-  // proportional to the price scale (scale-invariance tests pin this).
-  const double scan_lo = 1e-7 * scan_hi;
-  const double tie = 1e-10 * scan_hi;
-  const auto gap = [&raw_gap, tie](double p) { return raw_gap(p) - tie; };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, 2048);
-  const bool starts_inside = gap(scan_lo) > 0.0;
-  t2_region_ = math::IntervalSet::from_alternating_roots(
-      roots, 0.0, std::numeric_limits<double>::infinity(), starts_inside);
-  if (!t2_region_.empty() && std::isinf(t2_region_.intervals().back().hi)) {
-    std::vector<math::Interval> trimmed = t2_region_.intervals();
-    trimmed.back().hi = scan_hi;
-    t2_region_ = math::IntervalSet(std::move(trimmed));
-  }
+  const double scale = std::max({p_star_, params_.base.p_t0, t3_cutoff_});
+  t2_region_ = sign_region(gap, ScanWindow::prices(scale), 2048).set;
 }
 
 std::optional<math::Interval> ExtendedGame::bob_t2_band() const noexcept {
@@ -212,15 +191,7 @@ FeasibleBand extended_feasible_band(const ExtendedParams& params,
     const ExtendedGame game(params, p_star);
     return game.alice_t1_cont() - game.alice_t1_stop();
   };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, scan_samples);
-  FeasibleBand band;
-  if (roots.size() >= 2) {
-    band.viable = true;
-    band.lo = roots.front();
-    band.hi = roots.back();
-  }
-  return band;
+  return feasible_band(gap, scan_lo, scan_hi, scan_samples);
 }
 
 }  // namespace swapgame::model

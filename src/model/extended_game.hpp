@@ -20,7 +20,8 @@
 // by tests).  Because the stage branches now mix token-a- and token-b-
 // denominated flows with different rates, utilities are computed by
 // discounting each receipt from the decision anchor at its own asset rate
-// rather than composing stage values.
+// rather than composing stage values.  Bob's t2 region and Alice's band come
+// from the shared sign-region solver (sign_region.hpp).
 #pragma once
 
 #include <optional>

@@ -1,13 +1,9 @@
 #include "negotiation.hpp"
 
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <stdexcept>
-#include <vector>
 
-#include "math/roots.hpp"
 #include "solver_cache.hpp"
 
 namespace swapgame::model {
@@ -24,19 +20,6 @@ const char* to_string(BargainingRule rule) noexcept {
   return "unknown";
 }
 
-namespace {
-
-math::IntervalSet acceptable_set(const std::function<double(double)>& gap,
-                                 double scan_lo, double scan_hi,
-                                 int scan_samples) {
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, scan_samples);
-  return math::IntervalSet::from_alternating_roots(roots, scan_lo, scan_hi,
-                                                   gap(scan_lo) > 0.0);
-}
-
-}  // namespace
-
 NegotiationResult negotiate_rate(const SwapParams& params, BargainingRule rule,
                                  double scan_lo, double scan_hi,
                                  int scan_samples, int grid) {
@@ -49,13 +32,13 @@ NegotiationResult negotiate_rate(const SwapParams& params, BargainingRule rule,
   // rate once instead of cold three times.
   BasicGameSweeper sweeper(params);
   NegotiationResult result;
-  result.alice_acceptable = acceptable_set(
+  result.alice_acceptable = positive_set(
       [&](double p) {
         const auto g = sweeper.at(p);
         return g->alice_t1_cont() - g->alice_t1_stop();
       },
       scan_lo, scan_hi, scan_samples);
-  result.bob_acceptable = acceptable_set(
+  result.bob_acceptable = positive_set(
       [&](double p) {
         const auto g = sweeper.at(p);
         return g->bob_t1_cont() - g->bob_t1_stop();

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "math/gbm.hpp"
 #include "math/quadrature.hpp"
-#include "math/roots.hpp"
 
 namespace swapgame::model {
 
@@ -100,30 +98,12 @@ double PremiumGame::bob_t2_stop(double p_t2) const {
 }
 
 void PremiumGame::compute_t2_region() {
-  // Strict-preference tie-break: cont must beat stop by a scale-relative
-  // margin.  Guards against the degenerate mu == r_B regime where the gap
-  // is identically zero near p = 0 and floating-point dither would
-  // otherwise fabricate spurious crossings.
-  const auto raw_gap = [this](double p) {
+  const auto gap = [this](double p) {
     return bob_t2_cont(p) - bob_t2_stop(p);
   };
-  const double scan_hi =
-      10.0 * std::max({p_star_, params_.p_t0, t3_cutoff_, pr_});
-  // Scale-relative lower scan bound: keeps the grid resolution
-  // proportional to the price scale (scale-invariance tests pin this).
-  const double scan_lo = 1e-7 * scan_hi;
-  const double tie = 1e-10 * scan_hi;
-  const auto gap = [&raw_gap, tie](double p) { return raw_gap(p) - tie; };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, kRegionScanSamples);
-  const bool starts_inside = gap(scan_lo) > 0.0;
-  t2_region_ = math::IntervalSet::from_alternating_roots(
-      roots, 0.0, std::numeric_limits<double>::infinity(), starts_inside);
-  if (!t2_region_.empty() && std::isinf(t2_region_.intervals().back().hi)) {
-    std::vector<math::Interval> trimmed = t2_region_.intervals();
-    trimmed.back().hi = scan_hi;
-    t2_region_ = math::IntervalSet(std::move(trimmed));
-  }
+  const double scale = std::max({p_star_, params_.p_t0, t3_cutoff_, pr_});
+  t2_region_ =
+      sign_region(gap, ScanWindow::prices(scale), kRegionScanSamples).set;
 }
 
 Action PremiumGame::bob_decision_t2(double p_t2) const {
@@ -219,10 +199,7 @@ math::IntervalSet premium_viable_rates(const SwapParams& params,
     const PremiumGame g(params, p_star, premium);
     return g.alice_t1_cont() - g.alice_t1_stop();
   };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, scan_samples);
-  return math::IntervalSet::from_alternating_roots(roots, scan_lo, scan_hi,
-                                                   gap(scan_lo) > 0.0);
+  return positive_set(gap, scan_lo, scan_hi, scan_samples);
 }
 
 }  // namespace swapgame::model

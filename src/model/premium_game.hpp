@@ -19,7 +19,8 @@
 //          * max(P* e^{-r^A (eps_b + 2 tau_a)} - pr e^{-r^A tau_a}, 0)
 // and Bob's t2 continuation region is again an odd-root interval set: for
 // near-worthless token-b Bob locks anyway, *hoping* Alice aborts so he
-// harvests the premium.
+// harvests the premium.  The region and the viable rates come from the
+// shared sign-region solver (sign_region.hpp).
 #pragma once
 
 #include "basic_game.hpp"

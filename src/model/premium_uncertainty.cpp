@@ -8,7 +8,7 @@
 #include "basic_game.hpp"
 #include "math/gbm.hpp"
 #include "math/quadrature.hpp"
-#include "math/roots.hpp"
+#include "sign_region.hpp"
 
 namespace swapgame::model {
 
@@ -89,8 +89,8 @@ double UncertainPremiumGame::bob_t2_cont_bayes(double p_t2) const {
 
 std::optional<math::Interval> UncertainPremiumGame::band_for_bob(
     double alpha_b) const {
-  // Same construction as BasicGame::compute_t2_band but with the Bayesian
-  // continuation value and a hypothetical alpha^B.
+  // Same solve as BasicGame's t2 region (sign_region.hpp) but with the
+  // Bayesian continuation value and a hypothetical alpha^B.
   SwapParams p = params_;
   p.bob.alpha = alpha_b;
   const UncertainPremiumGame* self = this;
@@ -111,13 +111,12 @@ std::optional<math::Interval> UncertainPremiumGame::band_for_bob(
     }
     return value * std::exp(-p.bob.r * p.tau_b) - price;
   };
-  const double scan_hi = 10.0 * std::max(p_star_, params_.p_t0);
-  // Same strict-preference tie-break as the complete-information solvers,
+  // The complete-information solvers' window and strict-preference margin,
   // so the degenerate-equality regimes and SR comparisons line up.
-  const double tie = 1e-10 * scan_hi;
-  const auto tied_gap = [&gap, tie](double price) { return gap(price) - tie; };
   const std::vector<double> roots =
-      math::find_all_roots(tied_gap, 1e-7 * scan_hi, scan_hi, 2048);
+      sign_region(gap, ScanWindow::prices(std::max(p_star_, params_.p_t0)),
+                  2048)
+          .roots;
   if (roots.size() < 2) return std::nullopt;
   return math::Interval{roots.front(), roots.back()};
 }

@@ -5,8 +5,8 @@
 // roots over a 2048/4096-sample scan -- the dominant cost of regenerating
 // the paper's artifacts.  Neighbouring grid points have nearly identical
 // root structure, so a sweep can warm-start each solve from the previous
-// point's roots (see BasicGame's warm constructor) and memoize games that
-// several scans query at the same rate.
+// point's roots (BasicGame's root hints, sign_region.hpp) and memoize games
+// that several scans query at the same rate.
 //
 // The sweepers below are deliberately NOT thread-safe: a parallel sweep
 // creates one sweeper per worker chunk (grid points inside a chunk are

@@ -8,7 +8,6 @@
 
 #include "math/gbm.hpp"
 #include "math/quadrature.hpp"
-#include "math/roots.hpp"
 
 namespace swapgame::model {
 
@@ -108,13 +107,13 @@ double StrategyEvaluator::alice_best_response_cutoff() const {
 
 math::IntervalSet StrategyEvaluator::bob_best_response(
     double alice_cutoff) const {
-  const auto gap = [&](double p) { return bob_t2_value(p, alice_cutoff) - p; };
+  // No strict-preference margin, and a fixed lower scan end.
   const double scan_hi =
       10.0 * std::max({p_star_, params_.p_t0, alice_cutoff});
-  const std::vector<double> roots =
-      math::find_all_roots(gap, 1e-9, scan_hi, 2048);
-  return math::IntervalSet::from_alternating_roots(roots, 0.0, scan_hi,
-                                                   gap(1e-9) > 0.0);
+  return sign_region(
+             [&](double p) { return bob_t2_value(p, alice_cutoff) - p; },
+             {.domain_lo = 0.0, .lo = 1e-9, .hi = scan_hi}, 2048)
+      .set;
 }
 
 ThresholdProfile StrategyEvaluator::equilibrium() const {

@@ -62,7 +62,8 @@ class StrategyEvaluator {
   [[nodiscard]] double alice_best_response_cutoff() const;
 
   /// Bob's best-response region to a given Alice cutoff: the set where his
-  /// continuation value (under that cutoff) exceeds keeping the token.
+  /// continuation value (under that cutoff) exceeds keeping the token
+  /// (sign_region.hpp, with no strict-preference margin).
   [[nodiscard]] math::IntervalSet bob_best_response(double alice_cutoff) const;
 
   /// The backward-induction equilibrium profile (from BasicGame).
