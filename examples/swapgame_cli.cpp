@@ -1,6 +1,6 @@
 // swapgame CLI: one-stop analyzer for an HTLC atomic swap.
 //
-//   $ ./swapgame_cli --p-star 2.0 --sigma 0.1 --mechanism collateral \
+//   $ ./swapgame_cli --p-star 2.0 --sigma 0.1 --mechanism collateral
 //                    --deposit 0.5 --mc 2000
 //
 // Flags (all optional; defaults are Table III):

@@ -45,7 +45,7 @@ struct Stamp {
 struct IntentRec {
   Stamp stamp;
   int stage = 0;
-  chain::TxPayload payload;
+  chain::TxPayload payload{};
   double fee = 0.0;
   double deadline = 0.0;
 };

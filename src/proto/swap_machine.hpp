@@ -160,8 +160,8 @@ struct SwapEnv {
   AuditLog* audit = nullptr;  ///< nullptr = no audit lines
   /// The Section IV oracle and the Han et al. premium escrow (and its
   /// settlement) of the one 2-cycle on this clock (a DirectRun's).
-  std::optional<CollateralOracle> oracle;
-  TrackedTx premium[2];
+  std::optional<CollateralOracle> oracle{};
+  TrackedTx premium[2]{};
 };
 
 /// One swap's state.  The graph's spans, its strategies and the

@@ -31,7 +31,7 @@ struct ScenarioPoint {
   /// Fault environment for the protocol runs of this cell (default: none,
   /// i.e. the paper's assumption-1 substrate).  The analytic column always
   /// reflects the fault-free model.
-  proto::SwapFaults faults;
+  proto::SwapFaults faults{};
 };
 
 /// Per-cell results.

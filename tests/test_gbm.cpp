@@ -79,8 +79,8 @@ TEST(GbmLaw, QuantileRoundTrips) {
   }
   EXPECT_EQ(law.quantile(0.0), 0.0);
   EXPECT_TRUE(std::isinf(law.quantile(1.0)));
-  EXPECT_THROW(law.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW(law.quantile(1.0001), std::invalid_argument);
+  EXPECT_THROW((void)law.quantile(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)law.quantile(1.0001), std::invalid_argument);
 }
 
 TEST(GbmLaw, MedianIsLogMeanExp) {

@@ -215,7 +215,7 @@ TEST(IntervalSet, IntegratePiecewise) {
 
 TEST(IntervalSet, IntegrateUnboundedPieceRequiresTailIntegrator) {
   const IntervalSet set({{1.0, kInf}});
-  EXPECT_THROW(set.integrate([](double, double) { return 0.0; }),
+  EXPECT_THROW((void)set.integrate([](double, double) { return 0.0; }),
                std::invalid_argument);
   const double total = set.integrate(
       [](double, double) { return 0.0; },

@@ -41,11 +41,12 @@ TEST(Integrate, ReversedBoundsFlipSign) {
 
 TEST(Integrate, RejectsNonFiniteBounds) {
   EXPECT_THROW(
-      integrate([](double) { return 0.0; }, 0.0,
-                std::numeric_limits<double>::infinity()),
+      (void)integrate([](double) { return 0.0; }, 0.0,
+                      std::numeric_limits<double>::infinity()),
       std::invalid_argument);
-  EXPECT_THROW(integrate([](double) { return 0.0; }, std::nan(""), 1.0),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)integrate([](double) { return 0.0; }, std::nan(""), 1.0),
+      std::invalid_argument);
 }
 
 TEST(Integrate, NarrowSpikeIsCaptured) {
@@ -82,8 +83,9 @@ TEST(IntegrateToInfinity, ShiftedExponential) {
 }
 
 TEST(IntegrateToInfinity, RejectsNonFiniteLowerBound) {
-  EXPECT_THROW(integrate_to_infinity([](double) { return 0.0; },
-                                     std::numeric_limits<double>::infinity()),
+  EXPECT_THROW((void)integrate_to_infinity(
+                   [](double) { return 0.0; },
+                   std::numeric_limits<double>::infinity()),
                std::invalid_argument);
 }
 
@@ -100,9 +102,10 @@ TEST(GaussLegendre, ExactOnHighDegreePolynomials) {
 }
 
 TEST(GaussLegendre, ClampsPanelsAndValidatesBounds) {
-  EXPECT_NO_THROW(gauss_legendre([](double) { return 1.0; }, 0.0, 1.0, 0));
-  EXPECT_THROW(gauss_legendre([](double) { return 1.0; }, 0.0,
-                              std::numeric_limits<double>::infinity()),
+  EXPECT_NO_THROW(
+      (void)gauss_legendre([](double) { return 1.0; }, 0.0, 1.0, 0));
+  EXPECT_THROW((void)gauss_legendre([](double) { return 1.0; }, 0.0,
+                                    std::numeric_limits<double>::infinity()),
                std::invalid_argument);
 }
 
