@@ -45,7 +45,9 @@ class Xoshiro256 {
   /// long_jump offset (2^192), so lanes and streams stay disjoint.
   void jump() noexcept;
 
-  /// Returns a copy advanced by `n` long jumps (stream #n for worker n).
+  /// Returns a copy advanced by `n` long jumps: the reference definition
+  /// of Monte-Carlo chunk n's stream (sim::detail::adaptive_parallel_mc
+  /// derives the same streams incrementally, one long_jump per chunk).
   [[nodiscard]] Xoshiro256 stream(unsigned n) const noexcept;
 
   /// Raw state access for the block generators (simd_dag.hpp), which step

@@ -112,9 +112,7 @@ void apply_counts(const math::simd::ZEvalCounts& c, std::size_t n,
 }
 
 void run_vr_chunk(const ZKernel& k, const McConfig& config,
-                  const math::Xoshiro256& base_rng, std::size_t chunk,
-                  std::size_t count, VrPartial& out) {
-  math::Xoshiro256 rng = base_rng.stream(static_cast<unsigned>(chunk));
+                  math::Xoshiro256& rng, std::size_t count, VrPartial& out) {
   // SoA draw/observation buffers, reused across the chunks a worker
   // executes.
   thread_local std::vector<double> z2_buf;
@@ -182,7 +180,6 @@ VrEstimate run_batched(const model::SwapParams& params,
   }
 
   const ZKernel kernel = ZKernel::build(params, region, cutoff);
-  const math::Xoshiro256 base_rng(config.seed);
   VrPartial merged;
   const auto should_stop = [&config](const VrPartial& m, std::size_t done) {
     if (config.target_half_width <= 0.0) return false;
@@ -196,10 +193,9 @@ VrEstimate run_batched(const model::SwapParams& params,
       config.target_half_width > 0.0 ? detail::kVrRoundChunks : 0;
   const detail::DriverResult run = detail::adaptive_parallel_mc(
       config.samples, detail::kModelMcChunk, config.threads, round_chunks,
-      merged,
-      [&](std::size_t chunk, std::size_t, std::size_t count, VrPartial& out) {
-        run_vr_chunk(kernel, config, base_rng, chunk, count, out);
-      },
+      math::Xoshiro256(config.seed), merged,
+      [&](std::size_t, std::size_t count, math::Xoshiro256& rng,
+          VrPartial& out) { run_vr_chunk(kernel, config, rng, count, out); },
       should_stop);
   est.mc = merged.mc;
   est.acc = merged.acc;

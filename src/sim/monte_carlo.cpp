@@ -81,7 +81,6 @@ McEstimate detail::protocol_mc(const proto::SwapSetup& setup,
   setup.params.validate();
   const model::Schedule schedule =
       model::idealized_schedule(setup.params, 0.0);
-  const math::Xoshiro256 base_rng(config.seed);
 
   // Adaptive stopping gates on the Wilson half-width of the UNCONDITIONAL
   // success proportion (the quantity every bench reports).  The predicate
@@ -100,10 +99,9 @@ McEstimate detail::protocol_mc(const proto::SwapSetup& setup,
   McEstimate merged;
   detail::adaptive_parallel_mc(
       config.samples, detail::kProtocolMcChunk, config.threads, round_chunks,
-      merged,
-      [&](std::size_t chunk, std::size_t first, std::size_t count,
+      math::Xoshiro256(config.seed), merged,
+      [&](std::size_t first, std::size_t count, math::Xoshiro256& rng,
           McEstimate& out) {
-        math::Xoshiro256 rng = base_rng.stream(static_cast<unsigned>(chunk));
         // Per-CHUNK workspace: one SwapSetup copy per chunk instead of per
         // sample; only the per-sample seeds and the trace pointer mutate
         // inside the loop.

@@ -5,7 +5,8 @@
 //    both, fixed-budget and CI-adaptive) agrees with the analytic
 //    P(success) within its own confidence interval at fixed seeds;
 //  * estimates are bit-identical at threads=1 and threads=8, including
-//    under adaptive stopping (the stop rule only sees merged rounds);
+//    under adaptive stopping (the stop rule only sees merged rounds), and
+//    adaptive_parallel_mc hands chunk c the stream base.stream(c);
 //  * the inverse-CDF draw is monotone in the underlying uniform and
 //    antisymmetric under u -> 1-u -- the properties common random numbers
 //    and antithetic pairing rely on;
@@ -17,8 +18,10 @@
 //  * ControlVariateAccumulator::merge is exact (streamed == merged halves).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -206,6 +209,46 @@ TEST(VrEstimators, ProtocolAdaptiveBitIdenticalAcrossThreadCounts) {
   // Adaptive stopping engaged: fewer samples than the cap, above the floor.
   EXPECT_LT(a.success.trials(), cfg.samples);
   EXPECT_GE(a.success.trials(), cfg.min_samples);
+}
+
+TEST(McDriver, ChunkStreamsAreTheReferenceStreams) {
+  // adaptive_parallel_mc derives each chunk's stream incrementally;
+  // whatever the round boundaries and the worker count, chunk c must get
+  // exactly base.stream(c), the stream the determinism contract is stated
+  // in.
+  struct Seen {
+    std::vector<std::size_t> chunks;
+    std::vector<std::array<std::uint64_t, 4>> states;
+    void merge(const Seen& other) {
+      chunks.insert(chunks.end(), other.chunks.begin(), other.chunks.end());
+      states.insert(states.end(), other.states.begin(), other.states.end());
+    }
+  };
+  constexpr std::size_t kChunks = 600;
+  constexpr std::size_t kChunkSize = 3;
+  const math::Xoshiro256 base(0x5EED);
+  std::vector<std::array<std::uint64_t, 4>> reference;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    reference.push_back(base.stream(static_cast<unsigned>(c)).state());
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    Seen seen;
+    const detail::DriverResult run = detail::adaptive_parallel_mc(
+        kChunks * kChunkSize - 1, kChunkSize, threads, /*round_chunks=*/7,
+        base, seen,
+        [](std::size_t first, std::size_t, math::Xoshiro256& rng, Seen& out) {
+          out.chunks.push_back(first / kChunkSize);
+          out.states.push_back(rng.state());
+        },
+        [](const Seen&, std::size_t) { return false; });
+    EXPECT_EQ(run.rounds, (kChunks + 6) / 7) << "threads=" << threads;
+    ASSERT_EQ(seen.chunks.size(), kChunks) << "threads=" << threads;
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      ASSERT_EQ(seen.chunks[c], c) << "threads=" << threads;
+      ASSERT_EQ(seen.states[c], reference[c])
+          << "threads=" << threads << " chunk=" << c;
+    }
+  }
 }
 
 // --- adaptive stopping ----------------------------------------------------
