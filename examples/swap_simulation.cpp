@@ -9,6 +9,8 @@
 //
 //   $ ./swap_simulation
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "agents/rational.hpp"
 #include "proto/swap_protocol.hpp"
@@ -40,9 +42,11 @@ void run_scenario(const char* title, double collateral,
         agents::Role::kBob, setup.params, setup.p_star);
   }
 
+  std::vector<std::string> audit;
+  setup.audit_log = &audit;
   const proto::SwapResult r = proto::run_swap(setup, *alice, *bob, path);
 
-  for (const std::string& line : r.audit) std::printf("  %s\n", line.c_str());
+  for (const std::string& line : audit) std::printf("  %s\n", line.c_str());
   std::printf("  outcome: %s\n", to_string(r.outcome));
   std::printf("  alice: %.3f token-a, %.3f token-b (receipt t=%.1fh)\n",
               r.alice.final_token_a, r.alice.final_token_b,

@@ -46,16 +46,17 @@ MultihopResult run_multihop_swap(const MultihopSetup& setup,
         {{chain::ChainId::kChainA, setup.tau, setup.eps}, hop.amount, 0.0});
   }
   // The run environment: no faults, auditing or tracing; decision contexts
-  // carry no agreed rate.
+  // carry no agreed rate.  Step lines go straight into the result.
+  MultihopResult result;
   SwapSetup env;
   env.audit = false;
+  env.audit_log = &result.audit;
   DirectRun run(
       {.legs = legs, .parties = parties, .secret_seed = setup.secret_seed},
       chains, env, path);
   run.run();
   const SwapMachine& machine = run.machine();
 
-  MultihopResult result;
   result.outcome = machine.outcome();
   result.conservation_ok = run.conservation_ok();
   result.paid.resize(n);
@@ -71,7 +72,6 @@ MultihopResult run_multihop_swap(const MultihopSetup& setup,
     result.paid[i] = setup.parties[i].amount - run.balance(i, i);
     result.received[i] = run.balance((i + n - 1) % n, i);
   }
-  result.audit = run.take_audit();
   return result;
 }
 

@@ -19,12 +19,22 @@ using chain::Hours;
 char leg_letter(std::size_t leg) { return static_cast<char>('a' + leg % 26); }
 
 /// A number in std::to_string's format, rendered only when a line is kept
-/// (a population run keeps no audit log).
+/// (a population run keeps no audit log, nor does a run without an
+/// audit_log sink).
 struct Fixed {
   double value;
 };
 std::ostream& operator<<(std::ostream& os, Fixed f) {
   return os << std::to_string(f.value);
+}
+
+/// An amount in Amount::to_string's format, rendered only when a line is
+/// kept.
+struct Tokens {
+  chain::Amount amount;
+};
+std::ostream& operator<<(std::ostream& os, Tokens t) {
+  return os << t.amount.to_string();
 }
 
 /// A hash lock's first 16 hex digits, rendered only when a line is kept.
@@ -225,7 +235,7 @@ void SwapMachine::start() {
     chain_of(0).charge_collateral(party(1).name, q);
     env_->oracle.emplace(*env_->queue, chain_of(0), chain_of(1),
                          party(0).name, party(1).name, q);
-    log("t1: oracle charged both collaterals (", q.to_string(),
+    log("t1: oracle charged both collaterals (", Tokens{q},
         " token-a each)");
   }
 
@@ -510,7 +520,9 @@ DirectRun::DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
   env_.sink = this;
   env_.path = &path;
   env_.setup = &setup;
-  env_.audit = &audit_;
+  if (setup.audit_log != nullptr) {
+    env_.audit = &audit_.emplace(*setup.audit_log);
+  }
   if (setup.metrics != nullptr) queue_.set_metrics(setup.metrics);
   if (setup.trace != nullptr) {
     setup.trace->record(0.0, obs::TraceKind::kRunStart,
@@ -578,8 +590,10 @@ void DirectRun::watch_broadcast(std::size_t leg, TxRole role, chain::TxId id,
   const Hours retry_at = queue_.now() + eps + backoff;
   if (retry_at >= deadline) {
     machine_.give_up(leg, role);
-    audit_.add(queue_.now(),
-               "broadcast lost and deadline too close to retry; giving up");
+    if (audit_) {
+      audit_->add(queue_.now(),
+                  "broadcast lost and deadline too close to retry; giving up");
+    }
     if (setup_->trace != nullptr) {
       setup_->trace->record(queue_.now(), obs::TraceKind::kBroadcastAbandoned,
                             {{"chain", chain::to_string(chain.params().id)},
@@ -594,8 +608,10 @@ void DirectRun::watch_broadcast(std::size_t leg, TxRole role, chain::TxId id,
     const chain::TxId retry = ledger.submit(payload);
     machine_.landed(leg, role, retry);
     ++rebroadcasts_;
-    audit_.add(queue_.now(), "re-broadcast after drop (attempt ", attempt + 1,
-               ")");
+    if (audit_) {
+      audit_->add(queue_.now(), "re-broadcast after drop (attempt ",
+                  attempt + 1, ")");
+    }
     if (setup_->trace != nullptr) {
       setup_->trace->record(queue_.now(), obs::TraceKind::kRebroadcast,
                             {{"chain", chain::to_string(ledger.params().id)},

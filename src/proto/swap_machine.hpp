@@ -128,9 +128,12 @@ class SwapSink {
                       chain::TxPayload payload, chain::Hours deadline) = 0;
 };
 
-/// Audit log of a one-swap environment: timestamped step lines.
+/// Audit log of a one-swap environment: renders timestamped step lines
+/// into the caller's vector.
 struct AuditLog {
-  std::vector<std::string> lines;
+  explicit AuditLog(std::vector<std::string>& out) : lines(&out) {}
+
+  std::vector<std::string>* lines;
   std::ostringstream line;  ///< reused for every line
 
   template <class... Parts>
@@ -138,7 +141,7 @@ struct AuditLog {
     line.str(std::string());
     line << "[t=" << now << "h] ";
     (line << ... << parts);
-    lines.push_back(line.str());
+    lines->push_back(line.str());
   }
 };
 
@@ -261,8 +264,8 @@ struct LegChain {
 
 /// An environment hosting one swap, and its direct sink (see the file
 /// comment).  Reads from `setup`: collateral, premium, latency and fault
-/// seeds, audit, trace and metrics.  The graph's spans, the strategies and
-/// the path must outlive the run.
+/// seeds, audit, trace, metrics and the audit_log sink.  The graph's
+/// spans, the strategies, the path and the sink must outlive the run.
 class DirectRun final : public SwapSink {
  public:
   DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
@@ -285,10 +288,6 @@ class DirectRun final : public SwapSink {
   /// Fills `result`'s conservation and auditor verdicts and its fault
   /// telemetry.
   void report(SwapResult& result) const;
-  /// The audit log (timestamped step lines).
-  [[nodiscard]] std::vector<std::string> take_audit() {
-    return std::move(audit_.lines);
-  }
 
   void submit(SwapMachine& m, std::size_t leg, TxRole role,
               chain::TxPayload payload, chain::Hours deadline) override;
@@ -317,7 +316,7 @@ class DirectRun final : public SwapSink {
   std::span<LegRun> legs_;
   chain::Ledger* inline_ledgers_[2] = {nullptr, nullptr};
   std::unique_ptr<chain::Ledger*[]> heap_ledgers_;
-  AuditLog audit_;
+  std::optional<AuditLog> audit_;  ///< engaged iff setup.audit_log is set
   SwapEnv env_;
   SwapMachine machine_;
   int rebroadcasts_ = 0;

@@ -386,7 +386,6 @@ SwapResult run_two_cycle(const SwapSetup& setup, agents::Strategy& alice,
     m.histogram("swap.bob_utility", -4.0, 12.0, 32)
         .observe(result.bob.realized_utility);
   }
-  result.audit = run.take_audit();
   return result;
 }
 

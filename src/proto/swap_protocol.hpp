@@ -116,14 +116,14 @@ struct AgentResult {
   double realized_utility = 0.0;
 };
 
-/// Full audit record of one protocol run.
+/// Result of one protocol run.  Its timestamped step lines are not part
+/// of it: they go to SwapSetup::audit_log when the caller passes one.
 struct SwapResult {
   SwapOutcome outcome = SwapOutcome::kNotInitiated;
   bool success = false;
   AgentResult alice;
   AgentResult bob;
   model::Schedule schedule;          ///< the idealized timeline used
-  std::vector<std::string> audit;    ///< timestamped step log
   bool conservation_ok = false;      ///< ledger supply invariant held
   double collateral = 0.0;           ///< Q used (0 = basic protocol)
   /// Collateral each agent got back (tokens); only meaningful when Q > 0.
@@ -189,6 +189,12 @@ struct SwapSetup {
   /// Aggregate counters/histograms across runs (thread-safe; shareable by
   /// concurrent run_swap calls).  nullptr disables.
   obs::MetricsRegistry* metrics = nullptr;
+  /// Audit sink: the run appends its timestamped step lines here ("[t=2h]
+  /// t2: bob deployed HTLC on Chain_b ...", one per decision, deploy,
+  /// claim, re-broadcast and reconciliation).  nullptr (the default)
+  /// renders no line at all, which is what Monte-Carlo samples want: the
+  /// lines cost more than the rest of a sample's bookkeeping.
+  std::vector<std::string>* audit_log = nullptr;
 };
 
 /// Runs one complete swap and returns the audited result.  The function

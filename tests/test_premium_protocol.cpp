@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "agents/naive.hpp"
 #include "agents/rational.hpp"
@@ -54,7 +56,10 @@ TEST(PremiumProtocol, WatcherCancelsWhenBobNeverLocks) {
   agents::HonestStrategy alice;
   agents::DefectorStrategy bob(agents::Stage::kT2Lock);
   const ConstantPricePath path(2.0);
-  const SwapResult r = run_swap(premium_setup(0.3), alice, bob, path);
+  std::vector<std::string> audit;
+  SwapSetup setup = premium_setup(0.3);
+  setup.audit_log = &audit;
+  const SwapResult r = run_swap(setup, alice, bob, path);
   EXPECT_EQ(r.outcome, SwapOutcome::kBobDeclinedT2);
   // Alice is NOT penalized: the watcher cancels the escrow back to her.
   EXPECT_DOUBLE_EQ(r.alice_premium_back, 0.3);
@@ -62,7 +67,7 @@ TEST(PremiumProtocol, WatcherCancelsWhenBobNeverLocks) {
   EXPECT_DOUBLE_EQ(r.alice.final_token_a, 2.3);
   EXPECT_TRUE(r.conservation_ok);
   bool cancel_logged = false;
-  for (const std::string& line : r.audit) {
+  for (const std::string& line : audit) {
     if (line.find("watcher cancelled") != std::string::npos) {
       cancel_logged = true;
     }

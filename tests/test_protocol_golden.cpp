@@ -109,13 +109,15 @@ void hash_two_party(Golden& g, const SwapResult& r) {
 void swap_case(Golden& g, const std::string& label, SwapSetup setup,
                agents::Strategy& alice, agents::Strategy& bob) {
   obs::TraceRecorder trace;
+  std::vector<std::string> audit;
   setup.trace = &trace;
+  setup.audit_log = &audit;
   const SwapResult r = run_swap(setup, alice, bob, price_path());
   g.text("run_swap " + label);
   hash_two_party(g, r);
   g.count(r.invariants_ok);
   for (const std::string& v : r.invariant_violations) g.text(v);
-  for (const std::string& line : r.audit) g.text(line);
+  for (const std::string& line : audit) g.text(line);
   g.text(trace.to_jsonl());
 }
 

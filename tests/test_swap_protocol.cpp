@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "agents/naive.hpp"
 #include "agents/rational.hpp"
@@ -153,12 +155,20 @@ TEST(SwapProtocol, RationalBobWalksAwayOnPriceSpike) {
 TEST(SwapProtocol, AuditLogRecordsEveryStep) {
   agents::HonestStrategy alice, bob;
   const ConstantPricePath path(2.0);
-  const SwapResult r = run_swap(basic_setup(), alice, bob, path);
-  ASSERT_EQ(r.audit.size(), 4u);
-  EXPECT_NE(r.audit[0].find("t1"), std::string::npos);
-  EXPECT_NE(r.audit[1].find("t2"), std::string::npos);
-  EXPECT_NE(r.audit[2].find("t3"), std::string::npos);
-  EXPECT_NE(r.audit[3].find("t4"), std::string::npos);
+  std::vector<std::string> audit;
+  SwapSetup setup = basic_setup();
+  setup.audit_log = &audit;
+  const SwapResult r = run_swap(setup, alice, bob, path);
+  ASSERT_EQ(audit.size(), 4u);
+  EXPECT_NE(audit[0].find("t1"), std::string::npos);
+  EXPECT_NE(audit[1].find("t2"), std::string::npos);
+  EXPECT_NE(audit[2].find("t3"), std::string::npos);
+  EXPECT_NE(audit[3].find("t4"), std::string::npos);
+  // The sink only collects lines: a run without one ends the same way.
+  const SwapResult quiet = run_swap(basic_setup(), alice, bob, path);
+  EXPECT_EQ(quiet.outcome, r.outcome);
+  EXPECT_EQ(quiet.alice.realized_utility, r.alice.realized_utility);
+  EXPECT_EQ(quiet.bob.realized_utility, r.bob.realized_utility);
 }
 
 TEST(SwapProtocol, ValidatesSetup) {
