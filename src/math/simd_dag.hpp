@@ -313,7 +313,8 @@ struct Dag {
   /// Phi^-1(u) with the scalar normal_quantile contract: -inf at 0, +inf
   /// at 1, NaN outside [0, 1] or on NaN.  The input is FOLDED onto
   /// (0, 1/2] by the exact reflection u -> 1 - u (Sterbenz: exact for
-  /// u >= 1/2), both Acklam branches are evaluated on the full pack and
+  /// u >= 1/2), the central Acklam branch is evaluated on the full pack
+  /// and the tail branch on every pack that holds a tail lane, the two are
   /// mask-blended, one Halley step off det_erfc/det_exp polishes every
   /// lane, and the sign is unfolded last.  Refining on the folded side is
   /// what keeps the UPPER tail accurate: at z <= 0 the residual
@@ -338,16 +339,22 @@ struct Dag {
     // rational in r = (uf - 1/2)^2; q <= 0, so z <= 0 on both branches.
     // Numerator and denominator are blended BEFORE a single shared
     // division (per lane the quotient of the selected branch either way;
-    // the second divide was pure latency).
+    // the second divide was pure latency).  The tail branch (det_log,
+    // sqrt, the C/D polynomials) runs only for a pack that holds a tail
+    // lane (2 * p_low = 4.85% of uniforms): a blend with an all-false mask
+    // keeps the central values, so skipping it changes no lane.
     const M tail = P::flt(uf, P::fbroad(kAcklamPLow));
-    const F ql = P::fsqrt(P::fmul(P::fbroad(-2.0), det_log(uf)));
     const F q = P::fsub(uf, P::fbroad(0.5));
     const F r = P::fmul(q, q);
-    const F num = P::fblend(tail, poly_hi(kAcklamC, ql),
-                            P::fmul(poly_hi(kAcklamA, r), q));
-    const F den = P::fblend(
-        tail, P::fadd(P::fmul(poly_hi(kAcklamD, ql), ql), P::fbroad(1.0)),
-        P::fadd(P::fmul(poly_hi(kAcklamB, r), r), P::fbroad(1.0)));
+    F num = P::fmul(poly_hi(kAcklamA, r), q);
+    F den = P::fadd(P::fmul(poly_hi(kAcklamB, r), r), P::fbroad(1.0));
+    if (P::mbits(tail) != 0) {
+      const F ql = P::fsqrt(P::fmul(P::fbroad(-2.0), det_log(uf)));
+      num = P::fblend(tail, poly_hi(kAcklamC, ql), num);
+      den = P::fblend(
+          tail, P::fadd(P::fmul(poly_hi(kAcklamD, ql), ql), P::fbroad(1.0)),
+          den);
+    }
     F z = P::fdiv(num, den);
 
     // One Halley refinement of Phi(z) - uf = 0 at z <= 0, where
