@@ -117,19 +117,21 @@ void Sha256::update(std::string_view text) noexcept {
 
 Digest256 Sha256::finalize() noexcept {
   assert(!finalized_ && "Sha256: double finalize");
-  const std::uint64_t bits = total_bits_;
-  // Padding: 0x80, zeros, then 64-bit big-endian length.
-  const std::uint8_t one = 0x80;
-  update(std::span<const std::uint8_t>(&one, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Padding, written into the buffer in place: 0x80, zeros up to byte 56
+  // of a block (spilling into one more block when fewer than 9 bytes are
+  // left), then the 64-bit big-endian message length in bits.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_);
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<std::uint8_t>(total_bits_ >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(len_bytes, 8));
+  process_block(buffer_);
+  buffer_len_ = 0;
   finalized_ = true;
 
   std::array<std::uint8_t, Digest256::kSize> out{};

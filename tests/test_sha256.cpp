@@ -60,6 +60,21 @@ TEST(Sha256, PaddingBoundaryLengths) {
   }
 }
 
+TEST(Sha256, EveryLengthThroughTwoBlocksIsPinned) {
+  // One digest over the concatenated 32-byte digests of 'x' * len for len
+  // 0..129, which crosses the 55/56-byte padding split and the 64-byte
+  // block boundary twice.  Reference computed with Python's hashlib:
+  //   h = hashlib.sha256()
+  //   for n in range(130): h.update(hashlib.sha256(b'x' * n).digest())
+  //   h.hexdigest()
+  Sha256 all;
+  for (std::size_t len = 0; len < 130; ++len) {
+    all.update(Sha256::hash(std::string(len, 'x')).bytes());
+  }
+  EXPECT_EQ(all.finalize().to_hex(),
+            "6d0989028287a2bd990515b95658bb810cf688b69517dfc49e4b3778e0b6d923");
+}
+
 TEST(Sha256, ResetAllowsReuse) {
   Sha256 h;
   h.update("first");
