@@ -180,6 +180,14 @@ class Report {
     metrics_.push_back({name, value, /*machine_dependent=*/true});
   }
 
+  /// A wall-clock reading printed as a TIME line like time_metric(), but
+  /// kept out of BENCH_<slug>.json: for readings that exist on some hosts
+  /// only (an AVX-512 rate), which a committed baseline must never name.
+  void time_line(const std::string& name, double value) {
+    metrics_.push_back({name, value, /*machine_dependent=*/true,
+                        /*in_json=*/false});
+  }
+
   /// Exit code for main(): 0 iff all claims held.  The first call closes
   /// the last CSV block, prints the TIME lines and writes BENCH_<slug>.json.
   [[nodiscard]] int exit_code() {
@@ -213,6 +221,8 @@ class Report {
     double value = 0.0;
     /// time_metric() entries: printed under TIME instead of METRIC.
     bool machine_dependent = false;
+    /// time_line() entries: printed only, never written to the JSON.
+    bool in_json = true;
   };
 
   static double seconds_since(Clock::time_point t0) {
@@ -302,12 +312,14 @@ class Report {
                    json_escape(host.compiler).c_str(),
                    json_escape(host.build_type).c_str(), host.simd.c_str());
       std::fprintf(f, "  \"metrics\": {");
-      for (std::size_t i = 0; i < metrics_.size(); ++i) {
-        std::fprintf(f, "%s\n    \"%s\": %.6f", i == 0 ? "" : ",",
-                     json_escape(metrics_[i].name).c_str(),
-                     metrics_[i].value);
+      const char* sep = "";
+      for (const Metric& m : metrics_) {
+        if (!m.in_json) continue;
+        std::fprintf(f, "%s\n    \"%s\": %.6f", sep,
+                     json_escape(m.name).c_str(), m.value);
+        sep = ",";
       }
-      std::fprintf(f, "%s},\n", metrics_.empty() ? "" : "\n  ");
+      std::fprintf(f, "%s},\n", *sep == '\0' ? "" : "\n  ");
       std::fprintf(f, "  \"total_seconds\": %.6f,\n  \"blocks\": [", total);
       for (std::size_t i = 0; i < blocks_.size(); ++i) {
         std::fprintf(f, "%s\n    {\"name\": \"%s\", \"seconds\": %.6f}",

@@ -8,19 +8,22 @@
 //   * the end-to-end x1-style adaptive model-MC run (fill + quantile +
 //     zkernel + Welford, CI-targeted stopping) -- the loop the SIMD layer
 //     exists for.
-// Each block first re-proves the determinism contract (wider levels must
+// The run first re-proves the determinism contract (wider levels must
 // reproduce the scalar reference byte-for-byte) and then reports samples
-// per second.  The speedup METRICs are the acceptance criterion: on an
+// per second.  The speedup metrics are the acceptance criterion: on an
 // AVX2-capable host the vectorized adaptive MC kernel must clear 3x the
 // scalar samples/sec.  Wall-clock based, so bench_gate.py gates them as
 // lower-bounded metrics (fresh >= baseline * (1 - tolerance)) instead of
 // the usual upper bound.
 //
-// METRIC names are host-stable: only scalar and AVX2 (which every CI
-// runner and baseline host has) get per-level METRIC entries; AVX-512
-// numbers appear in the CSV blocks and claims only.  Otherwise a
-// baseline refreshed on an AVX-512 box would trip bench_gate's
-// metric-disappeared check on an AVX2-only runner.
+// Every wall-clock reading prints on a TIME line, so the stdout minus TIME
+// lines is the same on every run of one host, apart from the CHECK lines of
+// the two speedup claims; the CSV blocks list which level each TIME line
+// measured.  JSON metric names are host-stable: only
+// scalar and AVX2 (which every CI runner and baseline host has) get
+// per-level entries in BENCH_x15_simd_kernel.json; AVX-512 readings are
+// TIME lines only.  Otherwise a baseline refreshed on an AVX-512 box would
+// trip bench_gate's metric-disappeared check on an AVX2-only runner.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -52,6 +55,20 @@ double best_seconds(int reps, Fn&& fn) {
     best = std::min(best, s);
   }
   return best;
+}
+
+/// Records one wall-clock rate per dispatch level: in the JSON for scalar
+/// and AVX2, as a TIME line only for AVX-512 (see the file comment).
+/// Returns the reading's name for the CSV row that points at it.
+std::string record_rate(bench::Report& report, const std::string& prefix,
+                        SimdLevel level, double value) {
+  const std::string name = prefix + math::simd::to_string(level);
+  if (level <= SimdLevel::kAvx2) {
+    report.time_metric(name, value);
+  } else {
+    report.time_line(name, value);
+  }
+  return name;
 }
 
 std::vector<SimdLevel> supported_levels() {
@@ -110,7 +127,7 @@ int main() {
   constexpr int kIters = 64;  // per timing rep; best of 5 reps
   std::vector<double> fill_msps(levels.size());
   {
-    report.csv_begin("fill_throughput", "level,msamples_per_sec");
+    report.csv_begin("fill_throughput", "level,time_line");
     std::vector<double> buf(kBuf);
     for (std::size_t i = 0; i < levels.size(); ++i) {
       const KernelTable* kt = math::simd::kernels(levels[i]);
@@ -121,17 +138,13 @@ int main() {
         }
       });
       fill_msps[i] = static_cast<double>(kBuf) * kIters / s / 1e6;
-      report.csv_row(bench::fmt("%s,%.1f", math::simd::to_string(levels[i]),
-                                fill_msps[i]));
-      if (levels[i] <= SimdLevel::kAvx2) {
-        report.metric(
-            std::string("simd_fill_msps_") + math::simd::to_string(levels[i]),
-            fill_msps[i]);
-      }
+      report.csv_row(
+          std::string(math::simd::to_string(levels[i])) + "," +
+          record_rate(report, "simd_fill_msps_", levels[i], fill_msps[i]));
     }
   }
   {
-    report.csv_begin("quantile_throughput", "level,msamples_per_sec");
+    report.csv_begin("quantile_throughput", "level,time_line");
     std::vector<double> uniforms(kBuf);
     std::vector<double> work(kBuf);
     math::Xoshiro256 rng(7);
@@ -148,13 +161,9 @@ int main() {
         }
       });
       const double msps = static_cast<double>(kBuf) * kIters / s / 1e6;
-      report.csv_row(
-          bench::fmt("%s,%.1f", math::simd::to_string(levels[i]), msps));
-      if (levels[i] <= SimdLevel::kAvx2) {
-        report.metric(std::string("simd_quantile_msps_") +
-                          math::simd::to_string(levels[i]),
-                      msps);
-      }
+      report.csv_row(std::string(math::simd::to_string(levels[i])) + "," +
+                     record_rate(report, "simd_quantile_msps_", levels[i],
+                                 msps));
     }
   }
 
@@ -171,8 +180,7 @@ int main() {
     spec.config.samples = 1u << 21;
     spec.config.seed = 1001;
     spec.config.target_half_width = 0.002;
-    report.csv_begin("adaptive_mc_throughput",
-                     "level,samples,msamples_per_sec");
+    report.csv_begin("adaptive_mc_throughput", "level,samples,time_line");
     std::size_t scalar_samples = 0;
     bool samples_agree = true;
     for (std::size_t i = 0; i < levels.size(); ++i) {
@@ -183,14 +191,10 @@ int main() {
       if (i == 0) scalar_samples = result.samples;
       samples_agree = samples_agree && result.samples == scalar_samples;
       mc_msps[i] = static_cast<double>(result.samples) / s / 1e6;
-      report.csv_row(bench::fmt("%s,%zu,%.2f",
-                                math::simd::to_string(levels[i]),
-                                result.samples, mc_msps[i]));
-      if (levels[i] <= SimdLevel::kAvx2) {
-        report.metric(
-            std::string("simd_mc_msps_") + math::simd::to_string(levels[i]),
-            mc_msps[i]);
-      }
+      report.csv_row(
+          bench::fmt("%s,%zu,", math::simd::to_string(levels[i]),
+                     result.samples) +
+          record_rate(report, "simd_mc_msps_", levels[i], mc_msps[i]));
     }
     math::simd::reset_level();
     report.claim("adaptive stopping fires identically at every level",
@@ -209,13 +213,13 @@ int main() {
       if (levels[i] == active) active_mc = mc_msps[i];
     }
     if (avx2_mc > 0.0) {
-      report.metric("simd_speedup_avx2_mc", avx2_mc / scalar_mc);
+      report.time_metric("simd_speedup_avx2_mc", avx2_mc / scalar_mc);
       report.claim("AVX2 adaptive model-MC >= 3x scalar samples/sec",
                    avx2_mc >= 3.0 * scalar_mc);
     } else {
       report.note("host lacks AVX2; the speedup gate metric is skipped");
     }
-    report.metric("simd_mc_speedup_active", active_mc / scalar_mc);
+    report.time_metric("simd_mc_speedup_active", active_mc / scalar_mc);
     report.claim("active dispatch level is no slower than scalar",
                  active_mc >= scalar_mc);
   }

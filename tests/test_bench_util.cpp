@@ -143,6 +143,27 @@ TEST_F(BenchOutPath, BenchJsonCarriesTheHostStamp) {
   EXPECT_FALSE(expected.simd.empty());
 }
 
+TEST_F(BenchOutPath, TimeLinesStayOutOfTheJson) {
+  const ScopedBenchDir env(dir_.c_str());
+  {
+    Report report("Lines -- time line test", "writes BENCH_lines.json");
+    report.metric("kept_metric", 1.0);
+    report.time_metric("kept_rate", 2.0);
+    report.time_line("host_only_rate", 3.0);
+    EXPECT_EQ(report.exit_code(), 0);
+  }
+  std::ifstream in(dir_ + "/BENCH_lines.json");
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  obs::json::Value doc;
+  ASSERT_TRUE(obs::json::parse(text, doc).is_ok()) << text;
+  const obs::json::Value* metrics = doc.find("metrics");
+  ASSERT_NE(metrics, nullptr) << text;
+  EXPECT_NE(metrics->find("kept_metric"), nullptr) << text;
+  EXPECT_NE(metrics->find("kept_rate"), nullptr) << text;
+  EXPECT_EQ(metrics->find("host_only_rate"), nullptr) << text;
+}
+
 TEST(BenchScaling, ScaledFloorsAndDivides) {
   // Without SWAPGAME_MC_SCALE in the environment the budget is untouched.
   if (::getenv("SWAPGAME_MC_SCALE") == nullptr) {
