@@ -2,9 +2,12 @@
 // patterns of every threshold, utility and success rate of the five games
 // (basic, collateral, premium, extended, commitment), the warm-chained
 // sweepers, the Bayesian premium game, the P* viability scans, the
-// negotiation rules and the strategy evaluator's best response.  A change
-// that moves any of them by one ulp moves the digest, so a refactor of the
-// root-scanning solvers that keeps the pin keeps every model output.
+// negotiation rules, and the strategy evaluator's best responses and its
+// values and success rate of three profiles (honest, the equilibrium, and
+// one whose last region piece is unbounded).  A change that moves any of
+// them by one ulp moves the digest, so a refactor of the root-scanning
+// solvers or the region integrals that keeps the pin keeps every model
+// output.
 //
 // Beyond Table III defaults the matrix holds a mu > r point (Bob's t2 region
 // is a single piece that starts at 0), a mu == r_B point (Bob's t2 gap is
@@ -15,6 +18,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -250,6 +254,22 @@ void rate_scans(Golden& g) {
     g.text("bob_best_response");
     g.set(evaluator.bob_best_response(cutoff));
   }
+  for (const double p_star : {1.6, 2.0, 2.4}) {
+    const StrategyEvaluator at(defaults(), p_star);
+    // A region whose last piece is unbounded: the evaluator truncates it
+    // at a far quantile of the t2 price law.
+    ThresholdProfile open_tail;
+    open_tail.alice_cutoff = 0.5 * p_star;
+    open_tail.bob_region = math::IntervalSet(
+        {{1.2, 1.8}, {2.3, std::numeric_limits<double>::infinity()}});
+    for (const ThresholdProfile& profile :
+         {ThresholdProfile::honest(), at.equilibrium(), open_tail}) {
+      g.text("strategy_evaluator " + std::to_string(p_star));
+      g.num(at.alice_value(profile));
+      g.num(at.bob_value(profile));
+      g.num(at.success_rate(profile));
+    }
+  }
   const std::optional<OptimalRate> best = sr_maximizing_rate(defaults());
   g.text("sr_maximizing_rate");
   g.count(best.has_value());
@@ -275,7 +295,7 @@ std::string golden_digest() {
 
 TEST(ModelGolden, DigestIsPinned) {
   EXPECT_EQ(golden_digest(),
-            "2b6b431b1f13d05de58281cdf177b5137d94555569aa09ba279f0d249968a65b");
+            "ce40cb04adfdc4fbe9ae5e00c423776b3074c1a7aba0f430cc23d7fcce65a02e");
 }
 
 TEST(ModelGolden, RegimesReachTheirRegionShapes) {
