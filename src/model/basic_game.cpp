@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "math/gbm.hpp"
-#include "math/quadrature.hpp"
 #include "solver_cache.hpp"
 #include "timeline.hpp"
 
@@ -74,6 +73,17 @@ void BasicGame::compute_t3_cutoff() {
                p_star_ / (1.0 + params_.alice.alpha);
 }
 
+double deposit_t3_cutoff(const SwapParams& params, double refund,
+                         double recovery) {
+  // Eq. (34): clamped at zero when the recovery alone exceeds the refund
+  // value (Alice then reveals at any price).
+  const double shifted = refund - recovery;
+  return shifted <= 0.0 ? 0.0
+                        : std::exp((params.alice.r - params.gbm.mu) *
+                                   params.tau_b) *
+                              shifted / (1.0 + params.alice.alpha);
+}
+
 Action BasicGame::alice_decision_t3(double p_t3) const {
   // Eq. (19): cont iff P_t3 > cutoff.
   return p_t3 > t3_cutoff_ ? Action::kCont : Action::kStop;
@@ -81,20 +91,17 @@ Action BasicGame::alice_decision_t3(double p_t3) const {
 
 // ---------------------------------------------------------------- t2 stage
 
-double BasicGame::alice_t2_cont(double p_t2) const {
+double BasicGame::alice_t2_cont(double p_t2, double cutoff) const {
   // Eq. (20): expectation of Alice's t3 value over the price law, then
-  // discounted one tau_b.  The integral over {x > cutoff} of x * pdf is the
-  // upper partial expectation (closed form).
-  // alice_t3_cont(x) is linear in x, so its integral against the density
-  // over (cutoff, inf) reduces to the upper partial expectation
-  // E[X 1{X > cutoff}].
+  // discounted one tau_b.  alice_t3_cont(x) is linear in x, so its integral
+  // against the density over (cutoff, inf) reduces to the upper partial
+  // expectation E[X 1{X > cutoff}] (closed form).
   const math::GbmLaw law(params_.gbm, p_t2, params_.tau_b);
-  const double L = t3_cutoff_;
   const double cont_part =
       (1.0 + params_.alice.alpha) *
       std::exp((params_.gbm.mu - params_.alice.r) * params_.tau_b) *
-      law.partial_expectation_above(L);
-  const double stop_part = law.cdf(L) * alice_t3_stop();
+      law.partial_expectation_above(cutoff);
+  const double stop_part = law.cdf(cutoff) * alice_t3_stop();
   return (cont_part + stop_part) * std::exp(-params_.alice.r * params_.tau_b);
 }
 
@@ -104,17 +111,16 @@ double BasicGame::alice_t2_stop() const {
                             (params_.tau_b + params_.eps_b + 2.0 * params_.tau_a));
 }
 
-double BasicGame::bob_t2_cont(double p_t2) const {
+double BasicGame::bob_t2_cont(double p_t2, double cutoff) const {
   // Eq. (21): with probability 1 - C(cutoff) Alice reveals and Bob gets
   // bob_t3_cont(); otherwise Bob is refunded, worth bob_t3_stop(x) at the
   // realized price x -- the integral of x pdf(x) over (0, cutoff) is the
   // lower partial expectation.
   const math::GbmLaw law(params_.gbm, p_t2, params_.tau_b);
-  const double L = t3_cutoff_;
-  const double cont_part = law.survival(L) * bob_t3_cont();
+  const double cont_part = law.survival(cutoff) * bob_t3_cont();
   const double stop_part =
       std::exp((params_.gbm.mu - params_.bob.r) * 2.0 * params_.tau_b) *
-      law.partial_expectation_below(L);
+      law.partial_expectation_below(cutoff);
   return (cont_part + stop_part) * std::exp(-params_.bob.r * params_.tau_b);
 }
 
@@ -152,26 +158,12 @@ Action BasicGame::bob_decision_t2(double p_t2) const {
 // ---------------------------------------------------------------- t1 stage
 
 double BasicGame::alice_t1_cont() const {
-  return alice_t1_cont_cache_.get([this] { return compute_alice_t1_cont(); });
-}
-
-double BasicGame::compute_alice_t1_cont() const {
-  // Eq. (25): integrate Alice's t2 value over the tau_a price law (summed
-  // over the region's pieces; a single piece in the paper's regime).
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  double inside = 0.0;
-  double inside_prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    inside += math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * alice_t2_cont(x); }, lo,
-        iv.hi, 64);
-    inside_prob += law.cdf(iv.hi) - law.cdf(lo);
-  }
-  const double outside_prob = std::max(0.0, 1.0 - inside_prob);
-  return (inside + outside_prob * alice_t2_stop()) *
-         std::exp(-params_.alice.r * params_.tau_a);
+  // Eq. (25): Alice's t2 value over the tau_a price law (sign_region.hpp).
+  return alice_t1_cont_cache_.get([this] {
+    return alice_t1_value(
+        params_, t2_region_, kBasicRule,
+        [this](double x) { return alice_t2_cont(x); }, alice_t2_stop());
+  });
 }
 
 double BasicGame::alice_t1_stop() const {
@@ -180,26 +172,11 @@ double BasicGame::alice_t1_stop() const {
 }
 
 double BasicGame::bob_t1_cont() const {
-  return bob_t1_cont_cache_.get([this] { return compute_bob_t1_cont(); });
-}
-
-double BasicGame::compute_bob_t1_cont() const {
-  // Eq. (26): inside the region Bob's t2 value is bob_t2_cont; outside he
-  // keeps token-b worth the realized price x.
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  double inside = 0.0;
-  double inside_pe = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    inside += math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * bob_t2_cont(x); }, lo,
-        iv.hi, 64);
-    inside_pe += law.partial_expectation_below(iv.hi) -
-                 law.partial_expectation_below(lo);
-  }
-  const double outside = std::max(0.0, law.expectation() - inside_pe);
-  return (inside + outside) * std::exp(-params_.bob.r * params_.tau_a);
+  // Eq. (26).
+  return bob_t1_cont_cache_.get([this] {
+    return bob_t1_value(params_, t2_region_, kBasicRule,
+                        [this](double x) { return bob_t2_cont(x); });
+  });
 }
 
 double BasicGame::bob_t1_stop() const {
@@ -215,26 +192,10 @@ Action BasicGame::alice_decision_t1() const {
 // ------------------------------------------------------------ success rate
 
 double BasicGame::success_rate() const {
-  return success_rate_cache_.get([this] { return compute_success_rate(); });
-}
-
-double BasicGame::compute_success_rate() const {
-  // Eq. (31): P[P_t2 in region] weighted by P[Alice reveals at t3 | P_t2].
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double L = t3_cutoff_;
-  double sr = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    sr += math::gauss_legendre(
-        [this, &law_a, L](double x) {
-          const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        lo, iv.hi, 64);
-  }
-  return sr;
+  // Eq. (31).
+  return success_rate_cache_.get([this] {
+    return region_success_rate(params_, t2_region_, kBasicRule, t3_cutoff_);
+  });
 }
 
 double BasicGame::bob_t2_cont_probability() const {

@@ -9,8 +9,9 @@
 //
 // Partial expectations of the lognormal transition law give closed forms
 // for the t2 utilities; the t1 utilities and SR integrate t2 quantities
-// over the price law by adaptive quadrature.  Bob's t2 region and Alice's
-// feasible band are found by the model's one sign-region solver
+// over the price law by fixed Gauss-Legendre quadrature.  Bob's t2 region
+// and Alice's feasible band are found by the model's one sign-region
+// solver, and the t1 utilities and SR by its region integrals
 // (sign_region.hpp), which every mechanism's game shares.
 #pragma once
 
@@ -57,9 +58,18 @@ class BasicGame {
   [[nodiscard]] Action alice_decision_t3(double p_t3) const;  ///< Eq. (19)
 
   // --- t2: Bob's lock decision (Eqs. (20)-(24)). --------------------------
-  [[nodiscard]] double alice_t2_cont(double p_t2) const;  ///< Eq. (20)
-  [[nodiscard]] double alice_t2_stop() const;             ///< Eq. (22)
-  [[nodiscard]] double bob_t2_cont(double p_t2) const;    ///< Eq. (21)
+  /// Eq. (20).
+  [[nodiscard]] double alice_t2_cont(double p_t2) const {
+    return alice_t2_cont(p_t2, t3_cutoff_);
+  }
+  [[nodiscard]] double alice_t2_stop() const;  ///< Eq. (22)
+  /// Eq. (21).
+  [[nodiscard]] double bob_t2_cont(double p_t2) const {
+    return bob_t2_cont(p_t2, t3_cutoff_);
+  }
+  /// Eqs. (20)/(21) when Alice reveals iff P_t3 > `cutoff`, any cutoff.
+  [[nodiscard]] double alice_t2_cont(double p_t2, double cutoff) const;
+  [[nodiscard]] double bob_t2_cont(double p_t2, double cutoff) const;
   [[nodiscard]] double bob_t2_stop(double p_t2) const;    ///< Eq. (23)
   /// Bob's continuation band (P_t2_lo, P_t2_hi) for the paper's standard
   /// regime (two indifference points).  nullopt when the cont region is
@@ -103,9 +113,6 @@ class BasicGame {
  private:
   void compute_t3_cutoff();
   void compute_t2_region(const std::vector<double>& hints);
-  [[nodiscard]] double compute_alice_t1_cont() const;
-  [[nodiscard]] double compute_bob_t1_cont() const;
-  [[nodiscard]] double compute_success_rate() const;
 
   SwapParams params_;
   double p_star_;
@@ -118,6 +125,12 @@ class BasicGame {
   math::CachedDouble bob_t1_cont_cache_;
   math::CachedDouble success_rate_cache_;
 };
+
+/// Alice's t3 cutoff (Eq. (34)) when revealing also recovers a deposit
+/// worth `recovery` at t3 against a refund worth `refund`: the collateral
+/// and premium games' shifted Eq. (18), clamped at 0 (always reveal).
+[[nodiscard]] double deposit_t3_cutoff(const SwapParams& params, double refund,
+                                       double recovery);
 
 /// Alice's feasible exchange-rate band (FeasibleBand, sign_region.hpp):
 /// the sign changes of alice_t1_cont(P*) - P* over [scan_lo, scan_hi].

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "math/gbm.hpp"
-#include "math/quadrature.hpp"
 #include "solver_cache.hpp"
 
 namespace swapgame::model {
@@ -31,7 +30,11 @@ CollateralGame::CollateralGame(const SwapParams& params, double p_star,
     throw std::invalid_argument(
         "CollateralGame: collateral must be >= 0 and finite");
   }
-  compute_t3_cutoff();
+  // Eq. (34): the basic cutoff shifted down by the collateral recovered
+  // at t4 + tau_a.
+  t3_cutoff_ = deposit_t3_cutoff(
+      params_, basic_.alice_t3_stop(),
+      q_ * std::exp(-params_.alice.r * (params_.eps_b + params_.tau_a)));
   compute_t2_region(t2_root_hints);
 }
 
@@ -45,21 +48,6 @@ double CollateralGame::alice_t3_cont(double p_t3) const {
 }
 
 double CollateralGame::alice_t3_stop() const { return basic_.alice_t3_stop(); }
-
-void CollateralGame::compute_t3_cutoff() {
-  // Eq. (34): the basic cutoff shifted down by the collateral recovery and
-  // clamped at zero (when the recovery alone exceeds the refund value,
-  // Alice reveals at any price).
-  const double rA = params_.alice.r;
-  const double mu = params_.gbm.mu;
-  const double refund = p_star_ * std::exp(-rA * (params_.eps_b + 2.0 * params_.tau_a));
-  const double recovery = q_ * std::exp(-rA * (params_.eps_b + params_.tau_a));
-  const double shifted = refund - recovery;
-  t3_cutoff_ = shifted <= 0.0
-                   ? 0.0
-                   : std::exp((rA - mu) * params_.tau_b) * shifted /
-                         (1.0 + params_.alice.alpha);
-}
 
 Action CollateralGame::alice_decision_t3(double p_t3) const {
   return p_t3 > t3_cutoff_ ? Action::kCont : Action::kStop;
@@ -127,31 +115,17 @@ Action CollateralGame::bob_decision_t2(double p_t2) const {
 // ---------------------------------------------------------------- t1 stage
 
 double CollateralGame::alice_t1_cont() const {
-  return alice_t1_cont_cache_.get([this] { return compute_alice_t1_cont(); });
-}
-
-double CollateralGame::compute_alice_t1_cont() const {
   // Eq. (36).  Where Bob will lock, Alice's value is alice_t2_cont; where
   // Bob will stop, Alice is refunded (Eq. 22) and receives both collaterals
   // 2Q at t3 (decided) + tau_a (confirmation), i.e. tau_b + tau_a after t2.
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  const double stop_value =
-      basic_.alice_t2_stop() +
-      2.0 * q_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
-  const auto piece = [this, &law](double lo, double hi) {
-    return math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * alice_t2_cont(x); }, lo,
-        hi, 48);
-  };
-  double inside = 0.0;
-  double inside_prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    inside += piece(iv.lo, iv.hi);
-    inside_prob += law.cdf(iv.hi) - law.cdf(iv.lo);
-  }
-  const double outside_prob = std::max(0.0, 1.0 - inside_prob);
-  return (inside + outside_prob * stop_value) *
-         std::exp(-params_.alice.r * params_.tau_a);
+  return alice_t1_cont_cache_.get([this] {
+    const double stop_value =
+        basic_.alice_t2_stop() +
+        2.0 * q_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
+    return alice_t1_value(
+        params_, t2_region_, kDepositRule,
+        [this](double x) { return alice_t2_cont(x); }, stop_value);
+  });
 }
 
 double CollateralGame::alice_t1_stop() const {
@@ -160,28 +134,13 @@ double CollateralGame::alice_t1_stop() const {
 }
 
 double CollateralGame::bob_t1_cont() const {
-  return bob_t1_cont_cache_.get([this] { return compute_bob_t1_cont(); });
-}
-
-double CollateralGame::compute_bob_t1_cont() const {
   // Eq. (37) (with the r^A typo read as r^B; see DESIGN.md): inside the
   // region Bob's value is bob_t2_cont; outside he keeps token-b worth the
   // realized price and forfeits his collateral.
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  const auto piece = [this, &law](double lo, double hi) {
-    return math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * bob_t2_cont(x); }, lo, hi,
-        48);
-  };
-  double inside = 0.0;
-  double inside_pe = 0.0;  // partial expectation over the region
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    inside += piece(iv.lo, iv.hi);
-    inside_pe += law.partial_expectation_below(iv.hi) -
-                 law.partial_expectation_below(iv.lo);
-  }
-  const double outside = std::max(0.0, law.expectation() - inside_pe);
-  return (inside + outside) * std::exp(-params_.bob.r * params_.tau_a);
+  return bob_t1_cont_cache_.get([this] {
+    return bob_t1_value(params_, t2_region_, kDepositRule,
+                        [this](double x) { return bob_t2_cont(x); });
+  });
 }
 
 double CollateralGame::bob_t1_stop() const {
@@ -205,29 +164,10 @@ bool CollateralGame::engaged() const {
 // ------------------------------------------------------------ success rate
 
 double CollateralGame::success_rate() const {
-  return success_rate_cache_.get([this] { return compute_success_rate(); });
-}
-
-double CollateralGame::compute_success_rate() const {
-  // Eq. (40): integrate Alice's reveal probability over Bob's t2 region.
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double L = t3_cutoff_;
-  double sr = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    if (L == 0.0) {
-      // Alice always reveals: the inner survival factor is 1.
-      sr += law_a.cdf(iv.hi) - law_a.cdf(iv.lo);
-      continue;
-    }
-    sr += math::gauss_legendre(
-        [this, &law_a, L](double x) {
-          const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        iv.lo, iv.hi, 48);
-  }
-  return sr;
+  // Eq. (40): Alice's reveal probability over Bob's t2 region.
+  return success_rate_cache_.get([this] {
+    return region_success_rate(params_, t2_region_, kDepositRule, t3_cutoff_);
+  });
 }
 
 double CollateralGame::bob_t2_cont_probability() const {

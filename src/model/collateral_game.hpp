@@ -98,11 +98,7 @@ class CollateralGame {
   [[nodiscard]] double bob_t2_cont_probability() const;
 
  private:
-  void compute_t3_cutoff();
   void compute_t2_region(const std::vector<double>& hints);
-  [[nodiscard]] double compute_alice_t1_cont() const;
-  [[nodiscard]] double compute_bob_t1_cont() const;
-  [[nodiscard]] double compute_success_rate() const;
 
   SwapParams params_;
   double p_star_;

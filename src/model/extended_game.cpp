@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "math/gbm.hpp"
-#include "math/quadrature.hpp"
 
 namespace swapgame::model {
 
@@ -122,24 +121,14 @@ double ExtendedGame::alice_t1_cont() const {
   const double L = t3_cutoff_;
   const double refund_time = 3.0 * b.tau_a + b.tau_b + b.eps_b;  // t8 - t1
 
-  double reveal_pe = 0.0;    // int pdf_a(x) PE_above_x(L) dx over the region
-  double reveal_prob = 0.0;  // int pdf_a(x) survival_x(L) dx over the region
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    reveal_pe += math::gauss_legendre(
-        [&](double x) {
-          const math::GbmLaw law_b(b.gbm, x, b.tau_b);
-          return law_a.pdf(x) * law_b.partial_expectation_above(L);
-        },
-        lo, iv.hi, 64);
-    reveal_prob += math::gauss_legendre(
-        [&](double x) {
-          const math::GbmLaw law_b(b.gbm, x, b.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        lo, iv.hi, 64);
-  }
+  // int pdf_a(x) PE_above_x(L) dx over the region; the reveal probability
+  // int pdf_a(x) survival_x(L) dx is the success rate.
+  const double reveal_pe =
+      region_integral(t2_region_, kBasicRule, [&](double x) {
+        const math::GbmLaw law_b(b.gbm, x, b.tau_b);
+        return law_a.pdf(x) * law_b.partial_expectation_above(L);
+      });
+  const double reveal_prob = success_rate();
 
   const double token_b_value =
       (1.0 + b.alice.alpha) * reveal_pe *
@@ -163,22 +152,7 @@ Action ExtendedGame::alice_decision_t1() const {
 // ------------------------------------------------------------ success rate
 
 double ExtendedGame::success_rate() const {
-  if (t2_region_.empty()) return 0.0;
-  const SwapParams& b = params_.base;
-  const math::GbmLaw law_a(b.gbm, b.p_t0, b.tau_a);
-  const double L = t3_cutoff_;
-  double sr = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    sr += math::gauss_legendre(
-        [&](double x) {
-          const math::GbmLaw law_b(b.gbm, x, b.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        lo, iv.hi, 64);
-  }
-  return sr;
+  return region_success_rate(params_.base, t2_region_, kBasicRule, t3_cutoff_);
 }
 
 // ------------------------------------------------------------- free helpers

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "math/gbm.hpp"
-#include "math/quadrature.hpp"
 
 namespace swapgame::model {
 
@@ -22,7 +21,11 @@ PremiumGame::PremiumGame(const SwapParams& params, double p_star,
   if (!(premium >= 0.0) || !std::isfinite(premium)) {
     throw std::invalid_argument("PremiumGame: premium must be >= 0 and finite");
   }
-  compute_t3_cutoff();
+  // The basic cutoff shifted down by the premium Alice claims back tau_a
+  // after revealing.
+  t3_cutoff_ = deposit_t3_cutoff(
+      params_, basic_.alice_t3_stop(),
+      pr_ * std::exp(-params_.alice.r * params_.tau_a));
   compute_t2_region();
 }
 
@@ -44,19 +47,6 @@ double PremiumGame::bob_t3_stop(double p_t3) const {
   // later, i.e. eps_b + 2 tau_a after t3.
   return basic_.bob_t3_stop(p_t3) +
          pr_ * std::exp(-params_.bob.r * (params_.eps_b + 2.0 * params_.tau_a));
-}
-
-void PremiumGame::compute_t3_cutoff() {
-  const double rA = params_.alice.r;
-  const double mu = params_.gbm.mu;
-  const double refund =
-      p_star_ * std::exp(-rA * (params_.eps_b + 2.0 * params_.tau_a));
-  const double recovery = pr_ * std::exp(-rA * params_.tau_a);
-  const double shifted = refund - recovery;
-  t3_cutoff_ = shifted <= 0.0
-                   ? 0.0
-                   : std::exp((rA - mu) * params_.tau_b) * shifted /
-                         (1.0 + params_.alice.alpha);
 }
 
 Action PremiumGame::alice_decision_t3(double p_t3) const {
@@ -113,48 +103,25 @@ Action PremiumGame::bob_decision_t2(double p_t2) const {
 // ---------------------------------------------------------------- t1 stage
 
 double PremiumGame::alice_t1_cont() const {
-  return alice_t1_cont_cache_.get([this] { return compute_alice_t1_cont(); });
-}
-
-double PremiumGame::compute_alice_t1_cont() const {
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
   // If Bob stops at t2 the escrow is cancelled at t3 and Alice receives her
   // premium back tau_a later, i.e. tau_b + tau_a after t2.
-  const double stop_value =
-      basic_.alice_t2_stop() +
-      pr_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
-  double inside = 0.0;
-  double inside_prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    inside += math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * alice_t2_cont(x); },
-        iv.lo, iv.hi, 48);
-    inside_prob += law.cdf(iv.hi) - law.cdf(iv.lo);
-  }
-  const double outside_prob = std::max(0.0, 1.0 - inside_prob);
-  return (inside + outside_prob * stop_value) *
-         std::exp(-params_.alice.r * params_.tau_a);
+  return alice_t1_cont_cache_.get([this] {
+    const double stop_value =
+        basic_.alice_t2_stop() +
+        pr_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
+    return alice_t1_value(
+        params_, t2_region_, kDepositRule,
+        [this](double x) { return alice_t2_cont(x); }, stop_value);
+  });
 }
 
 double PremiumGame::alice_t1_stop() const { return p_star_ + pr_; }
 
 double PremiumGame::bob_t1_cont() const {
-  return bob_t1_cont_cache_.get([this] { return compute_bob_t1_cont(); });
-}
-
-double PremiumGame::compute_bob_t1_cont() const {
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  double inside = 0.0;
-  double inside_pe = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    inside += math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * bob_t2_cont(x); }, iv.lo,
-        iv.hi, 48);
-    inside_pe += law.partial_expectation_below(iv.hi) -
-                 law.partial_expectation_below(iv.lo);
-  }
-  const double outside = std::max(0.0, law.expectation() - inside_pe);
-  return (inside + outside) * std::exp(-params_.bob.r * params_.tau_a);
+  return bob_t1_cont_cache_.get([this] {
+    return bob_t1_value(params_, t2_region_, kDepositRule,
+                        [this](double x) { return bob_t2_cont(x); });
+  });
 }
 
 double PremiumGame::bob_t1_stop() const { return params_.p_t0; }
@@ -166,27 +133,9 @@ Action PremiumGame::alice_decision_t1() const {
 // ------------------------------------------------------------ success rate
 
 double PremiumGame::success_rate() const {
-  return success_rate_cache_.get([this] { return compute_success_rate(); });
-}
-
-double PremiumGame::compute_success_rate() const {
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double L = t3_cutoff_;
-  double sr = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    if (L == 0.0) {
-      sr += law_a.cdf(iv.hi) - law_a.cdf(iv.lo);
-      continue;
-    }
-    sr += math::gauss_legendre(
-        [this, &law_a, L](double x) {
-          const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        iv.lo, iv.hi, 48);
-  }
-  return sr;
+  return success_rate_cache_.get([this] {
+    return region_success_rate(params_, t2_region_, kDepositRule, t3_cutoff_);
+  });
 }
 
 // ------------------------------------------------------------- free helpers

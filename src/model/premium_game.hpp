@@ -71,11 +71,7 @@ class PremiumGame {
   [[nodiscard]] double success_rate() const;
 
  private:
-  void compute_t3_cutoff();
   void compute_t2_region();
-  [[nodiscard]] double compute_alice_t1_cont() const;
-  [[nodiscard]] double compute_bob_t1_cont() const;
-  [[nodiscard]] double compute_success_rate() const;
 
   SwapParams params_;
   double p_star_;

@@ -7,7 +7,6 @@
 
 #include "basic_game.hpp"
 #include "math/gbm.hpp"
-#include "math/quadrature.hpp"
 #include "sign_region.hpp"
 
 namespace swapgame::model {
@@ -138,9 +137,9 @@ double UncertainPremiumGame::alice_t1_cont_bayes() const {
     if (!band) {
       branch = reference.alice_t2_stop();
     } else {
-      const double inside = math::gauss_legendre(
-          [&](double x) { return law.pdf(x) * reference.alice_t2_cont(x); },
-          band->lo, band->hi, 48);
+      const double inside = region_integral(
+          math::IntervalSet({*band}), kDepositRule,
+          [&](double x) { return law.pdf(x) * reference.alice_t2_cont(x); });
       const double outside_prob = law.cdf(band->lo) + law.survival(band->hi);
       branch = inside + outside_prob * reference.alice_t2_stop();
     }
@@ -156,21 +155,16 @@ Action UncertainPremiumGame::alice_decision_t1() const {
 
 double UncertainPremiumGame::realized_success_rate() const {
   if (!band_) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double L = cutoff_for_alpha(params_.alice.alpha);  // true cutoff
-  return math::gauss_legendre(
-      [&](double x) {
-        const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
-        return law_a.pdf(x) * law_b.survival(L);
-      },
-      band_->lo, band_->hi, 48);
+  return region_success_rate(params_, math::IntervalSet({*band_}),
+                             kDepositRule,
+                             cutoff_for_alpha(params_.alice.alpha));
 }
 
 double UncertainPremiumGame::believed_success_rate() const {
   if (!band_) return 0.0;
   const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  return math::gauss_legendre(
-      [&](double x) {
+  return region_integral(
+      math::IntervalSet({*band_}), kDepositRule, [&](double x) {
         const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
         double reveal = 0.0;
         for (std::size_t i = 0; i < belief_a_.alphas.size(); ++i) {
@@ -178,8 +172,7 @@ double UncertainPremiumGame::believed_success_rate() const {
                     law_b.survival(cutoff_for_alpha(belief_a_.alphas[i]));
         }
         return law_a.pdf(x) * reveal;
-      },
-      band_->lo, band_->hi, 48);
+      });
 }
 
 }  // namespace swapgame::model

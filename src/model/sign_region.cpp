@@ -57,13 +57,25 @@ FeasibleBand feasible_band(const math::ScalarFn& gap, double lo, double hi,
 
 double region_probability(const math::GbmLaw& law,
                           const math::IntervalSet& region) {
-  double prob = 0.0;
-  for (const math::Interval& iv : region.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    prob += std::isinf(iv.hi) ? law.survival(lo) : law.cdf(iv.hi) - law.cdf(lo);
-  }
-  return std::min(1.0, std::max(0.0, prob));
+  return std::min(1.0, std::max(0.0, region_mass(law, region, 1e-12)));
+}
+
+double region_mass(const math::GbmLaw& law, const math::IntervalSet& region,
+                   double floor) {
+  return region_sum(region, floor, [&law](double lo, double hi) {
+    return std::isinf(hi) ? law.survival(lo) : law.cdf(hi) - law.cdf(lo);
+  });
+}
+
+double region_success_rate(const SwapParams& params,
+                           const math::IntervalSet& region, RegionRule rule,
+                           double cutoff) {
+  const math::GbmLaw law_a(params.gbm, params.p_t0, params.tau_a);
+  if (cutoff == 0.0) return region_mass(law_a, region, rule.floor);
+  return region_integral(region, rule, [&](double x) {
+    const math::GbmLaw law_b(params.gbm, x, params.tau_b);
+    return law_a.pdf(x) * law_b.survival(cutoff);
+  });
 }
 
 }  // namespace swapgame::model

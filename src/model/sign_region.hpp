@@ -1,4 +1,5 @@
-// The one sign-region solver behind every threshold set of the model.
+// The one sign-region solver behind every threshold set of the model, and
+// the one loop that integrates over the sets it returns.
 //
 // Every mechanism is solved by the same backward induction: Bob's t2
 // continuation region is the set where U_B(cont) - U_B(stop) > 0, bounded by
@@ -13,13 +14,21 @@
 //   * the sorted roots alternate in/out from the sign of the gap at lo, and
 //     the set ends at hi (the gap of a t2 solve is negative at +inf, so an
 //     unbounded last piece means the scan missed a crossing beyond hi).
+// Every mechanism then integrates over Bob's t2 region under the tau_a
+// price law from P_t0: Alice's t1 value (Eqs. 25/36), Bob's (Eqs. 26/37)
+// and the success rate (Eqs. 31/40).  region_sum is the one loop over the
+// region's pieces behind all three, under the family's RegionRule.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "math/gbm.hpp"
 #include "math/interval.hpp"
+#include "math/quadrature.hpp"
 #include "math/roots.hpp"
+#include "params.hpp"
 
 namespace swapgame::model {
 
@@ -94,5 +103,89 @@ template <class Gap>
 /// clamped below at 1e-12), clamped to [0, 1].
 [[nodiscard]] double region_probability(const math::GbmLaw& law,
                                         const math::IntervalSet& region);
+
+/// How a family integrates over Bob's t2 region: `panels` composite
+/// Gauss-Legendre panels per piece, each piece clamped below at `floor`.
+struct RegionRule {
+  int panels = 0;
+  double floor = 0.0;
+};
+
+// Each family keeps the rule its outputs were pinned with (docs/MODEL.md
+// §10); one rule for all of them would move model outputs.
+inline constexpr RegionRule kBasicRule{64, 1e-12};  ///< basic, extended
+/// Collateral, premium and uncertain-premium games.
+inline constexpr RegionRule kDepositRule{48, 0.0};
+inline constexpr RegionRule kEvaluatorRule{48, 1e-12};  ///< StrategyEvaluator
+
+/// Sum of piece(lo, hi) over the region's pieces, each clamped below at
+/// `floor`; a piece the clamp leaves empty is skipped.
+template <class Piece>
+[[nodiscard]] double region_sum(const math::IntervalSet& region, double floor,
+                                const Piece& piece) {
+  double total = 0.0;
+  for (const math::Interval& iv : region.intervals()) {
+    const double lo = std::max(iv.lo, floor);
+    if (iv.hi > lo) total += piece(lo, iv.hi);
+  }
+  return total;
+}
+
+/// Integral of f over the region under `rule`; every piece must be finite.
+template <class F>
+[[nodiscard]] double region_integral(const math::IntervalSet& region,
+                                     RegionRule rule, const F& f) {
+  return region_sum(region, rule.floor, [&](double lo, double hi) {
+    return math::gauss_legendre(f, lo, hi, rule.panels);
+  });
+}
+
+/// P[X in region] under `law` in closed form, pieces clamped below at
+/// `floor` (an unbounded piece contributes its survival), not clamped.
+[[nodiscard]] double region_mass(const math::GbmLaw& law,
+                                 const math::IntervalSet& region,
+                                 double floor);
+
+/// Alice's t1 continuation value (Eqs. 25/36): her t2 value `t2_cont(x)`
+/// where Bob locks, `t2_stop` elsewhere, over the tau_a price law from P_t0,
+/// discounted tau_a at r_A.
+template <class T2Value>
+[[nodiscard]] double alice_t1_value(const SwapParams& params,
+                                    const math::IntervalSet& region,
+                                    RegionRule rule, const T2Value& t2_cont,
+                                    double t2_stop) {
+  const math::GbmLaw law(params.gbm, params.p_t0, params.tau_a);
+  const double inside = region_integral(
+      region, rule, [&](double x) { return law.pdf(x) * t2_cont(x); });
+  const double outside_prob =
+      std::max(0.0, 1.0 - region_mass(law, region, rule.floor));
+  return (inside + outside_prob * t2_stop) *
+         std::exp(-params.alice.r * params.tau_a);
+}
+
+/// Bob's t1 continuation value (Eqs. 26/37): his t2 value `t2_cont(x)`
+/// where he locks; elsewhere he keeps the token-b, worth the realized price.
+template <class T2Value>
+[[nodiscard]] double bob_t1_value(const SwapParams& params,
+                                  const math::IntervalSet& region,
+                                  RegionRule rule, const T2Value& t2_cont) {
+  const math::GbmLaw law(params.gbm, params.p_t0, params.tau_a);
+  const double inside = region_integral(
+      region, rule, [&](double x) { return law.pdf(x) * t2_cont(x); });
+  const double inside_pe =
+      region_sum(region, rule.floor, [&law](double lo, double hi) {
+        return law.partial_expectation_below(hi) -
+               law.partial_expectation_below(lo);
+      });
+  const double outside = std::max(0.0, law.expectation() - inside_pe);
+  return (inside + outside) * std::exp(-params.bob.r * params.tau_a);
+}
+
+/// The success rate (Eqs. 31/40): P[P_t2 in region] weighted by
+/// P[P_t3 > cutoff | P_t2].  At cutoff == 0 Alice always reveals and the
+/// rate is the region's mass, in closed form.
+[[nodiscard]] double region_success_rate(const SwapParams& params,
+                                         const math::IntervalSet& region,
+                                         RegionRule rule, double cutoff);
 
 }  // namespace swapgame::model

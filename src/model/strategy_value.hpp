@@ -70,15 +70,9 @@ class StrategyEvaluator {
   [[nodiscard]] ThresholdProfile equilibrium() const;
 
  private:
-  /// Alice's t2-anchored continuation value at price x under her cutoff.
-  [[nodiscard]] double alice_t2_value(double x, double cutoff) const;
-  /// Bob's t2-anchored continuation value at price x under Alice's cutoff.
-  [[nodiscard]] double bob_t2_value(double x, double cutoff) const;
-  /// Integral of pdf_a * f over the region (pieces truncated at a far
-  /// quantile for unbounded tails).
-  [[nodiscard]] double integrate_region(
-      const math::IntervalSet& region,
-      const std::function<double(double)>& f) const;
+  /// The region with an unbounded last piece ending at tail_hi_.
+  [[nodiscard]] math::IntervalSet bounded(
+      const math::IntervalSet& region) const;
 
   SwapParams params_;
   double p_star_;

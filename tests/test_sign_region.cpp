@@ -1,5 +1,6 @@
 // Tests for the model's shared sign-region solver (src/model/sign_region)
-// on synthetic gaps with known roots.
+// on synthetic gaps with known roots, and for the region integrals built
+// on its one loop over a region's pieces.
 #include "model/sign_region.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "math/gbm.hpp"
+#include "model/params.hpp"
 
 namespace swapgame::model {
 namespace {
@@ -161,6 +163,63 @@ TEST(RegionProbability, ClosedFormOverPieces) {
   EXPECT_NEAR(region_probability(law, two),
               law.cdf(1.5) - law.cdf(1.0) + law.cdf(2.5) - law.cdf(2.0),
               1e-15);
+}
+
+TEST(RegionSuccessRate, CutoffZeroIsTheClosedFormMass) {
+  const SwapParams params = SwapParams::table3_defaults();
+  const math::GbmLaw law(params.gbm, params.p_t0, params.tau_a);
+  const math::IntervalSet two({{1.0, 1.5}, {2.0, 2.5}});
+  const double mass =
+      (law.cdf(1.5) - law.cdf(1.0)) + (law.cdf(2.5) - law.cdf(2.0));
+  for (const RegionRule rule : {kBasicRule, kDepositRule, kEvaluatorRule}) {
+    EXPECT_EQ(region_success_rate(params, two, rule, 0.0), mass);
+  }
+  // A cutoff far below every price reveals surely: the quadrature of the
+  // density agrees with the closed form.
+  EXPECT_NEAR(region_success_rate(params, two, kBasicRule, 1e-300), mass,
+              1e-12);
+}
+
+TEST(T1Values, EmptyRegionIsTheStopValue) {
+  const SwapParams params = SwapParams::table3_defaults();
+  const math::GbmLaw law(params.gbm, params.p_t0, params.tau_a);
+  const auto never = [](double) {
+    ADD_FAILURE() << "integrand evaluated over an empty region";
+    return 0.0;
+  };
+  const double t2_stop = 1.7;
+  EXPECT_EQ(alice_t1_value(params, {}, kBasicRule, never, t2_stop),
+            t2_stop * std::exp(-params.alice.r * params.tau_a));
+  EXPECT_EQ(bob_t1_value(params, {}, kDepositRule, never),
+            law.expectation() * std::exp(-params.bob.r * params.tau_a));
+  EXPECT_EQ(region_success_rate(params, {}, kBasicRule, 1.5), 0.0);
+}
+
+TEST(RegionIntegral, PieceBelowTheFloorContributesNothing) {
+  const SwapParams params = SwapParams::table3_defaults();
+  const math::IntervalSet band({{1.5, 2.5}});
+  const math::IntervalSet with_dust({{1e-14, 5e-13}, {1.5, 2.5}});
+  int calls = 0;
+  const auto f = [&calls](double x) {
+    ++calls;
+    return x * x;
+  };
+  const double expected = region_integral(band, kBasicRule, f);
+  const int band_calls = calls;
+  EXPECT_EQ(region_integral(with_dust, kBasicRule, f), expected);
+  EXPECT_EQ(calls, 2 * band_calls);
+  EXPECT_NEAR(expected, (2.5 * 2.5 * 2.5 - 1.5 * 1.5 * 1.5) / 3.0, 1e-12);
+  const auto t2 = [](double x) { return 0.9 * x; };
+  EXPECT_EQ(alice_t1_value(params, with_dust, kBasicRule, t2, 1.7),
+            alice_t1_value(params, band, kBasicRule, t2, 1.7));
+  EXPECT_EQ(bob_t1_value(params, with_dust, kBasicRule, t2),
+            bob_t1_value(params, band, kBasicRule, t2));
+  EXPECT_EQ(region_success_rate(params, with_dust, kBasicRule, 1.5),
+            region_success_rate(params, band, kBasicRule, 1.5));
+  // Without a floor the same piece is integrated.
+  const auto one = [](double) { return 1.0; };
+  EXPECT_GT(region_integral(with_dust, kDepositRule, one),
+            region_integral(band, kDepositRule, one));
 }
 
 }  // namespace
