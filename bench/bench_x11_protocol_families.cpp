@@ -37,7 +37,8 @@ struct WitnessMcResult {
 
 WitnessMcResult witness_mc(const model::SwapParams& params, double p_star,
                            std::size_t samples, std::uint64_t seed) {
-  const model::Schedule schedule = model::idealized_schedule(params, 0.0);
+  const std::vector<chain::Hours> epochs =
+      sim::schedule_epochs(model::idealized_schedule(params, 0.0));
   math::Xoshiro256 rng(seed);
   agents::CommitmentRationalStrategy alice(agents::Role::kAlice, params,
                                            p_star);
@@ -49,7 +50,7 @@ WitnessMcResult witness_mc(const model::SwapParams& params, double p_star,
   math::RunningStats ua, ub;
   for (std::size_t i = 0; i < samples; ++i) {
     const proto::SteppedPricePath path =
-        sim::sample_epoch_path(params, schedule, rng);
+        sim::sample_epoch_path(params, epochs, rng);
     setup.secret_seed = seed ^ (i * 0x9E3779B9ULL + 7);
     const proto::SwapResult r =
         proto::run_witness_swap(setup, alice, bob, path);

@@ -6,8 +6,12 @@
 // epochs (src/sim/path_simulator).
 #pragma once
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "chain/types.hpp"
 
@@ -27,20 +31,28 @@ class PricePath {
 /// first knot throw std::out_of_range.
 class SteppedPricePath final : public PricePath {
  public:
-  explicit SteppedPricePath(std::map<chain::Hours, double> knots)
-      : knots_(std::move(knots)) {
-    if (knots_.empty()) {
-      throw std::invalid_argument("SteppedPricePath: need at least one knot");
-    }
-    for (const auto& [t, p] : knots_) {
-      if (!(p > 0.0)) {
-        throw std::invalid_argument("SteppedPricePath: prices must be > 0");
-      }
-    }
+  using Knot = std::pair<chain::Hours, double>;
+
+  explicit SteppedPricePath(const std::map<chain::Hours, double>& knots)
+      : knots_(knots.begin(), knots.end()) {
+    validate();
+  }
+
+  /// Knots already in strictly increasing time order, kept as given (the
+  /// Monte-Carlo engines build one path per sample this way).
+  /// @throws std::invalid_argument if empty, not strictly increasing in
+  /// time, or a price is not > 0.
+  [[nodiscard]] static SteppedPricePath from_sorted(std::vector<Knot> knots) {
+    SteppedPricePath path;
+    path.knots_ = std::move(knots);
+    path.validate();
+    return path;
   }
 
   [[nodiscard]] double price_at(chain::Hours t) const override {
-    auto it = knots_.upper_bound(t);
+    auto it = std::upper_bound(
+        knots_.begin(), knots_.end(), t,
+        [](chain::Hours x, const Knot& knot) { return x < knot.first; });
     if (it == knots_.begin()) {
       throw std::out_of_range("SteppedPricePath: query before first knot");
     }
@@ -48,7 +60,24 @@ class SteppedPricePath final : public PricePath {
   }
 
  private:
-  std::map<chain::Hours, double> knots_;
+  SteppedPricePath() = default;
+
+  void validate() const {
+    if (knots_.empty()) {
+      throw std::invalid_argument("SteppedPricePath: need at least one knot");
+    }
+    for (std::size_t i = 0; i < knots_.size(); ++i) {
+      if (!(knots_[i].second > 0.0)) {
+        throw std::invalid_argument("SteppedPricePath: prices must be > 0");
+      }
+      if (i > 0 && !(knots_[i - 1].first < knots_[i].first)) {
+        throw std::invalid_argument(
+            "SteppedPricePath: knot times must increase strictly");
+      }
+    }
+  }
+
+  std::vector<Knot> knots_;  ///< sorted by time, times distinct
 };
 
 /// Constant price (degenerate path for unit tests).

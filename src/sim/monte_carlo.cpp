@@ -1,6 +1,7 @@
 #include "monte_carlo.hpp"
 
 #include <limits>
+#include <vector>
 
 #include "agents/naive.hpp"
 #include "agents/rational.hpp"
@@ -79,8 +80,8 @@ McEstimate detail::protocol_mc(const proto::SwapSetup& setup,
                                const StrategyFactory& bob,
                                const McConfig& config) {
   setup.params.validate();
-  const model::Schedule schedule =
-      model::idealized_schedule(setup.params, 0.0);
+  const std::vector<chain::Hours> epochs =
+      schedule_epochs(model::idealized_schedule(setup.params, 0.0));
 
   // Adaptive stopping gates on the Wilson half-width of the UNCONDITIONAL
   // success proportion (the quantity every bench reports).  The predicate
@@ -110,7 +111,7 @@ McEstimate detail::protocol_mc(const proto::SwapSetup& setup,
         for (std::size_t i = 0; i < count; ++i) {
           const std::uint64_t index = first + i;
           const proto::SteppedPricePath path =
-              sample_epoch_path(setup.params, schedule, rng);
+              sample_epoch_path(setup.params, epochs, rng);
           const std::unique_ptr<agents::Strategy> a =
               alice(agents::Role::kAlice, index);
           const std::unique_ptr<agents::Strategy> b =

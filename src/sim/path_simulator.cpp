@@ -1,7 +1,7 @@
 #include "path_simulator.hpp"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "math/gbm.hpp"
 
@@ -19,17 +19,23 @@ std::vector<chain::Hours> schedule_epochs(const model::Schedule& schedule) {
 proto::SteppedPricePath sample_epoch_path(const model::SwapParams& params,
                                           const model::Schedule& schedule,
                                           math::Xoshiro256& rng) {
-  const std::vector<chain::Hours> epochs = schedule_epochs(schedule);
-  std::map<chain::Hours, double> knots;
+  return sample_epoch_path(params, schedule_epochs(schedule), rng);
+}
+
+proto::SteppedPricePath sample_epoch_path(
+    const model::SwapParams& params, const std::vector<chain::Hours>& epochs,
+    math::Xoshiro256& rng) {
+  std::vector<proto::SteppedPricePath::Knot> knots;
+  knots.reserve(epochs.size());
   double price = params.p_t0;
-  knots[epochs.front()] = price;
+  knots.emplace_back(epochs.front(), price);
   for (std::size_t i = 1; i < epochs.size(); ++i) {
     const double dt = epochs[i] - epochs[i - 1];
     const math::GbmLaw law(params.gbm, price, dt);
     price = law.sample_from_normal(math::normal_inverse_cdf_draw(rng));
-    knots[epochs[i]] = price;
+    knots.emplace_back(epochs[i], price);
   }
-  return proto::SteppedPricePath(std::move(knots));
+  return proto::SteppedPricePath::from_sorted(std::move(knots));
 }
 
 }  // namespace swapgame::sim

@@ -23,6 +23,12 @@ namespace swapgame::sim {
     const model::SwapParams& params, const model::Schedule& schedule,
     math::Xoshiro256& rng);
 
+/// The same path through epochs computed once by schedule_epochs (a
+/// Monte-Carlo cell samples many paths through one schedule).
+[[nodiscard]] proto::SteppedPricePath sample_epoch_path(
+    const model::SwapParams& params, const std::vector<chain::Hours>& epochs,
+    math::Xoshiro256& rng);
+
 /// The distinct, sorted epoch times of a schedule (t1 first).
 [[nodiscard]] std::vector<chain::Hours> schedule_epochs(
     const model::Schedule& schedule);

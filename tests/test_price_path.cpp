@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "math/stats.hpp"
 #include "sim/path_simulator.hpp"
@@ -40,6 +41,24 @@ TEST(SteppedPricePath, ValidatesInput) {
   EXPECT_THROW((void)path.price_at(0.5), std::out_of_range);
 }
 
+TEST(SteppedPricePath, FromSortedMatchesTheMapPath) {
+  const std::map<chain::Hours, double> knots{
+      {0.0, 2.0}, {3.0, 2.5}, {7.0, 1.8}};
+  const SteppedPricePath mapped(knots);
+  const SteppedPricePath sorted = SteppedPricePath::from_sorted(
+      std::vector<SteppedPricePath::Knot>(knots.begin(), knots.end()));
+  for (const double t : {0.0, 2.999, 3.0, 6.5, 7.0, 1000.0}) {
+    EXPECT_EQ(sorted.price_at(t), mapped.price_at(t));
+  }
+  EXPECT_THROW((void)SteppedPricePath::from_sorted({}), std::invalid_argument);
+  EXPECT_THROW((void)SteppedPricePath::from_sorted({{3.0, 2.0}, {1.0, 2.5}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SteppedPricePath::from_sorted({{1.0, 2.0}, {1.0, 2.5}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SteppedPricePath::from_sorted({{1.0, 0.0}}),
+               std::invalid_argument);
+}
+
 TEST(PathSimulator, EpochsAreSortedAndUnique) {
   const auto params = model::SwapParams::table3_defaults();
   const auto schedule = model::idealized_schedule(params, 0.0);
@@ -71,6 +90,19 @@ TEST(PathSimulator, DeterministicPerSeed) {
   for (double t : {0.0, 3.0, 7.0, 8.0, 11.0, 14.0, 15.0}) {
     EXPECT_DOUBLE_EQ(p1.price_at(t), p2.price_at(t)) << "t=" << t;
   }
+}
+
+TEST(PathSimulator, PrecomputedEpochsDrawTheSamePath) {
+  const auto params = model::SwapParams::table3_defaults();
+  const auto schedule = model::idealized_schedule(params, 0.0);
+  const std::vector<chain::Hours> epochs = sim::schedule_epochs(schedule);
+  math::Xoshiro256 rng1(42), rng2(42);
+  for (int i = 0; i < 3; ++i) {
+    const auto p1 = sim::sample_epoch_path(params, schedule, rng1);
+    const auto p2 = sim::sample_epoch_path(params, epochs, rng2);
+    for (const double t : epochs) EXPECT_EQ(p1.price_at(t), p2.price_at(t));
+  }
+  EXPECT_EQ(rng1(), rng2());
 }
 
 TEST(PathSimulator, TerminalDistributionMatchesGbm) {
