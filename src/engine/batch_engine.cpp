@@ -9,42 +9,6 @@
 
 namespace swapgame::engine {
 
-namespace {
-
-/// Kahn topological order; throws on out-of-range deps or cycles.
-std::vector<std::size_t> topological_order(
-    const std::vector<std::vector<std::size_t>>& deps) {
-  const std::size_t n = deps.size();
-  std::vector<std::size_t> indegree(n, 0);
-  std::vector<std::vector<std::size_t>> dependents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::size_t d : deps[i]) {
-      if (d >= n) {
-        throw std::invalid_argument(
-            "BatchEngine: dependency index out of range");
-      }
-      ++indegree[i];
-      dependents[d].push_back(i);
-    }
-  }
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) order.push_back(i);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (const std::size_t d : dependents[order[head]]) {
-      if (--indegree[d] == 0) order.push_back(d);
-    }
-  }
-  if (order.size() != n) {
-    throw std::invalid_argument("BatchEngine: dependency cycle");
-  }
-  return order;
-}
-
-}  // namespace
-
 const char* to_string(CellSource source) noexcept {
   switch (source) {
     case CellSource::kEvaluated:
@@ -60,9 +24,7 @@ const char* to_string(CellSource source) noexcept {
 struct BatchEngine::BatchState {
   const std::vector<BatchNode>* nodes = nullptr;
   std::vector<std::string> hashes;
-  std::vector<std::vector<std::size_t>> deps;  // after dedup augmentation
-  std::vector<std::vector<std::size_t>> dependents;
-  std::vector<std::size_t> remaining;
+  JobSchedule schedule;  // the nodes' deps plus the dedup edges
   std::vector<RunResult> results;
   bool parallel = false;
 
@@ -143,20 +105,21 @@ std::vector<RunResult> BatchEngine::run_batch(
   BatchState state;
   state.nodes = &nodes;
   state.results.resize(n);
-  state.hashes.reserve(n);
-  state.deps.resize(n);
+  std::vector<std::size_t> order;
+  const Status valid = JobSchedule::build(nodes, &state.schedule, &order);
+  if (!valid.is_ok()) throw std::invalid_argument(valid.message());
 
-  // Hash every spec up front; duplicate specs inside one batch gain a
-  // dependency on their first occurrence, so the duplicate runs after the
-  // primary and is served from the cache instead of being re-evaluated.
-  std::map<std::string, std::size_t> first_index;
-  for (std::size_t i = 0; i < n; ++i) {
-    state.hashes.push_back(nodes[i].spec.hash());
-    state.deps[i] = nodes[i].deps;
-    const auto [it, inserted] = first_index.emplace(state.hashes[i], i);
-    if (!inserted) state.deps[i].push_back(it->second);
+  // Hash every spec up front; a duplicate spec gains a dependency on its
+  // first occurrence in dependency order (so the edge points forward and
+  // the DAG stays acyclic), runs after that primary and is served from
+  // the cache instead of being re-evaluated.
+  state.hashes.reserve(n);
+  for (const BatchNode& node : nodes) state.hashes.push_back(node.spec.hash());
+  std::map<std::string, std::size_t> primary;
+  for (const std::size_t i : order) {
+    const auto [it, inserted] = primary.emplace(state.hashes[i], i);
+    if (!inserted) state.schedule.add_dep(i, it->second);
   }
-  const std::vector<std::size_t> topo = topological_order(state.deps);
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -170,20 +133,19 @@ std::vector<RunResult> BatchEngine::run_batch(
       active_pool != nullptr && !active_pool->is_worker_thread() && n > 1;
 
   if (!state.parallel) {
-    // Serial: topological order IS an execution schedule.
-    for (const std::size_t i : topo) process_cell(state, i);
+    // Serial: drain the ready FIFO inline, a Kahn order of the DAG.
+    std::vector<std::size_t> fifo = state.schedule.ready();
+    for (std::size_t head = 0; head < fifo.size(); ++head) {
+      const std::size_t i = fifo[head];
+      process_cell(state, i);
+      for (const std::size_t d : state.schedule.complete(i)) {
+        fifo.push_back(d);
+      }
+    }
   } else {
-    state.dependents.resize(n);
-    state.remaining.resize(n);
     std::vector<std::function<void()>> ready;
-    for (std::size_t i = 0; i < n; ++i) {
-      state.remaining[i] = state.deps[i].size();
-      for (const std::size_t d : state.deps[i]) {
-        state.dependents[d].push_back(i);
-      }
-      if (state.deps[i].empty()) {
-        ready.push_back([this, &state, i] { process_cell(state, i); });
-      }
+    for (const std::size_t i : state.schedule.ready()) {
+      ready.push_back([this, &state, i] { process_cell(state, i); });
     }
     active_pool->submit_bulk(std::move(ready));
     std::unique_lock<std::mutex> lock(state.m);
@@ -252,9 +214,7 @@ void BatchEngine::finish_cell(BatchState& state, std::size_t index,
     ++state.completed;
     parallel = state.parallel;
     if (parallel) {
-      for (const std::size_t d : state.dependents[index]) {
-        if (--state.remaining[d] == 0) now_ready.push_back(d);
-      }
+      now_ready = state.schedule.complete(index);
       if (state.completed == state.results.size()) {
         state.done_cv.notify_all();
       }

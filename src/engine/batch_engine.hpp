@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "job.hpp"
 #include "obs/metrics.hpp"
 #include "result_cache.hpp"
 #include "run_spec.hpp"
@@ -63,14 +64,6 @@ struct EngineStats {
   }
 };
 
-/// One DAG node: `deps` are indices into the same batch that must complete
-/// first.  Cells are independent computations, so dependencies express
-/// scheduling order (e.g. cheap-first), not data flow.
-struct BatchNode {
-  RunSpec spec;
-  std::vector<std::size_t> deps;
-};
-
 /// Where one cell's result came from (per-cell provenance; the daemon
 /// streams this to clients so warm-vs-cold runs are observable).
 enum class CellSource : std::uint8_t {
@@ -107,8 +100,9 @@ class BatchEngine {
   [[nodiscard]] std::vector<RunResult> run_batch(
       const std::vector<RunSpec>& specs);
 
-  /// Executes a DAG; throws std::invalid_argument on out-of-range or
-  /// cyclic dependencies.  Results are in node order.
+  /// Executes a DAG; throws std::invalid_argument, with
+  /// JobSchedule::build's message, on out-of-range or cyclic
+  /// dependencies.  Results are in node order.
   [[nodiscard]] std::vector<RunResult> run_batch(
       const std::vector<BatchNode>& nodes);
 

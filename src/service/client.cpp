@@ -71,27 +71,8 @@ Status Client::submit(const std::vector<engine::BatchNode>& nodes,
 
   const std::uint64_t request_id = next_request_id_++;
   std::string request = request_head(wire::kOpSubmit, request_id);
-  request += ",\"cells\":[";
-  bool any_deps = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0) request += ',';
-    request += nodes[i].spec.to_json();
-    any_deps = any_deps || !nodes[i].deps.empty();
-  }
-  request += ']';
-  if (any_deps) {
-    request += ",\"deps\":[";
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i > 0) request += ',';
-      request += '[';
-      for (std::size_t k = 0; k < nodes[i].deps.size(); ++k) {
-        if (k > 0) request += ',';
-        request += std::to_string(nodes[i].deps[k]);
-      }
-      request += ']';
-    }
-    request += ']';
-  }
+  request += ',';
+  request += engine::render_job(nodes);
   request += '}';
   Status status = socket_.write_line(request);
   if (!status.is_ok()) return status;

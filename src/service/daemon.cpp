@@ -99,8 +99,7 @@ struct Daemon::Job {
   std::uint64_t request_id = 0;
   std::uint64_t job_id = 0;
   std::vector<engine::BatchNode> nodes;
-  std::vector<std::vector<std::size_t>> dependents;
-  std::vector<std::size_t> remaining;  ///< unmet dependency counts
+  engine::JobSchedule schedule;        ///< unmet counts and dependents
   std::deque<std::size_t> ready;       ///< dispatchable cell indices
   bool in_ready_queue = false;         ///< present in conn->ready_jobs
   bool cancelled = false;              ///< client went away
@@ -388,127 +387,46 @@ void Daemon::handle_submit(const std::shared_ptr<Connection>& conn,
     }
   }
 
-  const Value* cells = root.find("cells");
-  if (cells == nullptr || !cells->is_array() || cells->as_array().empty()) {
-    reject(Status::invalid_spec("submit requires a non-empty 'cells' array"));
-    return;
-  }
-  const std::size_t n = cells->as_array().size();
   auto job = std::make_shared<Job>();
   job->conn = conn;
   job->request_id = request_id;
-  job->nodes.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Status status = engine::RunSpec::from_json(cells->as_array()[i],
-                                                     &job->nodes[i].spec);
-    if (!status.is_ok()) {
-      // Preserve the codec's code (invalid_spec vs unsupported_version),
-      // prefix the failing cell.
-      reject(Status::from_token(to_string(status.code()),
-                                "cell " + std::to_string(i) + ": " +
-                                    status.message()));
-      return;
-    }
+  Status status = engine::parse_job(root, &job->nodes);
+  if (status.is_ok()) {
+    status = engine::JobSchedule::build(job->nodes, &job->schedule);
   }
-  if (const Value* deps = root.find("deps")) {
-    if (!deps->is_array() || deps->as_array().size() != n) {
-      reject(Status::invalid_spec(
-          "'deps' must be an array with one entry per cell"));
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value& entry = deps->as_array()[i];
-      if (!entry.is_array()) {
-        reject(Status::invalid_spec("deps entry " + std::to_string(i) +
-                                    " is not an array"));
-        return;
-      }
-      for (const Value& dep : entry.as_array()) {
-        std::uint64_t d = 0;
-        if (!dep.is_number()) {
-          reject(Status::invalid_spec("deps entry " + std::to_string(i) +
-                                      ": dependency is not an index"));
-          return;
-        }
-        try {
-          d = dep.as_u64();
-        } catch (const std::exception&) {
-          reject(Status::invalid_spec("deps entry " + std::to_string(i) +
-                                      ": dependency is not an index"));
-          return;
-        }
-        if (d >= n) {
-          reject(Status::invalid_spec(
-              "cell " + std::to_string(i) + ": dependency " +
-              std::to_string(d) + " out of range (job has " +
-              std::to_string(n) + " cells)"));
-          return;
-        }
-        job->nodes[i].deps.push_back(static_cast<std::size_t>(d));
-      }
-    }
+  if (!status.is_ok()) {
+    reject(status);
+    return;
   }
-
-  // Kahn: indegrees + dependents, and a cycle check before admission.
-  job->remaining.assign(n, 0);
-  job->dependents.assign(n, {});
-  for (std::size_t i = 0; i < n; ++i) {
-    job->remaining[i] = job->nodes[i].deps.size();
-    for (const std::size_t d : job->nodes[i].deps) {
-      job->dependents[d].push_back(i);
-    }
-  }
-  {
-    std::vector<std::size_t> degree = job->remaining;
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (degree[i] == 0) order.push_back(i);
-    }
-    for (std::size_t head = 0; head < order.size(); ++head) {
-      for (const std::size_t d : job->dependents[order[head]]) {
-        if (--degree[d] == 0) order.push_back(d);
-      }
-    }
-    if (order.size() != n) {
-      reject(Status::invalid_spec("dependency cycle"));
-      return;
-    }
-  }
+  const std::size_t n = job->nodes.size();
 
   // Admission: reserve the job's cells under the queued-cell bound (or
   // turn the whole job away -- jobs are admitted atomically).
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
-      ++stats_.jobs_rejected;
-      send_line(conn,
-                render_status_event(
-                    wire::kEvRejected, request_id,
-                    Status::shutting_down("daemon is shutting down")));
-      return;
+      status = Status::shutting_down("daemon is shutting down");
+    } else if (config_.max_queued_cells != 0 &&
+               queued_cells_ + n > config_.max_queued_cells) {
+      status = Status::admission_rejected(
+          "admitting " + std::to_string(n) +
+          " cells would exceed the queued-cell bound (" +
+          std::to_string(queued_cells_) + " of " +
+          std::to_string(config_.max_queued_cells) +
+          " in flight); retry after draining");
+    } else {
+      job->job_id = next_job_id_++;
+      queued_cells_ += n;
+      ++stats_.jobs_accepted;
+      conn->jobs.push_back(job);
+      for (const std::size_t i : job->schedule.ready()) {
+        job->ready.push_back(i);
+      }
     }
-    if (config_.max_queued_cells != 0 &&
-        queued_cells_ + n > config_.max_queued_cells) {
-      ++stats_.jobs_rejected;
-      send_line(conn,
-                render_status_event(
-                    wire::kEvRejected, request_id,
-                    Status::admission_rejected(
-                        "admitting " + std::to_string(n) +
-                        " cells would exceed the queued-cell bound (" +
-                        std::to_string(queued_cells_) + " of " +
-                        std::to_string(config_.max_queued_cells) +
-                        " in flight); retry after draining")));
-      return;
-    }
-    job->job_id = next_job_id_++;
-    queued_cells_ += n;
-    ++stats_.jobs_accepted;
-    conn->jobs.push_back(job);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (job->remaining[i] == 0) job->ready.push_back(i);
-    }
+  }
+  if (!status.is_ok()) {
+    reject(status);
+    return;
   }
 
   // `accepted` must precede every cell event, so the job is made visible
@@ -678,8 +596,8 @@ void Daemon::run_cell(std::shared_ptr<Job> job, std::size_t index) {
       ++job->failed;
     }
     if (!job->cancelled) {
-      for (const std::size_t d : job->dependents[index]) {
-        if (--job->remaining[d] == 0) job->ready.push_back(d);
+      for (const std::size_t d : job->schedule.complete(index)) {
+        job->ready.push_back(d);
       }
       enqueue_ready_locked(job);
       done = job->completed == job->nodes.size();

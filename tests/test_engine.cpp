@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "engine/batch_engine.hpp"
+#include "engine/job.hpp"
 #include "engine/result_cache.hpp"
 #include "engine/run_spec.hpp"
 #include "model/params.hpp"
@@ -243,21 +244,97 @@ TEST_F(EngineFiles, FailedPutLeavesNoTempFile) {
   EXPECT_EQ(cache.disk_hits(), 0u);
 }
 
-TEST(BatchEngineDag, RejectsCyclesAndOutOfRangeDeps) {
+/// The std::invalid_argument message run_batch throws for `nodes` ("" if
+/// it does not throw).
+std::string batch_error(const std::vector<BatchNode>& nodes) {
   EngineConfig config;
   config.threads = 1;
   BatchEngine engine(config);
+  try {
+    (void)engine.run_batch(nodes);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BatchEngineDag, RejectsCyclesAndOutOfRangeDeps) {
   std::vector<BatchNode> cycle(2);
   cycle[0].spec = mc_spec(2.0, 1);
   cycle[1].spec = mc_spec(2.5, 2);
   cycle[0].deps = {1};
   cycle[1].deps = {0};
-  EXPECT_THROW((void)engine.run_batch(cycle), std::invalid_argument);
+  EXPECT_EQ(batch_error(cycle),
+            "dependency cycle: cell 0 can never become ready");
 
   std::vector<BatchNode> dangling(1);
   dangling[0].spec = mc_spec(2.0, 1);
   dangling[0].deps = {5};
-  EXPECT_THROW((void)engine.run_batch(dangling), std::invalid_argument);
+  EXPECT_EQ(batch_error(dangling),
+            "cell 0: dependency 5 out of range (job has 1 cells)");
+
+  std::vector<BatchNode> self(2);
+  self[0].spec = mc_spec(2.0, 1);
+  self[1].spec = mc_spec(2.5, 2);
+  self[1].deps = {1};
+  EXPECT_EQ(batch_error(self),
+            "dependency cycle: cell 1 can never become ready");
+
+  // The engine throws exactly the shared validator's message.
+  for (const std::vector<BatchNode>* nodes : {&cycle, &dangling, &self}) {
+    JobSchedule schedule;
+    const Status status = JobSchedule::build(*nodes, &schedule);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidSpec);
+    EXPECT_EQ(status.message(), batch_error(*nodes));
+  }
+}
+
+TEST(BatchEngineDag, DuplicateAheadOfItsDependencyIsNotACycle) {
+  // Node 0 waits on node 1, which is the same spec.  The dedup edge must
+  // follow dependency order (1 -> 0), not index order (0 -> 1), or an
+  // acyclic DAG reads as a cycle.
+  for (const unsigned threads : {1u, 4u}) {
+    EngineConfig config;
+    config.threads = threads;
+    BatchEngine engine(config);
+    std::vector<BatchNode> nodes(2);
+    nodes[0].spec = mc_spec(2.0, 5);
+    nodes[0].deps = {1};
+    nodes[1].spec = mc_spec(2.0, 5);
+    nodes[1].spec.label = "same cell, different label";
+    std::vector<RunResult> results;
+    ASSERT_NO_THROW(results = engine.run_batch(nodes)) << threads;
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].to_entry("x"), results[1].to_entry("x"));
+    const EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.cells_run, 1u) << threads;
+    EXPECT_EQ(stats.memory_hits, 1u) << threads;
+  }
+}
+
+TEST(JobSchedule, HandsOutCellsInIndexThenDependentsOrder) {
+  std::vector<BatchNode> nodes(5);
+  nodes[0].deps = {2};
+  nodes[3].deps = {1, 2};
+  nodes[4].deps = {2};
+  JobSchedule schedule;
+  std::vector<std::size_t> order;
+  ASSERT_TRUE(JobSchedule::build(nodes, &schedule, &order).is_ok());
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 2, 0, 3, 4}));
+  EXPECT_EQ(schedule.ready(), (std::vector<std::size_t>{1, 2}));
+  EXPECT_TRUE(schedule.complete(1).empty());  // 3 still waits on 2
+  EXPECT_EQ(schedule.complete(2), (std::vector<std::size_t>{0, 3, 4}));
+  EXPECT_TRUE(schedule.complete(0).empty());
+
+  // An added edge holds its cell back until the new dependency finishes.
+  std::vector<BatchNode> flat(3);
+  ASSERT_TRUE(JobSchedule::build(flat, &schedule).is_ok());
+  schedule.add_dep(2, 0);
+  // A failed build leaves the target schedule as it was.
+  flat[0].deps = {0};
+  ASSERT_FALSE(JobSchedule::build(flat, &schedule).is_ok());
+  EXPECT_EQ(schedule.ready(), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(schedule.complete(0), (std::vector<std::size_t>{2}));
 }
 
 TEST(BatchEngineDag, DedupesIdenticalSpecsWithinABatch) {

@@ -10,10 +10,13 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "engine/batch_engine.hpp"
+#include "engine/job.hpp"
 #include "engine/run_spec.hpp"
 #include "obs/json.hpp"
 #include "service/client.hpp"
@@ -68,15 +71,43 @@ Status read_event(LineSocket& socket, swapgame::obs::json::Value* event) {
   return swapgame::obs::json::parse(line, *event);
 }
 
-/// Expects the next event to be `{"event":<name>,"code":<code>}`.
+/// Expects the next event to be `{"event":<name>,"code":<code>}`;
+/// `message` (optional) receives the event's message.
 void expect_status_event(LineSocket& socket, std::string_view name,
-                         StatusCode code) {
+                         StatusCode code, std::string* message = nullptr) {
   swapgame::obs::json::Value event;
   ASSERT_OK(read_event(socket, &event));
   ASSERT_TRUE(event.find("event") != nullptr);
   EXPECT_EQ(event.find("event")->as_string(), name);
   ASSERT_TRUE(event.find("code") != nullptr);
   EXPECT_EQ(event.find("code")->as_string(), swapgame::to_string(code));
+  if (message != nullptr) {
+    ASSERT_TRUE(event.find("message") != nullptr);
+    *message = event.find("message")->as_string();
+  }
+}
+
+/// Default-spec nodes with the given deps, and the message the shared
+/// validator and the offline engine give them (they must agree).
+std::string validator_message(
+    const std::vector<std::vector<std::size_t>>& deps) {
+  std::vector<BatchNode> nodes(deps.size());
+  for (std::size_t i = 0; i < deps.size(); ++i) nodes[i].deps = deps[i];
+  swapgame::engine::JobSchedule schedule;
+  const Status status =
+      swapgame::engine::JobSchedule::build(nodes, &schedule);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidSpec);
+  swapgame::engine::EngineConfig config;
+  config.threads = 1;
+  swapgame::engine::BatchEngine engine(config);
+  std::string thrown;
+  try {
+    (void)engine.run_batch(nodes);
+  } catch (const std::invalid_argument& e) {
+    thrown = e.what();
+  }
+  EXPECT_EQ(thrown, status.message());
+  return status.message();
 }
 
 TEST(StatusTokens, RoundTripEveryCode) {
@@ -275,26 +306,44 @@ TEST(Service, WireProtocolErrorSurface) {
                               std::string("\"cells\":[") + bogus + "]}"));
   expect_status_event(socket, "rejected", StatusCode::kInvalidSpec);
 
-  // Dependency out of range -> invalid_spec.
+  // Dependency out of range -> invalid_spec, worded by the shared
+  // validator exactly as the offline engine throws it.
+  std::string message;
   ASSERT_OK(socket.write_line("{\"proto\":1,\"op\":\"submit\",\"id\":6," +
                               std::string("\"cells\":[") + spec_json +
                               "],\"deps\":[[7]]}"));
-  expect_status_event(socket, "rejected", StatusCode::kInvalidSpec);
+  expect_status_event(socket, "rejected", StatusCode::kInvalidSpec, &message);
+  EXPECT_EQ(message, validator_message({{7}}));
 
   // Dependency cycle -> invalid_spec (never enqueued, never deadlocks).
   ASSERT_OK(socket.write_line("{\"proto\":1,\"op\":\"submit\",\"id\":7," +
                               std::string("\"cells\":[") + spec_json + "," +
                               spec_json + "],\"deps\":[[1],[0]]}"));
+  expect_status_event(socket, "rejected", StatusCode::kInvalidSpec, &message);
+  EXPECT_EQ(message, validator_message({{1}, {0}}));
+
+  // A cell that depends on itself is a cycle too.
+  ASSERT_OK(socket.write_line("{\"proto\":1,\"op\":\"submit\",\"id\":8," +
+                              std::string("\"cells\":[") + spec_json +
+                              "],\"deps\":[[0]]}"));
+  expect_status_event(socket, "rejected", StatusCode::kInvalidSpec, &message);
+  EXPECT_EQ(message, validator_message({{0}}));
+
+  // A negative dependency is not an index.
+  ASSERT_OK(socket.write_line("{\"proto\":1,\"op\":\"submit\",\"id\":9," +
+                              std::string("\"cells\":[") + spec_json +
+                              "],\"deps\":[[-1]]}"));
   expect_status_event(socket, "rejected", StatusCode::kInvalidSpec);
 
   // After all that abuse the connection still answers a well-formed ping.
-  ASSERT_OK(socket.write_line("{\"proto\":1,\"op\":\"ping\",\"id\":8}"));
+  ASSERT_OK(socket.write_line("{\"proto\":1,\"op\":\"ping\",\"id\":10}"));
   swapgame::obs::json::Value pong;
   ASSERT_OK(read_event(socket, &pong));
   EXPECT_EQ(pong.find("event")->as_string(), "pong");
-  EXPECT_EQ(pong.find("id")->as_u64(), 8u);
+  EXPECT_EQ(pong.find("id")->as_u64(), 10u);
 
   EXPECT_EQ(daemon.stats().protocol_errors, 3u);
+  EXPECT_EQ(daemon.stats().jobs_rejected, 7u);
   socket.close();
   daemon.stop();
 }

@@ -11,7 +11,9 @@
 //     kUnsupportedVersion, everything malformed is kInvalidSpec with a
 //     message naming the offending key;
 //   * RunResult::to_entry / from_json round-trips (the one result codec
-//     shared by the disk cache and the wire protocol).
+//     shared by the disk cache and the wire protocol);
+//   * the job codec (engine/job.hpp): render_job / parse_job round-trips,
+//     and every malformed `deps` shape is kInvalidSpec, never a throw.
 #include "engine/run_spec.hpp"
 
 #include <gtest/gtest.h>
@@ -22,12 +24,14 @@
 #include <string>
 #include <vector>
 
+#include "engine/job.hpp"
 #include "obs/json.hpp"
 
 namespace {
 
 using swapgame::Status;
 using swapgame::StatusCode;
+using swapgame::engine::BatchNode;
 using swapgame::engine::CellKind;
 using swapgame::engine::RunResult;
 using swapgame::engine::RunSpec;
@@ -317,6 +321,79 @@ TEST(ResultEntry, StructuredErrorCodes) {
   // "entry absent".
   EXPECT_FALSE(RunResult::parse_entry(stale).has_value());
   EXPECT_FALSE(RunResult::parse_entry("garbage").has_value());
+}
+
+/// parse_job over one JSON text, which must itself parse.
+Status parse_job_text(const std::string& text,
+                      std::vector<BatchNode>* nodes) {
+  swapgame::obs::json::Value root;
+  const Status parsed = swapgame::obs::json::parse(text, root);
+  EXPECT_TRUE(parsed.is_ok()) << text;
+  return swapgame::engine::parse_job(root, nodes);
+}
+
+TEST(JobCodec, RoundTripsCellsAndDeps) {
+  std::vector<BatchNode> nodes(3);
+  nodes[0].spec.kind = CellKind::kAnalyticSr;
+  nodes[1].spec = golden_market_spec();
+  nodes[1].spec.label = "market";
+  nodes[2].spec.kind = CellKind::kSrGrid;
+  nodes[2].deps = {0, 1};
+
+  const std::string body = swapgame::engine::render_job(nodes);
+  EXPECT_EQ(body.find("\"cells\":["), 0u);
+  EXPECT_NE(body.find(",\"deps\":[[],[],[0,1]]"), std::string::npos);
+  std::vector<BatchNode> parsed;
+  ASSERT_TRUE(parse_job_text("{" + body + "}", &parsed).is_ok());
+  ASSERT_EQ(parsed.size(), nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(parsed[i].spec.to_json(), nodes[i].spec.to_json()) << i;
+    EXPECT_EQ(parsed[i].deps, nodes[i].deps) << i;
+  }
+  EXPECT_EQ(swapgame::engine::render_job(parsed), body);
+
+  // No dependency anywhere: no deps member at all.
+  nodes[2].deps.clear();
+  EXPECT_EQ(swapgame::engine::render_job(nodes).find("deps"),
+            std::string::npos);
+}
+
+TEST(JobCodec, MalformedInputIsAStatusNeverAThrow) {
+  const std::string cell = RunSpec{}.to_json();
+  const std::string two_cells = "{\"cells\":[" + cell + "," + cell + "]";
+  for (const std::string deps :
+       {"[[-1],[]]", "[[0.5],[]]", "[[1.5],[]]", "[[1e30],[]]",
+        "[[99999999999999999999],[]]", "[[\"0\"],[]]", "[[null],[]]",
+        "[0,[]]", "[[],{}]", "[[]]", "[[],[],[]]", "{}", "0"}) {
+    std::vector<BatchNode> nodes;
+    Status status;
+    ASSERT_NO_THROW(status = parse_job_text(
+                        two_cells + ",\"deps\":" + deps + "}", &nodes))
+        << deps;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidSpec) << deps;
+  }
+
+  std::vector<BatchNode> nodes;
+  EXPECT_EQ(parse_job_text("[]", &nodes).code(), StatusCode::kInvalidSpec);
+  EXPECT_EQ(parse_job_text("{\"cells\":[]}", &nodes).code(),
+            StatusCode::kInvalidSpec);
+  EXPECT_EQ(parse_job_text("{\"deps\":[]}", &nodes).code(),
+            StatusCode::kInvalidSpec);
+
+  // A bad cell keeps the spec codec's code under a "cell <i>: " prefix.
+  const std::string current =
+      "\"v\":" + std::to_string(swapgame::engine::kRunSpecSchemaVersion);
+  std::string stale = cell;
+  stale.replace(stale.find(current), current.size(), "\"v\":4");
+  const Status status =
+      parse_job_text("{\"cells\":[" + cell + "," + stale + "]}", &nodes);
+  EXPECT_EQ(status.code(), StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(status.message().rfind("cell 1: ", 0), 0u) << status.message();
+
+  // An index past the end parses: range is the validator's check.
+  ASSERT_TRUE(
+      parse_job_text(two_cells + ",\"deps\":[[7],[]]}", &nodes).is_ok());
+  EXPECT_EQ(nodes[0].deps, (std::vector<std::size_t>{7}));
 }
 
 }  // namespace

@@ -7,9 +7,12 @@
 //   swapgame_client demo-dag JOB.json
 //
 // A job file is `{"cells":[<RunSpec JSON>...],"deps":[[indices]...]}` --
-// the wire submit request minus the envelope.  Specs are parsed CLIENT-
-// side through the same versioned codec the daemon uses, so a malformed
-// job fails with a precise message before anything crosses the socket.
+// the wire submit request minus the envelope.  It is read and written by
+// the job codec the daemon and the client library share
+// (engine/job.hpp), so a malformed job -- a bad spec, a dependency that
+// is not an index -- fails with `error: invalid_spec ...` and exit 1
+// before anything crosses the socket.  Dependency ranges and cycles are
+// checked by the daemon, with the validator the offline engine uses.
 //
 // submit prints one result entry per cell to STDOUT in node order --
 // deterministic bytes, so a warm rerun diffs clean against a cold run --
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/job.hpp"
 #include "obs/json.hpp"
 #include "service/client.hpp"
 
@@ -31,7 +35,6 @@ namespace {
 
 using swapgame::Status;
 using swapgame::engine::BatchNode;
-using swapgame::engine::RunSpec;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -46,7 +49,7 @@ int fail(const Status& status) {
   return 1;
 }
 
-/// Parses a job file into BatchNodes through the public spec codec.
+/// Parses a job file into BatchNodes through the shared job codec.
 Status load_job(const std::string& path, std::vector<BatchNode>* nodes) {
   std::ifstream in(path);
   if (!in) return Status::unavailable("cannot open job file '" + path + "'");
@@ -54,51 +57,12 @@ Status load_job(const std::string& path, std::vector<BatchNode>* nodes) {
   text << in.rdbuf();
 
   swapgame::obs::json::Value root;
-  Status status = swapgame::obs::json::parse(text.str(), root);
+  const Status status = swapgame::obs::json::parse(text.str(), root);
   if (!status.is_ok()) {
     return Status::invalid_spec("job file '" + path + "': " +
                                 status.message());
   }
-  if (!root.is_object()) {
-    return Status::invalid_spec("job file must be a JSON object");
-  }
-  const swapgame::obs::json::Value* cells = root.find("cells");
-  if (cells == nullptr || !cells->is_array() || cells->as_array().empty()) {
-    return Status::invalid_spec(
-        "job file needs a non-empty 'cells' array");
-  }
-  const std::size_t n = cells->as_array().size();
-  nodes->assign(n, BatchNode{});
-  for (std::size_t i = 0; i < n; ++i) {
-    status = RunSpec::from_json(cells->as_array()[i], &(*nodes)[i].spec);
-    if (!status.is_ok()) {
-      return Status::from_token(to_string(status.code()),
-                                "cell " + std::to_string(i) + ": " +
-                                    status.message());
-    }
-  }
-  if (const swapgame::obs::json::Value* deps = root.find("deps")) {
-    if (!deps->is_array() || deps->as_array().size() != n) {
-      return Status::invalid_spec(
-          "'deps' must carry one entry per cell");
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const swapgame::obs::json::Value& entry = deps->as_array()[i];
-      if (!entry.is_array()) {
-        return Status::invalid_spec("deps entry " + std::to_string(i) +
-                                    " is not an array");
-      }
-      for (const swapgame::obs::json::Value& dep : entry.as_array()) {
-        if (!dep.is_number()) {
-          return Status::invalid_spec("deps entry " + std::to_string(i) +
-                                      ": dependency is not an index");
-        }
-        (*nodes)[i].deps.push_back(
-            static_cast<std::size_t>(dep.as_u64()));
-      }
-    }
-  }
-  return Status::ok();
+  return swapgame::engine::parse_job(root, nodes);
 }
 
 /// The CI smoke DAG: one cheap cell of every flavor plus a duplicate of
@@ -140,22 +104,7 @@ int write_job_file(const std::string& path) {
   if (!out) {
     return fail(Status::unavailable("cannot write '" + path + "'"));
   }
-  out << "{\"cells\":[";
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (i > 0) out << ',';
-    out << nodes[i].spec.to_json();
-  }
-  out << "],\"deps\":[";
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '[';
-    for (std::size_t k = 0; k < nodes[i].deps.size(); ++k) {
-      if (k > 0) out << ',';
-      out << nodes[i].deps[k];
-    }
-    out << ']';
-  }
-  out << "]}\n";
+  out << '{' << swapgame::engine::render_job(nodes) << "}\n";
   if (!out.flush()) {
     return fail(Status::unavailable("short write to '" + path + "'"));
   }
