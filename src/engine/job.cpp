@@ -1,5 +1,6 @@
 #include "job.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 

@@ -405,28 +405,32 @@ void Daemon::handle_submit(const std::shared_ptr<Connection>& conn,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
-      status = Status::shutting_down("daemon is shutting down");
-    } else if (config_.max_queued_cells != 0 &&
-               queued_cells_ + n > config_.max_queued_cells) {
-      status = Status::admission_rejected(
-          "admitting " + std::to_string(n) +
-          " cells would exceed the queued-cell bound (" +
-          std::to_string(queued_cells_) + " of " +
-          std::to_string(config_.max_queued_cells) +
-          " in flight); retry after draining");
-    } else {
-      job->job_id = next_job_id_++;
-      queued_cells_ += n;
-      ++stats_.jobs_accepted;
-      conn->jobs.push_back(job);
-      for (const std::size_t i : job->schedule.ready()) {
-        job->ready.push_back(i);
-      }
+      ++stats_.jobs_rejected;
+      send_line(conn,
+                render_status_event(
+                    wire::kEvRejected, request_id,
+                    Status::shutting_down("daemon is shutting down")));
+      return;
     }
-  }
-  if (!status.is_ok()) {
-    reject(status);
-    return;
+    if (config_.max_queued_cells != 0 &&
+        queued_cells_ + n > config_.max_queued_cells) {
+      ++stats_.jobs_rejected;
+      send_line(conn,
+                render_status_event(
+                    wire::kEvRejected, request_id,
+                    Status::admission_rejected(
+                        "admitting " + std::to_string(n) +
+                        " cells would exceed the queued-cell bound (" +
+                        std::to_string(queued_cells_) + " of " +
+                        std::to_string(config_.max_queued_cells) +
+                        " in flight); retry after draining")));
+      return;
+    }
+    job->job_id = next_job_id_++;
+    queued_cells_ += n;
+    ++stats_.jobs_accepted;
+    conn->jobs.push_back(job);
+    for (const std::size_t i : job->schedule.ready()) job->ready.push_back(i);
   }
 
   // `accepted` must precede every cell event, so the job is made visible
