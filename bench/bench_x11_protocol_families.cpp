@@ -18,6 +18,7 @@
 #include "bench_util.hpp"
 #include "model/basic_game.hpp"
 #include "model/commitment_game.hpp"
+#include "proto/swap_machine.hpp"
 #include "proto/witness_protocol.hpp"
 #include "sim/mc_runner.hpp"
 #include "sim/path_simulator.hpp"
@@ -48,12 +49,13 @@ WitnessMcResult witness_mc(const model::SwapParams& params, double p_star,
   setup.p_star = p_star;
   math::BinomialCounter success;
   math::RunningStats ua, ub;
+  proto::SteppedPricePath path;
+  proto::DirectRun workspace;
   for (std::size_t i = 0; i < samples; ++i) {
-    const proto::SteppedPricePath path =
-        sim::sample_epoch_path(params, epochs, rng);
+    sim::sample_epoch_path(params, epochs, rng, path);
     setup.secret_seed = seed ^ (i * 0x9E3779B9ULL + 7);
     const proto::SwapResult r =
-        proto::run_witness_swap(setup, alice, bob, path);
+        proto::run_witness_swap(setup, alice, bob, path, workspace);
     success.add(r.success);
     ua.add(r.alice.realized_utility);
     ub.add(r.bob.realized_utility);

@@ -57,6 +57,16 @@ double best_seconds(int reps, Fn&& fn) {
   return best;
 }
 
+/// Wall budget per dispatch level of the adaptive model-MC timing.
+constexpr double kMcBudgetSeconds = 0.25;
+
+/// The median of `values` (reordered).
+double median(std::vector<double>& values) {
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
+}
+
 /// Records one wall-clock rate per dispatch level: in the JSON for scalar
 /// and AVX2, as a TIME line only for AVX-512 (see the file comment).
 /// Returns the reading's name for the CSV row that points at it.
@@ -170,7 +180,10 @@ int main() {
   // --- End-to-end: the x1 adaptive model-MC run per dispatch level.  The
   // sample count is identical at every level (bitwise determinism means
   // the stopping rule fires at the same round), so samples/sec isolates
-  // the kernel speed.
+  // the kernel speed.  One run takes 5-10 ms, too short to time alone on
+  // a shared host: the levels take turns running it until each has had
+  // about kMcBudgetSeconds, so a change in host load hits every level
+  // alike, and each level's rate comes from its median run.
   std::vector<double> mc_msps(levels.size());
   {
     sim::McRunSpec spec;
@@ -181,19 +194,30 @@ int main() {
     spec.config.seed = 1001;
     spec.config.target_half_width = 0.002;
     report.csv_begin("adaptive_mc_throughput", "level,samples,time_line");
-    std::size_t scalar_samples = 0;
+    std::vector<std::vector<double>> run_seconds(levels.size());
+    std::vector<std::size_t> samples(levels.size());
+    using Clock = std::chrono::steady_clock;
+    const auto start = Clock::now();
+    const double budget =
+        kMcBudgetSeconds * static_cast<double>(levels.size());
+    while (std::chrono::duration<double>(Clock::now() - start).count() <
+           budget) {
+      for (std::size_t i = 0; i < levels.size(); ++i) {
+        if (!math::simd::force_level(levels[i])) continue;
+        const auto t0 = Clock::now();
+        samples[i] = sim::McRunner::run(spec).samples;
+        run_seconds[i].push_back(
+            std::chrono::duration<double>(Clock::now() - t0).count());
+      }
+    }
     bool samples_agree = true;
     for (std::size_t i = 0; i < levels.size(); ++i) {
-      if (!math::simd::force_level(levels[i])) continue;
-      sim::McRunResult result;
-      const double s =
-          best_seconds(3, [&] { result = sim::McRunner::run(spec); });
-      if (i == 0) scalar_samples = result.samples;
-      samples_agree = samples_agree && result.samples == scalar_samples;
-      mc_msps[i] = static_cast<double>(result.samples) / s / 1e6;
+      if (run_seconds[i].empty()) continue;
+      samples_agree = samples_agree && samples[i] == samples[0];
+      mc_msps[i] = static_cast<double>(samples[i]) /
+                   median(run_seconds[i]) / 1e6;
       report.csv_row(
-          bench::fmt("%s,%zu,", math::simd::to_string(levels[i]),
-                     result.samples) +
+          bench::fmt("%s,%zu,", math::simd::to_string(levels[i]), samples[i]) +
           record_rate(report, "simd_mc_msps_", levels[i], mc_msps[i]));
     }
     math::simd::reset_level();

@@ -13,8 +13,8 @@ void InvariantAuditor::attach(Ledger& ledger) {
   violations_.clear();
   checks_ = 0;
   for (const HtlcContract& contract : ledger.htlcs()) {
-    seen_.emplace(contract.id.value,
-                  HtlcSnapshot{contract.state, contract.kind, contract.expiry});
+    seen_.push_back({contract.id.value, contract.state, contract.kind,
+                     contract.expiry});
   }
   ledger.set_auditor(this);
 }
@@ -57,17 +57,16 @@ void InvariantAuditor::on_compaction(const Ledger& ledger,
 
   // Every contract the ledger no longer knows must have been seen settled;
   // forget it so the per-transaction scan tracks the live set only.
-  for (auto it = seen_.begin(); it != seen_.end();) {
-    if (ledger.find_htlc(HtlcId{it->first}) != nullptr) {
-      ++it;
-      continue;
-    }
-    if (it->second.state == HtlcState::kLocked) {
+  const auto retired = [&ledger](const HtlcSnapshot& snap) {
+    return ledger.find_htlc(HtlcId{snap.id}) == nullptr;
+  };
+  for (const HtlcSnapshot& snap : seen_) {
+    if (retired(snap) && snap.state == HtlcState::kLocked) {
       record(ledger, no_tx,
-             "htlc " + std::to_string(it->first) + " retired while locked");
+             "htlc " + std::to_string(snap.id) + " retired while locked");
     }
-    it = seen_.erase(it);
   }
+  std::erase_if(seen_, retired);
 }
 
 void InvariantAuditor::on_transaction_applied(const Ledger& ledger,
@@ -96,42 +95,43 @@ void InvariantAuditor::on_transaction_applied(const Ledger& ledger,
   // 3. HTLC state-machine legality, checked as a diff against the last
   // audited state (each applied tx touches at most one contract, but the
   // full scan keeps the check independent of that assumption).
+  std::size_t at = 0;  // seen_[at] is the first snapshot with id >= id
   for (const HtlcContract& contract : ledger.htlcs()) {
     const std::uint64_t id = contract.id.value;
-    const std::string tag = "htlc " + std::to_string(id) + ": ";
-    const auto it = seen_.find(id);
-    if (it == seen_.end()) {
+    const auto tag = [id] { return "htlc " + std::to_string(id) + ": "; };
+    while (at < seen_.size() && seen_[at].id < id) ++at;
+    if (at == seen_.size() || seen_[at].id != id) {
       if (contract.state != HtlcState::kLocked) {
         record(ledger, tx,
-               tag + "created in state " + to_string(contract.state));
+               tag() + "created in state " + to_string(contract.state));
       }
-      seen_.emplace(id, HtlcSnapshot{contract.state, contract.kind,
-                                     contract.expiry});
+      seen_.insert(seen_.begin() + static_cast<std::ptrdiff_t>(at),
+                   {id, contract.state, contract.kind, contract.expiry});
       continue;
     }
-    HtlcSnapshot& snap = it->second;
+    HtlcSnapshot& snap = seen_[at];
     if (snap.state == contract.state) continue;
     if (snap.state != HtlcState::kLocked) {
       record(ledger, tx,
-             tag + std::string("illegal transition ") + to_string(snap.state) +
-                 " -> " + to_string(contract.state));
+             tag() + std::string("illegal transition ") +
+                 to_string(snap.state) + " -> " + to_string(contract.state));
     } else {
       switch (contract.state) {
         case HtlcState::kClaimed:
           if (contract.settled_at > contract.expiry) {
-            record(ledger, tx, tag + "claim confirmed after expiry");
+            record(ledger, tx, tag() + "claim confirmed after expiry");
           }
           break;
         case HtlcState::kRefunded:
           if (contract.settled_at < contract.expiry) {
-            record(ledger, tx, tag + "refund confirmed before expiry");
+            record(ledger, tx, tag() + "refund confirmed before expiry");
           }
           break;
         case HtlcState::kCancelled:
           if (contract.kind != HtlcKind::kInverse) {
-            record(ledger, tx, tag + "cancel of a non-inverse lock");
+            record(ledger, tx, tag() + "cancel of a non-inverse lock");
           } else if (contract.settled_at >= contract.expiry) {
-            record(ledger, tx, tag + "cancel at or after expiry");
+            record(ledger, tx, tag() + "cancel at or after expiry");
           }
           break;
         case HtlcState::kLocked:

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -77,6 +76,7 @@ class InvariantAuditor {
 
  private:
   struct HtlcSnapshot {
+    std::uint64_t id = 0;  ///< HtlcId.value
     HtlcState state = HtlcState::kLocked;
     HtlcKind kind = HtlcKind::kStandard;
     Hours expiry = 0.0;
@@ -86,7 +86,10 @@ class InvariantAuditor {
 
   Ledger* ledger_ = nullptr;
   Amount expected_supply_;
-  std::map<std::uint64_t, HtlcSnapshot> seen_;  // keyed by HtlcId.value
+  // Ascending by id, like Ledger::htlcs(), so the per-transaction scan
+  // walks both in step.  A vector: attach() keeps its capacity, so an
+  // auditor re-attached per protocol Monte-Carlo sample stops allocating.
+  std::vector<HtlcSnapshot> seen_;
   std::vector<Violation> violations_;
   std::uint64_t checks_ = 0;
   bool throw_on_violation_ = false;

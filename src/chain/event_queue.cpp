@@ -16,6 +16,18 @@ void EventQueue::set_metrics(obs::MetricsRegistry* metrics) {
       metrics == nullptr ? nullptr : &metrics->counter("queue.events_processed");
 }
 
+void EventQueue::reset() noexcept {
+  heap_.clear();
+  far_.clear();
+  far_pending_ = 0;
+  bucket_width_ = 0.0;
+  cur_ = 0;
+  now_ = 0.0;
+  next_seq_ = 0;
+  scheduled_counter_ = nullptr;
+  processed_counter_ = nullptr;
+}
+
 void EventQueue::schedule_at(Hours when, Callback cb) {
   if (!std::isfinite(when)) {
     throw std::invalid_argument("EventQueue::schedule_at: non-finite time");

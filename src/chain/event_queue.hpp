@@ -105,6 +105,12 @@ class EventQueue {
   /// null check, never a registry lookup.
   void set_metrics(obs::MetricsRegistry* metrics);
 
+  /// Drops every pending event and restarts the queue as a fresh one:
+  /// clock at 0, sequence numbers from 0, no far tier and no metrics sink.
+  /// The heap keeps its capacity, so a reused queue (one per protocol
+  /// Monte-Carlo chunk) schedules without allocating.
+  void reset() noexcept;
+
   static constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
 
  private:

@@ -15,6 +15,13 @@
 // holds its record through a pointer: an empty slot costs 16 bytes, not a
 // record's size, and a record never moves, so a pointer or reference to it
 // stays valid until it is released.  An empty slab allocates nothing.
+//
+// clear() restarts the slab for a new run (ids from 1 again) and keeps
+// the records it frees as spares: later push() and fill() calls move into
+// them instead of allocating.  A Ledger reused across protocol
+// Monte-Carlo samples therefore stores its records without touching the
+// heap; release() still frees at once, so a long population run never
+// hoards records it retired.
 #pragma once
 
 #include <cstddef>
@@ -78,7 +85,7 @@ class IdSlab {
 
   /// Stores `record` under a new id, held, and returns the id.
   std::uint64_t push(T record) {
-    slots_.push_back(Slot{std::make_unique<T>(std::move(record)), true});
+    slots_.push_back(Slot{store(std::move(record)), true});
     return next_id() - 1;
   }
 
@@ -90,7 +97,7 @@ class IdSlab {
 
   /// Stores `record` under the held, empty id `id`.
   void fill(std::uint64_t id, T record) {
-    slots_[id - base_].record = std::make_unique<T>(std::move(record));
+    slots_[id - base_].record = store(std::move(record));
   }
 
   /// The record of `id`, or nullptr when it is unknown, not yet filled or
@@ -122,10 +129,32 @@ class IdSlab {
     }
   }
 
+  /// Releases every id and restarts the ids at 1, keeping the freed
+  /// records as spares and the slot vector's capacity (see the file
+  /// comment).
+  void clear() {
+    for (Slot& slot : slots_) {
+      if (slot.record) spare_.push_back(std::move(slot.record));
+    }
+    slots_.clear();
+    head_ = 0;
+    base_ = 1;
+  }
+
  private:
+  /// `record` on the heap: in a spare when there is one.
+  std::unique_ptr<T> store(T&& record) {
+    if (spare_.empty()) return std::make_unique<T>(std::move(record));
+    std::unique_ptr<T> out = std::move(spare_.back());
+    spare_.pop_back();
+    *out = std::move(record);
+    return out;
+  }
+
   std::vector<Slot> slots_;
   std::size_t head_ = 0;    ///< slots before it are all released
   std::uint64_t base_ = 1;  ///< id of slots_[0]; ids start at 1
+  std::vector<std::unique_ptr<T>> spare_;  ///< records freed by clear()
 };
 
 }  // namespace swapgame::chain

@@ -91,17 +91,50 @@ void ChainParams::validate() const {
 }
 
 Ledger::Ledger(ChainParams params, EventQueue& queue, math::Xoshiro256* rng)
-    : params_(params), queue_(&queue), rng_(rng) {
-  params_.validate();
-  if (params_.confirmation_jitter > 0.0 && rng_ == nullptr) {
+    : queue_(&queue) {
+  reset(params, rng);
+}
+
+void Ledger::reset(ChainParams params, math::Xoshiro256* rng) {
+  params.validate();
+  if (params.confirmation_jitter > 0.0 && rng == nullptr) {
     throw std::invalid_argument(
         "Ledger: confirmation_jitter > 0 requires an RNG");
   }
+  params_ = params;
+  rng_ = rng;
+  faults_ = nullptr;
+  auditor_ = nullptr;
+  trace_ = nullptr;
+  while (!accounts_.empty()) {
+    spare_accounts_.push_back(accounts_.extract(accounts_.begin()));
+  }
+  transactions_.clear();
+  htlcs_.clear();
+  vault_deposits_.clear();
+  vault_total_ = Amount{};
+  retired_balance_ = Amount{};
+  confirmation_log_.clear();
+  log_offset_ = 0;
+  tx_retirements_.clear();
+  htlc_retirements_.clear();
+  htlc_retire_head_ = 0;
 }
 
 void Ledger::create_account(const Address& address, Amount initial_balance) {
-  const auto [it, inserted] =
-      accounts_.emplace(address.value, initial_balance);
+  bool inserted = false;
+  if (spare_accounts_.empty()) {
+    inserted = accounts_.emplace(address.value, initial_balance).second;
+  } else {
+    // A node freed by reset(): its key string keeps its buffer.
+    AccountTable::node_type node = std::move(spare_accounts_.back());
+    spare_accounts_.pop_back();
+    node.key() = address.value;
+    node.mapped() = initial_balance;
+    AccountTable::insert_return_type placed = accounts_.insert(std::move(node));
+    inserted = placed.inserted;
+    if (!inserted) spare_accounts_.push_back(std::move(placed.node));
+  }
   if (!inserted) {
     throw std::invalid_argument("Ledger: account already exists: " + address.value);
   }
@@ -417,9 +450,11 @@ void Ledger::apply(Transaction& tx) {
   if (auditor_ != nullptr) auditor_->on_transaction_applied(*this, tx);
 }
 
-void Ledger::fail(Transaction& tx, std::string reason) {
+void Ledger::fail(Transaction& tx, std::string_view reason,
+                  std::string_view detail) {
   tx.status = TxStatus::kFailed;
-  tx.failure_reason = std::move(reason);
+  // Assigned in place: a record reused after reset() keeps the buffer.
+  tx.failure_reason.assign(reason).append(detail);
 }
 
 void Ledger::queue_tx_retirement(Retirement entry) {
@@ -494,7 +529,7 @@ void Ledger::apply_claim(Transaction& tx, const ClaimHtlcPayload& p) {
   }
   HtlcContract& contract = *found;
   if (contract.state != HtlcState::kLocked) {
-    return fail(tx, std::string("claim: contract is ") + to_string(contract.state));
+    return fail(tx, "claim: contract is ", to_string(contract.state));
   }
   // Claims must confirm at or before the time lock's expiry (paper Eq. (8):
   // t5 = t3 + tau_b <= t_b).
@@ -532,7 +567,7 @@ void Ledger::apply_refund(Transaction& tx, const RefundHtlcPayload& p) {
   }
   HtlcContract& contract = *found;
   if (contract.state != HtlcState::kLocked) {
-    return fail(tx, std::string("refund: contract is ") + to_string(contract.state));
+    return fail(tx, "refund: contract is ", to_string(contract.state));
   }
   // The timeout path is only valid once the time lock has lapsed.
   if (queue_->now() < contract.expiry) {
@@ -568,7 +603,7 @@ void Ledger::apply_cancel(Transaction& tx, const CancelHtlcPayload& p) {
     return fail(tx, "cancel: only inverse escrows can be cancelled");
   }
   if (contract.state != HtlcState::kLocked) {
-    return fail(tx, std::string("cancel: contract is ") + to_string(contract.state));
+    return fail(tx, "cancel: contract is ", to_string(contract.state));
   }
   if (queue_->now() >= contract.expiry) {
     return fail(tx, "cancel: escrow already expired");

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -106,6 +107,15 @@ class Ledger {
 
   Ledger(const Ledger&) = delete;
   Ledger& operator=(const Ledger&) = delete;
+
+  /// Restarts the ledger as if freshly constructed on the same queue with
+  /// `params` and `rng`: no accounts, records or vault, ids from 1, and no
+  /// fault injector, auditor or trace attached.  The containers keep their
+  /// capacity (the slabs keep their records as spares), so a ledger reused
+  /// across protocol Monte-Carlo samples stops allocating once warm.  The
+  /// queue must hold no event of this ledger any more (reset it first).
+  /// Throws like the constructor, before changing anything.
+  void reset(ChainParams params, math::Xoshiro256* rng = nullptr);
 
   [[nodiscard]] const ChainParams& params() const noexcept { return params_; }
   [[nodiscard]] Hours now() const noexcept { return queue_->now(); }
@@ -280,7 +290,8 @@ class Ledger {
   void apply_cancel(Transaction& tx, const CancelHtlcPayload& p);
   void apply_deposit(Transaction& tx, const DepositCollateralPayload& p);
   void apply_release(Transaction& tx, const ReleaseCollateralPayload& p);
-  void fail(Transaction& tx, std::string reason);
+  void fail(Transaction& tx, std::string_view reason,
+            std::string_view detail = {});
   void queue_tx_retirement(Retirement entry);
   /// Moves a locked contract to its final state at now() and queues it for
   /// retirement.
@@ -296,7 +307,11 @@ class Ledger {
   obs::TraceRecorder* trace_ = nullptr;
   // Keyed by Address::value: std::hash<std::string> makes the table cache
   // each node's hash, so a probe never rehashes the strings it passes.
-  std::unordered_map<std::string, Amount> accounts_;
+  using AccountTable = std::unordered_map<std::string, Amount>;
+  AccountTable accounts_;
+  // Account nodes reset() took out of accounts_, for create_account() to
+  // reuse.
+  std::vector<AccountTable::node_type> spare_accounts_;
   IdSlab<Transaction> transactions_;  // by TxId.value
   IdSlab<HtlcContract> htlcs_;        // by HtlcId.value; held from the deploy
   std::map<Address, Amount> vault_deposits_;

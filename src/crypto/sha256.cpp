@@ -3,6 +3,13 @@
 #include <cassert>
 #include <cstring>
 
+#include "math/simd.hpp"
+
+#if defined(__x86_64__) || defined(_M_X64)
+#define SWAPGAME_SHA_NI 1
+#include <immintrin.h>
+#endif
+
 namespace swapgame::crypto {
 
 namespace {
@@ -24,23 +31,9 @@ inline std::uint32_t rotr(std::uint32_t x, int n) noexcept {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-void Sha256::reset() noexcept {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
-  buffer_len_ = 0;
-  total_bits_ = 0;
-  finalized_ = false;
-}
-
-void Sha256::process_block(const std::uint8_t* block) noexcept {
+/// The FIPS 180-4 compression function, one 64-byte block into `state`:
+/// the reference every other compressor must match.
+void compress_scalar(std::uint32_t* state, const std::uint8_t* block) noexcept {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -56,8 +49,8 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -76,14 +69,103 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(SWAPGAME_SHA_NI)
+/// The same compression on the SHA extensions.  sha256rnds2 runs two
+/// rounds on the state split as ABEF/CDGH, so the state is shuffled into
+/// that layout and back; sha256msg1/msg2 extend the message schedule four
+/// words at a time.  Only called when math::simd::sha_supported().
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* block) noexcept {
+  // Byte order: each big-endian message word into a little-endian lane.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // msg[g % 4] holds schedule words 4g .. 4g + 3 of the group being run.
+  __m128i msg[4];
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    __m128i w;
+    if (g < 4) {
+      w = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)),
+          bswap);
+    } else {
+      // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16], four at once.
+      w = _mm_add_epi32(_mm_sha256msg1_epu32(msg[g % 4], msg[(g + 1) % 4]),
+                        _mm_alignr_epi8(msg[(g + 3) % 4], msg[(g + 2) % 4], 4));
+      w = _mm_sha256msg2_epu32(w, msg[(g + 3) % 4]);
+    }
+    msg[g % 4] = w;
+    const __m128i wk = _mm_add_epi32(
+        w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+}  // namespace
+
+void Sha256::reset() noexcept {
+  state_[0] = 0x6a09e667;
+  state_[1] = 0xbb67ae85;
+  state_[2] = 0x3c6ef372;
+  state_[3] = 0xa54ff53a;
+  state_[4] = 0x510e527f;
+  state_[5] = 0x9b05688c;
+  state_[6] = 0x1f83d9ab;
+  state_[7] = 0x5be0cd19;
+  buffer_len_ = 0;
+  total_bits_ = 0;
+  finalized_ = false;
+}
+
+bool Sha256::uses_sha_ni() noexcept {
+#if defined(SWAPGAME_SHA_NI)
+  return math::simd::active_level() != math::simd::SimdLevel::kScalar &&
+         math::simd::sha_supported();
+#else
+  return false;
+#endif
+}
+
+void Sha256::process_block(const std::uint8_t* block) noexcept {
+#if defined(SWAPGAME_SHA_NI)
+  if (uses_sha_ni()) {
+    compress_sha_ni(state_, block);
+    return;
+  }
+#endif
+  compress_scalar(state_, block);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {

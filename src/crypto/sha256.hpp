@@ -3,6 +3,11 @@
 // This is the hash function of the HTLC hash lock: Alice's secret preimage
 // is committed as sha256(secret) in both contracts (paper Section II-B,
 // Fig. 1).  Streaming interface plus one-shot helpers.
+//
+// Two block compressors give the same digests: the scalar reference and
+// one on the x86 SHA extensions (SHA-NI).  The SIMD dispatch setting picks
+// between them (math/simd.hpp): SWAPGAME_SIMD=off, or force_level(kScalar),
+// runs the scalar one; any vector level runs SHA-NI when the CPU has it.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +38,10 @@ class Sha256 {
   /// One-shot convenience.
   [[nodiscard]] static Digest256 hash(std::span<const std::uint8_t> data) noexcept;
   [[nodiscard]] static Digest256 hash(std::string_view text) noexcept;
+
+  /// Whether blocks are compressed with SHA-NI right now (see the file
+  /// comment) rather than by the scalar reference.
+  [[nodiscard]] static bool uses_sha_ni() noexcept;
 
  private:
   void process_block(const std::uint8_t* block) noexcept;

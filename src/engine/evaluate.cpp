@@ -16,6 +16,7 @@
 #include "model/sensitivity.hpp"
 #include "model/solver_cache.hpp"
 #include "obs/trace.hpp"
+#include "proto/swap_machine.hpp"
 #include "proto/swap_protocol.hpp"
 #include "run_spec.hpp"
 #include "sim/mc_detail.hpp"
@@ -125,9 +126,11 @@ RunResult evaluate_jitter_cell(const RunSpec& spec) {
   math::BinomialCounter completed;
   std::uint64_t runs = 0, success = 0, benign = 0, alice_lost = 0,
                 bob_lost = 0;
+  proto::DirectRun workspace;  // reused by every run of the cell
   for (std::uint64_t seed = 1; seed <= max_runs; ++seed) {
     setup.latency_seed = seed * spec.mc.latency_seed;
-    const proto::SwapResult r = proto::run_swap(setup, *alice, *bob, path);
+    const proto::SwapResult r =
+        proto::run_swap(setup, *alice, *bob, path, workspace);
     ++runs;
     completed.add(r.outcome == proto::SwapOutcome::kSuccess);
     switch (r.outcome) {

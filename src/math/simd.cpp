@@ -3,6 +3,10 @@
 // force_level()/reset_level() test hooks.
 #include "simd.hpp"
 
+#if defined(SWAPGAME_SIMD_X86)
+#include <cpuid.h>
+#endif
+
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -122,6 +126,22 @@ bool force_level(SimdLevel level) noexcept {
 void reset_level() noexcept {
   g_active_level.store(static_cast<int>(resolve_from_env()),
                        std::memory_order_relaxed);
+}
+
+bool sha_supported() noexcept {
+#if defined(SWAPGAME_SIMD_X86)
+  static const bool supported = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid_max(0, nullptr) < 7) return false;
+    __cpuid(1, eax, ebx, ecx, edx);
+    const bool sse41 = (ecx >> 19) & 1;
+    __cpuid_count(7, 0, eax, ebx, ecx, edx);
+    return sse41 && ((ebx >> 29) & 1) != 0;  // CPUID.(7,0):EBX.SHA
+  }();
+  return supported;
+#else
+  return false;
+#endif
 }
 
 }  // namespace swapgame::math::simd

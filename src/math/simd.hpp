@@ -22,6 +22,11 @@
 // Env values for SWAPGAME_SIMD: "off"/"scalar", "avx2", "avx512", "auto"
 // (default).  Requesting an unsupported level falls back to the best
 // supported level at or below the request.
+//
+// The same setting picks the SHA-256 compressor of src/crypto: any vector
+// level uses the SHA-NI one when the CPU has it (sha_supported()), the
+// scalar level always runs the scalar reference.  Both give the same
+// digests, so this choice moves no output byte either.
 #pragma once
 
 #include <cstddef>
@@ -114,5 +119,9 @@ bool force_level(SimdLevel level) noexcept;
 
 /// Undo force_level(): back to env + CPUID resolution.
 void reset_level() noexcept;
+
+/// True when the CPU has the SHA extensions (SHA-NI) and SSE4.1, which the
+/// SHA-NI compressor of crypto::Sha256 needs.
+[[nodiscard]] bool sha_supported() noexcept;
 
 }  // namespace swapgame::math::simd

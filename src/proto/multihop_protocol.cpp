@@ -51,7 +51,8 @@ MultihopResult run_multihop_swap(const MultihopSetup& setup,
   SwapSetup env;
   env.audit = false;
   env.audit_log = &result.audit;
-  DirectRun run(
+  DirectRun run;
+  run.reset(
       {.legs = legs, .parties = parties, .secret_seed = setup.secret_seed},
       chains, env, path);
   run.run();

@@ -28,25 +28,46 @@ class PricePath {
 
 /// Piecewise-constant path through given (time, price) knots: the price at
 /// t is the price of the latest knot at or before t.  Queries before the
-/// first knot throw std::out_of_range.
+/// first knot (every query, on an empty path) throw std::out_of_range.
 class SteppedPricePath final : public PricePath {
  public:
   using Knot = std::pair<chain::Hours, double>;
 
-  explicit SteppedPricePath(const std::map<chain::Hours, double>& knots)
-      : knots_(knots.begin(), knots.end()) {
-    validate();
+  /// An empty path, to be filled by append().
+  SteppedPricePath() = default;
+
+  explicit SteppedPricePath(const std::map<chain::Hours, double>& knots) {
+    for (const auto& [t, price] : knots) append(t, price);
+    require_knots();
   }
 
-  /// Knots already in strictly increasing time order, kept as given (the
-  /// Monte-Carlo engines build one path per sample this way).
+  /// Knots already in strictly increasing time order, kept as given.
   /// @throws std::invalid_argument if empty, not strictly increasing in
   /// time, or a price is not > 0.
-  [[nodiscard]] static SteppedPricePath from_sorted(std::vector<Knot> knots) {
+  [[nodiscard]] static SteppedPricePath from_sorted(
+      const std::vector<Knot>& knots) {
     SteppedPricePath path;
-    path.knots_ = std::move(knots);
-    path.validate();
+    for (const auto& [t, price] : knots) path.append(t, price);
+    path.require_knots();
     return path;
+  }
+
+  /// Drops every knot and keeps the buffer: a Monte-Carlo chunk refills
+  /// one path per sample (sim::sample_epoch_path).
+  void clear() noexcept { knots_.clear(); }
+
+  /// Adds a knot after the last one.
+  /// @throws std::invalid_argument if `price` is not > 0 or `t` is not
+  /// after the last knot's time.
+  void append(chain::Hours t, double price) {
+    if (!(price > 0.0)) {
+      throw std::invalid_argument("SteppedPricePath: prices must be > 0");
+    }
+    if (!knots_.empty() && !(knots_.back().first < t)) {
+      throw std::invalid_argument(
+          "SteppedPricePath: knot times must increase strictly");
+    }
+    knots_.emplace_back(t, price);
   }
 
   [[nodiscard]] double price_at(chain::Hours t) const override {
@@ -60,20 +81,9 @@ class SteppedPricePath final : public PricePath {
   }
 
  private:
-  SteppedPricePath() = default;
-
-  void validate() const {
+  void require_knots() const {
     if (knots_.empty()) {
       throw std::invalid_argument("SteppedPricePath: need at least one knot");
-    }
-    for (std::size_t i = 0; i < knots_.size(); ++i) {
-      if (!(knots_[i].second > 0.0)) {
-        throw std::invalid_argument("SteppedPricePath: prices must be > 0");
-      }
-      if (i > 0 && !(knots_[i - 1].first < knots_[i].first)) {
-        throw std::invalid_argument(
-            "SteppedPricePath: knot times must increase strictly");
-      }
     }
   }
 

@@ -474,13 +474,25 @@ void SwapMachine::reconcile_outcome() {
 
 // --- DirectRun ---------------------------------------------------------------
 
-DirectRun::DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
-                     const SwapSetup& setup, const PricePath& path)
-    : parties_(graph.parties), setup_(&setup), machine_(graph, env_) {
+void DirectRun::reset(const SwapGraph& graph,
+                      std::span<const LegChain> chains,
+                      const SwapSetup& setup, const PricePath& path) {
+  // The machine and the queue's callbacks point into this run: drop them
+  // before the state they point at.
+  machine_.reset();
+  queue_.reset();
+  env_.oracle.reset();
+  env_.premium[0] = env_.premium[1] = TrackedTx{};
+  env_.audit = nullptr;
+  audit_.reset();
+  rebroadcasts_ = 0;
+  parties_ = graph.parties;
+  setup_ = &setup;
   const std::size_t n = graph.legs.size();
-  if (n > 2) {
+  if (n > 2 && heap_capacity_ < n) {
     heap_legs_ = std::make_unique<LegRun[]>(n);
     heap_ledgers_ = std::make_unique<chain::Ledger*[]>(n);
+    heap_capacity_ = n;
   }
   legs_ = std::span<LegRun>(n > 2 ? heap_legs_.get() : inline_legs_, n);
   chain::Ledger** ledgers = n > 2 ? heap_ledgers_.get() : inline_ledgers_;
@@ -492,8 +504,13 @@ DirectRun::DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
     // XOR k times a per-stream constant, so leg 0 uses the seeds as given.
     leg.latency_rng =
         math::Xoshiro256(setup.latency_seed ^ (k * 0x517CC1B727220A95ULL));
-    chain::Ledger& ledger =
-        leg.ledger.emplace(spec_chain.params, queue_, &leg.latency_rng);
+    leg.injector.reset();
+    if (leg.ledger) {
+      leg.ledger->reset(spec_chain.params, &leg.latency_rng);
+    } else {
+      leg.ledger.emplace(spec_chain.params, queue_, &leg.latency_rng);
+    }
+    chain::Ledger& ledger = *leg.ledger;
     ledger.create_account(graph.parties[spec.payer].name,
                           chain::Amount::from_tokens(spec_chain.payer_balance));
     ledger.create_account(graph.parties[spec.payee].name,
@@ -505,7 +522,11 @@ DirectRun::DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
       ledger.set_fault_injector(&leg.injector.emplace(
           *spec_chain.faults, setup.faults.seed ^ (k * 0x9E3779B97F4A7C15ULL)));
     }
-    if (setup.audit) leg.auditor.attach(ledger);
+    if (setup.audit) {
+      leg.auditor.attach(ledger);
+    } else {
+      leg.auditor.detach();
+    }
     if (setup.trace != nullptr) {
       ledger.set_trace(setup.trace);
       if (leg.injector) {
@@ -534,12 +555,13 @@ DirectRun::DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
                          {"expiry_margin", setup.expiry_margin},
                          {"faults", setup.faults.any()}});
   }
+  machine_.emplace(graph, env_);
 }
 
 void DirectRun::run() {
-  machine_.start();
+  machine_->start();
   queue_.run();  // drain confirmations, refunds and oracle releases
-  machine_.reconcile_outcome();
+  machine_->reconcile_outcome();
 }
 
 double DirectRun::balance(std::size_t leg, std::size_t party) const {
@@ -557,6 +579,7 @@ void DirectRun::report(SwapResult& result) const {
   std::uint64_t dropped = 0;
   for (const LegRun& leg : legs_) {
     if (leg.injector) dropped += leg.injector->dropped();
+    if (!setup_->audit) continue;  // a detached auditor keeps old verdicts
     for (const chain::InvariantAuditor::Violation& v :
          leg.auditor.violations()) {
       result.invariant_violations.push_back(
@@ -589,7 +612,7 @@ void DirectRun::watch_broadcast(std::size_t leg, TxRole role, chain::TxId id,
   const Hours backoff = eps * static_cast<double>(1 << std::min(attempt, 4));
   const Hours retry_at = queue_.now() + eps + backoff;
   if (retry_at >= deadline) {
-    machine_.give_up(leg, role);
+    machine_->give_up(leg, role);
     if (audit_) {
       audit_->add(queue_.now(),
                   "broadcast lost and deadline too close to retry; giving up");
@@ -606,7 +629,7 @@ void DirectRun::watch_broadcast(std::size_t leg, TxRole role, chain::TxId id,
                                 deadline, attempt]() mutable {
     chain::Ledger& ledger = *legs_[leg].ledger;
     const chain::TxId retry = ledger.submit(payload);
-    machine_.landed(leg, role, retry);
+    machine_->landed(leg, role, retry);
     ++rebroadcasts_;
     if (audit_) {
       audit_->add(queue_.now(), "re-broadcast after drop (attempt ",

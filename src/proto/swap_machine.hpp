@@ -266,19 +266,32 @@ struct LegChain {
 /// comment).  Reads from `setup`: collateral, premium, latency and fault
 /// seeds, audit, trace, metrics and the audit_log sink.  The graph's
 /// spans, the strategies, the path and the sink must outlive the run.
+///
+/// A DirectRun is also the workspace of run_swap and run_witness_swap:
+/// reset() sets it up for the next swap, and its queue, ledgers and
+/// auditors keep their capacity between swaps, so a protocol Monte-Carlo
+/// chunk that keeps one runs its samples without rebuilding them.
 class DirectRun final : public SwapSink {
  public:
-  DirectRun(const SwapGraph& graph, std::span<const LegChain> chains,
-            const SwapSetup& setup, const PricePath& path);
+  DirectRun() = default;
   DirectRun(const DirectRun&) = delete;
   DirectRun& operator=(const DirectRun&) = delete;
+
+  /// Sets the run up for `graph` on `chains` (one per leg): empties the
+  /// queue and the ledgers, opens the legs' accounts and attaches the
+  /// setup's fault models, auditors and trace.  Every id, the clock, the
+  /// event sequence and the latency and fault streams restart exactly as
+  /// in a fresh DirectRun, whatever the previous swap did (a throw
+  /// included).
+  void reset(const SwapGraph& graph, std::span<const LegChain> chains,
+             const SwapSetup& setup, const PricePath& path);
 
   /// Runs the swap to quiescence (every refund and oracle release done)
   /// and reconciles the outcome against the legs' final settlement.
   void run();
 
   [[nodiscard]] const SwapMachine& machine() const noexcept {
-    return machine_;
+    return *machine_;
   }
   [[nodiscard]] chain::Hours now() const noexcept { return queue_.now(); }
   /// Final confirmed balance of `party` on `leg`'s chain (tokens).
@@ -307,18 +320,19 @@ class DirectRun final : public SwapSink {
                        chain::TxPayload payload, chain::Hours deadline,
                        int attempt);
   std::span<const SwapParty> parties_;
-  const SwapSetup* setup_;
+  const SwapSetup* setup_ = nullptr;
   chain::EventQueue queue_;
   // Chains sit inline for the 2-cycle, which the protocol Monte-Carlo runs
-  // once per sample; longer cycles use the heap.
+  // once per sample; longer cycles use the heap (grown, never shrunk).
   LegRun inline_legs_[2];
   std::unique_ptr<LegRun[]> heap_legs_;
+  std::size_t heap_capacity_ = 0;
   std::span<LegRun> legs_;
   chain::Ledger* inline_ledgers_[2] = {nullptr, nullptr};
   std::unique_ptr<chain::Ledger*[]> heap_ledgers_;
   std::optional<AuditLog> audit_;  ///< engaged iff setup.audit_log is set
   SwapEnv env_;
-  SwapMachine machine_;
+  std::optional<SwapMachine> machine_;  ///< engaged by reset()
   int rebroadcasts_ = 0;
 };
 

@@ -320,7 +320,7 @@ void compute_faulted_values(SwapResult& result, const SwapSetup& setup,
 /// t_b -- and values the outcome on `path`.
 SwapResult run_two_cycle(const SwapSetup& setup, agents::Strategy& alice,
                          agents::Strategy& bob, const PricePath& path,
-                         const model::Schedule& schedule,
+                         DirectRun& run, const model::Schedule& schedule,
                          bool witness_holds_secret) {
   const double q = setup.collateral;
   const SwapLeg legs[2] = {{0, 1, setup.p_star, schedule.t_a},
@@ -333,9 +333,9 @@ SwapResult run_two_cycle(const SwapSetup& setup, agents::Strategy& alice,
   const SwapParty parties[2] = {
       {{"alice"}, &alice, &setup.faults.alice_offline},
       {{"bob"}, &bob, &setup.faults.bob_offline}};
-  DirectRun run({legs, parties, &schedule, setup.p_star, setup.secret_seed,
-                 /*tag=*/0, witness_holds_secret},
-                chains, setup, path);
+  run.reset({legs, parties, &schedule, setup.p_star, setup.secret_seed,
+             /*tag=*/0, witness_holds_secret},
+            chains, setup, path);
   run.run();
 
   SwapResult result;
@@ -393,6 +393,13 @@ SwapResult run_two_cycle(const SwapSetup& setup, agents::Strategy& alice,
 
 SwapResult run_swap(const SwapSetup& setup, agents::Strategy& alice,
                     agents::Strategy& bob, const PricePath& path) {
+  DirectRun workspace;
+  return run_swap(setup, alice, bob, path, workspace);
+}
+
+SwapResult run_swap(const SwapSetup& setup, agents::Strategy& alice,
+                    agents::Strategy& bob, const PricePath& path,
+                    DirectRun& workspace) {
   validate_terms(setup, "run_swap");
   // Shift the HTLC expiries (and thus the failure-path receipts) by the
   // safety margin; decision epochs stay on the idealized schedule.
@@ -401,11 +408,18 @@ SwapResult run_swap(const SwapSetup& setup, agents::Strategy& alice,
   schedule.t_b += setup.expiry_margin;
   schedule.t7 = schedule.t_b + setup.params.tau_b;
   schedule.t8 = schedule.t_a + setup.params.tau_a;
-  return run_two_cycle(setup, alice, bob, path, schedule, false);
+  return run_two_cycle(setup, alice, bob, path, workspace, schedule, false);
 }
 
 SwapResult run_witness_swap(const SwapSetup& setup, agents::Strategy& alice,
                             agents::Strategy& bob, const PricePath& path) {
+  DirectRun workspace;
+  return run_witness_swap(setup, alice, bob, path, workspace);
+}
+
+SwapResult run_witness_swap(const SwapSetup& setup, agents::Strategy& alice,
+                            agents::Strategy& bob, const PricePath& path,
+                            DirectRun& workspace) {
   validate_terms(setup, "run_witness_swap");
   if (setup.collateral > 0.0 || setup.premium > 0.0) {
     throw std::invalid_argument(
@@ -425,7 +439,7 @@ SwapResult run_witness_swap(const SwapSetup& setup, agents::Strategy& alice,
   s.t6 = s.t3 + p.tau_a;  // Bob's receipt on commit
   s.t7 = s.t_b + p.tau_b;
   s.t8 = s.t_a + p.tau_a;
-  return run_two_cycle(setup, alice, bob, path, s, true);
+  return run_two_cycle(setup, alice, bob, path, workspace, s, true);
 }
 
 }  // namespace swapgame::proto

@@ -197,8 +197,12 @@ struct SwapSetup {
   std::vector<std::string>* audit_log = nullptr;
 };
 
-/// Runs one complete swap and returns the audited result.  The function
-/// owns its event queue and ledgers, so concurrent calls are independent.
+class DirectRun;  // swap_machine.hpp
+
+/// Runs one complete swap and returns the audited result.  Every run goes
+/// through a workspace (the DirectRun of swap_machine.hpp: event queue,
+/// ledgers, auditors); this overload builds a local one, so concurrent
+/// calls are independent.
 ///
 /// @param setup     swap terms; setup.params must validate.
 /// @param alice     Alice's decision rule (Stage::kT1Initiate, kT3Reveal).
@@ -208,5 +212,15 @@ struct SwapSetup {
                                   agents::Strategy& alice,
                                   agents::Strategy& bob,
                                   const PricePath& path);
+
+/// The same run in the caller's workspace, which keeps its capacity for
+/// the next run (a protocol Monte-Carlo chunk keeps one for all its
+/// samples).  The result is the same as with a fresh workspace, whatever
+/// ran in it before; one workspace serves one thread at a time.
+[[nodiscard]] SwapResult run_swap(const SwapSetup& setup,
+                                  agents::Strategy& alice,
+                                  agents::Strategy& bob,
+                                  const PricePath& path,
+                                  DirectRun& workspace);
 
 }  // namespace swapgame::proto

@@ -39,4 +39,11 @@ namespace swapgame::proto {
                                           agents::Strategy& bob,
                                           const PricePath& path);
 
+/// The same run in the caller's workspace (see run_swap).
+[[nodiscard]] SwapResult run_witness_swap(const SwapSetup& setup,
+                                          agents::Strategy& alice,
+                                          agents::Strategy& bob,
+                                          const PricePath& path,
+                                          DirectRun& workspace);
+
 }  // namespace swapgame::proto

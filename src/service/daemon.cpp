@@ -401,36 +401,39 @@ void Daemon::handle_submit(const std::shared_ptr<Connection>& conn,
   const std::size_t n = job->nodes.size();
 
   // Admission: reserve the job's cells under the queued-cell bound (or
-  // turn the whole job away -- jobs are admitted atomically).
+  // turn the whole job away -- jobs are admitted atomically).  A refusal
+  // is counted under the lock and sent after it: the send blocks while
+  // the client is not reading, and must not stall the workers meanwhile.
+  Status refusal;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
-      ++stats_.jobs_rejected;
-      send_line(conn,
-                render_status_event(
-                    wire::kEvRejected, request_id,
-                    Status::shutting_down("daemon is shutting down")));
-      return;
+      refusal = Status::shutting_down("daemon is shutting down");
+    } else if (config_.max_queued_cells != 0 &&
+               queued_cells_ + n > config_.max_queued_cells) {
+      refusal = Status::admission_rejected(
+          "admitting " + std::to_string(n) +
+          " cells would exceed the queued-cell bound (" +
+          std::to_string(queued_cells_) + " of " +
+          std::to_string(config_.max_queued_cells) +
+          " in flight); retry after draining");
     }
-    if (config_.max_queued_cells != 0 &&
-        queued_cells_ + n > config_.max_queued_cells) {
+    if (!refusal.is_ok()) {
       ++stats_.jobs_rejected;
-      send_line(conn,
-                render_status_event(
-                    wire::kEvRejected, request_id,
-                    Status::admission_rejected(
-                        "admitting " + std::to_string(n) +
-                        " cells would exceed the queued-cell bound (" +
-                        std::to_string(queued_cells_) + " of " +
-                        std::to_string(config_.max_queued_cells) +
-                        " in flight); retry after draining")));
-      return;
+    } else {
+      job->job_id = next_job_id_++;
+      queued_cells_ += n;
+      ++stats_.jobs_accepted;
+      conn->jobs.push_back(job);
+      for (const std::size_t i : job->schedule.ready()) {
+        job->ready.push_back(i);
+      }
     }
-    job->job_id = next_job_id_++;
-    queued_cells_ += n;
-    ++stats_.jobs_accepted;
-    conn->jobs.push_back(job);
-    for (const std::size_t i : job->schedule.ready()) job->ready.push_back(i);
+  }
+  if (!refusal.is_ok()) {
+    send_line(conn,
+              render_status_event(wire::kEvRejected, request_id, refusal));
+    return;
   }
 
   // `accepted` must precede every cell event, so the job is made visible

@@ -12,6 +12,7 @@
 #include "model/collateral_game.hpp"
 #include "obs/trace.hpp"
 #include "path_simulator.hpp"
+#include "proto/swap_machine.hpp"
 
 namespace swapgame::sim {
 
@@ -103,15 +104,17 @@ McEstimate detail::protocol_mc(const proto::SwapSetup& setup,
       math::Xoshiro256(config.seed), merged,
       [&](std::size_t first, std::size_t count, math::Xoshiro256& rng,
           McEstimate& out) {
-        // Per-CHUNK workspace: one SwapSetup copy per chunk instead of per
+        // Per-CHUNK workspace: one SwapSetup copy, one price path and one
+        // protocol run (queue, ledgers, auditors) per chunk, each reset per
         // sample; only the per-sample seeds and the trace pointer mutate
         // inside the loop.
         proto::SwapSetup sample_setup = setup;
         sample_setup.metrics = config.metrics;
+        proto::SteppedPricePath path;
+        proto::DirectRun workspace;
         for (std::size_t i = 0; i < count; ++i) {
           const std::uint64_t index = first + i;
-          const proto::SteppedPricePath path =
-              sample_epoch_path(setup.params, epochs, rng);
+          sample_epoch_path(setup.params, epochs, rng, path);
           const std::unique_ptr<agents::Strategy> a =
               alice(agents::Role::kAlice, index);
           const std::unique_ptr<agents::Strategy> b =
@@ -131,7 +134,7 @@ McEstimate detail::protocol_mc(const proto::SwapSetup& setup,
                               index % config.trace_stride == 0;
           sample_setup.trace = traced ? &recorder : nullptr;
           const proto::SwapResult result =
-              proto::run_swap(sample_setup, *a, *b, path);
+              proto::run_swap(sample_setup, *a, *b, path, workspace);
           if (traced) config.traces->add(index, recorder);
 
           const bool started =

@@ -25,17 +25,23 @@ proto::SteppedPricePath sample_epoch_path(const model::SwapParams& params,
 proto::SteppedPricePath sample_epoch_path(
     const model::SwapParams& params, const std::vector<chain::Hours>& epochs,
     math::Xoshiro256& rng) {
-  std::vector<proto::SteppedPricePath::Knot> knots;
-  knots.reserve(epochs.size());
+  proto::SteppedPricePath path;
+  sample_epoch_path(params, epochs, rng, path);
+  return path;
+}
+
+void sample_epoch_path(const model::SwapParams& params,
+                       const std::vector<chain::Hours>& epochs,
+                       math::Xoshiro256& rng, proto::SteppedPricePath& out) {
+  out.clear();
   double price = params.p_t0;
-  knots.emplace_back(epochs.front(), price);
+  out.append(epochs.front(), price);
   for (std::size_t i = 1; i < epochs.size(); ++i) {
     const double dt = epochs[i] - epochs[i - 1];
     const math::GbmLaw law(params.gbm, price, dt);
     price = law.sample_from_normal(math::normal_inverse_cdf_draw(rng));
-    knots.emplace_back(epochs[i], price);
+    out.append(epochs[i], price);
   }
-  return proto::SteppedPricePath::from_sorted(std::move(knots));
 }
 
 }  // namespace swapgame::sim

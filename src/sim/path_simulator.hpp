@@ -29,6 +29,12 @@ namespace swapgame::sim {
     const model::SwapParams& params, const std::vector<chain::Hours>& epochs,
     math::Xoshiro256& rng);
 
+/// The same path written into `out`, whose knot buffer is reused (a
+/// protocol Monte-Carlo chunk keeps one path for all its samples).
+void sample_epoch_path(const model::SwapParams& params,
+                       const std::vector<chain::Hours>& epochs,
+                       math::Xoshiro256& rng, proto::SteppedPricePath& out);
+
 /// The distinct, sorted epoch times of a schedule (t1 first).
 [[nodiscard]] std::vector<chain::Hours> schedule_epochs(
     const model::Schedule& schedule);

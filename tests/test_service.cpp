@@ -10,6 +10,9 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -389,6 +392,70 @@ TEST(Service, OversizedLineIsRejectedAndOtherClientsStayServed) {
   ASSERT_OK(client.connect(config.socket_path));
   ASSERT_OK(client.ping());
   EXPECT_EQ(daemon.stats().protocol_errors, 1u);
+  flooder.close();
+  daemon.stop();
+}
+
+TEST(Service, BlockedRejectionDoesNotStallOtherClients) {
+  // A client that pipelines submits past the queued-cell bound and never
+  // reads fills its socket with rejections until the daemon's write to it
+  // blocks.  That write must not hold the daemon's lock: another client's
+  // job still completes meanwhile.
+  ServiceConfig config;
+  config.socket_path = socket_path("jam");
+  config.threads = 1;
+  config.max_queued_cells = 1;
+  Daemon daemon(config);
+  ASSERT_OK(daemon.start());
+
+  int fd = -1;
+  ASSERT_OK(swapgame::service::connect_unix(config.socket_path, &fd));
+  LineSocket flooder;
+  flooder.adopt(fd);
+  swapgame::obs::json::Value hello;
+  ASSERT_OK(read_event(flooder, &hello));
+
+  // Two cells against a one-cell bound: every submit is refused at
+  // admission, after parsing.
+  const std::string cell = swapgame::engine::RunSpec{}.to_json();
+  constexpr std::size_t kSubmits = 20000;
+  std::atomic<std::size_t> written{0};
+  std::thread writer([&] {
+    for (std::size_t i = 0; i < kSubmits; ++i) {
+      const std::string line = "{\"proto\":1,\"op\":\"submit\",\"id\":" +
+                               std::to_string(i + 1) + ",\"cells\":[" + cell +
+                               "," + cell + "]}";
+      if (!flooder.write_line(line).is_ok()) return;
+      written.fetch_add(1);
+    }
+  });
+  // The flood is jammed once the writer stops making progress.
+  std::size_t last = 0;
+  for (int still = 0; still < 5 && written.load() < kSubmits;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::size_t now = written.load();
+    still = now == last ? still + 1 : 0;
+    last = now;
+  }
+  EXPECT_LT(written.load(), kSubmits)
+      << "the flood never filled the socket, so nothing was tested";
+
+  std::future<Status> served = std::async(std::launch::async, [&config] {
+    Client client;
+    const Status connected = client.connect(config.socket_path);
+    if (!connected.is_ok()) return connected;
+    std::vector<BatchNode> small(1);
+    small[0].spec.kind = CellKind::kAnalyticSr;
+    Client::SubmitOutcome outcome;
+    return client.submit(small, &outcome);
+  });
+  EXPECT_EQ(served.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "a client that does not read stalls every other client";
+  // Hanging up on the daemon unjams it either way.
+  ::shutdown(fd, SHUT_RDWR);
+  writer.join();
+  ASSERT_OK(served.get());
   flooder.close();
   daemon.stop();
 }

@@ -1,5 +1,7 @@
 // FIPS 180-4 conformance and API tests for the from-scratch SHA-256
-// (src/crypto/sha256) and the digest/secret types.
+// (src/crypto/sha256) and the digest/secret types.  The conformance
+// vectors run on both block compressors, the scalar reference and SHA-NI,
+// picked through the SIMD dispatch hooks of math/simd.hpp.
 #include "crypto/sha256.hpp"
 
 #include <gtest/gtest.h>
@@ -8,28 +10,64 @@
 #include <vector>
 
 #include "crypto/secret.hpp"
+#include "math/simd.hpp"
 
 namespace swapgame::crypto {
 namespace {
 
-TEST(Sha256, FipsVectorEmptyString) {
+using math::simd::SimdLevel;
+
+enum class Compressor { kScalar, kShaNi };
+
+/// Pins the SIMD dispatch to a level that selects the compressor under
+/// test, and restores the env + CPUID choice afterwards.
+class Sha256Compressor : public testing::TestWithParam<Compressor> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Compressor::kScalar) {
+      ASSERT_TRUE(math::simd::force_level(SimdLevel::kScalar));
+      ASSERT_FALSE(Sha256::uses_sha_ni());
+      return;
+    }
+    if (!math::simd::sha_supported()) {
+      GTEST_SKIP() << "this CPU has no SHA-NI; only the scalar compressor "
+                      "was tested";
+    }
+    if (!math::simd::force_level(SimdLevel::kAvx2)) {
+      GTEST_SKIP() << "SHA-NI runs at a vector dispatch level, and this CPU "
+                      "has no AVX2; only the scalar compressor was tested";
+    }
+    ASSERT_TRUE(Sha256::uses_sha_ni());
+  }
+  void TearDown() override { math::simd::reset_level(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Compressors, Sha256Compressor,
+    testing::Values(Compressor::kScalar, Compressor::kShaNi),
+    [](const testing::TestParamInfo<Compressor>& param) {
+      return param.param == Compressor::kScalar ? std::string("scalar")
+                                               : std::string("sha_ni");
+    });
+
+TEST_P(Sha256Compressor, FipsVectorEmptyString) {
   EXPECT_EQ(Sha256::hash("").to_hex(),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
-TEST(Sha256, FipsVectorAbc) {
+TEST_P(Sha256Compressor, FipsVectorAbc) {
   EXPECT_EQ(Sha256::hash("abc").to_hex(),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
-TEST(Sha256, FipsVectorTwoBlockMessage) {
+TEST_P(Sha256Compressor, FipsVectorTwoBlockMessage) {
   EXPECT_EQ(Sha256::hash(
                 "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
                 .to_hex(),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
-TEST(Sha256, FipsVectorMillionAs) {
+TEST_P(Sha256Compressor, FipsVectorMillionAs) {
   Sha256 h;
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) h.update(chunk);
@@ -47,7 +85,7 @@ TEST(Sha256, IncrementalEqualsOneShot) {
   }
 }
 
-TEST(Sha256, PaddingBoundaryLengths) {
+TEST_P(Sha256Compressor, PaddingBoundaryLengths) {
   // Lengths around the 55/56 byte padding boundary and the 64-byte block
   // boundary must all round-trip through the incremental interface.
   for (std::size_t len : {54u, 55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
@@ -60,7 +98,7 @@ TEST(Sha256, PaddingBoundaryLengths) {
   }
 }
 
-TEST(Sha256, EveryLengthThroughTwoBlocksIsPinned) {
+TEST_P(Sha256Compressor, EveryLengthThroughTwoBlocksIsPinned) {
   // One digest over the concatenated 32-byte digests of 'x' * len for len
   // 0..129, which crosses the 55/56-byte padding split and the 64-byte
   // block boundary twice.  Reference computed with Python's hashlib:
